@@ -1,13 +1,13 @@
-// Policy tournament: the seeded scenario corpus (src/testkit) x all four
+// Policy tournament: the seeded scenario corpus (src/testkit) x both
 // scheduling policies, on the simulated substrate where makespans are
-// deterministic model predictions.
+// deterministic model predictions (modeled, not measured).
 //
 // For every (scenario, policy) pair the driver records the end-to-end
 // makespan and the critical-path category breakdown (compute / transfer
 // / scheduler / idle seconds, via obs::analyze_critical_path on the
 // run's trace), then:
 //
-//   * asserts the property the corpus encodes — all four policies
+//   * asserts the property the corpus encodes — both policies
 //     produce byte-identical fitted singular values per scenario (only
 //     timings may differ); any mismatch is a correctness regression and
 //     the process exits nonzero with the offending seed printed

@@ -5,7 +5,6 @@ committed baseline in bench/baselines/ and fail on large regressions.
     check_bench.py sched      fresh.json baseline.json [--tolerance R]
     check_bench.py dataplane  fresh.json baseline.json [--tolerance R]
     check_bench.py substrates fresh.json baseline.json [--tolerance R]
-    check_bench.py proxy      fresh.json baseline.json [--tolerance R]
     check_bench.py policy     fresh.json baseline.json [--tolerance R]
     check_bench.py shard      fresh.json baseline.json [--tolerance R]
 
@@ -93,17 +92,6 @@ SUITES = {
         Rows("benchmarks", ("name",), (
             Metric("real_time", LOWER),
         ), exclude={"run_type": "aggregate"}),
-    ),
-    "proxy": (
-        # Byte counts are deterministic (simulated runs), so the ratios
-        # are exact properties of the data plane, not machine-relative:
-        # any drop means the ownership plane started copying again.
-        Rows("fig3", ("ranks",), (
-            Metric("moved_ratio", HIGHER),
-        )),
-        Scalar("gc.peak_ratio", HIGHER, optional=True),
-        Scalar("gc.keys_released", HIGHER, optional=True),
-        Scalar("heat2d.moved_ratio", HIGHER, optional=True),
     ),
     "policy": (
         # Sim makespans are deterministic model predictions, so they gate

@@ -164,31 +164,15 @@ exec::Co<int> Client::scatter(Key key, Data data, int worker, bool external,
               "scatter to unknown worker " << worker);
   const WorkerRef& ref = workers_[static_cast<std::size_t>(worker)];
   const std::uint64_t payload_bytes = data.bytes;
-  if (plane_ == DataPlane::kProxy && depot_ != nullptr) {
-    // 1) Proxy plane: the payload stays in the sender's depot; only a
-    // token-sized ownership handle crosses the wire. Bytes move lazily,
-    // on the worker's first dereference.
-    ProxyHandle handle(node_, payload_bytes,
-                       cause != 0 ? cause : data.cause);
-    depot_->deposit(key, std::move(data), node_);
-    obs::count_referenced(payload_bytes);
-    co_await cluster_->transfer_token(node_, ref.node, key.size());
-    WorkerMsg push(WorkerMsgKind::kReceiveData);
-    push.cause = cause;
-    push.key = key;
-    push.payload = make_proxy_data(handle);
-    ref.inbox->send(std::move(push));
-  } else {
-    // 1) Copy plane: bulk payload straight to the worker ...
-    const std::uint64_t bytes = std::max(payload_bytes, kMinTransferBytes);
-    co_await cluster_->transfer(node_, ref.node, bytes);
-    obs::count_moved(payload_bytes);
-    WorkerMsg push(WorkerMsgKind::kReceiveData);
-    push.cause = cause;
-    push.key = key;
-    push.payload = std::move(data);
-    ref.inbox->send(std::move(push));
-  }
+  // 1) Bulk payload straight to the worker ...
+  co_await cluster_->transfer(node_, ref.node,
+                              std::max(payload_bytes, kMinTransferBytes));
+  obs::count_moved(payload_bytes);
+  WorkerMsg push(WorkerMsgKind::kReceiveData);
+  push.cause = cause;
+  push.key = key;
+  push.payload = std::move(data);
+  ref.inbox->send(std::move(push));
   // 2) ... and the metadata registration to the scheduler — a
   // synchronous RPC, as dask's scatter is: wait for the acknowledgement.
   if (inform_scheduler) {
@@ -230,39 +214,15 @@ exec::Co<std::vector<int>> Client::scatter_batch(
     reg.keys.push_back(key);
     reg.sizes.push_back(data.bytes);
   }
-  if (plane_ == DataPlane::kProxy && depot_ != nullptr) {
-    // 1) Proxy plane: deposit every payload locally and push one coalesced
-    // frame of ownership tokens — the wire carries handles, not blocks.
-    std::size_t key_bytes = 0;
-    std::vector<std::pair<Key, Data>> tokens;
-    tokens.reserve(items.size());
-    for (auto& [key, data] : items) {
-      key_bytes += key.size();
-      ProxyHandle handle(node_, data.bytes,
-                         cause != 0 ? cause : data.cause);
-      obs::count_referenced(data.bytes);
-      depot_->deposit(key, std::move(data), node_);
-      tokens.emplace_back(std::move(key), make_proxy_data(handle));
-    }
-    co_await cluster_->send_control(
-        node_, ref.node,
-        items.size() * exec::Transport::kTokenBytes + key_bytes);
-    WorkerMsg push(WorkerMsgKind::kReceiveDataBatch);
-    push.cause = cause;
-    push.batch = std::move(tokens);
-    ref.inbox->send(std::move(push));
-  } else {
-    // 1) Copy plane: one bulk transfer for the whole batch — the payloads
-    // share a single wire frame instead of paying the per-message floor
-    // each.
-    co_await cluster_->transfer(node_, ref.node,
-                                std::max(total, kMinTransferBytes));
-    obs::count_moved(total);
-    WorkerMsg push(WorkerMsgKind::kReceiveDataBatch);
-    push.cause = cause;
-    push.batch = std::move(items);
-    ref.inbox->send(std::move(push));
-  }
+  // 1) One bulk transfer for the whole batch — the payloads share a
+  // single wire frame instead of paying the per-message floor each.
+  co_await cluster_->transfer(node_, ref.node,
+                              std::max(total, kMinTransferBytes));
+  obs::count_moved(total);
+  WorkerMsg push(WorkerMsgKind::kReceiveDataBatch);
+  push.cause = cause;
+  push.batch = std::move(items);
+  ref.inbox->send(std::move(push));
   if (shard_inboxes_.size() > 1)
     co_return co_await register_batch_sharded(std::move(reg));
   // 2) One batched registration RPC; per-key acks come back together.
@@ -365,24 +325,6 @@ exec::Co<Data> Client::gather(const Key& key) {
   ref.inbox->send(std::move(req));
   Data d = co_await reply->recv();
   if (d.cause != 0) last_cause_ = d.cause;
-  if (const ProxyHandle* h = as_proxy(d)) {
-    // The owner forwarded an unresolved handle instead of materializing
-    // the payload on our behalf: pull it straight from the depot origin.
-    const ProxyHandle handle = *h;
-    const std::uint64_t push_cause = d.cause;
-    if (handle.location != node_) {
-      co_await cluster_->transfer(handle.location, node_,
-                                  std::max(handle.bytes, kMinTransferBytes));
-      obs::count_moved(handle.bytes);
-    } else {
-      obs::count_referenced(handle.bytes);
-    }
-    Data real;
-    DEISA_CHECK(depot_ != nullptr && depot_->fetch(key, real),
-                "gathered proxy deposit missing for '" << key << "'");
-    if (push_cause != 0) real.cause = push_cause;
-    d = std::move(real);
-  }
   co_return d;
 }
 

@@ -40,16 +40,6 @@ public:
   int num_workers() const { return static_cast<int>(workers_.size()); }
   exec::Executor& engine() { return *engine_; }
 
-  /// Switch this client onto the proxy data plane (set by the Runtime;
-  /// `depot` is the runtime-wide payload depot). Scatters then deposit
-  /// payloads and push ownership tokens, and gathers dereference
-  /// forwarded handles themselves.
-  void set_data_plane(DataPlane plane, ProxyDepot* depot) {
-    plane_ = plane;
-    depot_ = depot;
-  }
-  DataPlane data_plane() const { return plane_; }
-
   /// Scheduler-shard routing table (set by the Runtime, only at
   /// shards > 1). Submissions are then split per-shard in one pass with
   /// cross-shard dependency subscriptions piggybacked on the owner's
@@ -168,8 +158,6 @@ private:
   std::vector<exec::Channel<SchedMsg>*> shard_inboxes_;
   std::vector<WorkerRef> workers_;
   std::shared_ptr<exec::Channel<int>> notify_;
-  DataPlane plane_ = DataPlane::kCopy;
-  ProxyDepot* depot_ = nullptr;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t last_cause_ = 0;
 };

@@ -30,38 +30,6 @@ inline constexpr std::uint64_t kWirePerDepBytes = 48;
 /// Serialized size of one key reference (keys/wants lists).
 inline constexpr std::uint64_t kWirePerKeyBytes = 64;
 
-/// Pass-by-reference ownership token (proxy data plane). Instead of
-/// pushing payload bytes, a producer deposits the payload in the shared
-/// ProxyDepot and circulates this handle; the first consumer to
-/// dereference it pulls the bytes (or aliases them on the same node).
-/// The refcount lives scheduler-side (TaskRecord::pending_consumers) —
-/// the handle itself only names the deposit.
-struct ProxyHandle {
-  ProxyHandle() = default;
-  ProxyHandle(int location_, std::uint64_t bytes_, std::uint64_t cause_)
-      : location(location_), bytes(bytes_), cause(cause_) {}
-  int location = -1;          // node holding the deposited payload
-  std::uint64_t bytes = 0;    // payload size (the handle itself is tiny)
-  std::uint64_t cause = 0;    // provenance of the deposited payload
-};
-
-/// Wraps a proxy handle as a Data payload so it can ride the existing
-/// kReceiveData/kGetData envelopes. `bytes` still advertises the real
-/// payload size (scheduler registration and dep sizing are unchanged);
-/// only the wire transfer shrinks to a token.
-inline Data make_proxy_data(const ProxyHandle& h) {
-  Data d(std::make_shared<const std::any>(h), h.bytes);
-  d.cause = h.cause;
-  return d;
-}
-
-/// Returns the handle if `d` is a proxy marker, nullptr for real
-/// payloads (including synthetic size-only Data).
-inline const ProxyHandle* as_proxy(const Data& d) {
-  if (!d.value || !d.value->has_value()) return nullptr;
-  return std::any_cast<ProxyHandle>(d.value.get());
-}
-
 /// Reference to a worker actor as seen by the scheduler/clients.
 struct WorkerRef {
   WorkerRef() = default;

@@ -1,96 +1,40 @@
-// Pluggable scheduling policies — the seam carved out of
-// Scheduler::decide_worker. The scheduler owns every mechanism (record
-// table, scratch owner accumulation, the shared round-robin cursor,
-// failure bookkeeping); a policy is pure placement: given one ready
-// task's locality/cost view and a narrow context over live-worker
-// state, return the worker to run it on.
+// Placement policies behind Scheduler::decide_worker. The scheduler owns
+// every mechanism (record table, live-owner accumulation, the shared
+// round-robin cursor, failure bookkeeping) and branches once on the
+// policy: locality asks locality_owner() and falls back to the rotation;
+// round-robin takes the rotation directly.
 //
 // Contract (what the corpus property suite enforces): a policy chooses
-// *where* work runs, never *what* runs or *what it computes* — all
-// policies must produce byte-identical analytics outputs on both
-// substrates; only makespans may differ. Policies are called from the
-// scheduler strand only, so they may keep internal state (the HEFT
-// finish-time accumulator, e.g.) without locking, and that state must
-// be derived purely from the pick sequence so runs stay deterministic.
+// *where* work runs, never *what* runs or *what it computes* — both
+// policies produce byte-identical analytics outputs on both substrates;
+// only makespans may differ.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <vector>
 
 namespace deisa::dts {
 
 enum class SchedulingPolicy : std::uint8_t {
   /// The paper's behavior: the live worker already holding the most
-  /// input bytes; no owner -> round-robin. Bit-identical to the
-  /// pre-seam decide_worker by construction.
+  /// input bytes; no positive-byte owner -> round-robin.
   kLocality,
-  /// Ignore locality entirely: next live worker in rotation. The
-  /// baseline every other policy is measured against.
+  /// Ignore locality entirely: next live worker in rotation.
   kRoundRobin,
-  /// Fewest tasks currently in flight (queue-depth aware via the
-  /// scheduler's per-worker inflight counters); ties to the lowest id.
-  kLeastLoaded,
-  /// HEFT-style earliest-finish-time rank: per-worker virtual
-  /// ready-times plus a modeled transfer cost for input bytes not
-  /// already resident, using the same spec cost model the service/wire
-  /// layers memoize (spec_dep_total). Deliberately wall-clock-free so
-  /// placement is identical on the sim and threads substrates.
-  kHeft,
 };
-inline constexpr std::size_t kNumSchedulingPolicies = 4;
+inline constexpr std::size_t kNumSchedulingPolicies = 2;
 
 const char* to_string(SchedulingPolicy p);
-/// Parse "locality" | "round-robin" | "least-loaded" | "heft"
-/// (the --policy=/policy: spellings). DEISA_CHECKs on unknown names.
+/// Parse "locality" | "round-robin" (the --policy=/policy: spellings).
+/// DEISA_CHECKs on unknown names.
 SchedulingPolicy policy_of(const std::string& name);
 
-/// One ready task as a policy sees it: parallel owner/bytes arrays
-/// (live workers only, dead owners and unplaced deps already filtered
-/// by the scheduler, insertion-ordered by dep position) plus the spec
-/// cost model. Pointers borrow the scheduler's per-call scratch.
-struct TaskView {
-  const int* owners = nullptr;
-  const std::uint64_t* owner_bytes = nullptr;
-  std::size_t owner_count = 0;
-  /// Sum of owner_bytes: total live-resident input bytes.
-  std::uint64_t dep_bytes_total = 0;
-  /// Modeled execution seconds from the TaskSpec (0 for functional
-  /// tasks, which charge real compute instead).
-  double cost = 0.0;
-  std::uint64_t out_bytes = 0;
-};
-
-/// What a policy may ask of the scheduler. round_robin() consumes the
-/// scheduler's single rotation cursor — shared with the recovery
-/// re-routing paths — which is exactly what makes the locality policy's
-/// fallback bit-identical to the pre-seam code.
-class PolicyContext {
-public:
-  virtual ~PolicyContext() = default;
-  virtual std::size_t worker_count() const = 0;
-  virtual bool is_dead(int worker) const = 0;
-  /// Tasks assigned to `worker` and not yet finished (kProcessing).
-  virtual int inflight(int worker) const = 0;
-  /// Next live worker in the scheduler-wide rotation (advances it).
-  virtual int round_robin() = 0;
-};
-
-class ISchedulingPolicy {
-public:
-  virtual ~ISchedulingPolicy() = default;
-  virtual SchedulingPolicy kind() const = 0;
-  /// Pick a live worker for one ready task. The scheduler has already
-  /// resolved preferred_worker (an external-task preselection overrides
-  /// every policy) and guarantees at least one live worker exists.
-  virtual int pick(const TaskView& task, PolicyContext& ctx) = 0;
-};
-
-std::unique_ptr<ISchedulingPolicy> make_policy(SchedulingPolicy p);
-
-/// Nominal link bandwidth (bytes/s) behind the HEFT transfer estimate —
-/// the sim's software-stack bandwidth scale. An estimate used for
-/// *ranking* only; real transfer time is charged by the transport.
-inline constexpr double kPolicyModelBandwidth = 0.55e9;
+/// Locality pick over one ready task's live input owners, given as
+/// parallel arrays of worker ids and the input bytes each holds. The
+/// max-byte owner wins and ties go to the lowest worker id. Returns -1
+/// when no owner holds a positive byte count.
+int locality_owner(const std::vector<int>& owners,
+                   const std::vector<std::uint64_t>& bytes);
 
 }  // namespace deisa::dts

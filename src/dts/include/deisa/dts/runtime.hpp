@@ -14,9 +14,9 @@ namespace deisa::dts {
 struct RuntimeParams {
   SchedulerParams scheduler;
   WorkerParams worker;
-  /// Cluster-wide data plane. kProxy allocates a shared payload depot and
-  /// wires every worker and client onto it; worker.data_plane is forced
-  /// to match.
+  /// Unread: the copy plane is the only data plane. Kept because the
+  /// real-cost benchmark in perfbench/ assigns it (see DataPlane in
+  /// task.hpp).
   DataPlane data_plane = DataPlane::kCopy;
   /// Scheduler shards (see shard.hpp). 1 is bit-identical to the
   /// pre-shard single scheduler; N > 1 partitions the key space across N
@@ -51,15 +51,9 @@ public:
   /// Create a client homed on `node`; owned by the Runtime.
   Client& make_client(int node);
 
-  DataPlane data_plane() const { return data_plane_; }
-  /// Proxy-plane payload depot (nullptr on the copy plane).
-  ProxyDepot* depot() { return depot_.get(); }
-
 private:
   exec::Executor* engine_;
   exec::Transport* cluster_;
-  DataPlane data_plane_ = DataPlane::kCopy;
-  std::unique_ptr<ProxyDepot> depot_;
   std::unique_ptr<ShardedScheduler> sched_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<Client>> clients_;

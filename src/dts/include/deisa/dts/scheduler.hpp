@@ -52,7 +52,7 @@ struct SchedulerParams {
   std::uint64_t seed = 0x5c4ed;
 
   /// Placement policy behind decide_worker (see policy.hpp). kLocality
-  /// is the paper's heuristic and the pre-seam behavior.
+  /// is the paper's heuristic.
   SchedulingPolicy policy = SchedulingPolicy::kLocality;
 
   // ---- failure detection / recovery ----
@@ -69,7 +69,7 @@ struct SchedulerParams {
   double repush_timeout = 60.0;
 
   // ---- refcount GC ----
-  /// Release a key's data (worker store + proxy deposit) once every
+  /// Release a key's data (the owner worker's store copy) once every
   /// consumer that ever depended on it has finished. Consumers are
   /// charged at graph-ingestion time and released on task completion;
   /// keys nothing ever depends on (gather targets, leaves) are never
@@ -168,16 +168,6 @@ public:
            dead_[static_cast<std::size_t>(worker)] != 0;
   }
   std::size_t live_workers() const { return workers_.size() - dead_count_; }
-
-  /// Active placement policy (tests / tools).
-  SchedulingPolicy policy() const { return policy_->kind(); }
-  /// Tasks currently assigned to `worker` (kProcessing) — the queue
-  /// depth the least-loaded policy ranks by.
-  int inflight_on(int worker) const {
-    return worker >= 0 && static_cast<std::size_t>(worker) < inflight_.size()
-               ? inflight_[static_cast<std::size_t>(worker)]
-               : 0;
-  }
 
   // ---- leak / drain introspection (stress tests) ----
   /// Interned keys == task records ever created (records are never
@@ -375,18 +365,10 @@ private:
   /// no blocked waiters, and a live owner to send the release to.
   exec::Co<void> maybe_release(KeyId id, TaskRecord& rec);
   exec::Co<void> assign(KeyId id);
+  /// Preselection if live, else one branch on params_.policy: locality
+  /// asks locality_owner() and falls back to pick_live_worker();
+  /// round-robin calls pick_live_worker() directly.
   int decide_worker(const TaskRecord& rec);
-
-  /// The scheduler-backed PolicyContext: a narrow, stable view of live
-  /// workers, queue depths, and the shared round-robin cursor handed to
-  /// the placement policy (policies never see records or messages).
-  struct PolicyCtx final : PolicyContext {
-    Scheduler* s = nullptr;
-    std::size_t worker_count() const override { return s->workers_.size(); }
-    bool is_dead(int worker) const override { return s->is_dead(worker); }
-    int inflight(int worker) const override { return s->inflight_on(worker); }
-    int round_robin() override { return s->pick_live_worker(); }
-  };
   exec::Co<void> reply_ack(std::shared_ptr<exec::Channel<Ack>> ch,
                           int dst_node, int code, std::uint64_t cause);
   exec::Co<void> reply_data(std::shared_ptr<exec::Channel<Data>> ch,
@@ -426,12 +408,6 @@ private:
   std::vector<std::uint64_t> scratch_owner_bytes_;
 
   std::size_t rr_next_worker_ = 0;
-  std::unique_ptr<ISchedulingPolicy> policy_;
-  PolicyCtx policy_ctx_;
-  // Per-worker kProcessing task counts, maintained by transition() (the
-  // single choke point for state changes; rec.worker is always the
-  // assigned worker when a task enters or leaves kProcessing).
-  std::vector<int> inflight_;
 
   struct VariableSlot {
     bool set = false;

@@ -44,22 +44,13 @@ const char* to_string(TaskState s);
 inline constexpr std::size_t kNumTaskStates =
     static_cast<std::size_t>(TaskState::kErred) + 1;
 
-/// How bulk payloads travel between producers and workers.
-///
-/// `kCopy` is the classic dask data plane: every scatter pushes the
-/// payload bytes through the transport to the preselected worker, and
-/// every dependency read materializes its own copy. `kProxy` moves
-/// ownership tokens instead: producers deposit the payload once in a
-/// shared depot and circulate a (location, key, size, cause) handle;
-/// bytes move only when a consumer on another node first dereferences
-/// the handle (lazy resolution through the worker's dedup/overlap fetch
-/// machinery), and same-node dereferences are zero-copy.
-enum class DataPlane {
-  kCopy,   // payload bytes pushed eagerly (baseline)
-  kProxy,  // pass-by-reference handles, lazy byte movement
-};
-
-const char* to_string(DataPlane p);
+/// How bulk payloads travel between producers and workers. There is one
+/// data plane: every scatter pushes the payload bytes through the
+/// transport to the preselected worker, and every dependency read
+/// materializes its own copy (dask's model). Nothing reads this type; it
+/// survives only because the real-cost benchmark in perfbench/ assigns
+/// RuntimeParams::data_plane, and that benchmark is kept unchanged.
+enum class DataPlane { kCopy };
 
 /// Value moved between actors. In functional runs `value` holds a real
 /// payload; in synthetic (paper-scale benchmark) runs only `bytes` is

@@ -6,7 +6,6 @@
 
 #include <unordered_map>
 
-#include "deisa/dts/depot.hpp"
 #include "deisa/dts/messages.hpp"
 #include "deisa/dts/task.hpp"
 #include "deisa/exec/transport.hpp"
@@ -23,9 +22,6 @@ struct WorkerParams {
   /// strictly sequential behavior); in-flight fetches of the same key are
   /// shared, never duplicated.
   int max_concurrent_fetches = 8;
-  /// How pushed payloads reach this worker: eager bytes (kCopy) or
-  /// lazily-resolved proxy handles (kProxy). Must match the clients'.
-  DataPlane data_plane = DataPlane::kCopy;
 };
 
 class Worker {
@@ -47,9 +43,6 @@ public:
   void set_shards(std::vector<exec::Channel<SchedMsg>*> inboxes) {
     shard_inboxes_ = std::move(inboxes);
   }
-
-  /// Shared payload depot of the proxy data plane (nullptr on kCopy).
-  void set_depot(ProxyDepot* depot) { depot_ = depot; }
 
   /// Main actor loop; exits on kShutdown.
   exec::Co<void> run();
@@ -89,8 +82,6 @@ public:
   /// refcount-GC stress test asserts this stays bounded as timesteps grow.
   std::uint64_t peak_memory_bytes() const { return peak_memory_bytes_; }
   std::size_t keys_in_memory() const { return store_.size(); }
-  /// Unresolved proxy handles currently registered (proxy plane only).
-  std::size_t keys_proxied() const { return proxy_.size(); }
   /// Keys dropped by scheduler-directed GC releases.
   std::uint64_t keys_released() const { return keys_released_; }
   /// Drop a key from local memory (scheduler-directed release).
@@ -101,8 +92,7 @@ public:
   /// Local blocking lookup: waits until `key` is locally readable and
   /// returns a non-owning reference into the store (stable until the key
   /// is released — callers copy the Data struct, a cheap shared_ptr
-  /// alias, before suspending). On the proxy plane an unresolved handle
-  /// is materialized first (lazy resolution, deduplicated per key).
+  /// alias, before suspending).
   exec::Co<const Data*> local_ref(const Key& key);
 
 private:
@@ -116,13 +106,6 @@ private:
   exec::Co<void> handle_compute(TaskSpec spec, std::vector<DepLocation> deps,
                                 std::uint64_t cause);
   exec::Co<Data> fetch(const DepLocation& dep);
-  /// Materialize the proxy handle registered for `key` into the store:
-  /// pull the deposit (a modeled cross-node transfer when the handle
-  /// points off-node; zero-copy otherwise). Concurrent resolvers of the
-  /// same key join one resolution.
-  exec::Co<void> resolve_proxy(const Key& key);
-  /// Register a pushed proxy handle (proxy-plane kReceiveData*).
-  void store_put_proxy(Key key, const ProxyHandle& handle);
   /// Fetch one dependency into slot `i` of the shared input vector
   /// (spawned per dep by handle_compute; joined with when_all).
   exec::Co<void> fetch_one(std::shared_ptr<std::vector<Data>> inputs,
@@ -154,18 +137,11 @@ private:
   std::vector<WorkerRef> peers_;
 
   std::unordered_map<Key, Data> store_;
-  /// Unresolved proxy handles: pushed tokens whose payload still lives
-  /// in the depot. Moved into store_ (and erased here) on first use.
-  std::unordered_map<Key, ProxyHandle> proxy_;
-  ProxyDepot* depot_ = nullptr;
   std::unordered_map<Key, std::unique_ptr<exec::Event>> arrivals_;
   /// Peer fetches currently on the wire, keyed by the requested key.
   /// Tasks needing a key already in flight join the existing fetch
   /// instead of issuing a duplicate request.
   std::unordered_map<Key, std::shared_ptr<InflightFetch>> inflight_;
-  /// Proxy resolutions currently materializing, keyed by the key; later
-  /// dereferences of the same handle join instead of double-pulling.
-  std::unordered_map<Key, std::shared_ptr<InflightFetch>> resolving_;
   /// Bounds the number of concurrent outbound peer fetches (NIC model).
   exec::Semaphore fetch_slots_;
   std::uint64_t tasks_executed_ = 0;

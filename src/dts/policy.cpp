@@ -1,8 +1,5 @@
 #include "deisa/dts/policy.hpp"
 
-#include <limits>
-#include <vector>
-
 #include "deisa/util/error.hpp"
 
 namespace deisa::dts {
@@ -11,8 +8,6 @@ const char* to_string(SchedulingPolicy p) {
   switch (p) {
     case SchedulingPolicy::kLocality: return "locality";
     case SchedulingPolicy::kRoundRobin: return "round-robin";
-    case SchedulingPolicy::kLeastLoaded: return "least-loaded";
-    case SchedulingPolicy::kHeft: return "heft";
   }
   return "?";
 }
@@ -20,129 +15,26 @@ const char* to_string(SchedulingPolicy p) {
 SchedulingPolicy policy_of(const std::string& name) {
   if (name == "locality") return SchedulingPolicy::kLocality;
   if (name == "round-robin") return SchedulingPolicy::kRoundRobin;
-  if (name == "least-loaded") return SchedulingPolicy::kLeastLoaded;
-  if (name == "heft") return SchedulingPolicy::kHeft;
   DEISA_CHECK(false, "unknown scheduling policy '"
-                         << name
-                         << "' (locality|round-robin|least-loaded|heft)");
+                         << name << "' (locality|round-robin)");
   return SchedulingPolicy::kLocality;
 }
 
-namespace {
-
-// The pre-seam decide_worker tail, verbatim: max-byte owner wins; ties
-// break to the lowest worker id; a zero-byte owner never wins (best
-// starts at -1 with best_bytes 0, and the tie clause requires best >= 0,
-// so only a strictly positive byte count can seat a first candidate) —
-// all-empty inputs fall through to the shared round-robin. That quirk is
-// pinned by tests/test_policy.cpp; change it there first.
-class LocalityFirstPolicy final : public ISchedulingPolicy {
-public:
-  SchedulingPolicy kind() const override {
-    return SchedulingPolicy::kLocality;
-  }
-  int pick(const TaskView& task, PolicyContext& ctx) override {
-    int best = -1;
-    std::uint64_t best_bytes = 0;
-    for (std::size_t j = 0; j < task.owner_count; ++j) {
-      const std::uint64_t b = task.owner_bytes[j];
-      if (b > best_bytes ||
-          (b == best_bytes && best >= 0 && task.owners[j] < best)) {
-        best = task.owners[j];
-        best_bytes = b;
-      }
+int locality_owner(const std::vector<int>& owners,
+                   const std::vector<std::uint64_t>& bytes) {
+  // best starts at -1 with best_bytes 0, and the tie clause requires
+  // best >= 0, so only a strictly positive byte count can seat a first
+  // candidate. That quirk is pinned by tests/test_policy.cpp.
+  int best = -1;
+  std::uint64_t best_bytes = 0;
+  for (std::size_t j = 0; j < owners.size(); ++j) {
+    const std::uint64_t b = bytes[j];
+    if (b > best_bytes || (b == best_bytes && best >= 0 && owners[j] < best)) {
+      best = owners[j];
+      best_bytes = b;
     }
-    if (best >= 0) return best;
-    return ctx.round_robin();
   }
-};
-
-class RoundRobinPolicy final : public ISchedulingPolicy {
-public:
-  SchedulingPolicy kind() const override {
-    return SchedulingPolicy::kRoundRobin;
-  }
-  int pick(const TaskView&, PolicyContext& ctx) override {
-    return ctx.round_robin();
-  }
-};
-
-class LeastLoadedPolicy final : public ISchedulingPolicy {
-public:
-  SchedulingPolicy kind() const override {
-    return SchedulingPolicy::kLeastLoaded;
-  }
-  int pick(const TaskView&, PolicyContext& ctx) override {
-    // Ascending scan, strict <: ties stay with the lowest live id.
-    // Depths move as each pick in a drain batch lands (assign bumps the
-    // inflight counter before the next ready task is decided), so a
-    // burst of equal tasks spreads instead of piling on worker 0.
-    int best = -1;
-    int best_load = std::numeric_limits<int>::max();
-    const std::size_t n = ctx.worker_count();
-    for (std::size_t w = 0; w < n; ++w) {
-      if (ctx.is_dead(static_cast<int>(w))) continue;
-      const int load = ctx.inflight(static_cast<int>(w));
-      if (load < best_load) {
-        best = static_cast<int>(w);
-        best_load = load;
-      }
-    }
-    if (best >= 0) return best;
-    return ctx.round_robin();  // unreachable; keeps the no-live CHECK loud
-  }
-};
-
-class HeftPolicy final : public ISchedulingPolicy {
-public:
-  SchedulingPolicy kind() const override { return SchedulingPolicy::kHeft; }
-  int pick(const TaskView& task, PolicyContext& ctx) override {
-    // Virtual per-worker ready-times, advanced by each pick — no wall
-    // clock, so the rank (and therefore placement) is identical on sim
-    // and threads. EFT(w) = ready[w] + remote_bytes(w)/bw + cost.
-    const std::size_t n = ctx.worker_count();
-    if (ready_.size() < n) ready_.resize(n, 0.0);
-    int best = -1;
-    double best_eft = std::numeric_limits<double>::infinity();
-    for (std::size_t w = 0; w < n; ++w) {
-      if (ctx.is_dead(static_cast<int>(w))) continue;
-      std::uint64_t local = 0;
-      for (std::size_t j = 0; j < task.owner_count; ++j)
-        if (task.owners[j] == static_cast<int>(w)) local += task.owner_bytes[j];
-      const double transfer =
-          static_cast<double>(task.dep_bytes_total - local) /
-          kPolicyModelBandwidth;
-      const double eft = ready_[w] + transfer + task.cost;
-      if (eft < best_eft) {  // strict <: ties stay with the lowest id
-        best = static_cast<int>(w);
-        best_eft = eft;
-      }
-    }
-    if (best < 0) return ctx.round_robin();
-    ready_[static_cast<std::size_t>(best)] = best_eft;
-    return best;
-  }
-
-private:
-  std::vector<double> ready_;
-};
-
-}  // namespace
-
-std::unique_ptr<ISchedulingPolicy> make_policy(SchedulingPolicy p) {
-  switch (p) {
-    case SchedulingPolicy::kLocality:
-      return std::make_unique<LocalityFirstPolicy>();
-    case SchedulingPolicy::kRoundRobin:
-      return std::make_unique<RoundRobinPolicy>();
-    case SchedulingPolicy::kLeastLoaded:
-      return std::make_unique<LeastLoadedPolicy>();
-    case SchedulingPolicy::kHeft:
-      return std::make_unique<HeftPolicy>();
-  }
-  DEISA_CHECK(false, "unknown scheduling policy enum "
-                         << static_cast<int>(p));
-  return nullptr;
+  return best;
 }
 
 }  // namespace deisa::dts

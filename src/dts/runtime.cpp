@@ -5,9 +5,7 @@ namespace deisa::dts {
 Runtime::Runtime(exec::Executor& engine, exec::Transport& cluster,
                  int scheduler_node, std::vector<int> worker_nodes,
                  RuntimeParams params)
-    : engine_(&engine), cluster_(&cluster), data_plane_(params.data_plane) {
-  if (data_plane_ == DataPlane::kProxy) depot_ = std::make_unique<ProxyDepot>();
-  params.worker.data_plane = data_plane_;
+    : engine_(&engine), cluster_(&cluster) {
   sched_ = std::make_unique<ShardedScheduler>(
       engine, cluster, scheduler_node, params.shards, params.scheduler);
   for (std::size_t i = 0; i < worker_nodes.size(); ++i)
@@ -18,7 +16,6 @@ Runtime::Runtime(exec::Executor& engine, exec::Transport& cluster,
   sched_->attach_workers(refs);
   for (auto& w : workers_) {
     w->attach(scheduler_node, &sched_->shard(0).inbox(), refs);
-    w->set_depot(depot_.get());
     if (params.shards > 1) w->set_shards(sched_->inboxes());
   }
 }
@@ -51,7 +48,6 @@ Client& Runtime::make_client(int node) {
   clients_.push_back(std::make_unique<Client>(
       *engine_, *cluster_, static_cast<int>(clients_.size()), node,
       sched_->shard(0).node(), &sched_->shard(0).inbox(), worker_refs()));
-  clients_.back()->set_data_plane(data_plane_, depot_.get());
   if (sched_->num_shards() > 1) clients_.back()->set_shards(sched_->inboxes());
   return *clients_.back();
 }

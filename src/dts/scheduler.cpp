@@ -21,14 +21,6 @@ const char* to_string(TaskState s) {
   return "?";
 }
 
-const char* to_string(DataPlane p) {
-  switch (p) {
-    case DataPlane::kCopy: return "copy";
-    case DataPlane::kProxy: return "proxy";
-  }
-  return "?";
-}
-
 const char* to_string(SchedMsgKind k) {
   switch (k) {
     case SchedMsgKind::kUpdateGraph: return "update_graph";
@@ -110,10 +102,7 @@ Scheduler::Scheduler(exec::Executor& engine, exec::Transport& cluster, int node,
       params_(params),
       inbox_(engine),
       server_(engine, 1),
-      rng_(params.seed),
-      policy_(make_policy(params.policy)) {
-  policy_ctx_.s = this;
-}
+      rng_(params.seed) {}
 
 void Scheduler::set_shard_context(
     int shard_index, int num_shards,
@@ -136,7 +125,6 @@ void Scheduler::set_shard_context(
 
 void Scheduler::attach_workers(std::vector<WorkerRef> workers) {
   workers_ = std::move(workers);
-  inflight_.assign(workers_.size(), 0);
   dead_.assign(workers_.size(), 0);
   suspected_.assign(workers_.size(), 0);
   last_heartbeat_.assign(workers_.size(), -1.0);
@@ -236,16 +224,6 @@ void Scheduler::transition(KeyId id, TaskRecord& rec, TaskState to) {
   }
   --state_counts_[static_cast<std::size_t>(from)];
   ++state_counts_[static_cast<std::size_t>(to)];
-  // Queue-depth bookkeeping for the least-loaded policy: every edge in
-  // or out of kProcessing passes through here with rec.worker holding
-  // the assigned worker (assign sets it before transitioning in;
-  // finish/recover/poison clear it only after transitioning out).
-  if (from == TaskState::kProcessing && rec.worker >= 0 &&
-      static_cast<std::size_t>(rec.worker) < inflight_.size())
-    --inflight_[static_cast<std::size_t>(rec.worker)];
-  if (to == TaskState::kProcessing && rec.worker >= 0 &&
-      static_cast<std::size_t>(rec.worker) < inflight_.size())
-    ++inflight_[static_cast<std::size_t>(rec.worker)];
   rec.state = to;
   rec.state_since = engine_->now();
 }
@@ -729,9 +707,9 @@ exec::Co<void> Scheduler::maybe_release(KeyId id, TaskRecord& rec) {
     m->counter("scheduler.gc.bytes_released").add(rec.bytes);
   }
   obs::trace_instant(actor_, "gc", "release:" + keys_.name(id));
-  // Tell the owner to drop the bytes (store copy, unresolved handle, and
-  // the proxy deposit it owns). State stays kMemory: the release is a
-  // storage fact, and the record keeps answering metadata queries.
+  // Tell the owner to drop its store copy. State stays kMemory: the
+  // release is a storage fact, and the record keeps answering metadata
+  // queries.
   const WorkerRef& ref = workers_[static_cast<std::size_t>(rec.worker)];
   const Key& name = keys_.name(id);
   co_await cluster_->send_control(node_, ref.node,
@@ -779,10 +757,13 @@ int Scheduler::decide_worker(const TaskRecord& rec) {
     // path instead of assigning work to a corpse.
     if (!is_dead(rec.preferred_worker)) return rec.preferred_worker;
   }
-  // Build the policy's task view: which live workers already hold input
-  // bytes, accumulated on two parallel scratch arrays in dep order (a
-  // task has a handful of deps; dead owners and unplaced deps are
-  // filtered here so policies only ever rank live candidates).
+  if (params_.policy == SchedulingPolicy::kRoundRobin)
+    return pick_live_worker();
+  // Locality: which live workers already hold input bytes, accumulated
+  // on two parallel scratch arrays in dep order (a task has a handful of
+  // deps; dead owners and unplaced deps are filtered here so only live
+  // candidates are ranked). No positive-byte owner -> the shared
+  // rotation, the same cursor the recovery re-routing paths advance.
   scratch_owner_.clear();
   scratch_owner_bytes_.clear();
   for (std::uint32_t i = 0; i < rec.dep_count; ++i) {
@@ -797,21 +778,8 @@ int Scheduler::decide_worker(const TaskRecord& rec) {
     }
     scratch_owner_bytes_[j] += drec.bytes;
   }
-  TaskView view;
-  view.owners = scratch_owner_.data();
-  view.owner_bytes = scratch_owner_bytes_.data();
-  view.owner_count = scratch_owner_.size();
-  for (const std::uint64_t b : scratch_owner_bytes_) view.dep_bytes_total += b;
-  if (rec.spec != nullptr) {
-    view.cost = rec.spec->cost;
-    view.out_bytes = rec.spec->out_bytes;
-  }
-  const int w = policy_->pick(view, policy_ctx_);
-  DEISA_ASSERT(w >= 0 && static_cast<std::size_t>(w) < workers_.size() &&
-                   !is_dead(w),
-               "policy " << to_string(policy_->kind())
-                         << " picked unusable worker " << w);
-  return w;
+  const int w = locality_owner(scratch_owner_, scratch_owner_bytes_);
+  return w >= 0 ? w : pick_live_worker();
 }
 
 exec::Co<void> Scheduler::assign(KeyId id) {
@@ -821,8 +789,6 @@ exec::Co<void> Scheduler::assign(KeyId id) {
   DEISA_ASSERT(rec.spec != nullptr,
                "assigning specless task " << keys_.name(id));
   const int w = decide_worker(rec);
-  // Worker first, then the state edge: transition() charges the
-  // per-worker inflight counter from rec.worker on kProcessing edges.
   rec.worker = w;
   transition(id, rec, TaskState::kProcessing);
   WorkerMsg m(WorkerMsgKind::kCompute);
@@ -897,9 +863,6 @@ exec::Co<void> Scheduler::finish_task(KeyId id, TaskRecord& rec, int worker,
                                      std::uint64_t bytes, bool erred,
                                      const std::string& error) {
   if (erred) {
-    // rec.worker keeps the assigned worker through the poison edge so
-    // the processing->erred transition uncharges the right inflight
-    // counter (the cancel path passes worker = -1 here).
     co_await poison_task(id, error);
     co_return;
   }

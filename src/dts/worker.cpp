@@ -57,24 +57,12 @@ exec::Co<void> Worker::run() {
         // Pushed payloads inherit the push span as provenance so later
         // consumers (gather, queue hand-offs) can link back to it.
         if (msg.cause != 0) msg.payload.cause = msg.cause;
-        if (const ProxyHandle* h = as_proxy(msg.payload)) {
-          ProxyHandle handle = *h;
-          if (msg.cause != 0) handle.cause = msg.cause;
-          store_put_proxy(std::move(msg.key), handle);
-        } else {
-          store_put(std::move(msg.key), std::move(msg.payload));
-        }
+        store_put(std::move(msg.key), std::move(msg.payload));
         break;
       case WorkerMsgKind::kReceiveDataBatch:
         for (auto& [key, payload] : msg.batch) {
           if (msg.cause != 0) payload.cause = msg.cause;
-          if (const ProxyHandle* h = as_proxy(payload)) {
-            ProxyHandle handle = *h;
-            if (msg.cause != 0) handle.cause = msg.cause;
-            store_put_proxy(std::move(key), handle);
-          } else {
-            store_put(std::move(key), std::move(payload));
-          }
+          store_put(std::move(key), std::move(payload));
         }
         break;
       case WorkerMsgKind::kGetData:
@@ -82,15 +70,11 @@ exec::Co<void> Worker::run() {
         break;
       case WorkerMsgKind::kReleaseKey: {
         // Refcount GC: the scheduler proved every consumer of this key
-        // has finished, so its bytes can go — the store copy, any
-        // still-unresolved proxy handle, and the shared deposit behind
-        // it (this worker owns the key, so it owns the deposit too).
+        // has finished, so its store copy can go.
         std::uint64_t freed = 0;
         if (const auto it = store_.find(msg.key); it != store_.end())
-          freed += it->second.bytes;
+          freed = it->second.bytes;
         release_key(msg.key);
-        proxy_.erase(msg.key);
-        if (depot_) freed += depot_->erase(msg.key);
         ++keys_released_;
         if (auto* m = obs::metrics()) {
           m->counter("worker.keys_released").add();
@@ -121,8 +105,6 @@ void Worker::crash() {
   if (!alive_) return;
   alive_ = false;
   store_.clear();
-  proxy_.clear();  // pushed handles die with the worker; deposits stay
-                   // in the depot for the re-push protocol to re-route
   memory_bytes_ = 0;
   record_memory();
   obs::count("worker.crashes");
@@ -173,65 +155,6 @@ void Worker::store_put_cached(Key key, Data data) {
   }
 }
 
-void Worker::store_put_proxy(Key key, const ProxyHandle& handle) {
-  // A handle is metadata, not resident payload: memory accounting stays
-  // untouched until resolution materializes the bytes.
-  proxy_[key] = handle;
-  obs::count("worker.proxies_received");
-  // Wake local_ref loops parked on this key; they re-probe, find the
-  // handle, and resolve it.
-  const auto it = arrivals_.find(key);
-  if (it != arrivals_.end()) {
-    it->second->set();
-    arrivals_.erase(it);
-  }
-}
-
-exec::Co<void> Worker::resolve_proxy(const Key& key) {
-  // A resolution already in flight for this key: join it.
-  if (const auto it = resolving_.find(key); it != resolving_.end()) {
-    auto flight = it->second;  // keep alive across the await
-    co_await flight->done.wait();
-    co_return;
-  }
-  const auto hit = proxy_.find(key);
-  if (hit == proxy_.end()) co_return;  // raced an earlier resolution
-  const ProxyHandle handle = hit->second;
-  auto flight = std::make_shared<InflightFetch>(*engine_);
-  resolving_.emplace(key, flight);
-  co_await fetch_slots_.acquire();
-  obs::Span span = obs::trace_span(actor_, "resolve_proxy", key);
-  if (span.active()) {
-    span.set_cause(handle.cause, obs::EdgeKind::kPush);
-    span.add_arg(obs::arg("bytes", handle.bytes));
-  }
-  if (handle.location != node_) {
-    // First dereference on this node: the payload bytes move now, over
-    // the same transport a copy-plane push would have used eagerly.
-    co_await cluster_->transfer(handle.location, node_,
-                                std::max(handle.bytes, kMinTransferBytes));
-    obs::count_moved(handle.bytes);
-    obs::count("worker.proxy_pulls");
-  } else {
-    // Same-node dereference: zero-copy (shared_ptr alias out of the
-    // depot; the threaded transport's local bypass for real scratch).
-    obs::count_referenced(handle.bytes);
-    obs::count("worker.proxy_local_derefs");
-  }
-  fetch_slots_.release();
-  span.finish();
-  Data d;
-  const bool deposited = depot_ != nullptr && depot_->fetch(key, d);
-  DEISA_CHECK(deposited, "proxy deposit missing for " << key
-                             << " (released before its last consumer?)");
-  if (alive_) {
-    proxy_.erase(key);
-    store_put(key, std::move(d));
-  }
-  flight->done.set();
-  resolving_.erase(key);
-}
-
 exec::Co<const Data*> Worker::local_ref(const Key& key) {
   while (true) {
     const auto it = store_.find(key);
@@ -239,10 +162,6 @@ exec::Co<const Data*> Worker::local_ref(const Key& key) {
     // under rehash, and the entry outlives the caller's read (releases
     // only happen once every consumer finished).
     if (it != store_.end()) co_return &it->second;
-    if (proxy_.count(key) != 0) {
-      co_await resolve_proxy(key);
-      continue;  // resolution moved the payload into store_
-    }
     auto ev = arrivals_.find(key);
     if (ev == arrivals_.end())
       ev = arrivals_.emplace(key, std::make_unique<exec::Event>(*engine_)).first;
@@ -257,14 +176,10 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
   if (dep.owner == id_ || dep.owner < 0) {
     // Local (or still in flight to this worker, e.g. an external-task
     // block the bridge pushes here): wait for the store and hand back a
-    // shared alias. The copy plane models dask's per-read serialization
-    // (every local dependency read duplicates the payload); the proxy
-    // plane reads by reference, so local deps move zero extra bytes.
+    // shared alias. The byte accounting models dask's per-read
+    // serialization: every local dependency read duplicates the payload.
     const Data* d = co_await local_ref(dep.key);
-    if (params_.data_plane == DataPlane::kCopy)
-      obs::count_moved(d->bytes);
-    else
-      obs::count_referenced(d->bytes);
+    obs::count_moved(d->bytes);
     co_return *d;
   }
   DEISA_CHECK(static_cast<std::size_t>(dep.owner) < peers_.size(),
@@ -273,10 +188,7 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
   if (const auto hit = store_.find(dep.key); hit != store_.end()) {
     ++peer_fetch_cache_hits_;
     obs::count("worker.peer_fetch_cache_hits");
-    if (params_.data_plane == DataPlane::kCopy)
-      obs::count_moved(hit->second.bytes);
-    else
-      obs::count_referenced(hit->second.bytes);
+    obs::count_moved(hit->second.bytes);
     co_return hit->second;
   }
   // The same key is already on the wire for another task: join that
@@ -308,29 +220,7 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
   req.reply_data = reply;
   peer.inbox->send(std::move(req));
   Data d = co_await reply->recv();
-  if (const ProxyHandle* h = as_proxy(d)) {
-    // The owner never materialized the block — it forwarded the handle
-    // (token-sized reply). Pull the deposit directly from its origin
-    // instead of bouncing the bytes through the owner.
-    const ProxyHandle handle = *h;
-    const std::uint64_t push_cause = d.cause;
-    if (handle.location != node_) {
-      co_await cluster_->transfer(handle.location, node_,
-                                  std::max(handle.bytes, kMinTransferBytes));
-      obs::count_moved(handle.bytes);
-    } else {
-      obs::count_referenced(handle.bytes);
-    }
-    Data real;
-    const bool deposited = depot_ != nullptr && depot_->fetch(dep.key, real);
-    DEISA_CHECK(deposited, "forwarded proxy deposit missing for " << dep.key);
-    if (push_cause != 0) real.cause = push_cause;
-    d = std::move(real);
-    obs::count("worker.proxy_forwarded_pulls");
-  } else {
-    // Real payload crossed the wire from the owner.
-    obs::count_moved(d.bytes);
-  }
+  obs::count_moved(d.bytes);
   fetch_slots_.release();
   if (span.active()) span.add_arg(obs::arg("bytes", d.bytes));
   span.finish();
@@ -349,22 +239,6 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
 }
 
 exec::Co<void> Worker::handle_get_data(WorkerMsg msg) {
-  // Proxy plane: a still-unresolved handle is forwarded as-is over a
-  // token-sized reply instead of materializing the payload here — the
-  // requester pulls straight from the deposit, so the bytes cross the
-  // wire once (origin -> requester), not twice through this owner.
-  if (store_.find(msg.key) == store_.end()) {
-    if (const auto it = proxy_.find(msg.key); it != proxy_.end()) {
-      const ProxyHandle handle = it->second;
-      co_await cluster_->transfer_token(node_, msg.requester_node,
-                                        msg.key.size());
-      if (!alive_) co_return;
-      obs::count_referenced(handle.bytes);
-      obs::count("worker.proxy_forwards");
-      msg.reply_data->send(make_proxy_data(handle));
-      co_return;
-    }
-  }
   const Data* ref = co_await local_ref(msg.key);
   if (!alive_) co_return;  // died while the request was in flight
   Data d = *ref;  // alias out of the store before suspending again

@@ -90,20 +90,6 @@ public:
   /// Snapshot of the send statistics (by value: the threaded backend
   /// maintains them atomically).
   virtual TransferStats stats() const = 0;
-
-  /// Pass-by-reference token send (proxy data plane): ships an ownership
-  /// handle — location + key + size + refcount + cause — instead of the
-  /// payload it names. Costs control-message bytes regardless of the
-  /// payload size; the bytes move later (if ever) via transfer() when a
-  /// consumer dereferences the handle.
-  Co<SendResult> transfer_token(int src, int dst, std::size_t key_bytes,
-                                Delivery delivery = Delivery::kReliable) {
-    return send_control(src, dst, kTokenBytes + key_bytes, delivery);
-  }
-
-  /// Framing cost of one proxy handle on the wire (location + size +
-  /// refcount + cause + envelope; the key string is priced separately).
-  static constexpr std::uint64_t kTokenBytes = 96;
 };
 
 }  // namespace deisa::exec

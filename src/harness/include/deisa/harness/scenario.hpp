@@ -72,10 +72,6 @@ struct ScenarioParams {
   /// Worker-side bound on concurrent peer dependency fetches (1 = the
   /// pre-overlap strictly sequential behavior; see WorkerParams).
   int max_concurrent_fetches = 8;
-  /// Data plane: kCopy pushes payload bytes eagerly (dask baseline);
-  /// kProxy moves ownership tokens and resolves bytes lazily on first
-  /// use (see RuntimeParams::data_plane).
-  dts::DataPlane data_plane = dts::DataPlane::kCopy;
   /// Refcount GC: release a key from worker memory once every consumer
   /// task has finished (bounded residency over long runs), including
   /// consumers ingested on other shards. Off by default — incompatible
@@ -194,16 +190,8 @@ struct RunResult {
   std::uint64_t pfs_bytes_read = 0;
 
   // ---- data-plane accounting ----
-  /// Payload bytes physically moved through the transport
-  /// (dataplane.bytes_moved).
-  std::uint64_t bytes_moved = 0;
-  /// Payload bytes passed by reference instead of moved
-  /// (dataplane.bytes_referenced).
-  std::uint64_t bytes_referenced = 0;
   /// Highest per-worker store residency over the run.
   std::uint64_t worker_peak_bytes = 0;
-  /// Depot high-water mark (proxy plane; 0 on kCopy).
-  std::uint64_t depot_peak_bytes = 0;
   /// Keys dropped by the scheduler's refcount GC.
   std::uint64_t keys_released = 0;
 

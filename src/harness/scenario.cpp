@@ -8,7 +8,6 @@
 #include "deisa/core/bridge.hpp"
 #include "deisa/io/posthoc.hpp"
 #include "deisa/mpix/comm.hpp"
-#include "deisa/obs/dataplane.hpp"
 #include "deisa/obs/observation.hpp"
 #include "deisa/rt/threaded_executor.hpp"
 #include "deisa/rt/threaded_transport.hpp"
@@ -189,7 +188,6 @@ struct World {
       rp.scheduler.heartbeat_timeout = 3.5 * p.worker_heartbeat_interval;
     rp.worker.heartbeat_interval = p.worker_heartbeat_interval;
     rp.worker.max_concurrent_fetches = p.max_concurrent_fetches;
-    rp.data_plane = p.data_plane;
     rp.scheduler.release_consumed = p.release_consumed;
     rp.shards = p.shards;
     runtime = std::make_unique<dts::Runtime>(engine, cluster, scheduler_node,
@@ -743,8 +741,6 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
     res.worker_peak_bytes =
         std::max(res.worker_peak_bytes, w.runtime->worker(i).peak_memory_bytes());
   }
-  if (const dts::ProxyDepot* depot = w.runtime->depot())
-    res.depot_peak_bytes = depot->peak_bytes();
   res.pfs_bytes_written = w.pfs.bytes_written();
   res.pfs_bytes_read = w.pfs.bytes_read();
   // Every shard runs lineage recovery over its own records: the totals
@@ -759,8 +755,6 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
   if (recorder) obs::gauge_set("trace.dropped_events_final",
                                static_cast<double>(recorder->dropped()));
   res.metrics = registry.snapshot();
-  res.bytes_moved = res.metrics.counter(obs::kBytesMoved);
-  res.bytes_referenced = res.metrics.counter(obs::kBytesReferenced);
   res.trace = std::move(recorder);
   return res;
 }

@@ -54,7 +54,7 @@ exec::Co<void> ThreadedTransport::transfer(int src, int dst,
   if (src == dst) {
     // Same-node hand-off: the payload already lives in this address
     // space, so there is no NIC to contend for and nothing to copy
-    // through scratch (proxy-plane zero-copy dereferences land here).
+    // through scratch.
     obs::count("rt.nic.local_bypass");
     co_return;
   }

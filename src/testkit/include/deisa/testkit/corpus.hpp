@@ -11,10 +11,10 @@
 //
 // Generator invariants (what makes every scenario a property test):
 //   * real_data is always on, so the fitted singular values exist and
-//     byte-identical analytics can be asserted across all four policies
-//     and both substrates;
+//     byte-identical analytics can be asserted across both policies and
+//     both substrates;
 //   * problems are kept small (KiB blocks, <= 10 timesteps) so a full
-//     32-scenario x 4-policy sweep stays in CI smoke territory;
+//     32-scenario x 2-policy sweep stays in CI smoke territory;
 //   * fault-plan scenarios (slow-node family) are sim-only — fault
 //     plans are virtual-time constructs (see GeneratedScenario.sim_only);
 //   * everything else runs on both substrates.

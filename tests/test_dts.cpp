@@ -548,7 +548,7 @@ TEST(Dts, ScatterBatchIsOneRegistrationRpc) {
     EXPECT_EQ(tc.rt->scheduler().state_of(k), dts::TaskState::kMemory);
 }
 
-// ---- proxy data plane / refcount GC ----
+// ---- data-plane byte accounting / refcount GC ----
 
 namespace obs = deisa::obs;
 
@@ -569,35 +569,16 @@ sim::Co<void> local_chain_flow(TestCluster& tc, std::uint64_t block) {
 }
 
 TEST(Dts, ProxyPlaneLocalDepsMoveZeroExtraBytes) {
-  // Single worker: every dependency read is local. The copy plane models
-  // dask's per-read duplication (scatter push + each local dep read move
-  // the block); the proxy plane must move the block exactly once — the
-  // lazy pull of the scattered deposit — and read local deps by
-  // reference, zero extra bytes moved.
+  // Single worker: every dependency read is local. The data plane models
+  // dask's per-read duplication: the scatter push and each local dep read
+  // move the block once, and nothing else moves it. (The name predates
+  // the removal of the proxy plane, which read local deps by reference.)
   constexpr std::uint64_t kBlock = 4096;
-  std::uint64_t moved[2] = {0, 0};
-  std::uint64_t referenced[2] = {0, 0};
-  int i = 0;
-  for (dts::DataPlane plane :
-       {dts::DataPlane::kCopy, dts::DataPlane::kProxy}) {
-    dts::RuntimeParams rp;
-    rp.data_plane = plane;
-    TestCluster tc(1, rp);
-    obs::MetricsRegistry registry;
-    obs::ObservationScope scope(nullptr, &registry);
-    tc.run(local_chain_flow(tc, kBlock));
-    const obs::MetricsSnapshot snap = registry.snapshot();
-    moved[i] = snap.counter(obs::kBytesMoved);
-    referenced[i] = snap.counter(obs::kBytesReferenced);
-    ++i;
-  }
-  // Copy plane: scatter + two local dependency reads, a move each.
-  EXPECT_EQ(moved[0], 3 * kBlock);
-  EXPECT_EQ(referenced[0], 0u);
-  // Proxy plane: one materializing pull; deposit hand-off and both local
-  // dependency reads are references.
-  EXPECT_EQ(moved[1], kBlock);
-  EXPECT_EQ(referenced[1], 3 * kBlock);
+  TestCluster tc(1);
+  obs::MetricsRegistry registry;
+  obs::ObservationScope scope(nullptr, &registry);
+  tc.run(local_chain_flow(tc, kBlock));
+  EXPECT_EQ(registry.snapshot().counter(obs::kBytesMoved), 3 * kBlock);
 }
 
 sim::Co<void> gc_release_flow(TestCluster& tc) {
@@ -627,20 +608,6 @@ TEST(Dts, ReleaseConsumedFreesConsumedKeys) {
   EXPECT_EQ(tc.rt->worker(0).keys_released() +
                 tc.rt->worker(1).keys_released(),
             1u);
-}
-
-TEST(Dts, ProxyPlaneGcDropsDepotDeposit) {
-  // Proxy plane + GC: the release must also evict the depot deposit, not
-  // just the worker-store copy, or long runs leak in the depot instead.
-  dts::RuntimeParams rp;
-  rp.data_plane = dts::DataPlane::kProxy;
-  rp.scheduler.release_consumed = true;
-  TestCluster tc(2, rp);
-  tc.run(gc_release_flow(tc));
-  EXPECT_TRUE(tc.rt->scheduler().is_released("a"));
-  ASSERT_NE(tc.rt->depot(), nullptr);
-  EXPECT_FALSE(tc.rt->depot()->contains("a"));
-  EXPECT_GT(tc.rt->depot()->peak_bytes(), 0u);
 }
 
 }  // namespace

@@ -9,15 +9,16 @@
 //  * for ANY random virtual-array decomposition and selection box, the
 //    bridges' contract filtering must send exactly the brute-force set of
 //    overlapping blocks — no more, no fewer;
-//  * the proxy data plane and the refcount GC are value-transparent: for
-//    ANY random DAG, on either plane, either substrate, with or without
-//    release_consumed, the gathered sink values match the sequential
-//    evaluation — and with GC on, every ever-consumed key with a drained
-//    refcount actually got released.
+//  * the refcount GC is value-transparent: for ANY random DAG, on either
+//    substrate, with or without release_consumed, the gathered sink
+//    values match the sequential evaluation — and with GC on, every
+//    ever-consumed key with a drained refcount actually got released.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "deisa/core/adaptor.hpp"
 #include "deisa/core/bridge.hpp"
@@ -174,19 +175,34 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{120, 4, 55ull}, std::tuple{120, 8, 66ull},
                       std::tuple{200, 6, 77ull}));
 
-// ---- random DAGs × data plane × refcount GC × substrate ----
+// ---- random DAGs × refcount GC × substrate ----
 
 struct PlaneCase {
   int n;
   int workers;
   std::uint64_t seed;
   std::uint64_t block_bytes;  // leaf/task payload size (accounting axis)
-  dts::DataPlane plane;
   bool gc;       // scheduler release_consumed
   bool threads;  // substrate: rt::ThreadedExecutor instead of sim
 };
 
-/// One cluster on either substrate with the data-plane knobs applied.
+/// Test-name suffix, e.g. n40_w3_s910_gc0_sim.
+std::string plane_case_name(const ::testing::TestParamInfo<PlaneCase>& info) {
+  const PlaneCase& c = info.param;
+  return "n" + std::to_string(c.n) + "_w" + std::to_string(c.workers) + "_s" +
+         std::to_string(c.seed) + "_gc" + (c.gc ? "1" : "0") +
+         (c.threads ? "_threads" : "_sim");
+}
+
+/// GetParam() text (ctest appends it to the test name): every field, and
+/// no raw struct bytes, whose padding would make the name vary by build.
+void PrintTo(const PlaneCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " workers=" << c.workers << " seed=" << c.seed
+      << " block=" << c.block_bytes << "B gc=" << (c.gc ? "on" : "off")
+      << (c.threads ? " threads" : " sim");
+}
+
+/// One cluster on either substrate with the GC knob applied.
 struct PlaneCluster {
   std::unique_ptr<sim::Engine> sim_engine;
   std::unique_ptr<rt::ThreadedExecutor> thr_engine;
@@ -214,7 +230,6 @@ struct PlaneCluster {
     rp.scheduler.service_base = 1e-4;
     rp.scheduler.service_per_task = 0;
     rp.scheduler.service_per_key = 0;
-    rp.data_plane = c.plane;
     rp.scheduler.release_consumed = c.gc;
     rt = std::make_unique<dts::Runtime>(engine(), cluster(), 0, wn, rp);
     rt->start();
@@ -347,16 +362,17 @@ TEST_P(DataPlaneProperty, PlaneAndGcAreValueTransparent) {
 INSTANTIATE_TEST_SUITE_P(
     PlanesAndSubstrates, DataPlaneProperty,
     ::testing::Values(
-        // sim substrate: proxy plane alone, GC alone, both, random sizes
-        PlaneCase{40, 3, 910ull, 64, dts::DataPlane::kProxy, false, false},
-        PlaneCase{60, 4, 911ull, 4096, dts::DataPlane::kProxy, false, false},
-        PlaneCase{60, 3, 912ull, 512, dts::DataPlane::kCopy, true, false},
-        PlaneCase{80, 4, 913ull, 1024, dts::DataPlane::kProxy, true, false},
-        PlaneCase{120, 6, 914ull, 96, dts::DataPlane::kProxy, true, false},
+        // sim substrate: GC off and on, random sizes
+        PlaneCase{40, 3, 910ull, 64, false, false},
+        PlaneCase{60, 4, 911ull, 4096, false, false},
+        PlaneCase{60, 3, 912ull, 512, true, false},
+        PlaneCase{80, 4, 913ull, 1024, true, false},
+        PlaneCase{120, 6, 914ull, 96, true, false},
         // threads substrate: same properties under real concurrency
-        PlaneCase{40, 3, 915ull, 256, dts::DataPlane::kProxy, false, true},
-        PlaneCase{60, 4, 916ull, 2048, dts::DataPlane::kProxy, true, true},
-        PlaneCase{60, 3, 917ull, 128, dts::DataPlane::kCopy, true, true}));
+        PlaneCase{40, 3, 915ull, 256, false, true},
+        PlaneCase{60, 4, 916ull, 2048, true, true},
+        PlaneCase{60, 3, 917ull, 128, true, true}),
+    plane_case_name);
 
 // ---- random DAGs crossed with seeded fault plans ----
 

@@ -52,8 +52,7 @@ struct Fixture {
   std::unique_ptr<dts::Runtime> rt;
   dts::Client* client = nullptr;
 
-  explicit Fixture(dts::DataPlane plane = dts::DataPlane::kCopy,
-                   bool release_consumed = false, int shards = 1) {
+  explicit Fixture(bool release_consumed = false, int shards = 1) {
     net::ClusterParams cp;
     cp.physical_nodes = kWorkers + 4;
     cluster = std::make_unique<net::Cluster>(eng, cp);
@@ -67,7 +66,6 @@ struct Fixture {
     rp.scheduler.service_per_key = 0;
     rp.scheduler.release_consumed = release_consumed;
     rp.worker.heartbeat_interval = 0;  // no background chatter
-    rp.data_plane = plane;
     rp.shards = shards;
     rt = std::make_unique<dts::Runtime>(eng, *cluster, 0, wn, rp);
     rt->start();
@@ -209,19 +207,15 @@ sim::Co<void> external_timestep_loop(Fixture& fx, int steps,
   co_await fx.rt->shutdown();
 }
 
-std::uint64_t peak_after_loop(dts::DataPlane plane, bool gc, int steps,
-                              std::uint64_t block,
-                              std::uint64_t* depot_peak = nullptr,
+std::uint64_t peak_after_loop(bool gc, int steps, std::uint64_t block,
                               std::uint64_t* released = nullptr,
                               int shards = 1) {
-  Fixture fx(plane, gc, shards);
+  Fixture fx(gc, shards);
   fx.eng.spawn(external_timestep_loop(fx, steps, block));
   fx.eng.run();
   std::uint64_t peak = 0;
   for (int i = 0; i < kWorkers; ++i)
     peak = std::max(peak, fx.rt->worker(i).peak_memory_bytes());
-  if (depot_peak != nullptr && fx.rt->depot() != nullptr)
-    *depot_peak = fx.rt->depot()->peak_bytes();
   if (released != nullptr) *released = fx.rt->sharded().keys_released();
   return peak;
 }
@@ -231,28 +225,19 @@ TEST(SchedStress, RefcountGcBoundsWorkerResidency) {
   constexpr int kShort = 12;
   constexpr int kLong = 36;
   // Without GC every step's block stays resident: peak grows with steps.
-  const std::uint64_t off =
-      peak_after_loop(dts::DataPlane::kCopy, false, kLong, kBlock);
+  const std::uint64_t off = peak_after_loop(false, kLong, kBlock);
   EXPECT_GE(off, static_cast<std::uint64_t>(kLong) * kBlock);
   // With GC the peak is a few blocks regardless of the step count.
   std::uint64_t released_short = 0;
   std::uint64_t released_long = 0;
-  const std::uint64_t on_short = peak_after_loop(
-      dts::DataPlane::kCopy, true, kShort, kBlock, nullptr, &released_short);
-  const std::uint64_t on_long = peak_after_loop(
-      dts::DataPlane::kCopy, true, kLong, kBlock, nullptr, &released_long);
+  const std::uint64_t on_short =
+      peak_after_loop(true, kShort, kBlock, &released_short);
+  const std::uint64_t on_long =
+      peak_after_loop(true, kLong, kBlock, &released_long);
   EXPECT_EQ(released_short, static_cast<std::uint64_t>(kShort));
   EXPECT_EQ(released_long, static_cast<std::uint64_t>(kLong));
   EXPECT_LE(on_long, 3 * kBlock);
   EXPECT_LT(on_long, on_short + kBlock);  // growth independent of steps
-  // Proxy plane: the shared depot must stay bounded too — releases evict
-  // deposits, not just worker-store copies.
-  std::uint64_t depot_peak = 0;
-  const std::uint64_t on_proxy = peak_after_loop(
-      dts::DataPlane::kProxy, true, kLong, kBlock, &depot_peak);
-  EXPECT_LE(on_proxy, 3 * kBlock);
-  EXPECT_GT(depot_peak, 0u);
-  EXPECT_LE(depot_peak, 3 * kBlock);
 }
 
 TEST(SchedStress, RefcountGcBoundsWorkerResidencyShardedFour) {
@@ -268,22 +253,13 @@ TEST(SchedStress, RefcountGcBoundsWorkerResidencyShardedFour) {
   std::uint64_t released_short = 0;
   std::uint64_t released_long = 0;
   const std::uint64_t on_short =
-      peak_after_loop(dts::DataPlane::kCopy, true, kShort, kBlock, nullptr,
-                      &released_short, /*shards=*/4);
+      peak_after_loop(true, kShort, kBlock, &released_short, /*shards=*/4);
   const std::uint64_t on_long =
-      peak_after_loop(dts::DataPlane::kCopy, true, kLong, kBlock, nullptr,
-                      &released_long, /*shards=*/4);
+      peak_after_loop(true, kLong, kBlock, &released_long, /*shards=*/4);
   EXPECT_EQ(released_short, static_cast<std::uint64_t>(kShort));
   EXPECT_EQ(released_long, static_cast<std::uint64_t>(kLong));
   EXPECT_LE(on_long, 3 * kBlock);
   EXPECT_LT(on_long, on_short + kBlock);  // growth independent of steps
-  std::uint64_t depot_peak = 0;
-  const std::uint64_t on_proxy =
-      peak_after_loop(dts::DataPlane::kProxy, true, kLong, kBlock, &depot_peak,
-                      nullptr, /*shards=*/4);
-  EXPECT_LE(on_proxy, 3 * kBlock);
-  EXPECT_GT(depot_peak, 0u);
-  EXPECT_LE(depot_peak, 3 * kBlock);
 }
 
 TEST(SchedStress, IngestAndDrainScalesLinearish) {

@@ -1,12 +1,13 @@
-// Scheduling-policy seam tests: the four ISchedulingPolicy
-// implementations against a fake context (pinning the exact pre-seam
-// decide_worker semantics for locality), plus end-to-end placement
-// through a real scheduler — dead preferred workers falling through,
-// max-byte-owner locality, and round-robin fairness over the live set
-// when workers have died.
+// Placement tests: locality_owner() as a pure function (pinning the
+// max-byte, lowest-id-tie and zero-byte semantics), plus end-to-end
+// placement through a real scheduler — dead preferred workers falling
+// through, max-byte-owner locality, a locality task without a
+// positive-byte owner taking the shared rotation, and round-robin
+// fairness over the live set when workers have died.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "deisa/dts/policy.hpp"
@@ -20,151 +21,33 @@ namespace sim = deisa::sim;
 
 namespace {
 
-// ---- direct policy unit tests --------------------------------------
-
-/// Stand-in for the scheduler's PolicyCtx: vectors for liveness and
-/// queue depth plus a rotation cursor that mimics pick_live_worker
-/// (advance, skip the dead).
-struct FakeCtx final : dts::PolicyContext {
-  std::vector<int> load;   // inflight per worker
-  std::vector<char> down;  // 1 = dead
-  int cursor = 0;
-
-  explicit FakeCtx(int workers) : load(workers, 0), down(workers, 0) {}
-
-  std::size_t worker_count() const override { return load.size(); }
-  bool is_dead(int worker) const override {
-    return down[static_cast<std::size_t>(worker)] != 0;
-  }
-  int inflight(int worker) const override {
-    return load[static_cast<std::size_t>(worker)];
-  }
-  int round_robin() override {
-    for (;;) {
-      const int w = cursor;
-      cursor = (cursor + 1) % static_cast<int>(load.size());
-      if (!down[static_cast<std::size_t>(w)]) return w;
-    }
-  }
-};
-
-/// Owns the scratch arrays a TaskView borrows (the scheduler's per-call
-/// scratch in production): safe to hold across picks.
-struct OwnedView {
-  std::vector<int> owners;
-  std::vector<std::uint64_t> bytes;
-  dts::TaskView v;
-
-  OwnedView(std::vector<int> o, std::vector<std::uint64_t> b,
-            double cost = 0.0)
-      : owners(std::move(o)), bytes(std::move(b)) {
-    v.owners = owners.data();
-    v.owner_bytes = bytes.data();
-    v.owner_count = owners.size();
-    for (std::uint64_t x : bytes) v.dep_bytes_total += x;
-    v.cost = cost;
-  }
-  operator const dts::TaskView&() const { return v; }
-};
-
-OwnedView view(std::vector<int> o, std::vector<std::uint64_t> b,
-               double cost = 0.0) {
-  return OwnedView(std::move(o), std::move(b), cost);
-}
+// ---- locality_owner ---------------------------------------------------
 
 TEST(Policy, LocalityPicksMaxByteOwner) {
-  auto p = dts::make_policy(dts::SchedulingPolicy::kLocality);
-  FakeCtx ctx(4);
-  EXPECT_EQ(p->pick(view({0, 1, 2}, {10, 50, 20}), ctx), 1);
-  EXPECT_EQ(ctx.cursor, 0);  // no fallback consumed
+  EXPECT_EQ(dts::locality_owner({0, 1, 2}, {10, 50, 20}), 1);
 }
 
 TEST(Policy, LocalityTiesToLowestWorkerId) {
-  // Pre-seam semantics: on equal bytes the lowest worker id wins no
-  // matter the dep order the owners were accumulated in.
-  auto p = dts::make_policy(dts::SchedulingPolicy::kLocality);
-  FakeCtx ctx(4);
-  EXPECT_EQ(p->pick(view({2, 1}, {7, 7}), ctx), 1);
-  EXPECT_EQ(p->pick(view({1, 2}, {7, 7}), ctx), 1);
-  EXPECT_EQ(p->pick(view({3, 0, 2}, {7, 7, 7}), ctx), 0);
+  // On equal bytes the lowest worker id wins no matter the dep order the
+  // owners were accumulated in.
+  EXPECT_EQ(dts::locality_owner({2, 1}, {7, 7}), 1);
+  EXPECT_EQ(dts::locality_owner({1, 2}, {7, 7}), 1);
+  EXPECT_EQ(dts::locality_owner({3, 0, 2}, {7, 7, 7}), 0);
 }
 
 TEST(Policy, LocalityZeroByteOwnersFallThroughToRoundRobin) {
-  // Owners holding zero bytes never win (best_bytes starts at 0): the
-  // pick falls through to the shared rotation, exactly like a task with
-  // no resident inputs at all.
-  auto p = dts::make_policy(dts::SchedulingPolicy::kLocality);
-  FakeCtx ctx(3);
-  EXPECT_EQ(p->pick(view({1, 2}, {0, 0}), ctx), 0);
-  EXPECT_EQ(ctx.cursor, 1);  // rotation consumed
-  EXPECT_EQ(p->pick(view({}, {}), ctx), 1);
-}
-
-TEST(Policy, RoundRobinCyclesLiveWorkersOnly) {
-  auto p = dts::make_policy(dts::SchedulingPolicy::kRoundRobin);
-  FakeCtx ctx(3);
-  ctx.down[1] = 1;
-  // Even a huge resident input is ignored: rotation only.
-  const OwnedView v = view({0}, {1000});
-  EXPECT_EQ(p->pick(v, ctx), 0);
-  EXPECT_EQ(p->pick(v, ctx), 2);
-  EXPECT_EQ(p->pick(v, ctx), 0);
-  EXPECT_EQ(p->pick(v, ctx), 2);
-}
-
-TEST(Policy, LeastLoadedPicksSmallestQueueTieLowestId) {
-  auto p = dts::make_policy(dts::SchedulingPolicy::kLeastLoaded);
-  FakeCtx ctx(3);
-  ctx.load = {2, 0, 1};
-  EXPECT_EQ(p->pick(view({}, {}), ctx), 1);
-  ctx.load = {1, 1, 2};
-  EXPECT_EQ(p->pick(view({}, {}), ctx), 0);
-  ctx.down[0] = 1;  // dead workers are never candidates
-  EXPECT_EQ(p->pick(view({}, {}), ctx), 1);
-}
-
-TEST(Policy, HeftSpreadsEqualTasksAcrossWorkers) {
-  // Equal-cost no-input tasks: each pick bumps the chosen worker's
-  // virtual ready time, so successive picks rotate the fleet.
-  auto p = dts::make_policy(dts::SchedulingPolicy::kHeft);
-  FakeCtx ctx(3);
-  const OwnedView v = view({}, {}, /*cost=*/1.0);
-  EXPECT_EQ(p->pick(v, ctx), 0);
-  EXPECT_EQ(p->pick(v, ctx), 1);
-  EXPECT_EQ(p->pick(v, ctx), 2);
-  EXPECT_EQ(p->pick(v, ctx), 0);
-}
-
-TEST(Policy, HeftWeighsRemoteBytesAgainstQueueDepth) {
-  // A large resident input makes its owner the earliest finisher; once
-  // the owner's queue grows past the transfer estimate, the pick moves.
-  auto p = dts::make_policy(dts::SchedulingPolicy::kHeft);
-  FakeCtx ctx(2);
-  const std::uint64_t big = 1ull << 30;  // ~1.95 s at the model bandwidth
-  const OwnedView v = view({1}, {big}, /*cost=*/0.1);
-  // Bytes resident on worker 1: its finish time beats paying the
-  // transfer until its virtual backlog (0.1 s per pick) exceeds it.
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(p->pick(v, ctx), 1) << "pick " << i;
-  EXPECT_EQ(p->pick(v, ctx), 0);  // backlog 2.0 s > transfer + idle w0
-}
-
-TEST(Policy, HeftIsDeterministicAcrossInstances) {
-  auto a = dts::make_policy(dts::SchedulingPolicy::kHeft);
-  auto b = dts::make_policy(dts::SchedulingPolicy::kHeft);
-  FakeCtx ca(4), cb(4);
-  const OwnedView v0 = view({}, {}, 0.5);
-  const OwnedView v1 = view({2}, {1ull << 20}, 0.05);
-  for (int i = 0; i < 32; ++i) {
-    const OwnedView& v = i % 3 ? v1 : v0;
-    EXPECT_EQ(a->pick(v, ca), b->pick(v, cb)) << "pick " << i;
-  }
+  // Owners holding zero bytes never win: -1 sends the scheduler to the
+  // shared rotation, exactly like a task with no resident inputs at all.
+  EXPECT_EQ(dts::locality_owner({1, 2}, {0, 0}), -1);
+  EXPECT_EQ(dts::locality_owner({}, {}), -1);
+  // A leading zero-byte owner does not shadow a later positive one.
+  EXPECT_EQ(dts::locality_owner({0, 2}, {0, 5}), 2);
 }
 
 TEST(Policy, NamesRoundTrip) {
   for (std::size_t i = 0; i < dts::kNumSchedulingPolicies; ++i) {
     const auto p = static_cast<dts::SchedulingPolicy>(i);
     EXPECT_EQ(dts::policy_of(dts::to_string(p)), p);
-    EXPECT_EQ(dts::make_policy(p)->kind(), p);
   }
 }
 
@@ -255,16 +138,48 @@ TEST(PolicyFlow, LocalityRunsTaskOnMaxByteOwner) {
   EXPECT_EQ(tc.rt->worker(0).tasks_executed(), 0u);
 }
 
+sim::Co<void> zero_byte_owner_flow(TestCluster& tc, int n_tasks) {
+  // Worker 1 owns the only input but holds zero bytes of it.
+  (void)co_await tc.client->scatter("empty", dts::Data::make<int>(0, 0), 1);
+  std::vector<dts::TaskSpec> tasks;
+  std::vector<dts::Key> futures;
+  for (int i = 0; i < n_tasks; ++i) {
+    const dts::Key k = "t" + std::to_string(i);
+    tasks.emplace_back(k, keys("empty"), [i](const std::vector<dts::Data>&) {
+      return int_data(i);
+    });
+    futures.push_back(k);
+  }
+  co_await tc.client->submit(std::move(tasks), futures);
+  for (const dts::Key& k : futures) (void)co_await tc.client->wait_key(k);
+  co_await tc.rt->shutdown();
+}
+
+TEST(PolicyFlow, LocalityWithoutPositiveByteOwnerTakesSharedRotation) {
+  // No positive-byte owner: locality falls back to the scheduler's
+  // rotation instead of pinning every consumer on the zero-byte owner.
+  constexpr int kTasks = 4;
+  TestCluster tc(2);
+  tc.eng.spawn(zero_byte_owner_flow(tc, kTasks));
+  tc.eng.run();
+  EXPECT_EQ(tc.rt->worker(0).tasks_executed(), kTasks / 2);
+  EXPECT_EQ(tc.rt->worker(1).tasks_executed(), kTasks / 2);
+}
+
 sim::Co<void> fairness_flow(TestCluster& tc, int n_tasks) {
   co_await tc.eng.delay(2.0);
   tc.rt->worker(1).crash();
   tc.rt->worker(3).crash();
   co_await tc.eng.delay(10.0);  // both detected dead
+  // Every task reads a 1 MiB block resident on worker 0: locality would
+  // pin them all there, round-robin must ignore it.
+  (void)co_await tc.client->scatter("big", dts::Data::make<int>(0, 1 << 20),
+                                    0);
   std::vector<dts::TaskSpec> tasks;
   std::vector<dts::Key> futures;
   for (int i = 0; i < n_tasks; ++i) {
     const dts::Key k = "t" + std::to_string(i);
-    tasks.emplace_back(k, no_keys(), [i](const std::vector<dts::Data>&) {
+    tasks.emplace_back(k, keys("big"), [i](const std::vector<dts::Data>&) {
       return int_data(i);
     });
     futures.push_back(k);
@@ -275,10 +190,10 @@ sim::Co<void> fairness_flow(TestCluster& tc, int n_tasks) {
 }
 
 TEST(PolicyFlow, RoundRobinStaysFairOverLiveSetWithDeadWorkers) {
-  // K dead workers must not skew the rotation: N independent tasks
-  // split exactly evenly over the survivors and none is ever assigned
-  // to a dead id (the run completing at all proves that — a task sent
-  // to a corpse would hang its waiter).
+  // K dead workers must not skew the rotation, and neither may resident
+  // input bytes: N tasks split exactly evenly over the survivors and
+  // none is ever assigned to a dead id (the run completing at all proves
+  // that — a task sent to a corpse would hang its waiter).
   constexpr int kTasks = 40;
   TestCluster tc(4, /*heartbeat_timeout=*/3.0,
                  dts::SchedulingPolicy::kRoundRobin);
@@ -292,37 +207,6 @@ TEST(PolicyFlow, RoundRobinStaysFairOverLiveSetWithDeadWorkers) {
   EXPECT_EQ(tc.rt->worker(2).tasks_executed(), kTasks / 2);
   EXPECT_EQ(tc.rt->worker(1).tasks_executed(), 0u);
   EXPECT_EQ(tc.rt->worker(3).tasks_executed(), 0u);
-}
-
-sim::Co<void> inflight_flow(TestCluster& tc, int n_tasks, int& peak) {
-  std::vector<dts::TaskSpec> tasks;
-  std::vector<dts::Key> futures;
-  for (int i = 0; i < n_tasks; ++i) {
-    const dts::Key k = "t" + std::to_string(i);
-    tasks.emplace_back(k, no_keys(),
-                       [i](const std::vector<dts::Data>&) {
-                         return int_data(i);
-                       },
-                       /*cost=*/0.5);
-    futures.push_back(k);
-  }
-  co_await tc.client->submit(std::move(tasks), futures);
-  co_await tc.eng.delay(0.1);  // all assigned, none finished (cost 0.5)
-  peak = tc.rt->scheduler().inflight_on(0) + tc.rt->scheduler().inflight_on(1);
-  for (const dts::Key& k : futures) (void)co_await tc.client->wait_key(k);
-  co_await tc.rt->shutdown();
-}
-
-TEST(PolicyFlow, InflightCountersTrackProcessingTasks) {
-  // The least-loaded policy's signal: mid-run every submitted task is
-  // charged to its worker, and the counters drain back to zero.
-  TestCluster tc(2, 0.0, dts::SchedulingPolicy::kLeastLoaded);
-  int peak = 0;
-  tc.eng.spawn(inflight_flow(tc, 6, peak));
-  tc.eng.run();
-  EXPECT_EQ(peak, 6);
-  EXPECT_EQ(tc.rt->scheduler().inflight_on(0), 0);
-  EXPECT_EQ(tc.rt->scheduler().inflight_on(1), 0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Corpus property suite: every generated scenario doubles as a
-// property test — all four scheduling policies must produce
+// property test — both scheduling policies must produce
 // byte-identical analytics outputs (fitted singular values and
 // explained variance) on both execution substrates; only makespans may
 // differ. One gtest per family so a failure names the family and the

@@ -18,12 +18,11 @@
 //   contract_fraction: 1.0   # optional: fraction of Y kept by the contract
 //   arrays: 1                # optional: multi-array workflow (DEISA2/3)
 //   real_data: false         # optional: move real Heat2D data (small runs)
+//   n_components: 2          # optional: IPCA components (real_data runs)
 //   policy: locality         # optional: locality (default) | round-robin
-//                            #           | least-loaded | heft
 //   faults: "kill:1@30"      # optional: fault plan (spec string or map)
 //   substrate: sim           # optional: sim (default) | threads
 //   substrate_threads: 0     # optional: threads backend worker count
-//   data_plane: copy         # optional: copy (default) | proxy
 //   release_consumed: false  # optional: refcount-GC consumed keys
 //                            #           (--release-consumed= wins)
 //   shards: 1                # optional: scheduler shards (--shards= wins)
@@ -32,8 +31,12 @@
 //   trace_drop: oldest       # optional: ring policy, oldest | newest
 //
 // --policy= (or `policy:`) selects the scheduler placement policy behind
-// decide_worker (SchedulerParams::policy; see src/dts/policy.hpp). All
+// decide_worker (SchedulerParams::policy; see src/dts/policy.hpp). Both
 // policies produce identical analytics values — only timings change.
+//
+// Every top-level config key must be one of the keys listed above: a
+// misspelled or retired key aborts with exit code 2 and the known-key
+// list instead of silently running the default.
 //
 // --scenario-seed=N replays a generated corpus scenario (src/testkit):
 // the seed fully determines the ScenarioParams, so a corpus/tournament
@@ -64,9 +67,9 @@
 // actors (dts::ShardedScheduler). N=1 (the default) is bit-identical to
 // the single scheduler. N>1 composes with --fault= (shard 0 is the
 // liveness authority and broadcasts worker deaths to its peers) and
-// with --data-plane=/--release-consumed= (cross-shard consumers are
-// charged through the subscription slices and drained back via
-// release acks; see DESIGN.md §5j).
+// with --release-consumed= (cross-shard consumers are charged through
+// the subscription slices and drained back via release acks; see
+// DESIGN.md §5j).
 //
 // Every option accepts both `--flag value` and `--flag=value`. Unknown
 // options abort with exit code 2 and the known-flag list.
@@ -77,8 +80,12 @@
 // dumps the first run's counters/gauges/histograms, as JSON by default or
 // as aligned text tables with --metrics-format=table. Output paths are
 // probed before the run so a typo fails fast with a non-zero exit.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "deisa/config/yaml.hpp"
 #include "deisa/fault/fault.hpp"
@@ -138,13 +145,6 @@ fault::FaultPlan faults_of(const cfg::Node& node) {
   return plan;
 }
 
-deisa::dts::DataPlane data_plane_of(const std::string& name) {
-  if (name == "copy") return deisa::dts::DataPlane::kCopy;
-  if (name == "proxy") return deisa::dts::DataPlane::kProxy;
-  throw util::ConfigError("unknown data_plane '" + name +
-                          "' (expected copy|proxy)");
-}
-
 harness::Substrate substrate_of(const std::string& name) {
   if (name == "sim") return harness::Substrate::kSim;
   if (name == "threads") return harness::Substrate::kThreads;
@@ -172,7 +172,6 @@ struct Flags {
   std::string metrics_format = "json";
   std::string fault_spec;
   std::string substrate;
-  std::string data_plane;
   std::string policy;
   std::string scenario_seed;
   std::string shards;
@@ -193,12 +192,32 @@ const FlagSpec kFlagTable[] = {
     {"--metrics-format", &Flags::metrics_format},
     {"--fault", &Flags::fault_spec},
     {"--substrate", &Flags::substrate},
-    {"--data-plane", &Flags::data_plane},
     {"--policy", &Flags::policy},
     {"--scenario-seed", &Flags::scenario_seed},
     {"--shards", &Flags::shards},
     {"--release-consumed", &Flags::release_consumed},
 };
+
+/// Known top-level config keys (the header comment documents each). A
+/// key not in this table aborts with exit code 2 and prints the list.
+const char* const kConfigKeys[] = {
+    "pipeline", "ranks", "workers", "block_mib", "block_kib", "timesteps",
+    "runs", "seed", "arrays", "real_data", "contract_fraction",
+    "n_components", "policy", "faults", "substrate", "substrate_threads",
+    "shards", "release_consumed", "time_scale", "trace_capacity",
+    "trace_drop",
+};
+
+/// The config's top-level keys that kConfigKeys does not list.
+std::vector<std::string> unknown_config_keys(const cfg::Node& doc) {
+  std::vector<std::string> unknown;
+  if (!doc.is_map()) return unknown;
+  for (const auto& [key, value] : doc.as_map())
+    if (std::find(std::begin(kConfigKeys), std::end(kConfigKeys), key) ==
+        std::end(kConfigKeys))
+      unknown.push_back(key);
+  return unknown;
+}
 
 bool bool_of(const std::string& name, const std::string& value) {
   if (value == "true" || value == "1" || value == "on") return true;
@@ -214,7 +233,6 @@ int run(const Flags& flags) {
   const std::string& metrics_format = flags.metrics_format;
   const std::string& fault_spec = flags.fault_spec;
   const std::string& substrate_flag = flags.substrate;
-  const std::string& data_plane_flag = flags.data_plane;
   const std::string& policy_flag = flags.policy;
   const std::string& scenario_seed_flag = flags.scenario_seed;
   check_writable(trace_out);
@@ -232,14 +250,20 @@ int run(const Flags& flags) {
     pipeline = g.pipeline;
     seed = p.alloc_seed;
     if (!substrate_flag.empty()) p.substrate = substrate_of(substrate_flag);
-    if (!data_plane_flag.empty())
-      p.data_plane = data_plane_of(data_plane_flag);
     if (!fault_spec.empty()) p.faults = fault::FaultPlan::parse(fault_spec);
     std::cout << "generated scenario " << g.name << " (family "
               << testkit::to_string(g.family) << ", seed " << g.seed
               << (g.sim_only ? ", sim-only" : "") << ")\n";
   } else {
     const cfg::Node doc = cfg::parse_yaml_file(path);
+    if (const auto unknown = unknown_config_keys(doc); !unknown.empty()) {
+      for (const std::string& key : unknown)
+        std::cerr << "unknown config key '" << key << "' in " << path << "\n";
+      std::cerr << "known keys:";
+      for (const char* k : kConfigKeys) std::cerr << " " << k;
+      std::cerr << "\n";
+      return 2;
+    }
     pipeline = pipeline_of(doc.get_string("pipeline", "DEISA3"));
     p.substrate = substrate_of(!substrate_flag.empty()
                                    ? substrate_flag
@@ -247,9 +271,6 @@ int run(const Flags& flags) {
     p.substrate_threads =
         static_cast<int>(doc.get_int("substrate_threads", 0));
     p.time_scale = doc.get_double("time_scale", p.time_scale);
-    p.data_plane = data_plane_of(!data_plane_flag.empty()
-                                     ? data_plane_flag
-                                     : doc.get_string("data_plane", "copy"));
     p.release_consumed = doc.get_bool("release_consumed", false);
     p.shards = static_cast<int>(doc.get_int("shards", 1));
     p.ranks = static_cast<int>(doc.get_int("ranks", 4));
@@ -294,7 +315,6 @@ int run(const Flags& flags) {
             << " ranks x " << util::format_bytes(p.block_bytes) << " x "
             << p.timesteps << " steps, " << p.workers << " workers, " << runs
             << " run(s), substrate " << harness::to_string(p.substrate)
-            << ", data plane " << deisa::dts::to_string(p.data_plane)
             << (p.release_consumed ? " +gc" : "") << ", policy "
             << deisa::dts::to_string(p.sched.policy) << "\n";
   if (p.arrays > 1) std::cout << "arrays: " << p.arrays << "\n";
@@ -434,9 +454,8 @@ int main(int argc, char** argv) {
     std::cerr << "usage: deisa_scenario [--trace-out FILE] "
                  "[--metrics-out FILE] [--metrics-format=table|json] "
                  "[--fault=SPEC] [--substrate=sim|threads] "
-                 "[--data-plane=copy|proxy] [--shards=N] "
-                 "[--release-consumed=true|false] "
-                 "[--policy=locality|round-robin|least-loaded|heft] "
+                 "[--shards=N] [--release-consumed=true|false] "
+                 "[--policy=locality|round-robin] "
                  "(<config.yaml> | --scenario-seed=N)\n";
     return 2;
   }
