@@ -69,35 +69,6 @@ int Bridge::preselect_worker(const VirtualArray& va,
   return array::preselected_worker(va.grid().linear_of(coord), workers);
 }
 
-exec::Co<bool> Bridge::send_block(const VirtualArray& va,
-                                 const array::Index& coord, dts::Data data) {
-  DEISA_CHECK(has_contract_, "bridges must wait for the contract first");
-  DEISA_CHECK(uses_external_tasks(mode_),
-              "send_block is the DEISA2/3 path; DEISA1 uses "
-              "deisa1_send_block");
-  if (!contract_.includes(va, coord)) {
-    ++blocks_filtered_;
-    obs::count("bridge.blocks_filtered");
-    obs::trace_instant("bridge", bridge_lane(rank_), "filtered:" + va.name);
-    co_return false;
-  }
-  const dts::Key& key = chunk_key_for(va, coord);
-  const std::uint64_t bytes = data.bytes;
-  obs::Span span = obs::trace_span("bridge", bridge_lane(rank_), key);
-  if (span.active()) span.add_arg(obs::arg("bytes", bytes));
-  remember_block(key, data);
-  const int ack = co_await client_->scatter(
-      key, std::move(data), preselect_worker(va, coord), /*external=*/true,
-      /*inform_scheduler=*/true, span.id());
-  ++blocks_sent_;
-  if (auto* m = obs::metrics()) {
-    m->counter("bridge.blocks_sent").add();
-    m->counter("bridge.bytes_sent").add(bytes);
-  }
-  co_await handle_ack(ack);
-  co_return true;
-}
-
 exec::Co<std::size_t> Bridge::send_blocks(
     const VirtualArray& va,
     std::vector<std::pair<array::Index, dts::Data>> blocks) {
@@ -164,16 +135,6 @@ void Bridge::remember_block(const dts::Key& key, const dts::Data& data) {
       replay_order_.pop_front();
     }
   }
-}
-
-exec::Co<void> Bridge::handle_ack(int ack) {
-  if (ack == dts::kAckDiscarded) {
-    // The key was cancelled/poisoned scheduler-side; the block is moot.
-    ++blocks_discarded_;
-    obs::count("bridge.blocks_discarded");
-    co_return;
-  }
-  if (ack == dts::kAckRepushPending) co_await run_repush();
 }
 
 exec::Co<void> Bridge::run_repush() {
@@ -266,8 +227,7 @@ exec::Co<bool> Bridge::deisa1_send_block(const VirtualArray& va,
     push_cause = span.id();
     co_await client_->scatter(key, std::move(data),
                               preselect_worker(va, coord),
-                              /*external=*/false,
-                              /*inform_scheduler=*/true, span.id());
+                              /*external=*/false, span.id());
     span.finish();
     ++blocks_sent_;
     if (auto* m = obs::metrics()) {

@@ -34,23 +34,17 @@ public:
   const Contract& contract() const;
   bool has_contract() const { return has_contract_; }
 
-  /// DEISA2/3 data path (step 3 of Figure 1): if the contract includes
-  /// this block, push it to the preselected worker as an external-task
-  /// completion. Returns whether the block was sent. Pushed blocks are
-  /// retained in a bounded replay buffer; when the scheduler acknowledges
-  /// with kAckRepushPending (the target worker is being replaced), the
-  /// bridge drains its re-push assignments and replays the lost blocks at
-  /// the re-routed workers, retrying with exponential backoff.
-  exec::Co<bool> send_block(const VirtualArray& va, const array::Index& coord,
-                           dts::Data data);
-
-  /// Coalesced DEISA2/3 data path: filter every block this rank produced
-  /// in one timestep against the contract, group the survivors by
-  /// preselected worker, and push each group as ONE bulk transfer plus
-  /// ONE batched registration RPC — per-push control overhead is paid
-  /// once per (rank, worker, timestep) instead of once per block.
-  /// Per-key acks get the same discard/re-push handling as send_block's.
-  /// Returns the number of blocks sent (excluding filtered ones).
+  /// DEISA2/3 data path (step 3 of Figure 1): filter every block this
+  /// rank produced in one timestep against the contract, group the
+  /// survivors by preselected worker, and push each group as external-task
+  /// completions in ONE bulk transfer plus ONE batched registration RPC —
+  /// per-push control overhead is paid once per (rank, worker, timestep)
+  /// instead of once per block. Pushed blocks are retained in a bounded
+  /// replay buffer; when the scheduler acknowledges a key with
+  /// kAckRepushPending (the target worker is being replaced), the bridge
+  /// drains its re-push assignments and replays the lost blocks at the
+  /// re-routed workers, retrying with exponential backoff. Returns the
+  /// number of blocks sent (excluding filtered ones).
   exec::Co<std::size_t> send_blocks(
       const VirtualArray& va,
       std::vector<std::pair<array::Index, dts::Data>> blocks);
@@ -81,9 +75,7 @@ private:
                                 const array::Index& coord);
   /// Remember a pushed block for potential replay (bounded FIFO).
   void remember_block(const dts::Key& key, const dts::Data& data);
-  /// React to a scatter acknowledgement: on kAckRepushPending, drain the
-  /// scheduler's re-push assignments and replay from the buffer.
-  exec::Co<void> handle_ack(int ack);
+  /// Drain the scheduler's re-push assignments and replay from the buffer.
   exec::Co<void> run_repush();
   /// Waits on the notify channel the client registers with the scheduler:
   /// a poke means re-push work appeared after this rank's last push (a

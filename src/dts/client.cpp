@@ -159,7 +159,7 @@ exec::Co<std::vector<Future>> Client::external_futures(
 }
 
 exec::Co<int> Client::scatter(Key key, Data data, int worker, bool external,
-                             bool inform_scheduler, std::uint64_t cause) {
+                             std::uint64_t cause) {
   DEISA_CHECK(worker >= 0 && static_cast<std::size_t>(worker) < workers_.size(),
               "scatter to unknown worker " << worker);
   const WorkerRef& ref = workers_[static_cast<std::size_t>(worker)];
@@ -175,26 +175,23 @@ exec::Co<int> Client::scatter(Key key, Data data, int worker, bool external,
   ref.inbox->send(std::move(push));
   // 2) ... and the metadata registration to the scheduler — a
   // synchronous RPC, as dask's scatter is: wait for the acknowledgement.
-  if (inform_scheduler) {
-    auto ack = std::make_shared<exec::Channel<Ack>>(*engine_);
-    SchedMsg reg(SchedMsgKind::kUpdateData);
-    reg.cause = cause;
-    reg.key = std::move(key);  // last use; the worker push copied above
-    reg.worker = worker;
-    reg.bytes = payload_bytes;
-    reg.external = external;
-    reg.reply_worker = ack;
-    reg.notify = notify_;
-    const int shard = shard_of(reg.key);
-    co_await send_to_scheduler(std::move(reg), exec::Delivery::kReliable,
-                               shard);
-    const Ack a = co_await ack->recv();
-    // The synchronous registration gates whatever this client does next
-    // (DEISA1: the next timestep's push) — remember it as provenance.
-    if (a.cause != 0) last_cause_ = a.cause;
-    co_return a.code;
-  }
-  co_return worker;
+  auto ack = std::make_shared<exec::Channel<Ack>>(*engine_);
+  SchedMsg reg(SchedMsgKind::kUpdateData);
+  reg.cause = cause;
+  reg.key = std::move(key);  // last use; the worker push copied above
+  reg.worker = worker;
+  reg.bytes = payload_bytes;
+  reg.external = external;
+  reg.reply_worker = ack;
+  reg.notify = notify_;
+  const int shard = shard_of(reg.key);
+  co_await send_to_scheduler(std::move(reg), exec::Delivery::kReliable,
+                             shard);
+  const Ack a = co_await ack->recv();
+  // The synchronous registration gates whatever this client does next
+  // (DEISA1: the next timestep's push) — remember it as provenance.
+  if (a.cause != 0) last_cause_ = a.cause;
+  co_return a.code;
 }
 
 exec::Co<std::vector<int>> Client::scatter_batch(

@@ -62,17 +62,17 @@ public:
 
   /// Scatter one payload to a worker. With `external=true` this completes
   /// a task previously created by external_futures (scheduler transitions
-  /// it external→memory and unblocks dependents). `inform_scheduler`
-  /// mirrors the two messages of a dask scatter: bulk data to the worker
-  /// plus metadata to the scheduler. Returns the scheduler's registration
-  /// acknowledgement: the worker id normally, or one of the negative ack
-  /// codes (kAckErred / kAckDiscarded / kAckRepushPending) under faults —
-  /// kAckRepushPending asks the caller to follow up with repush_keys().
+  /// it external→memory and unblocks dependents). Like a dask scatter it
+  /// sends two messages: bulk data to the worker plus metadata to the
+  /// scheduler. Returns the scheduler's registration acknowledgement: the
+  /// worker id normally, or one of the negative ack codes (kAckErred /
+  /// kAckDiscarded / kAckRepushPending) under faults — kAckRepushPending
+  /// asks the caller to follow up with repush_keys().
   /// `cause` is the sender's causality id (a bridge push span); it rides
   /// on both the worker push and the scheduler registration so the trace
   /// links push -> update_data.
   exec::Co<int> scatter(Key key, Data data, int worker, bool external = false,
-                       bool inform_scheduler = true, std::uint64_t cause = 0);
+                       std::uint64_t cause = 0);
 
   /// Coalesced scatter: push several payloads to ONE worker as a single
   /// bulk transfer plus a single batched registration RPC, instead of a

@@ -26,7 +26,6 @@
 
 #include "deisa/dts/key_table.hpp"
 #include "deisa/dts/messages.hpp"
-#include "deisa/dts/policy.hpp"
 #include "deisa/dts/task.hpp"
 #include "deisa/exec/transport.hpp"
 #include "deisa/exec/primitives.hpp"
@@ -51,18 +50,12 @@ struct SchedulerParams {
   double service_jitter_sigma = 0.0;
   std::uint64_t seed = 0x5c4ed;
 
-  /// Placement policy behind decide_worker (see policy.hpp). kLocality
-  /// is the paper's heuristic.
-  SchedulingPolicy policy = SchedulingPolicy::kLocality;
-
   // ---- failure detection / recovery ----
   /// Declare a worker lost after this many seconds without a heartbeat;
   /// <= 0 disables detection (the seed behavior: heartbeats are counted
-  /// but never acted on). Only enable when worker heartbeats are on.
+  /// but never acted on). Only enable when worker heartbeats are on. The
+  /// failure detector scans deadlines every quarter of this timeout.
   double heartbeat_timeout = 0.0;
-  /// How often the failure detector scans deadlines; <= 0 derives a
-  /// quarter of the heartbeat timeout.
-  double failure_check_interval = 0.0;
   /// A lost external key re-armed for re-push errs out (poisoning its
   /// cone, so waiters fail instead of hanging) if the producer has not
   /// replayed it within this many seconds.
@@ -365,9 +358,9 @@ private:
   /// no blocked waiters, and a live owner to send the release to.
   exec::Co<void> maybe_release(KeyId id, TaskRecord& rec);
   exec::Co<void> assign(KeyId id);
-  /// Preselection if live, else one branch on params_.policy: locality
-  /// asks locality_owner() and falls back to pick_live_worker();
-  /// round-robin calls pick_live_worker() directly.
+  /// Preselection if live, else locality: locality_owner() over the live
+  /// input owners, falling back to pick_live_worker() when no owner holds
+  /// a positive byte count.
   int decide_worker(const TaskRecord& rec);
   exec::Co<void> reply_ack(std::shared_ptr<exec::Channel<Ack>> ch,
                           int dst_node, int code, std::uint64_t cause);

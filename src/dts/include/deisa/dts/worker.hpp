@@ -14,7 +14,6 @@
 namespace deisa::dts {
 
 struct WorkerParams {
-  int nthreads = 1;
   /// Seconds between heartbeats to the scheduler; <= 0 disables.
   double heartbeat_interval = 1.0;
   /// Peer dependency fetches a worker keeps in flight at once. Fetches of
@@ -128,7 +127,7 @@ private:
   std::string actor_;  // trace actor name, "worker-<id>"
   WorkerParams params_;
   exec::Channel<WorkerMsg> inbox_;
-  exec::FifoServer cpu_;
+  exec::FifoServer cpu_;  // one slot: computes run one at a time
 
   int scheduler_node_ = -1;
   exec::Channel<SchedMsg>* scheduler_inbox_ = nullptr;

@@ -1,24 +1,6 @@
 #include "deisa/dts/policy.hpp"
 
-#include "deisa/util/error.hpp"
-
 namespace deisa::dts {
-
-const char* to_string(SchedulingPolicy p) {
-  switch (p) {
-    case SchedulingPolicy::kLocality: return "locality";
-    case SchedulingPolicy::kRoundRobin: return "round-robin";
-  }
-  return "?";
-}
-
-SchedulingPolicy policy_of(const std::string& name) {
-  if (name == "locality") return SchedulingPolicy::kLocality;
-  if (name == "round-robin") return SchedulingPolicy::kRoundRobin;
-  DEISA_CHECK(false, "unknown scheduling policy '"
-                         << name << "' (locality|round-robin)");
-  return SchedulingPolicy::kLocality;
-}
 
 int locality_owner(const std::vector<int>& owners,
                    const std::vector<std::uint64_t>& bytes) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "deisa/dts/policy.hpp"
 #include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 #include "deisa/util/log.hpp"
@@ -753,12 +754,10 @@ int Scheduler::decide_worker(const TaskRecord& rec) {
     DEISA_CHECK(static_cast<std::size_t>(rec.preferred_worker) <
                     workers_.size(),
                 "preferred worker out of range");
-    // A dead preferred worker falls through to the locality/round-robin
-    // path instead of assigning work to a corpse.
+    // A dead preferred worker falls through to locality instead of
+    // assigning work to a corpse.
     if (!is_dead(rec.preferred_worker)) return rec.preferred_worker;
   }
-  if (params_.policy == SchedulingPolicy::kRoundRobin)
-    return pick_live_worker();
   // Locality: which live workers already hold input bytes, accumulated
   // on two parallel scratch arrays in dep order (a task has a handful of
   // deps; dead owners and unplaced deps are filtered here so only live
@@ -1202,9 +1201,7 @@ exec::Co<void> Scheduler::run_failure_detector() {
   // heartbeats they never receive (every worker would look dead); they
   // learn of deaths through the kShardWorkerDead broadcast instead.
   if (num_shards_ > 1 && shard_index_ != 0) co_return;
-  const double interval = params_.failure_check_interval > 0.0
-                              ? params_.failure_check_interval
-                              : params_.heartbeat_timeout / 4.0;
+  const double interval = params_.heartbeat_timeout / 4.0;
   // Workers that have not heartbeated yet are measured from arming time,
   // so a worker that dies before its first heartbeat is still detected.
   const double armed_at = engine_->now();

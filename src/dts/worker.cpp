@@ -16,7 +16,7 @@ Worker::Worker(exec::Executor& engine, exec::Transport& cluster, int id, int nod
       actor_("worker-" + std::to_string(id)),
       params_(params),
       inbox_(engine),
-      cpu_(engine, static_cast<std::size_t>(std::max(1, params.nthreads))),
+      cpu_(engine),
       fetch_slots_(engine, static_cast<std::size_t>(
                                std::max(1, params.max_concurrent_fetches))) {}
 

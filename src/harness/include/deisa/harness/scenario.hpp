@@ -150,10 +150,9 @@ struct ScenarioParams {
 
 struct RunResult {
   Pipeline pipeline{};
-  /// Copied from ScenarioParams: generator seed (0 = hand-written) and
-  /// the placement policy the run used — replay provenance.
+  /// Copied from ScenarioParams: generator seed (0 = hand-written) —
+  /// replay provenance.
   std::uint64_t scenario_seed = 0;
-  dts::SchedulingPolicy policy = dts::SchedulingPolicy::kLocality;
   /// Per-rank, per-iteration solver compute seconds.
   std::vector<std::vector<double>> sim_compute;
   /// Per-rank, per-iteration data-movement seconds (deisa send or PFS

@@ -609,21 +609,16 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
   SharedState st(w.engine);
   RunResult res;
   res.pipeline = pipeline;
-  // Replay provenance: the generator seed and placement policy ride with
-  // the result, the metrics snapshot, and (when tracing) the trace
-  // itself, so a corpus failure names its own reproduction command.
+  // Replay provenance: the generator seed rides with the result, the
+  // metrics snapshot, and (when tracing) the trace itself, so a corpus
+  // failure names its own reproduction command.
   res.scenario_seed = params.scenario_seed;
-  res.policy = params.sched.policy;
   obs::gauge_set("scenario.seed",
                  static_cast<double>(params.scenario_seed));
-  obs::gauge_set("scenario.policy",
-                 static_cast<double>(params.sched.policy));
   if (recorder)
-    recorder->instant(
-        recorder->track("harness", "scenario"),
-        "scenario:seed=" + std::to_string(params.scenario_seed),
-        {obs::arg("policy", dts::to_string(params.sched.policy)),
-         obs::arg("pipeline", to_string(pipeline))});
+    recorder->instant(recorder->track("harness", "scenario"),
+                      "scenario:seed=" + std::to_string(params.scenario_seed),
+                      {obs::arg("pipeline", to_string(pipeline))});
   res.sim_compute.assign(
       static_cast<std::size_t>(params.ranks),
       std::vector<double>(static_cast<std::size_t>(params.timesteps), 0.0));

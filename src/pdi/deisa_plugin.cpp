@@ -80,7 +80,9 @@ exec::Co<void> DeisaPlugin::on_data(DataStore& store, const std::string& name,
   const std::uint64_t bytes = block.bytes();
   dts::Data payload = dts::Data::make<array::NDArray>(std::move(block), bytes);
   if (core::uses_external_tasks(bridge_.mode())) {
-    (void)co_await bridge_.send_block(*va, coord, std::move(payload));
+    std::vector<std::pair<array::Index, dts::Data>> blocks;
+    blocks.emplace_back(coord, std::move(payload));
+    (void)co_await bridge_.send_blocks(*va, std::move(blocks));
   } else {
     (void)co_await bridge_.deisa1_send_block(*va, coord, std::move(payload));
   }

@@ -24,7 +24,7 @@ GeneratedScenario scenario_from_seed(std::uint64_t seed) {
   harness::ScenarioParams& p = g.params;
   // Corpus base: tiny functional problems. real_data keeps the fitted
   // singular values around for the byte-identity property; KiB blocks
-  // (edge 32..64 doubles) keep a 32-scenario x 4-policy sweep in smoke
+  // (edge 32..64 doubles) keep a 32-scenario sweep in smoke
   // territory; time_scale compresses threads-substrate model sleeps.
   p.real_data = true;
   p.scenario_seed = seed;

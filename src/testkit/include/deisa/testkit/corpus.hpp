@@ -1,5 +1,5 @@
-// Seeded scenario corpus — the generator behind the policy tournament
-// (bench/micro_policy), the corpus property suite (tests/
+// Seeded scenario corpus — the generator behind the locality makespan
+// table (bench/micro_policy), the corpus property suite (tests/
 // test_policy_corpus.cpp) and `deisa_scenario --scenario-seed=`.
 //
 // Every scenario is a pure function of ONE 64-bit seed: the family is
@@ -11,10 +11,9 @@
 //
 // Generator invariants (what makes every scenario a property test):
 //   * real_data is always on, so the fitted singular values exist and
-//     byte-identical analytics can be asserted across both policies and
-//     both substrates;
+//     byte-identical analytics can be asserted across both substrates;
 //   * problems are kept small (KiB blocks, <= 10 timesteps) so a full
-//     32-scenario x 2-policy sweep stays in CI smoke territory;
+//     32-scenario sweep on both substrates stays in CI smoke territory;
 //   * fault-plan scenarios (slow-node family) are sim-only — fault
 //     plans are virtual-time constructs (see GeneratedScenario.sim_only);
 //   * everything else runs on both substrates.

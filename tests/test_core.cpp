@@ -149,9 +149,10 @@ sim::Co<void> protocol_bridge(core::Bridge& bridge, int rank, int steps,
   co_await bridge.wait_contract();
   contract_at = bridge.client().num_workers();  // reached after signing
   for (int t = 0; t < steps; ++t) {
-    const auto coord = core::block_coord(va, {2, 4}, rank, t);
-    (void)co_await bridge.send_block(va, coord,
-                                     dts::Data::sized(va.block_bytes()));
+    std::vector<std::pair<arr::Index, dts::Data>> blocks;
+    blocks.emplace_back(core::block_coord(va, {2, 4}, rank, t),
+                        dts::Data::sized(va.block_bytes()));
+    (void)co_await bridge.send_blocks(va, std::move(blocks));
   }
   if (--remaining == 0) all_done.set();
 }

@@ -194,7 +194,8 @@ TEST(Dts, OneExternalTaskEmitsExactlyItsLifecycleEvents) {
   // lifecycle instant for the transition — and nothing else for this key.
   int created = 0, external_spans = 0, lifecycle_transitions = 0;
   recorder.for_each([&](const deisa::obs::TraceEvent& ev) {
-    const auto& track = recorder.tracks()[ev.track];
+    // tracks() returns by value: copy the entry, a reference would dangle.
+    const auto track = recorder.tracks()[ev.track];
     if (track.actor != "scheduler") return;
     if (ev.name == "create:ext") {
       ++created;

@@ -71,11 +71,19 @@ RandomDag make_dag(std::size_t n, double edge_prob, double external_frac,
   return dag;
 }
 
+/// Node values grow exponentially with DAG depth and can outrun int64;
+/// signed overflow is undefined, so the oracle and the task bodies both
+/// sum with unsigned wraparound.
+std::int64_t wrapping_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+
 std::vector<std::int64_t> evaluate_sequentially(const RandomDag& dag) {
   std::vector<std::int64_t> value(dag.nodes.size(), 0);
   for (std::size_t i = 0; i < dag.nodes.size(); ++i) {
     std::int64_t v = dag.nodes[i].leaf_value + static_cast<std::int64_t>(i);
-    for (std::size_t d : dag.nodes[i].deps) v += value[d];
+    for (std::size_t d : dag.nodes[i].deps) v = wrapping_add(v, value[d]);
     value[i] = v;
   }
   return value;
@@ -107,7 +115,8 @@ sim::Co<void> run_dag(dts::Runtime& rt, dts::Client& client,
     tasks.emplace_back(node.key, std::move(deps),
                        [base](const std::vector<dts::Data>& in) {
                          std::int64_t v = base;
-                         for (const auto& d : in) v += d.as<std::int64_t>();
+                         for (const auto& d : in)
+                           v = wrapping_add(v, d.as<std::int64_t>());
                          return dts::Data::make<std::int64_t>(v, 8);
                        });
     wants.push_back(node.key);
@@ -280,7 +289,8 @@ exec::Co<void> run_dag_plane(dts::Runtime& runtime, dts::Client& client,
     tasks.emplace_back(node.key, std::move(deps),
                        [base, bytes](const std::vector<dts::Data>& in) {
                          std::int64_t v = base;
-                         for (const auto& d : in) v += d.as<std::int64_t>();
+                         for (const auto& d : in)
+                           v = wrapping_add(v, d.as<std::int64_t>());
                          return dts::Data::make<std::int64_t>(v, bytes);
                        });
     if (!c.gc || !has_consumer[i]) wants.push_back(node.key);
@@ -432,7 +442,8 @@ sim::Co<void> run_dag_under_faults(FaultCluster& fc, const RandomDag& dag,
     tasks.emplace_back(node.key, std::move(deps),
                        [base](const std::vector<dts::Data>& in) {
                          std::int64_t v = base;
-                         for (const auto& d : in) v += d.as<std::int64_t>();
+                         for (const auto& d : in)
+                           v = wrapping_add(v, d.as<std::int64_t>());
                          return dts::Data::make<std::int64_t>(v, 8);
                        });
     wants.push_back(node.key);
@@ -570,9 +581,10 @@ sim::Co<void> contract_bridge(core::Bridge& bridge, const ContractCase& c,
   }
   co_await bridge.wait_contract();
   for (int t = 0; t < c.steps; ++t) {
-    const auto coord = core::block_coord(c.va, c.proc, rank, t);
-    (void)co_await bridge.send_block(c.va, coord,
-                                     dts::Data::sized(c.va.block_bytes()));
+    std::vector<std::pair<arr::Index, dts::Data>> blocks;
+    blocks.emplace_back(core::block_coord(c.va, c.proc, rank, t),
+                        dts::Data::sized(c.va.block_bytes()));
+    (void)co_await bridge.send_blocks(c.va, std::move(blocks));
   }
   if (--remaining == 0) all_done.set();
 }

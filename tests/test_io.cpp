@@ -34,9 +34,10 @@ io::PfsParams fast_pfs() {
   return p;
 }
 
-sim::Co<void> one_write(io::Pfs& pfs, const std::string& path,
-                        std::uint64_t bytes, double& finished_at,
-                        sim::Engine& eng) {
+// `path` by value: the callers spawn this with a temporary that dies
+// before the coroutine runs.
+sim::Co<void> one_write(io::Pfs& pfs, std::string path, std::uint64_t bytes,
+                        double& finished_at, sim::Engine& eng) {
   co_await pfs.write(path, bytes);
   finished_at = eng.now();
 }

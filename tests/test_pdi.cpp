@@ -185,7 +185,10 @@ TEST(DeisaPlugin, ExposeBeforeInitThrows) {
       spec.at("plugins").at("PdiPluginDeisa"), w.rt->make_client(4),
       core::Mode::kDeisa3, 0, 1));
   arr::NDArray field(ix(4, 4));
-  w.eng.spawn(store.expose("temp", field));
+  // expose() takes its name by reference and the spawned coroutine runs
+  // after this statement, so the name must outlive run().
+  const std::string name = "temp";
+  w.eng.spawn(store.expose(name, field));
   EXPECT_THROW(w.eng.run(), deisa::util::Error);
 }
 
@@ -202,7 +205,8 @@ TEST(DeisaPlugin, UnmappedDataIsIgnored) {
   arr::NDArray other(ix(2, 2));
   // "pressure" is not in map_in: the plugin must not touch it, even
   // before init.
-  w.eng.spawn(store.expose("pressure", other));
+  const std::string name = "pressure";  // outlives run(), as above
+  w.eng.spawn(store.expose(name, other));
   w.eng.run_until(5.0);
   w.eng.spawn(w.rt->shutdown());
   w.eng.run();

@@ -2,8 +2,8 @@
 // max-byte, lowest-id-tie and zero-byte semantics), plus end-to-end
 // placement through a real scheduler — dead preferred workers falling
 // through, max-byte-owner locality, a locality task without a
-// positive-byte owner taking the shared rotation, and round-robin
-// fairness over the live set when workers have died.
+// positive-byte owner taking the shared rotation, and that rotation
+// staying fair over the live set when workers have died.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -44,13 +44,6 @@ TEST(Policy, LocalityZeroByteOwnersFallThroughToRoundRobin) {
   EXPECT_EQ(dts::locality_owner({0, 2}, {0, 5}), 2);
 }
 
-TEST(Policy, NamesRoundTrip) {
-  for (std::size_t i = 0; i < dts::kNumSchedulingPolicies; ++i) {
-    const auto p = static_cast<dts::SchedulingPolicy>(i);
-    EXPECT_EQ(dts::policy_of(dts::to_string(p)), p);
-  }
-}
-
 // ---- end-to-end placement through a real scheduler ------------------
 
 struct TestCluster {
@@ -59,9 +52,7 @@ struct TestCluster {
   std::unique_ptr<dts::Runtime> rt;
   dts::Client* client = nullptr;
 
-  explicit TestCluster(
-      int workers, double heartbeat_timeout = 0.0,
-      dts::SchedulingPolicy policy = dts::SchedulingPolicy::kLocality) {
+  explicit TestCluster(int workers, double heartbeat_timeout = 0.0) {
     net::ClusterParams p;
     p.physical_nodes = workers + 4;
     cluster = std::make_unique<net::Cluster>(eng, p);
@@ -72,7 +63,6 @@ struct TestCluster {
     rp.scheduler.service_per_task = 0;
     rp.scheduler.service_per_key = 0;
     rp.scheduler.heartbeat_timeout = heartbeat_timeout;
-    rp.scheduler.policy = policy;
     rt = std::make_unique<dts::Runtime>(eng, *cluster, 0, wn, rp);
     rt->start();
     client = &rt->make_client(1);
@@ -102,7 +92,7 @@ sim::Co<void> dead_preferred_flow(TestCluster& tc, int& result) {
 
 TEST(PolicyFlow, DeadPreferredWorkerFallsThrough) {
   // A preselected worker that has since died must not strand the task:
-  // decide_worker ignores the stale preference and the policy places it
+  // decide_worker ignores the stale preference and locality places it
   // on a survivor.
   TestCluster tc(2, /*heartbeat_timeout=*/3.0);
   int result = 0;
@@ -171,15 +161,14 @@ sim::Co<void> fairness_flow(TestCluster& tc, int n_tasks) {
   tc.rt->worker(1).crash();
   tc.rt->worker(3).crash();
   co_await tc.eng.delay(10.0);  // both detected dead
-  // Every task reads a 1 MiB block resident on worker 0: locality would
-  // pin them all there, round-robin must ignore it.
-  (void)co_await tc.client->scatter("big", dts::Data::make<int>(0, 1 << 20),
-                                    0);
+  // Every task reads a zero-byte block on worker 0: no positive-byte
+  // owner, so locality hands each one to the shared rotation.
+  (void)co_await tc.client->scatter("empty", dts::Data::make<int>(0, 0), 0);
   std::vector<dts::TaskSpec> tasks;
   std::vector<dts::Key> futures;
   for (int i = 0; i < n_tasks; ++i) {
     const dts::Key k = "t" + std::to_string(i);
-    tasks.emplace_back(k, keys("big"), [i](const std::vector<dts::Data>&) {
+    tasks.emplace_back(k, keys("empty"), [i](const std::vector<dts::Data>&) {
       return int_data(i);
     });
     futures.push_back(k);
@@ -190,13 +179,13 @@ sim::Co<void> fairness_flow(TestCluster& tc, int n_tasks) {
 }
 
 TEST(PolicyFlow, RoundRobinStaysFairOverLiveSetWithDeadWorkers) {
-  // K dead workers must not skew the rotation, and neither may resident
-  // input bytes: N tasks split exactly evenly over the survivors and
-  // none is ever assigned to a dead id (the run completing at all proves
-  // that — a task sent to a corpse would hang its waiter).
+  // K dead workers must not skew the rotation (pick_live_worker(), also
+  // the recovery re-routing paths' cursor): N tasks split exactly evenly
+  // over the survivors and none is ever assigned to a dead id (the run
+  // completing at all proves that — a task sent to a corpse would hang
+  // its waiter).
   constexpr int kTasks = 40;
-  TestCluster tc(4, /*heartbeat_timeout=*/3.0,
-                 dts::SchedulingPolicy::kRoundRobin);
+  TestCluster tc(4, /*heartbeat_timeout=*/3.0);
   tc.eng.spawn(fairness_flow(tc, kTasks));
   tc.eng.run();
   const dts::Scheduler& s = tc.rt->scheduler();

@@ -1,9 +1,8 @@
 // Corpus property suite: every generated scenario doubles as a
-// property test — both scheduling policies must produce
-// byte-identical analytics outputs (fitted singular values and
-// explained variance) on both execution substrates; only makespans may
-// differ. One gtest per family so a failure names the family and the
-// SCOPED_TRACE names the replay seed.
+// property test — both execution substrates must produce byte-identical
+// analytics outputs (fitted singular values and explained variance);
+// only makespans may differ. One gtest per family so a failure names the
+// family and the SCOPED_TRACE names the replay seed.
 //
 // DEISA_CORPUS_COUNT sets the corpus size (default 10 for local runs;
 // CI smoke runs 32). Fault-plan scenarios (slow-node) are sim-only.
@@ -16,13 +15,12 @@
 #include "deisa/harness/scenario.hpp"
 #include "deisa/testkit/corpus.hpp"
 
-namespace dts = deisa::dts;
 namespace harness = deisa::harness;
 namespace testkit = deisa::testkit;
 
 namespace {
 
-// Distinct from micro_policy's tournament seed: the suite and the bench
+// Distinct from micro_policy's corpus seed: the suite and the bench
 // cover different corpora.
 constexpr std::uint64_t kCorpusSeed = 77;
 
@@ -41,32 +39,24 @@ void check_family(testkit::Family family) {
     SCOPED_TRACE("scenario " + g.name + " (replay: deisa_scenario --scenario-seed=" +
                  std::to_string(g.seed) + ")");
     std::vector<double> ref_sv, ref_ev;
-    bool have_ref = false;
-    for (std::size_t pi = 0; pi < dts::kNumSchedulingPolicies; ++pi) {
-      const auto pol = static_cast<dts::SchedulingPolicy>(pi);
-      for (const harness::Substrate sub :
-           {harness::Substrate::kSim, harness::Substrate::kThreads}) {
-        if (sub == harness::Substrate::kThreads && g.sim_only) continue;
-        SCOPED_TRACE(std::string(dts::to_string(pol)) + " on " +
-                     harness::to_string(sub));
-        harness::ScenarioParams p = g.params;
-        p.sched.policy = pol;
-        p.substrate = sub;
-        const harness::RunResult res = harness::run_scenario(g.pipeline, p);
-        // Seed provenance survives the run end to end.
-        EXPECT_EQ(res.scenario_seed, g.seed);
-        EXPECT_EQ(res.policy, pol);
-        ASSERT_FALSE(res.singular_values.empty());
-        if (!have_ref) {
-          ref_sv = res.singular_values;  // locality on sim
-          ref_ev = res.explained_variance;
-          have_ref = true;
-        } else {
-          // Byte-identical, not approximately equal: a policy moves
-          // work, it must never change what the work computes.
-          EXPECT_EQ(res.singular_values, ref_sv);
-          EXPECT_EQ(res.explained_variance, ref_ev);
-        }
+    for (const harness::Substrate sub :
+         {harness::Substrate::kSim, harness::Substrate::kThreads}) {
+      if (sub == harness::Substrate::kThreads && g.sim_only) continue;
+      SCOPED_TRACE(harness::to_string(sub));
+      harness::ScenarioParams p = g.params;
+      p.substrate = sub;
+      const harness::RunResult res = harness::run_scenario(g.pipeline, p);
+      // Seed provenance survives the run end to end.
+      EXPECT_EQ(res.scenario_seed, g.seed);
+      ASSERT_FALSE(res.singular_values.empty());
+      if (sub == harness::Substrate::kSim) {
+        ref_sv = res.singular_values;
+        ref_ev = res.explained_variance;
+      } else {
+        // Byte-identical, not approximately equal: a substrate changes
+        // when work runs, it must never change what the work computes.
+        EXPECT_EQ(res.singular_values, ref_sv);
+        EXPECT_EQ(res.explained_variance, ref_ev);
       }
     }
     ++checked;

@@ -20,7 +20,7 @@ if(NOT err MATCHES "known flags:")
 endif()
 # Every real flag must appear in the help so users can self-correct.
 foreach(flag --trace-out --metrics-out --metrics-format --fault --substrate
-        --policy --scenario-seed --shards --release-consumed)
+        --scenario-seed --shards --release-consumed)
   if(NOT err MATCHES "${flag}=VALUE")
     message(FATAL_ERROR "known-flag list lacks ${flag}:\n${err}")
   endif()
@@ -72,4 +72,32 @@ if(NOT rc EQUAL 2)
 endif()
 if(NOT err MATCHES "unknown config key 'data_plane'")
   message(FATAL_ERROR "retired key: stderr lacks the diagnostic:\n${err}")
+endif()
+
+# The retired placement option: the flag is unknown ...
+execute_process(
+  COMMAND ${SCENARIO_BIN} --policy=locality /dev/null
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "retired --policy: expected exit 2, got '${rc}'")
+endif()
+if(NOT err MATCHES "unknown option '--policy=locality'")
+  message(FATAL_ERROR "retired --policy: stderr lacks the diagnostic:\n${err}")
+endif()
+
+# ... and so is the key, so a stale config cannot silently run locality.
+file(WRITE ${WORK_DIR}/policy.yaml
+  "pipeline: DEISA3\nranks: 2\nworkers: 1\npolicy: round-robin\n")
+execute_process(
+  COMMAND ${SCENARIO_BIN} ${WORK_DIR}/policy.yaml
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "retired policy key: expected exit 2, got '${rc}'")
+endif()
+if(NOT err MATCHES "unknown config key 'policy'")
+  message(FATAL_ERROR "retired policy key: stderr lacks the diagnostic:\n${err}")
 endif()

@@ -3,7 +3,7 @@
 //
 //   $ deisa_scenario [--trace-out trace.json] [--metrics-out metrics.json]
 //         [--metrics-format=table|json] my_run.yaml
-//   $ deisa_scenario --scenario-seed=N [--policy=...]   # corpus replay
+//   $ deisa_scenario --scenario-seed=N [--substrate=...]   # corpus replay
 //
 //   # my_run.yaml
 //   pipeline: DEISA3         # DEISA1|DEISA2|DEISA3|posthoc-old|posthoc-new
@@ -19,7 +19,6 @@
 //   arrays: 1                # optional: multi-array workflow (DEISA2/3)
 //   real_data: false         # optional: move real Heat2D data (small runs)
 //   n_components: 2          # optional: IPCA components (real_data runs)
-//   policy: locality         # optional: locality (default) | round-robin
 //   faults: "kill:1@30"      # optional: fault plan (spec string or map)
 //   substrate: sim           # optional: sim (default) | threads
 //   substrate_threads: 0     # optional: threads backend worker count
@@ -30,18 +29,14 @@
 //   trace_capacity: 1048576  # optional: trace ring size (events)
 //   trace_drop: oldest       # optional: ring policy, oldest | newest
 //
-// --policy= (or `policy:`) selects the scheduler placement policy behind
-// decide_worker (SchedulerParams::policy; see src/dts/policy.hpp). Both
-// policies produce identical analytics values — only timings change.
-//
 // Every top-level config key must be one of the keys listed above: a
 // misspelled or retired key aborts with exit code 2 and the known-key
 // list instead of silently running the default.
 //
 // --scenario-seed=N replays a generated corpus scenario (src/testkit):
-// the seed fully determines the ScenarioParams, so a corpus/tournament
-// failure reproduces with no config file. --policy/--substrate/--trace-out
-// still apply on top.
+// the seed fully determines the ScenarioParams, so a corpus/micro_policy
+// failure reproduces with no config file. --substrate/--fault/--shards/
+// --release-consumed/--trace-out still apply on top.
 //
 // --substrate=threads (or `substrate: threads`) runs the same actor code
 // on the real-thread executor/transport instead of the simulator: outputs
@@ -172,7 +167,6 @@ struct Flags {
   std::string metrics_format = "json";
   std::string fault_spec;
   std::string substrate;
-  std::string policy;
   std::string scenario_seed;
   std::string shards;
   std::string release_consumed;
@@ -192,7 +186,6 @@ const FlagSpec kFlagTable[] = {
     {"--metrics-format", &Flags::metrics_format},
     {"--fault", &Flags::fault_spec},
     {"--substrate", &Flags::substrate},
-    {"--policy", &Flags::policy},
     {"--scenario-seed", &Flags::scenario_seed},
     {"--shards", &Flags::shards},
     {"--release-consumed", &Flags::release_consumed},
@@ -203,7 +196,7 @@ const FlagSpec kFlagTable[] = {
 const char* const kConfigKeys[] = {
     "pipeline", "ranks", "workers", "block_mib", "block_kib", "timesteps",
     "runs", "seed", "arrays", "real_data", "contract_fraction",
-    "n_components", "policy", "faults", "substrate", "substrate_threads",
+    "n_components", "faults", "substrate", "substrate_threads",
     "shards", "release_consumed", "time_scale", "trace_capacity",
     "trace_drop",
 };
@@ -233,7 +226,6 @@ int run(const Flags& flags) {
   const std::string& metrics_format = flags.metrics_format;
   const std::string& fault_spec = flags.fault_spec;
   const std::string& substrate_flag = flags.substrate;
-  const std::string& policy_flag = flags.policy;
   const std::string& scenario_seed_flag = flags.scenario_seed;
   check_writable(trace_out);
   check_writable(metrics_out);
@@ -285,8 +277,6 @@ int run(const Flags& flags) {
     p.real_data = doc.get_bool("real_data", false);
     p.n_components =
         static_cast<std::size_t>(doc.get_int("n_components", 2));
-    p.sched.policy =
-        deisa::dts::policy_of(doc.get_string("policy", "locality"));
     p.trace_capacity = static_cast<std::size_t>(
         doc.get_int("trace_capacity",
                     static_cast<std::int64_t>(p.trace_capacity)));
@@ -305,8 +295,7 @@ int run(const Flags& flags) {
       p.faults = faults_of(*f);
     }
   }
-  // The flag wins over both the yaml knob and the generated default.
-  if (!policy_flag.empty()) p.sched.policy = deisa::dts::policy_of(policy_flag);
+  // The flags win over both the yaml knobs and the generated defaults.
   if (!flags.shards.empty()) p.shards = std::stoi(flags.shards);
   if (!flags.release_consumed.empty())
     p.release_consumed = bool_of("--release-consumed", flags.release_consumed);
@@ -315,8 +304,7 @@ int run(const Flags& flags) {
             << " ranks x " << util::format_bytes(p.block_bytes) << " x "
             << p.timesteps << " steps, " << p.workers << " workers, " << runs
             << " run(s), substrate " << harness::to_string(p.substrate)
-            << (p.release_consumed ? " +gc" : "") << ", policy "
-            << deisa::dts::to_string(p.sched.policy) << "\n";
+            << (p.release_consumed ? " +gc" : "") << "\n";
   if (p.arrays > 1) std::cout << "arrays: " << p.arrays << "\n";
   if (p.shards > 1) std::cout << "scheduler shards: " << p.shards << "\n";
   if (p.substrate == harness::Substrate::kThreads)
@@ -455,7 +443,6 @@ int main(int argc, char** argv) {
                  "[--metrics-out FILE] [--metrics-format=table|json] "
                  "[--fault=SPEC] [--substrate=sim|threads] "
                  "[--shards=N] [--release-consumed=true|false] "
-                 "[--policy=locality|round-robin] "
                  "(<config.yaml> | --scenario-seed=N)\n";
     return 2;
   }
