@@ -207,6 +207,23 @@ void BM_IpcaPartialFit(benchmark::State& state) {
 }
 BENCHMARK(BM_IpcaPartialFit)->Arg(64)->Arg(256);
 
+// heat2d-ipca's in-transit kernel: one steady-state partial_fit of the new
+// IPCA (randomized solver, 2 components) on 192-sample x 48-feature
+// batches, so each solve sketches a 195 x 48 stack.
+void BM_IpcaPartialFitRandomized(benchmark::State& state) {
+  ml::PcaOptions opts;
+  opts.n_components = 2;
+  opts.randomized = true;
+  const auto x = random_matrix(192, 48);
+  ml::IncrementalPca ipca(opts);
+  ipca.partial_fit(x);
+  for (auto _ : state) {
+    ipca.partial_fit(x);
+    benchmark::DoNotOptimize(ipca.singular_values().data());
+  }
+}
+BENCHMARK(BM_IpcaPartialFitRandomized);
+
 void BM_YamlParseListing1(benchmark::State& state) {
   const std::string doc = R"(
 metadata: { step: int, cfg: config_t, rank: int }

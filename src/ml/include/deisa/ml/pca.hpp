@@ -16,7 +16,11 @@ namespace deisa::ml {
 
 struct PcaOptions {
   std::size_t n_components = 2;
-  /// Use the randomized SVD solver (Listing 2: svd_solver='randomized').
+  /// Use the randomized SVD solver (Listing 2: svd_solver='randomized'):
+  /// a rank-n_components sketch, n_components + oversample columns wide
+  /// with power_iters power iterations, like dask's svd_compressed. It
+  /// returns only the leading n_components singular values; matrices no
+  /// wider than the sketch fall back to the exact SVD.
   bool randomized = false;
   std::size_t oversample = 10;
   std::size_t power_iters = 4;
@@ -53,7 +57,11 @@ private:
   std::vector<double> mean_;
 };
 
-/// Incremental PCA: constant-memory minibatch fitting.
+/// Incremental PCA: constant-memory minibatch fitting. With the randomized
+/// solver each partial_fit sketches the (k + batch + 1) x features stack
+/// at rank k instead of taking its full SVD; explained-variance ratios
+/// divide by the tracked per-feature variance, so they need no more than
+/// the k singular values a sketch returns.
 class IncrementalPca {
 public:
   explicit IncrementalPca(PcaOptions opts);
@@ -76,7 +84,6 @@ public:
   }
   const std::vector<double>& mean() const { return mean_; }
   const std::vector<double>& variance() const { return var_; }
-  double noise_variance() const { return noise_variance_; }
 
   /// Serialized size estimate (what moves between tasks).
   std::uint64_t state_bytes() const;
@@ -90,7 +97,6 @@ private:
   std::vector<double> singular_values_;
   std::vector<double> explained_variance_;
   std::vector<double> explained_variance_ratio_;
-  double noise_variance_ = 0.0;
 };
 
 /// Deterministic component orientation (sklearn svd_flip with

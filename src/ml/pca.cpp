@@ -34,8 +34,8 @@ namespace {
 la::SvdResult solve_svd(const la::Matrix& a, const PcaOptions& opts) {
   if (opts.randomized &&
       opts.n_components + opts.oversample < std::min(a.rows(), a.cols()))
-    return la::randomized_svd(a, std::min(a.rows(), a.cols()),
-                              opts.oversample, opts.power_iters, opts.seed);
+    return la::randomized_svd(a, opts.n_components, opts.oversample,
+                              opts.power_iters, opts.seed);
   return la::svd(a);
 }
 
@@ -79,8 +79,9 @@ void Pca::fit(const la::Matrix& x) {
   components_ = vt.block(0, 0, k, vt.cols());
   singular_values_.assign(r.s.begin(), r.s.begin() + static_cast<long>(k));
   const double denom = static_cast<double>(x.rows() - 1);
-  double total_var = 0.0;
-  for (double s : r.s) total_var += s * s / denom;
+  // The total comes from the data, not from r.s: a sketch returns only
+  // the leading singular values (sklearn's randomized PCA does the same).
+  const double total_var = la::dot(xc.data(), xc.data()) / denom;
   explained_variance_.clear();
   explained_variance_ratio_.clear();
   for (std::size_t i = 0; i < k; ++i) {
@@ -189,13 +190,6 @@ void IncrementalPca::partial_fit(const la::Matrix& x) {
     const double ev = denom > 0 ? r.s[i] * r.s[i] / denom : 0.0;
     explained_variance_.push_back(ev);
     explained_variance_ratio_.push_back(total_var > 0 ? ev / total_var : 0.0);
-  }
-  // Noise variance: mean of the unkept explained variances.
-  noise_variance_ = 0.0;
-  if (r.s.size() > k && denom > 0) {
-    for (std::size_t i = k; i < r.s.size(); ++i)
-      noise_variance_ += r.s[i] * r.s[i] / denom;
-    noise_variance_ /= static_cast<double>(r.s.size() - k);
   }
 }
 

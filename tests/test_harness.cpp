@@ -4,14 +4,24 @@
 // IPCA math, numerically checked against a local reference).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
+#include "deisa/apps/heat2d.hpp"
 #include "deisa/harness/scenario.hpp"
 #include "deisa/ml/pca.hpp"
+#include "deisa/net/cluster.hpp"
+#include "deisa/sim/engine.hpp"
 
+namespace apps = deisa::apps;
 namespace arr = deisa::array;
 namespace harness = deisa::harness;
+namespace la = deisa::linalg;
 namespace ml = deisa::ml;
+namespace mpix = deisa::mpix;
+namespace net = deisa::net;
+namespace sim = deisa::sim;
 
 namespace {
 
@@ -290,6 +300,78 @@ TEST(Harness, GeometryHelpers) {
   EXPECT_EQ(va.shape[1], 4096 * px);
   EXPECT_EQ(va.shape[2], 4096 * py);
   EXPECT_EQ(va.block_bytes(), p.block_bytes);
+}
+
+// ---- the new IPCA's solver on the paper's data ----
+
+/// One Heat2d rank: step, and after each step copy the block into that
+/// step's slab if the rank lies in column `col`. A slab holds the column
+/// with y as samples and x as features, as perfbench's heat2d-ipca feeds
+/// its IPCA.
+sim::Co<void> column_rank(apps::Heat2d& solver, mpix::Comm& comm,
+                          const apps::Heat2dConfig& cfg, int col,
+                          std::vector<la::Matrix>& slabs) {
+  const auto nx = static_cast<std::size_t>(cfg.local_nx);
+  const auto ny = static_cast<std::size_t>(cfg.local_ny);
+  const std::size_t y0 = static_cast<std::size_t>(solver.py()) * ny;
+  for (la::Matrix& slab : slabs) {
+    co_await solver.step(comm);
+    if (solver.px() != col) continue;
+    const auto field = solver.field().flat();  // (nx, ny), row-major
+    for (std::size_t x = 0; x < nx; ++x)
+      for (std::size_t y = 0; y < ny; ++y) slab(y0 + y, x) = field[x * ny + y];
+  }
+}
+
+TEST(IpcaSolver, SketchMatchesExactOnHeat2dSlabs) {
+  // heat2d-ipca's shape: 4x4 ranks of 48x48 blocks and a column of 4
+  // blocks, so each step is 192 samples x 48 features.
+  apps::Heat2dConfig cfg;
+  cfg.local_nx = 48;
+  cfg.local_ny = 48;
+  cfg.proc_x = 4;
+  cfg.proc_y = 4;
+  cfg.timesteps = 50;
+  std::vector<la::Matrix> slabs(static_cast<std::size_t>(cfg.timesteps),
+                                la::Matrix(192, 48));
+  {
+    sim::Engine eng;
+    net::ClusterParams cp;
+    cp.physical_nodes = cfg.ranks();
+    net::Cluster cluster(eng, cp);
+    std::vector<int> nodes;
+    for (int r = 0; r < cfg.ranks(); ++r) nodes.push_back(r / 2);
+    mpix::Comm comm(cluster, std::move(nodes));
+    std::vector<std::unique_ptr<apps::Heat2d>> solvers;
+    for (int r = 0; r < cfg.ranks(); ++r) {
+      solvers.push_back(std::make_unique<apps::Heat2d>(cfg, r));
+      solvers.back()->initialize();
+      eng.spawn(column_rank(*solvers.back(), comm, cfg, 1, slabs));
+    }
+    eng.run();
+  }
+
+  ml::PcaOptions exact_opts;
+  exact_opts.n_components = 2;
+  ml::PcaOptions sketch_opts = exact_opts;
+  sketch_opts.randomized = true;
+  // Every stacked matrix (192 or 2 + 192 + 1 rows) is 48 wide, wider
+  // than the sketch, so the randomized branch runs on every step.
+  ASSERT_LT(sketch_opts.n_components + sketch_opts.oversample,
+            std::min(slabs[0].rows(), slabs[0].cols()));
+  ml::IncrementalPca exact(exact_opts);
+  ml::IncrementalPca sketch(sketch_opts);
+  for (const la::Matrix& slab : slabs) {
+    exact.partial_fit(slab);
+    sketch.partial_fit(slab);
+  }
+  ASSERT_EQ(sketch.singular_values().size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_NEAR(sketch.singular_values()[i], exact.singular_values()[i],
+                1e-9 * exact.singular_values()[i]);
+    EXPECT_NEAR(sketch.explained_variance()[i], exact.explained_variance()[i],
+                1e-9 * exact.explained_variance()[i]);
+  }
 }
 
 }  // namespace

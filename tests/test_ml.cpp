@@ -82,6 +82,26 @@ TEST(Pca, TransformReducesDimensionality) {
   }
 }
 
+TEST(Pca, RandomizedRatioMatchesExact) {
+  // 30 features, so the 12-column sketch is taken. It returns only the
+  // two leading singular values; the ratios must still divide by the
+  // data's whole variance, as the exact solver's do.
+  const auto x = make_data(200, 30, 1);
+  ml::PcaOptions exact_opts;
+  exact_opts.n_components = 2;
+  ml::PcaOptions rand_opts = exact_opts;
+  rand_opts.randomized = true;
+  ASSERT_LT(rand_opts.n_components + rand_opts.oversample, x.cols());
+  ml::Pca exact(exact_opts);
+  ml::Pca sketch(rand_opts);
+  exact.fit(x);
+  sketch.fit(x);
+  ASSERT_EQ(sketch.explained_variance_ratio().size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_NEAR(sketch.explained_variance_ratio()[i],
+                exact.explained_variance_ratio()[i], 1e-9);
+}
+
 TEST(IncrementalPca, SingleBatchMatchesPca) {
   const auto x = make_data(150, 10, 4);
   ml::PcaOptions opts;
