@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "deisa/dts/scheduler.hpp"
+#include "deisa/dts/shard.hpp"
 #include "deisa/dts/worker.hpp"
 
 namespace deisa::dts {
@@ -31,25 +32,20 @@ private:
 
 class Client {
 public:
+  /// `scheduler_inboxes` is the routing table: the scheduler shards'
+  /// inboxes in shard order, one entry at one shard. Submissions are
+  /// split per shard (split_graph), keyed RPCs go to the shard owning
+  /// the key, name-keyed ops (variables/queues) to the shard owning the
+  /// name; at one shard every split is a plain move.
   Client(exec::Executor& engine, exec::Transport& cluster, int id, int node,
-         int scheduler_node, exec::Channel<SchedMsg>* scheduler_inbox,
+         int scheduler_node,
+         std::vector<exec::Channel<SchedMsg>*> scheduler_inboxes,
          std::vector<WorkerRef> workers);
 
   int id() const { return id_; }
   int node() const { return node_; }
   int num_workers() const { return static_cast<int>(workers_.size()); }
   exec::Executor& engine() { return *engine_; }
-
-  /// Scheduler-shard routing table (set by the Runtime, only at
-  /// shards > 1). Submissions are then split per-shard in one pass with
-  /// cross-shard dependency subscriptions piggybacked on the owner's
-  /// slice; keyed RPCs route to the shard owning the key, name-keyed
-  /// ops (variables/queues) to the shard owning the name. At shards == 1
-  /// the table stays empty and every code path is exactly the pre-shard
-  /// single-scheduler one.
-  void set_shards(std::vector<exec::Channel<SchedMsg>*> inboxes) {
-    shard_inboxes_ = std::move(inboxes);
-  }
 
   /// Submit a task graph; `wants` marks the keys this client will gather.
   exec::Co<void> submit(std::vector<TaskSpec> tasks,
@@ -126,8 +122,6 @@ public:
   /// Ask the scheduler to shut down (tests/teardown).
   exec::Co<void> send_shutdown();
 
-  std::uint64_t messages_sent() const { return messages_sent_; }
-
   /// Causal provenance of the last payload this client received (gather,
   /// queue_get, variable_get). Graph submissions are stamped with it so
   /// data-driven control flow — "a result arrived, submit the next step"
@@ -138,27 +132,18 @@ private:
   exec::Co<void> send_to_scheduler(
       SchedMsg msg, exec::Delivery delivery = exec::Delivery::kReliable,
       int shard = 0);
-  /// Shard owning `key` (0 when unsharded).
-  int shard_of(std::string_view key) const;
-  /// N > 1 half of submit(): split the batch per-shard, wiring
-  /// cross-shard dependency subscriptions onto the owners' slices.
-  exec::Co<void> submit_sharded(std::vector<TaskSpec> tasks,
-                               std::vector<Key> wants);
-  /// N > 1 half of scatter_batch(): split the batched registration
-  /// per-shard and reassemble the acks in item order.
-  exec::Co<std::vector<int>> register_batch_sharded(SchedMsg reg);
+  /// Shard owning `key` (0 at one shard, with no hashing).
+  int shard_of(std::string_view key) const { return mapper_.shard_of(key); }
 
   exec::Executor* engine_;
   exec::Transport* cluster_;
   int id_;
   int node_;
   int scheduler_node_;
-  exec::Channel<SchedMsg>* scheduler_inbox_;
-  /// Empty at shards == 1 (every branch testing it is dead then).
-  std::vector<exec::Channel<SchedMsg>*> shard_inboxes_;
+  std::vector<exec::Channel<SchedMsg>*> scheduler_inboxes_;
+  ShardMapper mapper_;
   std::vector<WorkerRef> workers_;
   std::shared_ptr<exec::Channel<int>> notify_;
-  std::uint64_t messages_sent_ = 0;
   std::uint64_t last_cause_ = 0;
 };
 

@@ -96,10 +96,6 @@ class KeyTable {
     }
   }
 
-  std::pair<KeyId, bool> intern(std::string_view key) {
-    return intern(Key(key));
-  }
-
  private:
   // 8-byte slot: the table stays half the cache footprint of a
   // {hash64, id} layout. The tag is the high hash half (the index uses

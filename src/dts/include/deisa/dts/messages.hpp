@@ -141,9 +141,9 @@ struct SchedMsg {
   /// to the shard that OWNS sub_keys[i]: "when sub_keys[i] completes,
   /// send kShardKeyDone to shard sub_shards[i]". sub_counts[i] is the
   /// number of consumer edges this batch charges against sub_keys[i]
-  /// from shard sub_shards[i] (refcount GC: the owner adds them to
-  /// pending_consumers/ever_consumers; the subscriber drains them back
-  /// with kShardKeyReleased). Always empty at shards == 1 (the
+  /// from shard sub_shards[i] (refcount GC: the owner's KeyLifetime adds
+  /// them to the key's consumer count and remote balance; the subscriber
+  /// drains them back with kShardKeyReleased). Always empty at shards == 1 (the
   /// single-shard wire format is unchanged).
   std::vector<Key> sub_keys;
   std::vector<int> sub_shards;

@@ -24,8 +24,10 @@
 #include <unordered_set>
 #include <vector>
 
+#include "deisa/dts/key_lifetime.hpp"
 #include "deisa/dts/key_table.hpp"
 #include "deisa/dts/messages.hpp"
+#include "deisa/dts/shard.hpp"
 #include "deisa/dts/task.hpp"
 #include "deisa/exec/transport.hpp"
 #include "deisa/exec/primitives.hpp"
@@ -63,16 +65,11 @@ struct SchedulerParams {
 
   // ---- refcount GC ----
   /// Release a key's data (the owner worker's store copy) once every
-  /// consumer that ever depended on it has finished. Consumers are
-  /// charged at graph-ingestion time and released on task completion;
-  /// keys nothing ever depends on (gather targets, leaves) are never
-  /// released. Cross-shard consumers are charged through the
-  /// subscription slices and drained back via kShardKeyReleased, so the
-  /// owner shard releases iff local AND remote consumers finished. Off
-  /// by default: long-running DEISA2/3 loops opt in to hold bounded
-  /// resident bytes. Not compatible with lineage recomputation after
-  /// worker loss (released inputs cannot be re-read), so leave it off
-  /// when running fault plans.
+  /// consumer that ever depended on it has finished (KeyLifetime, see
+  /// key_lifetime.hpp). Off by default: long-running DEISA2/3 loops opt
+  /// in to hold bounded resident bytes. Rejected together with
+  /// heartbeat_timeout > 0: lineage recomputation after worker loss
+  /// would re-read released inputs (DESIGN.md §5g).
   bool release_consumed = false;
 };
 
@@ -98,6 +95,21 @@ struct RecoveryCounters {
   std::uint64_t stale_task_finished = 0; // late/duplicate reports dropped
   std::uint64_t stale_update_data = 0;   // pushes to terminal keys dropped
   std::uint64_t stale_heartbeats = 0;    // heartbeats from dead workers
+
+  RecoveryCounters& operator+=(const RecoveryCounters& o) {
+    workers_lost += o.workers_lost;
+    tasks_rerun += o.tasks_rerun;
+    keys_recomputed += o.keys_recomputed;
+    external_rearmed += o.external_rearmed;
+    external_rerouted += o.external_rerouted;
+    mirrors_rearmed += o.mirrors_rearmed;
+    keys_lost += o.keys_lost;
+    repush_expired += o.repush_expired;
+    stale_task_finished += o.stale_task_finished;
+    stale_update_data += o.stale_update_data;
+    stale_heartbeats += o.stale_heartbeats;
+    return *this;
+  }
 };
 
 class Scheduler {
@@ -109,17 +121,12 @@ public:
   exec::Channel<SchedMsg>& inbox() { return inbox_; }
   void attach_workers(std::vector<WorkerRef> workers);
 
-  /// Make this scheduler shard `shard_index` of `num_shards` co-located
-  /// actors (see shard.hpp). `peer_inboxes[i]` is shard i's inbox (this
-  /// shard's own entry included, never sent to). At num_shards == 1 this
-  /// is a no-op: the single-scheduler hot path has no shard branches
-  /// taken and the trace actor id stays "scheduler".
-  void set_shard_context(int shard_index, int num_shards,
-                         std::vector<exec::Channel<SchedMsg>*> peer_inboxes);
-  int shard_index() const { return shard_index_; }
-  int num_shards() const { return num_shards_; }
-  /// Trace/span actor id ("scheduler", or "scheduler-<i>" when sharded).
-  const std::string& actor() const { return actor_; }
+  /// Make this scheduler shard `index` of `peers.size()` co-located
+  /// actors (see shard.hpp). `peers[i]` is shard i's inbox (this shard's
+  /// own entry included, never sent to). With one peer the trace actor
+  /// id stays "scheduler"; otherwise it becomes "scheduler-<index>".
+  void set_shard_context(int index,
+                         std::vector<exec::Channel<SchedMsg>*> peers);
 
   /// Main actor loop (spawned by the Runtime). Exits on kShutdown.
   exec::Co<void> run();
@@ -138,7 +145,6 @@ public:
   std::uint64_t total_messages() const { return total_messages_; }
   std::uint64_t retries_performed() const { return retries_performed_; }
   double total_service_time() const { return server_.total_busy_time(); }
-  double total_queueing_time() const { return server_.total_waiting_time(); }
   TaskState state_of(const Key& key) const;
   bool knows(const Key& key) const { return keys_.find(key) != kNoKeyId; }
   std::size_t task_count() const { return records_.size(); }
@@ -154,7 +160,7 @@ public:
   /// record itself is never erased).
   bool is_released(const Key& key) const;
   /// Keys whose data the GC has released so far.
-  std::uint64_t keys_released() const { return keys_released_; }
+  std::uint64_t keys_released() const { return lifetime_.keys_released(); }
 
   bool worker_is_dead(int worker) const {
     return worker >= 0 && static_cast<std::size_t>(worker) < dead_.size() &&
@@ -174,14 +180,9 @@ public:
   /// Lost external keys still queued for a producer re-push.
   std::size_t repush_pending() const;
 
-  // ---- cross-shard protocol introspection ----
-  /// Dependency edges wired to a remote-owned mirror record (0 when
-  /// single-sharded).
-  std::uint64_t shard_remote_edges() const { return shard_remote_edges_; }
-  /// kShardKeyDone notifications this shard sent to subscriber shards.
-  std::uint64_t shard_notify_msgs() const { return shard_notify_msgs_; }
-  /// kShardKeyReleased consumer-drain acks this shard sent to owners.
-  std::uint64_t shard_release_acks() const { return shard_release_acks_; }
+  /// Cross-shard protocol state and counters (remote edges, notify
+  /// messages, drain acks; all 0 at one shard).
+  const ShardLink& shard_link() const { return shard_; }
 
 private:
   /// Where a record's data comes from — decides what a lost key implies:
@@ -197,7 +198,7 @@ private:
   static constexpr std::uint32_t kNoEdge = static_cast<std::uint32_t>(-1);
 
   /// Flat task record, indexed by KeyId in records_ — sized for cache
-  /// residency (~72 bytes). The key string lives in keys_; the submitted
+  /// residency (88 bytes). The key string lives in keys_; the submitted
   /// TaskSpec stays in spec_arena_ (one wholesale vector move per
   /// update_graph) and the record points at it; cold per-task state
   /// (blocked waiters, error text) lives in side tables keyed by id.
@@ -215,18 +216,6 @@ private:
     int attempts = 0;  // executions so far (retry support)
     int pusher_client = -1;  // client id of the bridge that completed an
                              // external key (for re-push routing)
-    /// Refcount plane: consumers charged at ingestion (one per dependent
-    /// edge, decremented as each dependent reaches a terminal state) and
-    /// the historical total (a key nothing ever consumed is never
-    /// released — it is a gather target or a leaf).
-    int pending_consumers = 0;
-    int ever_consumers = 0;
-    /// GC released this key's data (state stays kMemory; the release is
-    /// a storage fact, not a lifecycle transition).
-    bool released = false;
-    /// This task's input refcounts were already returned (guards against
-    /// double decrements on poison-then-finish paths).
-    bool inputs_released = false;
     std::uint64_t bytes = 0;
     double state_since = 0.0;  // sim time of the last transition (tracing)
     std::uint64_t rearm_epoch = 0;  // bumps on memory -> external re-arm
@@ -279,24 +268,31 @@ private:
 
   exec::Co<void> handle(SchedMsg msg);
   exec::Co<void> handle_update_graph(SchedMsg& msg);
-  /// Intern a mirror record for a dependency owned by shard
-  /// `h % num_shards_`: state kExternal, origin kRemote, no spec. The
-  /// subscriber slice of the same client batch registered a completion
-  /// subscription with the owner, so kShardKeyDone will land here.
-  KeyId create_remote_mirror(std::uint64_t h, const Key& dep);
-  /// Owner side: register the subscriptions piggybacked on an
-  /// update_graph slice (sub_keys/sub_shards); keys already terminal
-  /// notify the subscriber immediately.
-  exec::Co<void> process_shard_subscriptions(SchedMsg& msg);
-  /// Send one kShardKeyDone{key, worker, bytes} (or erred + error) for
+  /// Intern `n` fresh keys in order (`key_at(i)` yields the i-th, moved
+  /// from), create each record and hand it to `init(i, id, rec)`.
+  template <typename KeyAt, typename Init>
+  void intern_batch(std::size_t n, KeyAt key_at, const char* dup, Init init);
+  /// Point record `id` at `worker` (-1: nowhere) holding `bytes`, keeping
+  /// has_what_ in step — the one place a location changes.
+  void locate(KeyId id, TaskRecord& rec, int worker, std::uint64_t bytes);
+
+  // ---- the cross-shard protocol (defined in shard.cpp) ----
+  /// Intern a record for a key owned by another shard (origin kRemote,
+  /// no spec): kExternal at ingest, completed later by kShardKeyDone;
+  /// or already memory/erred when the notification outran the slice.
+  KeyId create_mirror(std::uint64_t h, Key key, TaskState state);
+  /// Owner side: register (or answer at once) the subscriptions and
+  /// charge the consumer counts piggybacked on an update_graph slice.
+  exec::Co<void> subscribe_shards(SchedMsg& msg);
+  /// Send kShardKeyDone{key, worker, bytes} (or erred + error) for
   /// record `id` to shard `shard`.
-  exec::Co<void> notify_one_shard(int shard, KeyId id, bool erred);
-  /// Notify and drop every subscriber of `id` (no-op unless sharded and
-  /// subscribed). Called when a record reaches kMemory or kErred.
-  exec::Co<void> notify_shard_subscribers(KeyId id);
+  exec::Co<void> notify_shard(int shard, KeyId id);
+  /// Pay the intra-node control cost, then enqueue `m` at shard `shard`.
+  exec::Co<void> send_shard(int shard, SchedMsg m);
+  /// Return `count` consumer charges of mirror `id` to its owner shard.
+  exec::Co<void> drain_to_owner(KeyId id, int count);
   /// Subscriber side: complete (or poison) the local mirror record; a
-  /// re-announcement for a mirror already in memory refreshes the cached
-  /// location (post-recovery).
+  /// re-announcement for a mirror already in memory moves its location.
   exec::Co<void> handle_shard_key_done(SchedMsg& msg);
   /// Peer side of the liveness broadcast: mark the worker dead (epoch-
   /// guarded, idempotent) and run recovery over this shard's records.
@@ -304,6 +300,7 @@ private:
   /// Owner side of the cross-shard refcount: a subscriber shard returned
   /// `bytes` drained consumer charges for `key`.
   exec::Co<void> handle_shard_key_released(SchedMsg& msg);
+
   exec::Co<void> handle_task_finished(SchedMsg& msg);
   exec::Co<void> handle_update_data(SchedMsg& msg);
   /// Register one pushed/scattered key on `worker` and return the ack
@@ -339,9 +336,6 @@ private:
   void notify_producer(int client);
   /// Round-robin over live workers only.
   int pick_live_worker();
-  bool is_dead(int worker) const {
-    return dead_[static_cast<std::size_t>(worker)] != 0;
-  }
 
   /// Mark record `id` finished in memory and cascade: notify waiters,
   /// decrement dependents, assign newly-ready tasks. The
@@ -349,14 +343,20 @@ private:
   exec::Co<void> finish_task(KeyId id, TaskRecord& rec, int worker,
                             std::uint64_t bytes, bool erred,
                             const std::string& error);
-  /// Return the input refcounts a terminal task holds (one per dep) and
-  /// release any input whose last consumer this was. Idempotent per
-  /// record (inputs_released flag).
-  exec::Co<void> release_task_inputs(TaskRecord& rec);
-  /// Release `id`'s data if the refcount GC proves nothing will read it
-  /// again: gc enabled, in memory, every historical consumer finished,
-  /// no blocked waiters, and a live owner to send the release to.
-  exec::Co<void> maybe_release(KeyId id, TaskRecord& rec);
+  /// Key-terminal hook: `id` reached memory or erred. Notify its
+  /// subscriber shards, then return its input charges to the GC,
+  /// releasing every input whose last consumer it was. Callers skip the
+  /// call when terminal_work() is false, so an idle hook costs no frame.
+  exec::Co<void> key_terminal(KeyId id, TaskRecord& rec);
+  bool terminal_work(KeyId id) const {
+    return shard_.subscribed(id) || lifetime_.holds_inputs(id);
+  }
+  /// Release-candidate hook: KeyLifetime's decision on `id`, given what
+  /// only the core knows (mirror? in memory on a live worker, unwaited?).
+  Release decide_release(KeyId id);
+  /// Carry out a GC decision: free the key on its worker, or drain the
+  /// mirror's charges back to the owner shard.
+  exec::Co<void> release(KeyId id, Release r);
   exec::Co<void> assign(KeyId id);
   /// Preselection if live, else locality: locality_owner() over the live
   /// input owners, falling back to pick_live_worker() when no owner holds
@@ -418,7 +418,6 @@ private:
   std::array<std::uint64_t, kSchedMsgKindCount> arrivals_{};
   std::uint64_t total_messages_ = 0;
   std::uint64_t retries_performed_ = 0;
-  std::uint64_t keys_released_ = 0;
   /// Causality id of the handling span of the message currently being
   /// processed (0 untraced); stamped into outgoing assigns and recorded
   /// as done_cause when a key completes.
@@ -443,30 +442,9 @@ private:
   std::unordered_map<int, std::shared_ptr<exec::Channel<int>>> producer_notify_;
   RecoveryCounters recovery_;
 
-  // ---- cross-shard protocol state (see shard.hpp) ----
-  int shard_index_ = 0;
-  int num_shards_ = 1;
-  std::string actor_ = "scheduler";  // per-shard trace/span actor id
-  std::vector<exec::Channel<SchedMsg>*> shard_peers_;
-  /// Subscriber shards awaiting completion of a local key (cold: only
-  /// keys another shard depends on ever get an entry). Persistent: a key
-  /// recovered after worker loss re-announces through the same list.
-  std::unordered_map<KeyId, std::vector<int>> shard_subs_;
-  /// Owner side of the cross-shard refcount: outstanding remote consumer
-  /// charges per local key (charged by subscription slices, drained by
-  /// kShardKeyReleased acks; transiently negative when an ack outruns
-  /// its charging slice). A non-zero balance blocks the GC release.
-  std::unordered_map<KeyId, int> shard_remote_counts_;
-  /// Subscriber side: consumer charges already acked back to the owner
-  /// per mirror record (ever_consumers - acked = still to drain).
-  std::unordered_map<KeyId, int> shard_drain_acked_;
-  std::uint64_t shard_remote_edges_ = 0;
-  std::uint64_t shard_notify_msgs_ = 0;
-  std::uint64_t shard_release_acks_ = 0;
-  /// Liveness-broadcast epoch: shard 0 stamps each kShardWorkerDead with
-  /// a fresh epoch; peers drop anything at or below the last one seen.
-  std::uint64_t shard_death_epoch_ = 0;
-  std::uint64_t shard_last_death_epoch_ = 0;
+  std::string actor_ = "scheduler";  // trace/span actor id
+  ShardLink shard_;       // the cross-shard protocol (shard.hpp)
+  KeyLifetime lifetime_;  // refcount GC (key_lifetime.hpp)
 };
 
 }  // namespace deisa::dts

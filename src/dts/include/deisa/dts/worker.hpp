@@ -33,15 +33,12 @@ public:
   exec::Channel<WorkerMsg>& inbox() { return inbox_; }
 
   /// Wire up peers and the scheduler (done once by the Runtime).
-  void attach(int scheduler_node, exec::Channel<SchedMsg>* scheduler_inbox,
+  /// `scheduler_inboxes` is the shard routing table (one entry at one
+  /// shard): task completions go to the shard owning the key, keyless
+  /// traffic (heartbeats) to shard 0.
+  void attach(int scheduler_node,
+              std::vector<exec::Channel<SchedMsg>*> scheduler_inboxes,
               std::vector<WorkerRef> peers);
-
-  /// Scheduler-shard routing table (Runtime, only at shards > 1): task
-  /// completions are routed to the shard owning the key; keyless traffic
-  /// (heartbeats) keeps going to shard 0 via scheduler_inbox_.
-  void set_shards(std::vector<exec::Channel<SchedMsg>*> inboxes) {
-    shard_inboxes_ = std::move(inboxes);
-  }
 
   /// Main actor loop; exits on kShutdown.
   exec::Co<void> run();
@@ -95,10 +92,13 @@ public:
   exec::Co<const Data*> local_ref(const Key& key);
 
 private:
-  /// One in-flight peer fetch, shared by every task waiting on the key.
+  /// One in-flight peer fetch, shared by every task waiting on the key
+  /// from the same owner.
   struct InflightFetch {
-    explicit InflightFetch(exec::Executor& engine) : done(engine) {}
+    InflightFetch(exec::Executor& engine, int owner_)
+        : done(engine), owner(owner_) {}
     exec::Event done;
+    int owner;
     Data data;
   };
 
@@ -110,10 +110,9 @@ private:
   exec::Co<void> fetch_one(std::shared_ptr<std::vector<Data>> inputs,
                           std::size_t i, DepLocation dep);
   exec::Co<void> handle_get_data(WorkerMsg msg);
-  void store_put(Key key, Data data);
-  /// Like store_put, but accounts the bytes as a cached peer copy
-  /// (memory_bytes_ and peer_fetch_cached_bytes_, not bytes_stored_).
-  void store_put_cached(Key key, Data data);
+  /// Store `data` and wake local readers. A `cached` peer copy counts
+  /// in peer_fetch_cached_bytes_ instead of bytes_stored_.
+  void store_put(Key key, Data data, bool cached = false);
   exec::Co<void> notify_scheduler(
       SchedMsg msg, exec::Delivery delivery = exec::Delivery::kReliable);
 
@@ -130,9 +129,7 @@ private:
   exec::FifoServer cpu_;  // one slot: computes run one at a time
 
   int scheduler_node_ = -1;
-  exec::Channel<SchedMsg>* scheduler_inbox_ = nullptr;
-  /// Empty at shards == 1 (every branch testing it is dead then).
-  std::vector<exec::Channel<SchedMsg>*> shard_inboxes_;
+  std::vector<exec::Channel<SchedMsg>*> scheduler_inboxes_;
   std::vector<WorkerRef> peers_;
 
   std::unordered_map<Key, Data> store_;

@@ -14,10 +14,7 @@ Runtime::Runtime(exec::Executor& engine, exec::Transport& cluster,
 
   std::vector<WorkerRef> refs = worker_refs();
   sched_->attach_workers(refs);
-  for (auto& w : workers_) {
-    w->attach(scheduler_node, &sched_->shard(0).inbox(), refs);
-    if (params.shards > 1) w->set_shards(sched_->inboxes());
-  }
+  for (auto& w : workers_) w->attach(scheduler_node, sched_->inboxes(), refs);
 }
 
 std::vector<WorkerRef> Runtime::worker_refs() const {
@@ -47,8 +44,7 @@ void Runtime::start() {
 Client& Runtime::make_client(int node) {
   clients_.push_back(std::make_unique<Client>(
       *engine_, *cluster_, static_cast<int>(clients_.size()), node,
-      sched_->shard(0).node(), &sched_->shard(0).inbox(), worker_refs()));
-  if (sched_->num_shards() > 1) clients_.back()->set_shards(sched_->inboxes());
+      sched_->shard(0).node(), sched_->inboxes(), worker_refs()));
   return *clients_.back();
 }
 

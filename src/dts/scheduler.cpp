@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "deisa/dts/policy.hpp"
 #include "deisa/obs/metrics.hpp"
@@ -103,34 +104,15 @@ Scheduler::Scheduler(exec::Executor& engine, exec::Transport& cluster, int node,
       params_(params),
       inbox_(engine),
       server_(engine, 1),
-      rng_(params.seed) {}
-
-void Scheduler::set_shard_context(
-    int shard_index, int num_shards,
-    std::vector<exec::Channel<SchedMsg>*> peer_inboxes) {
-  DEISA_CHECK(num_shards >= 1 && shard_index >= 0 &&
-                  shard_index < num_shards,
-              "bad shard context " << shard_index << "/" << num_shards);
-  DEISA_CHECK(static_cast<int>(peer_inboxes.size()) == num_shards,
-              "peer inbox count " << peer_inboxes.size()
-                                  << " != num_shards " << num_shards);
-  shard_index_ = shard_index;
-  num_shards_ = num_shards;
-  shard_peers_ = std::move(peer_inboxes);
-  // The single-shard actor id stays exactly "scheduler" so traces (and
-  // the critical-path partition) are bit-identical to the unsharded
-  // scheduler.
-  actor_ = num_shards == 1 ? "scheduler"
-                           : "scheduler-" + std::to_string(shard_index);
-}
+      rng_(params.seed),
+      lifetime_(params) {}
 
 void Scheduler::attach_workers(std::vector<WorkerRef> workers) {
   workers_ = std::move(workers);
   dead_.assign(workers_.size(), 0);
   suspected_.assign(workers_.size(), 0);
   last_heartbeat_.assign(workers_.size(), -1.0);
-  has_what_.clear();
-  has_what_.resize(workers_.size());
+  has_what_.assign(workers_.size(), {});
   dead_count_ = 0;
 }
 
@@ -143,13 +125,13 @@ TaskState Scheduler::state_of(const Key& key) const {
 int Scheduler::pending_consumers(const Key& key) const {
   const KeyId id = keys_.find(key);
   DEISA_CHECK(id != kNoKeyId, "unknown task key: " << key);
-  return records_[id].pending_consumers;
+  return lifetime_.pending(id);
 }
 
 bool Scheduler::is_released(const Key& key) const {
   const KeyId id = keys_.find(key);
   DEISA_CHECK(id != kNoKeyId, "unknown task key: " << key);
-  return records_[id].released;
+  return lifetime_.released(id);
 }
 
 std::size_t Scheduler::pending_waiters() const {
@@ -322,7 +304,7 @@ exec::Co<void> Scheduler::handle(SchedMsg msg) {
       // behavior for all heartbeats: service time is their whole cost).
       if (msg.worker >= 0 &&
           static_cast<std::size_t>(msg.worker) < workers_.size()) {
-        if (is_dead(msg.worker)) {
+        if (worker_is_dead(msg.worker)) {
           ++recovery_.stale_heartbeats;
           obs::count("scheduler.stale.heartbeats");
         } else {
@@ -362,8 +344,6 @@ exec::Co<void> Scheduler::handle(SchedMsg msg) {
 exec::Co<void> Scheduler::handle_update_graph(SchedMsg& msg) {
   const std::size_t n = msg.tasks.size();
   const std::size_t ndeps = static_cast<std::size_t>(spec_dep_total(msg));
-  keys_.reserve(keys_.size() + n);
-  records_.reserve(records_.size() + n);
   deps_pool_.reserve(deps_pool_.size() + ndeps);
   edge_pool_.reserve(edge_pool_.size() + ndeps);
   scratch_batch_.clear();
@@ -374,32 +354,15 @@ exec::Co<void> Scheduler::handle_update_graph(SchedMsg& msg) {
   std::vector<TaskSpec>& batch = spec_arena_.back();
   // Pass 1: intern keys and create records in one batch, so intra-batch
   // dependencies resolve and no reference is invalidated by growth later.
-  // The loop is software-pipelined: keys are hashed kPipe items ahead and
-  // their table slots prefetched, overlapping the DRAM misses that
-  // otherwise serialize one probe per insert at 10^5-task scale.
-  constexpr std::size_t kPipe = 8;
-  std::uint64_t hpipe[kPipe];
-  for (std::size_t i = 0; i < std::min(n, kPipe); ++i) {
-    hpipe[i] = KeyTable::hash_key(batch[i].key);
-    keys_.prefetch(hpipe[i]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    TaskSpec& spec = batch[i];
-    const std::uint64_t h = hpipe[i % kPipe];
-    if (i + kPipe < n) {
-      const std::uint64_t hn = KeyTable::hash_key(batch[i + kPipe].key);
-      keys_.prefetch(hn);
-      hpipe[i % kPipe] = hn;
-    }
-    const auto [id, fresh] = keys_.intern_hashed(h, std::move(spec.key));
-    DEISA_CHECK(fresh, "task key resubmitted: " << keys_.name(id));
-    TaskRecord& rec = create_record(id);
-    rec.spec = &spec;
-    rec.preferred_worker = spec.preferred_worker;
-    rec.retries = spec.retries;
-    record_created(id, rec);
-    scratch_batch_.push_back(id);
-  }
+  intern_batch(
+      n, [&](std::size_t i) -> Key& { return batch[i].key; },
+      "task key resubmitted: ", [&](std::size_t i, KeyId id, TaskRecord& rec) {
+        rec.spec = &batch[i];
+        rec.preferred_worker = batch[i].preferred_worker;
+        rec.retries = batch[i].retries;
+        record_created(id, rec);
+        scratch_batch_.push_back(id);
+      });
   // Pass 2: wire dependency edges of the records created above (and only
   // those — incremental submission must not rescan the whole table). Dep
   // strings are resolved to ids into the CSR pool; the scheduler never
@@ -435,10 +398,8 @@ exec::Co<void> Scheduler::handle_update_graph(SchedMsg& msg) {
         }
       if (d == kNoKeyId) {
         d = keys_.find_hashed(h, dep);
-        if (d == kNoKeyId && num_shards_ > 1 &&
-            static_cast<int>(h % static_cast<std::uint64_t>(num_shards_)) !=
-                shard_index_)
-          d = create_remote_mirror(h, dep);
+        if (d == kNoKeyId && shard_.remote(h))
+          d = create_mirror(h, dep, TaskState::kExternal);
         memo[memo_rr++ % std::size(memo)] = DepMemo{h, d};
       }
       DEISA_CHECK(d != kNoKeyId,
@@ -452,21 +413,15 @@ exec::Co<void> Scheduler::handle_update_graph(SchedMsg& msg) {
         fresh = false;
         break;
       }
-      DEISA_CHECK(!drec.released,
-                  "graph references key '" << dep
-                                           << "' already released by the "
-                                              "refcount GC");
+      // Edge-ingested hook: the GC charges the dep one consumer, and an
+      // edge to a mirror counts as a cross-shard edge.
+      lifetime_.charge(d, dep);
       if (drec.origin == Origin::kRemote) {
-        ++shard_remote_edges_;
+        ++shard_.remote_edges;
         obs::count("scheduler.shard.remote_edges");
       }
       deps_pool_.push_back(d);
       ++records_[id].dep_count;
-      // Refcount plane: charge the dep one consumer per dependent edge
-      // at assignment time, regardless of its current state — the
-      // consumer will read it exactly once before finishing.
-      ++drec.pending_consumers;
-      ++drec.ever_consumers;
       if (drec.state != TaskState::kMemory) {
         ++records_[id].nwaiting;
         add_dependent(drec, id);
@@ -475,233 +430,80 @@ exec::Co<void> Scheduler::handle_update_graph(SchedMsg& msg) {
     if (fresh && records_[id].nwaiting == 0) push_ready(id);
     // Poisoned at ingestion (erred dep): the task is terminal before it
     // ever ran, so return the consumer charges on the deps it did take.
-    if (!fresh) co_await release_task_inputs(records_[id]);
+    if (!fresh && terminal_work(id)) co_await key_terminal(id, records_[id]);
   }
   // Owner-side half of the cross-shard protocol: register (or
   // immediately answer) the subscriptions piggybacked on this slice.
   // After both passes, so intra-batch producers are interned.
-  if (!msg.sub_keys.empty()) co_await process_shard_subscriptions(msg);
+  if (!msg.sub_keys.empty()) co_await subscribe_shards(msg);
   co_await drain_ready();
 }
 
-KeyId Scheduler::create_remote_mirror(std::uint64_t h, const Key& dep) {
-  const auto [id, fresh] = keys_.intern_hashed(h, Key(dep));
-  DEISA_ASSERT(fresh, "mirror for known key " << dep);
-  TaskRecord& rec = create_record(id);
-  rec.origin = Origin::kRemote;
-  rec.state = TaskState::kExternal;
-  record_created(id, rec);
-  return id;
-}
-
-exec::Co<void> Scheduler::process_shard_subscriptions(SchedMsg& msg) {
-  DEISA_CHECK(msg.sub_keys.size() == msg.sub_shards.size(),
-              "sub_keys/sub_shards length mismatch: "
-                  << msg.sub_keys.size() << " vs " << msg.sub_shards.size());
-  DEISA_CHECK(msg.sub_counts.empty() ||
-                  msg.sub_counts.size() == msg.sub_keys.size(),
-              "sub_counts length mismatch: " << msg.sub_counts.size()
-                                             << " vs " << msg.sub_keys.size());
-  for (std::size_t i = 0; i < msg.sub_keys.size(); ++i) {
-    const Key& key = msg.sub_keys[i];
-    const int sub = msg.sub_shards[i];
-    DEISA_CHECK(sub >= 0 && sub < num_shards_ && sub != shard_index_,
-                "bad subscriber shard " << sub << " for key " << key);
-    const KeyId id = keys_.find(key);
-    // FIFO channel order guarantees the producer's slice (same message)
-    // or an earlier RPC from the same client already interned the key.
-    DEISA_CHECK(id != kNoKeyId,
-                "cross-shard subscription to unknown key '" << key << "'");
-    TaskRecord& rec = records_[id];
-    // Refcount plane: the subscriber's slice charges `count` consumer
-    // edges against this key from shard `sub`; they drain back through
-    // kShardKeyReleased once those consumers reach a terminal state.
-    const int count = i < msg.sub_counts.size() ? msg.sub_counts[i] : 0;
-    if (count > 0 && params_.release_consumed) {
-      DEISA_CHECK(!rec.released,
-                  "cross-shard graph references key '"
-                      << key << "' already released by the refcount GC");
-      rec.ever_consumers += count;
-      const auto [cit, fresh] = shard_remote_counts_.try_emplace(id, 0);
-      cit->second += count;
-      if (cit->second == 0) {
-        // The drain ack outran this slice (different channels): the
-        // balance parked negative and blocked the release; it is settled
-        // now, so this charge is also the release trigger.
-        shard_remote_counts_.erase(cit);
-        co_await maybe_release(id, rec);
-      }
+template <typename KeyAt, typename Init>
+void Scheduler::intern_batch(std::size_t n, KeyAt key_at, const char* dup,
+                             Init init) {
+  keys_.reserve(keys_.size() + n);
+  records_.reserve(records_.size() + n);
+  // Software-pipelined: keys are hashed kPipe items ahead and their
+  // table slots prefetched, overlapping the DRAM misses that otherwise
+  // serialize one probe per insert at 10^5-task scale.
+  constexpr std::size_t kPipe = 8;
+  std::uint64_t hpipe[kPipe];
+  for (std::size_t i = 0; i < std::min(n, kPipe); ++i) {
+    hpipe[i] = KeyTable::hash_key(key_at(i));
+    keys_.prefetch(hpipe[i]);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t h = hpipe[i % kPipe];
+    if (i + kPipe < n) {
+      hpipe[i % kPipe] = KeyTable::hash_key(key_at(i + kPipe));
+      keys_.prefetch(hpipe[i % kPipe]);
     }
-    // Register the subscriber persistently — even when the key is
-    // already terminal: a key recovered after worker loss re-announces
-    // its fresh completion through the same list.
-    auto& subs = shard_subs_[id];
-    if (std::find(subs.begin(), subs.end(), sub) == subs.end())
-      subs.push_back(sub);
-    const TaskState st = records_[id].state;
-    if (st == TaskState::kMemory || st == TaskState::kErred)
-      co_await notify_one_shard(sub, id, st == TaskState::kErred);
+    const auto [id, fresh] = keys_.intern_hashed(h, std::move(key_at(i)));
+    DEISA_CHECK(fresh, dup << keys_.name(id));
+    init(i, id, create_record(id));
   }
 }
 
-exec::Co<void> Scheduler::notify_one_shard(int shard, KeyId id, bool erred) {
+void Scheduler::locate(KeyId id, TaskRecord& rec, int worker,
+                       std::uint64_t bytes) {
+  // Worker -1 (nowhere) casts to a huge index and fails the bound.
+  const auto from = static_cast<std::size_t>(rec.worker);
+  const auto to = static_cast<std::size_t>(worker);
+  if (rec.state == TaskState::kMemory && from < has_what_.size())
+    has_what_[from].erase(id);
+  rec.worker = worker;
+  rec.bytes = bytes;
+  if (to < has_what_.size()) has_what_[to].insert(id);
+}
+
+exec::Co<void> Scheduler::key_terminal(KeyId id, TaskRecord& rec) {
+  for (const int s : shard_.subscribers(id)) co_await notify_shard(s, id);
+  const std::span<const KeyId> deps(deps_pool_.data() + rec.dep_off,
+                                    rec.dep_count);
+  if (!lifetime_.return_inputs(id, deps)) co_return;
+  // Candidates in dep order: a release's send may suspend, but only this
+  // handler mutates the tables, so the decisions read the same state.
+  for (std::uint32_t i = 0; i < rec.dep_count; ++i) {
+    const KeyId d = deps_pool_[rec.dep_off + i];
+    if (const Release r = decide_release(d)) co_await release(d, r);
+  }
+}
+
+Release Scheduler::decide_release(KeyId id) {
   const TaskRecord& rec = records_[id];
-  SchedMsg m(SchedMsgKind::kShardKeyDone);
-  m.key = keys_.name(id);
-  m.worker = rec.worker;
-  m.bytes = rec.bytes;
-  m.erred = erred;
-  if (erred) {
-    const auto it = errors_.find(id);
-    if (it != errors_.end()) m.error = it->second;
-  }
-  m.sender_node = node_;
-  m.cause = current_cause_;
-  ++shard_notify_msgs_;
-  obs::count("scheduler.shard.notify_msgs");
-  exec::Channel<SchedMsg>* peer = shard_peers_[static_cast<std::size_t>(shard)];
-  DEISA_ASSERT(peer != nullptr, "no inbox for shard " << shard);
-  // Shards are co-located on the scheduler node; the notification still
-  // pays the intra-node control cost of an actor-to-actor message.
-  co_await cluster_->send_control(node_, node_, wire_bytes(m));
-  peer->send(std::move(m));
+  return lifetime_.decide(
+      id, rec.origin == Origin::kRemote,
+      rec.state == TaskState::kMemory && rec.worker >= 0 &&
+          !worker_is_dead(rec.worker) && waiters_.count(id) == 0);
 }
 
-exec::Co<void> Scheduler::notify_shard_subscribers(KeyId id) {
-  if (num_shards_ <= 1) co_return;
-  const auto it = shard_subs_.find(id);
-  if (it == shard_subs_.end()) co_return;
-  // The subscription list is persistent (not drained): when worker loss
-  // re-arms this key and lineage recovery completes it again, the fresh
-  // kShardKeyDone re-announces the new location to every subscriber.
-  const bool erred = records_[id].state == TaskState::kErred;
-  for (const int s : it->second) co_await notify_one_shard(s, id, erred);
-}
-
-exec::Co<void> Scheduler::handle_shard_key_done(SchedMsg& msg) {
-  KeyId id = keys_.find(msg.key);
-  if (id == kNoKeyId) {
-    // The notification outran this shard's slice of the client batch
-    // (the owner ran its slice to completion first): register the
-    // remote key as already done — the late slice resolves it as a
-    // satisfied (or erred) dependency.
-    id = keys_.intern(std::move(msg.key)).first;
-    TaskRecord& rec = create_record(id);
-    rec.origin = Origin::kRemote;
-    if (msg.erred) {
-      rec.state = TaskState::kErred;
-      errors_[id] = msg.error;
-    } else {
-      rec.state = TaskState::kMemory;
-      rec.worker = msg.worker;
-      rec.bytes = msg.bytes;
-      rec.done_cause = current_cause_;
-      if (msg.worker >= 0 &&
-          static_cast<std::size_t>(msg.worker) < has_what_.size())
-        has_what_[static_cast<std::size_t>(msg.worker)].insert(id);
-    }
-    record_created(id, rec);
+exec::Co<void> Scheduler::release(KeyId id, Release r) {
+  if (r.kind == Release::kDrain) {
+    co_await drain_to_owner(id, r.count);
     co_return;
   }
   TaskRecord& rec = records_[id];
-  DEISA_ASSERT(rec.origin == Origin::kRemote,
-               "shard_key_done for locally owned key " << msg.key);
-  if (rec.state == TaskState::kErred) co_return;  // terminal: duplicate
-  if (rec.state == TaskState::kMemory) {
-    // A re-announcement (or a notification that outran the death
-    // broadcast for this mirror's worker): refresh the cached location
-    // so assigns and recovery see where the bytes actually live now.
-    if (rec.worker >= 0 &&
-        static_cast<std::size_t>(rec.worker) < has_what_.size())
-      has_what_[static_cast<std::size_t>(rec.worker)].erase(id);
-    if (msg.erred) {
-      // The owner lost the key unrecoverably after announcing it.
-      co_await poison_task(id, msg.error);
-      co_return;
-    }
-    rec.worker = msg.worker;
-    rec.bytes = msg.bytes;
-    if (msg.worker >= 0 &&
-        static_cast<std::size_t>(msg.worker) < has_what_.size())
-      has_what_[static_cast<std::size_t>(msg.worker)].insert(id);
-    co_return;
-  }
-  if (msg.erred) {
-    co_await poison_task(id, msg.error);
-  } else {
-    co_await finish_task(id, rec, msg.worker, msg.bytes, false, {});
-  }
-}
-
-exec::Co<void> Scheduler::release_task_inputs(TaskRecord& rec) {
-  if (rec.inputs_released) co_return;
-  rec.inputs_released = true;
-  if (!params_.release_consumed) co_return;
-  for (std::uint32_t i = 0; i < rec.dep_count; ++i) {
-    const KeyId d = deps_pool_[rec.dep_off + i];
-    TaskRecord& drec = records_[d];
-    DEISA_ASSERT(drec.pending_consumers > 0,
-                 "refcount underflow on " << keys_.name(d));
-    --drec.pending_consumers;
-    co_await maybe_release(d, drec);
-  }
-}
-
-exec::Co<void> Scheduler::maybe_release(KeyId id, TaskRecord& rec) {
-  if (!params_.release_consumed) co_return;
-  if (rec.origin == Origin::kRemote) {
-    // Subscriber side of the cross-shard refcount: a mirror is never
-    // released locally — the owner shard holds the authoritative count.
-    // Once every local consumer charged against the mirror has drained,
-    // return the charges with a consumer-drain ack; the owner releases
-    // iff its local AND remote consumers are all accounted for.
-    if (rec.pending_consumers != 0) co_return;
-    int& acked = shard_drain_acked_[id];
-    if (rec.ever_consumers <= acked) co_return;
-    const int count = rec.ever_consumers - acked;
-    acked = rec.ever_consumers;
-    const Key& name = keys_.name(id);
-    const int owner = static_cast<int>(
-        KeyTable::hash_key(name) % static_cast<std::uint64_t>(num_shards_));
-    DEISA_ASSERT(owner != shard_index_,
-                 "remote mirror " << name << " owned by this shard");
-    SchedMsg m(SchedMsgKind::kShardKeyReleased);
-    m.key = name;
-    m.bytes = static_cast<std::uint64_t>(count);
-    m.sender_node = node_;
-    m.cause = current_cause_;
-    ++shard_release_acks_;
-    obs::count("scheduler.shard.release_acks");
-    exec::Channel<SchedMsg>* peer =
-        shard_peers_[static_cast<std::size_t>(owner)];
-    DEISA_ASSERT(peer != nullptr, "no inbox for shard " << owner);
-    // Enqueue before charging the control cost: the client may observe the
-    // consumer's completion (release_waiters runs first in finish_task) and
-    // enqueue kShutdown in this very tick — landing the ack in the owner's
-    // FIFO inbox now guarantees it is processed before that shutdown, so
-    // the final step of a run drains exactly like every other step. The
-    // intra-node control cost is still accounted against the network model.
-    const std::size_t ack_bytes = wire_bytes(m);
-    peer->send(std::move(m));
-    co_await cluster_->send_control(node_, node_, ack_bytes);
-    co_return;
-  }
-  if (rec.released || rec.state != TaskState::kMemory) co_return;
-  // Never release a key that still has (or could get) readers: a pending
-  // consumer holds a charge until it reaches a terminal state, a key
-  // nothing ever consumed is a gather target or a leaf, and a blocked
-  // wait_key means a client is about to fetch it.
-  if (rec.ever_consumers == 0 || rec.pending_consumers > 0) co_return;
-  // Cross-shard consumers: a non-zero balance means remote charges are
-  // still outstanding (positive) or a drain ack outran its charging
-  // slice (negative) — either way the release must wait.
-  if (const auto it = shard_remote_counts_.find(id);
-      it != shard_remote_counts_.end() && it->second != 0)
-    co_return;
-  if (waiters_.count(id) != 0) co_return;
-  if (rec.worker < 0 || worker_is_dead(rec.worker)) co_return;
-  rec.released = true;
-  ++keys_released_;
   has_what_[static_cast<std::size_t>(rec.worker)].erase(id);
   if (auto* m = obs::metrics()) {
     m->counter("scheduler.gc.keys_released").add();
@@ -721,29 +523,11 @@ exec::Co<void> Scheduler::maybe_release(KeyId id, TaskRecord& rec) {
   ref.inbox->send(std::move(m));
 }
 
-exec::Co<void> Scheduler::handle_shard_key_released(SchedMsg& msg) {
-  const KeyId id = keys_.find(msg.key);
-  DEISA_CHECK(id != kNoKeyId,
-              "consumer-drain ack for unknown key '" << msg.key << "'");
-  TaskRecord& rec = records_[id];
-  DEISA_ASSERT(rec.origin != Origin::kRemote,
-               "consumer-drain ack routed to a subscriber shard for "
-                   << msg.key);
-  const int count = static_cast<int>(msg.bytes);
-  const auto [it, fresh] = shard_remote_counts_.try_emplace(id, 0);
-  it->second -= count;
-  // A drain ack can outrun the subscription slice that charges its batch
-  // (they travel on different channels): the balance parks negative and
-  // the release stays blocked until the slice settles it back to zero.
-  if (it->second == 0) shard_remote_counts_.erase(it);
-  co_await maybe_release(id, rec);
-}
-
 int Scheduler::pick_live_worker() {
   DEISA_CHECK(live_workers() > 0, "no live workers left");
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     const int w = static_cast<int>(rr_next_worker_++ % workers_.size());
-    if (!is_dead(w)) return w;
+    if (!worker_is_dead(w)) return w;
   }
   return -1;  // unreachable: the check above guarantees a live worker
 }
@@ -756,7 +540,7 @@ int Scheduler::decide_worker(const TaskRecord& rec) {
                 "preferred worker out of range");
     // A dead preferred worker falls through to locality instead of
     // assigning work to a corpse.
-    if (!is_dead(rec.preferred_worker)) return rec.preferred_worker;
+    if (!worker_is_dead(rec.preferred_worker)) return rec.preferred_worker;
   }
   // Locality: which live workers already hold input bytes, accumulated
   // on two parallel scratch arrays in dep order (a task has a handful of
@@ -820,10 +604,9 @@ exec::Co<void> Scheduler::poison_task(KeyId id, const std::string& error) {
     transition(id, rec, TaskState::kErred);
     errors_[id] = error;
     co_await release_waiters(id, kAckErred);
-    if (num_shards_ > 1) co_await notify_shard_subscribers(id);
     // Erred is terminal (retries were exhausted upstream): the task will
     // never read its inputs, so return their consumer charges.
-    co_await release_task_inputs(rec);
+    if (terminal_work(id)) co_await key_terminal(id, rec);
   }
   // Poison the whole downstream cone, replying to any waiters so blocked
   // clients observe the failure instead of hanging.
@@ -839,8 +622,7 @@ exec::Co<void> Scheduler::poison_task(KeyId id, const std::string& error) {
     transition(dk, drec, TaskState::kErred);
     errors_[dk] = "dependency erred: " + keys_.name(id);
     co_await release_waiters(dk, kAckErred);
-    if (num_shards_ > 1) co_await notify_shard_subscribers(dk);
-    co_await release_task_inputs(drec);
+    if (terminal_work(dk)) co_await key_terminal(dk, drec);
     take_dependents(drec, next);
     poison.insert(poison.end(), next.begin(), next.end());
   }
@@ -865,24 +647,18 @@ exec::Co<void> Scheduler::finish_task(KeyId id, TaskRecord& rec, int worker,
     co_await poison_task(id, error);
     co_return;
   }
-  rec.worker = worker;
-  rec.bytes = bytes;
+  locate(id, rec, worker, bytes);
   transition(id, rec, TaskState::kMemory);
   rec.done_cause = current_cause_;
   errors_.erase(id);
-  if (worker >= 0 && static_cast<std::size_t>(worker) < has_what_.size())
-    has_what_[static_cast<std::size_t>(worker)].insert(id);
-  // Cross-shard half of the completion cascade: subscriber shards get
-  // kShardKeyDone before local waiters/dependents are serviced, so both
-  // sides observe the completion in the same causal order.
-  if (num_shards_ > 1) co_await notify_shard_subscribers(id);
-  // Refcount plane: this task has read its inputs for the last time —
-  // return the charges, releasing any input whose last consumer it was.
-  // This runs BEFORE waiters wake: a client observing this completion may
-  // shut the runtime down in direct response (the last step of a run), and
-  // any cross-shard drain ack must already sit in the owner's FIFO inbox
-  // by then or the final release is lost on both substrates.
-  co_await release_task_inputs(rec);
+  // Key-terminal hook, BEFORE local waiters/dependents are serviced:
+  // subscriber shards get kShardKeyDone first, so both sides observe the
+  // completion in the same causal order; then the task returns its input
+  // charges. A client observing this completion may shut the runtime down
+  // in direct response (the last step of a run), and any cross-shard
+  // drain ack must already sit in the owner's FIFO inbox by then or the
+  // final release is lost on both substrates.
+  if (terminal_work(id)) co_await key_terminal(id, rec);
   // Wake clients blocked in wait_key/gather.
   co_await release_waiters(id, worker);
   // Unblock dependents (standard task-finished stimulus; external tasks
@@ -894,10 +670,11 @@ exec::Co<void> Scheduler::finish_task(KeyId id, TaskRecord& rec, int worker,
       push_ready(dk);
   }
   co_await drain_ready();
-  // Covers the consumers-finished-first edge: if every consumer of this
-  // key reached a terminal state before the key itself completed (e.g.
-  // they were poisoned), its refcount is already zero on arrival.
-  co_await maybe_release(id, rec);
+  // Release-candidate hook for the key itself. Covers the
+  // consumers-finished-first edge: if every consumer of this key reached
+  // a terminal state before the key itself completed (e.g. they were
+  // poisoned), its refcount is already zero on arrival.
+  if (const Release r = decide_release(id)) co_await release(id, r);
 }
 
 exec::Co<void> Scheduler::handle_task_finished(SchedMsg& msg) {
@@ -942,32 +719,25 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
   int ack = worker;
   KeyId id = keys_.find(key);
   if (id == kNoKeyId) {
+    id = keys_.intern(std::move(key)).first;
+    TaskRecord& rec = create_record(id);
+    rec.origin = Origin::kScattered;
     if (worker_is_dead(worker)) {
       // The scatter raced a worker crash: the payload landed nowhere.
       // Register the key as erred so consumers fail fast instead of
       // waiting on data that does not exist.
-      id = keys_.intern(std::move(key)).first;
-      TaskRecord& rec = create_record(id);
-      rec.origin = Origin::kScattered;
       rec.state = TaskState::kErred;
       errors_[id] = "scattered to lost worker " + std::to_string(worker);
-      record_created(id, rec);
       ++recovery_.keys_lost;
       obs::count("scheduler.recovery.keys_lost");
       ack = kAckErred;
     } else {
       // Plain scatter of a fresh key: register it directly in memory.
-      id = keys_.intern(std::move(key)).first;
-      TaskRecord& rec = create_record(id);
-      rec.origin = Origin::kScattered;
       rec.state = TaskState::kMemory;
-      rec.worker = worker;
-      rec.bytes = bytes;
       rec.pusher_client = sender_client;
-      record_created(id, rec);
-      if (worker >= 0 && static_cast<std::size_t>(worker) < has_what_.size())
-        has_what_[static_cast<std::size_t>(worker)].insert(id);
+      locate(id, rec, worker, bytes);
     }
+    record_created(id, rec);
   } else {
     TaskRecord& rec = records_[id];
     switch (rec.state) {
@@ -1014,15 +784,8 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
         } else {
           // Re-scatter of an existing key: refresh location. Fresh bytes
           // landed, so a GC release from a previous round is undone.
-          if (rec.worker >= 0 &&
-              static_cast<std::size_t>(rec.worker) < has_what_.size())
-            has_what_[static_cast<std::size_t>(rec.worker)].erase(id);
-          rec.worker = worker;
-          rec.bytes = bytes;
-          rec.released = false;
-          if (worker >= 0 &&
-              static_cast<std::size_t>(worker) < has_what_.size())
-            has_what_[static_cast<std::size_t>(worker)].insert(id);
+          locate(id, rec, worker, bytes);
+          lifetime_.refilled(id);
         }
         break;
       default:
@@ -1084,41 +847,26 @@ void Scheduler::handle_create_external(SchedMsg& msg) {
   DEISA_CHECK(msg.preferred_workers.empty() ||
                   msg.preferred_workers.size() == msg.keys.size(),
               "preferred_workers must be empty or match keys");
-  const std::size_t n = msg.keys.size();
-  keys_.reserve(keys_.size() + n);
-  records_.reserve(records_.size() + n);
-  // Same hash-ahead pipeline as update_graph pass 1.
-  constexpr std::size_t kPipe = 8;
-  std::uint64_t hpipe[kPipe];
-  for (std::size_t i = 0; i < std::min(n, kPipe); ++i) {
-    hpipe[i] = KeyTable::hash_key(msg.keys[i]);
-    keys_.prefetch(hpipe[i]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t h = hpipe[i % kPipe];
-    if (i + kPipe < n) {
-      const std::uint64_t hn = KeyTable::hash_key(msg.keys[i + kPipe]);
-      keys_.prefetch(hn);
-      hpipe[i % kPipe] = hn;
-    }
-    const auto [id, fresh] = keys_.intern_hashed(h, std::move(msg.keys[i]));
-    DEISA_CHECK(fresh, "external task key already exists: " << keys_.name(id));
-    TaskRecord& rec = create_record(id);
-    rec.origin = Origin::kExternal;
-    if (!msg.preferred_workers.empty()) {
-      int pw = msg.preferred_workers[i];
-      if (pw >= 0 && worker_is_dead(pw)) {
-        // Preselection targets a worker that has since died: re-route at
-        // creation so the producer is never told to push at a corpse.
-        pw = pick_live_worker();
-        ++recovery_.external_rerouted;
-        obs::count("scheduler.recovery.external_rerouted");
-      }
-      rec.preferred_worker = pw;
-    }
-    rec.state = TaskState::kExternal;
-    record_created(id, rec);
-  }
+  intern_batch(
+      msg.keys.size(), [&](std::size_t i) -> Key& { return msg.keys[i]; },
+      "external task key already exists: ",
+      [&](std::size_t i, KeyId id, TaskRecord& rec) {
+        rec.origin = Origin::kExternal;
+        if (!msg.preferred_workers.empty()) {
+          int pw = msg.preferred_workers[i];
+          if (pw >= 0 && worker_is_dead(pw)) {
+            // Preselection targets a worker that has since died: re-route
+            // at creation so the producer is never told to push at a
+            // corpse.
+            pw = pick_live_worker();
+            ++recovery_.external_rerouted;
+            obs::count("scheduler.recovery.external_rerouted");
+          }
+          rec.preferred_worker = pw;
+        }
+        rec.state = TaskState::kExternal;
+        record_created(id, rec);
+      });
 }
 
 exec::Co<void> Scheduler::handle_wait_key(SchedMsg& msg) {
@@ -1200,7 +948,7 @@ exec::Co<void> Scheduler::run_failure_detector() {
   // liveness authority. Peer shards must not run deadline scans over
   // heartbeats they never receive (every worker would look dead); they
   // learn of deaths through the kShardWorkerDead broadcast instead.
-  if (num_shards_ > 1 && shard_index_ != 0) co_return;
+  if (shard_.index != 0) co_return;
   const double interval = params_.heartbeat_timeout / 4.0;
   // Workers that have not heartbeated yet are measured from arming time,
   // so a worker that dies before its first heartbeat is still detected.
@@ -1233,7 +981,7 @@ exec::Co<void> Scheduler::handle_worker_lost(SchedMsg& msg) {
   const int w = msg.worker;
   if (w < 0 || static_cast<std::size_t>(w) >= workers_.size()) co_return;
   suspected_[static_cast<std::size_t>(w)] = 0;
-  if (is_dead(w)) co_return;
+  if (worker_is_dead(w)) co_return;
   // A heartbeat may have slipped in while this report queued: re-check
   // the deadline before declaring the worker dead.
   const double hb = last_heartbeat_[static_cast<std::size_t>(w)];
@@ -1249,44 +997,11 @@ exec::Co<void> Scheduler::handle_worker_lost(SchedMsg& msg) {
   obs::trace_instant(actor_, "recovery",
                      "worker_lost:worker-" + std::to_string(w));
   DEISA_TRACE("scheduler", "worker " << w << " declared lost; recovering");
-  if (num_shards_ > 1) {
-    // Liveness authority: broadcast the death (epoch in `bytes`) before
-    // running local recovery, so peer shards start recovering their own
-    // records — mirrors included — as early as possible. Deaths are
-    // monotone (workers never rejoin) and the epoch only moves forward,
-    // so a stale or duplicated report can never re-kill a worker whose
-    // recovery a peer already ran (DESIGN.md §5j).
-    const std::uint64_t epoch = ++shard_death_epoch_;
-    for (int s = 0; s < num_shards_; ++s) {
-      if (s == shard_index_) continue;
-      SchedMsg m(SchedMsgKind::kShardWorkerDead);
-      m.worker = w;
-      m.bytes = epoch;
-      m.sender_node = node_;
-      m.cause = current_cause_;
-      co_await cluster_->send_control(node_, node_, wire_bytes(m));
-      shard_peers_[static_cast<std::size_t>(s)]->send(std::move(m));
-    }
-  }
-  co_await recover_worker(w);
-}
-
-exec::Co<void> Scheduler::handle_shard_worker_dead(SchedMsg& msg) {
-  const int w = msg.worker;
-  if (w < 0 || static_cast<std::size_t>(w) >= workers_.size()) co_return;
-  // Epoch guard: drop anything at or below the last death this shard
-  // processed, and anything about a worker already marked dead. With
-  // FIFO delivery from shard 0 this only fires on duplicated or stale
-  // reports, but it makes the broadcast safely idempotent either way.
-  if (msg.bytes <= shard_last_death_epoch_ || is_dead(w)) co_return;
-  shard_last_death_epoch_ = msg.bytes;
-  dead_[static_cast<std::size_t>(w)] = 1;
-  ++dead_count_;
-  // recovery_.workers_lost stays untouched here: shard 0 counted the
-  // death once; per-shard sums must equal the single-scheduler count.
-  obs::count("scheduler.shard.worker_dead");
-  obs::trace_instant(actor_, "recovery",
-                     "shard_worker_dead:worker-" + std::to_string(w));
+  // Worker-dead hook. As the liveness authority, broadcast the death
+  // before running local recovery, so peer shards start recovering their
+  // own records — mirrors included — as early as possible.
+  Slices broadcast = shard_.worker_dead(w);
+  for (auto& [s, m] : broadcast) co_await send_shard(s, std::move(m));
   co_await recover_worker(w);
 }
 

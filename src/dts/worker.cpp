@@ -31,10 +31,10 @@ void Worker::record_memory() {
 }
 
 void Worker::attach(int scheduler_node,
-                    exec::Channel<SchedMsg>* scheduler_inbox,
+                    std::vector<exec::Channel<SchedMsg>*> scheduler_inboxes,
                     std::vector<WorkerRef> peers) {
   scheduler_node_ = scheduler_node;
-  scheduler_inbox_ = scheduler_inbox;
+  scheduler_inboxes_ = std::move(scheduler_inboxes);
   peers_ = std::move(peers);
 }
 
@@ -120,30 +120,20 @@ bool Worker::release_key(const Key& key) {
   return true;
 }
 
-void Worker::store_put(Key key, Data data) {
-  bytes_stored_ += data.bytes;
+void Worker::store_put(Key key, Data data, bool cached) {
+  if (cached) {
+    // A cached copy of a peer's data is resident memory, but it is not
+    // new data produced or received by this worker: account it on its
+    // own counter so bytes_stored() keeps measuring store throughput.
+    peer_fetch_cached_bytes_ += data.bytes;
+    if (auto* m = obs::metrics())
+      m->counter("worker.peer_fetch_cached_bytes").add(data.bytes);
+  } else {
+    bytes_stored_ += data.bytes;
+  }
   memory_bytes_ += data.bytes;
   // Single probe: try_emplace finds-or-inserts in one hash, and the key
   // string moves into the store instead of being copied.
-  const auto [slot, fresh] = store_.try_emplace(std::move(key));
-  if (!fresh) memory_bytes_ -= slot->second.bytes;
-  slot->second = std::move(data);
-  record_memory();
-  const auto it = arrivals_.find(slot->first);
-  if (it != arrivals_.end()) {
-    it->second->set();
-    arrivals_.erase(it);
-  }
-}
-
-void Worker::store_put_cached(Key key, Data data) {
-  // A cached copy of a peer's data is resident memory, but it is not new
-  // data produced or received by this worker: account it on its own
-  // counter so bytes_stored() keeps measuring store throughput.
-  peer_fetch_cached_bytes_ += data.bytes;
-  if (auto* m = obs::metrics())
-    m->counter("worker.peer_fetch_cached_bytes").add(data.bytes);
-  memory_bytes_ += data.bytes;
   const auto [slot, fresh] = store_.try_emplace(std::move(key));
   if (!fresh) memory_bytes_ -= slot->second.bytes;
   slot->second = std::move(data);
@@ -191,9 +181,12 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
     obs::count_moved(hit->second.bytes);
     co_return hit->second;
   }
-  // The same key is already on the wire for another task: join that
-  // fetch instead of issuing a duplicate request to the peer.
-  if (const auto it = inflight_.find(dep.key); it != inflight_.end()) {
+  // The same key is already on the wire from the same peer for another
+  // task: join that fetch instead of issuing a duplicate request. A flight
+  // from another peer is never joined: recovery moved the key, and the
+  // old peer may be dead and never answer (the re-run task would hang).
+  if (const auto it = inflight_.find(dep.key);
+      it != inflight_.end() && it->second->owner == dep.owner) {
     auto flight = it->second;  // keep alive across the await
     ++peer_fetches_shared_;
     obs::count("worker.peer_fetch_shared");
@@ -203,8 +196,8 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
   // First requester: register the flight *before* waiting for a fetch
   // slot so later requesters of the same key join immediately instead of
   // queueing their own fetch behind the semaphore.
-  auto flight = std::make_shared<InflightFetch>(*engine_);
-  inflight_.emplace(dep.key, flight);
+  auto flight = std::make_shared<InflightFetch>(*engine_, dep.owner);
+  inflight_[dep.key] = flight;
   co_await fetch_slots_.acquire();
   // Peer fetch: request + bulk transfer back.
   const WorkerRef& peer = peers_[static_cast<std::size_t>(dep.owner)];
@@ -231,7 +224,7 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
   }
   // Cache locally, as dask workers do (skip if we crashed mid-fetch:
   // the store of a dead worker stays empty).
-  if (alive_) store_put_cached(dep.key, d);
+  if (alive_) store_put(dep.key, d, /*cached=*/true);
   flight->data = d;
   flight->done.set();
   inflight_.erase(dep.key);
@@ -323,14 +316,12 @@ exec::Co<void> Worker::handle_compute(TaskSpec spec,
 }
 
 exec::Co<void> Worker::notify_scheduler(SchedMsg msg, exec::Delivery delivery) {
-  DEISA_ASSERT(scheduler_inbox_ != nullptr, "worker not attached");
+  DEISA_ASSERT(!scheduler_inboxes_.empty(), "worker not attached");
   // Keyed notifications go to the shard owning the key; keyless traffic
-  // (heartbeats) stays on shard 0. Dead branch at shards == 1.
-  exec::Channel<SchedMsg>* target = scheduler_inbox_;
-  if (!shard_inboxes_.empty() && !msg.key.empty()) {
-    ShardMapper mapper{static_cast<int>(shard_inboxes_.size())};
-    target = shard_inboxes_[static_cast<std::size_t>(mapper.shard_of(msg.key))];
-  }
+  // (heartbeats) stays on shard 0.
+  const ShardMapper mapper{static_cast<int>(scheduler_inboxes_.size())};
+  exec::Channel<SchedMsg>* target = scheduler_inboxes_[static_cast<std::size_t>(
+      msg.key.empty() ? 0 : mapper.shard_of(msg.key))];
   const exec::SendResult res = co_await cluster_->send_control(
       node_, scheduler_node_, wire_bytes(msg), delivery);
   // Delivery is caller-side: enqueue 0, 1 or 2 copies as the fault hook

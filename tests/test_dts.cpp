@@ -611,4 +611,118 @@ TEST(Dts, ReleaseConsumedFreesConsumedKeys) {
             1u);
 }
 
+// ---- KeyLifetime alone: no engine, no runtime ----
+
+dts::SchedulerParams gc_on() {
+  dts::SchedulerParams p;
+  p.release_consumed = true;
+  return p;
+}
+
+TEST(KeyLifetime, RejectsRefcountGcWithArmedFailureDetector) {
+  dts::SchedulerParams p = gc_on();
+  p.heartbeat_timeout = 1.0;
+  try {
+    dts::KeyLifetime lifetime(p);
+    FAIL() << "release_consumed with heartbeat_timeout > 0 was accepted";
+  } catch (const deisa::util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("release_consumed"), std::string::npos) << what;
+    EXPECT_NE(what.find("heartbeat_timeout"), std::string::npos) << what;
+    EXPECT_NE(what.find("DESIGN.md"), std::string::npos) << what;
+  }
+  // Either option alone is fine.
+  EXPECT_NO_THROW(dts::KeyLifetime{gc_on()});
+  dts::SchedulerParams detector_only;
+  detector_only.heartbeat_timeout = 1.0;
+  EXPECT_NO_THROW(dts::KeyLifetime{detector_only});
+}
+
+TEST(KeyLifetime, OffKeepsNothingAndNeverReleases) {
+  dts::KeyLifetime lifetime{dts::SchedulerParams{}};
+  lifetime.charge(0, "a");
+  EXPECT_EQ(lifetime.pending(0), 0);
+  EXPECT_FALSE(lifetime.holds_inputs(1));
+  const dts::KeyId deps[] = {0};
+  EXPECT_FALSE(lifetime.return_inputs(1, deps));
+  EXPECT_FALSE(lifetime.decide(0, /*mirror=*/false, /*freeable=*/true));
+  EXPECT_EQ(lifetime.keys_released(), 0u);
+}
+
+TEST(KeyLifetime, ReleasesOnceAfterTheLastConsumerReturnsItsCharge) {
+  dts::KeyLifetime lifetime{gc_on()};
+  // Key 0 feeds tasks 1 and 2; task 2 lists it twice (two edges).
+  lifetime.charge(0, "a");
+  lifetime.charge(0, "a");
+  lifetime.charge(0, "a");
+  EXPECT_EQ(lifetime.pending(0), 3);
+  const dts::KeyId one[] = {0};
+  const dts::KeyId two[] = {0, 0};
+  ASSERT_TRUE(lifetime.return_inputs(1, one));
+  EXPECT_FALSE(lifetime.return_inputs(1, one));  // already returned
+  EXPECT_FALSE(lifetime.decide(0, false, true));
+  ASSERT_TRUE(lifetime.return_inputs(2, two));
+  EXPECT_EQ(lifetime.pending(0), 0);
+  // Only the core's facts hold it now: not freeable means keep.
+  EXPECT_FALSE(lifetime.decide(0, false, /*freeable=*/false));
+  EXPECT_EQ(lifetime.decide(0, false, true).kind, dts::Release::kFree);
+  EXPECT_TRUE(lifetime.released(0));
+  EXPECT_FALSE(lifetime.decide(0, false, true));  // exactly once
+  EXPECT_EQ(lifetime.keys_released(), 1u);
+  // A released key cannot be charged again; a re-scatter undoes it.
+  EXPECT_THROW(lifetime.charge(0, "a"), deisa::util::Error);
+  lifetime.refilled(0);
+  EXPECT_FALSE(lifetime.released(0));
+  // A key nothing ever consumed (a gather target) is never released.
+  EXPECT_FALSE(lifetime.decide(7, false, true));
+}
+
+TEST(KeyLifetime, EarlyDrainAckParksTheBalanceUntilItsSliceSettlesIt) {
+  dts::KeyLifetime lifetime{gc_on()};
+  // Owner key 0 has one local consumer (task 1), finished.
+  lifetime.charge(0, "x");
+  const dts::KeyId deps[] = {0};
+  ASSERT_TRUE(lifetime.return_inputs(1, deps));
+  // The subscriber's drain ack for 2 remote consumers outruns the slice
+  // that charges them: the balance parks at -2 and blocks the release.
+  lifetime.drain_remote(0, 2);
+  EXPECT_FALSE(lifetime.decide(0, false, true));
+  // The slice lands and settles the balance: that charge is the trigger.
+  EXPECT_TRUE(lifetime.charge_remote(0, "x", 2));
+  EXPECT_EQ(lifetime.decide(0, false, true).kind, dts::Release::kFree);
+  EXPECT_FALSE(lifetime.decide(0, false, true));
+  EXPECT_EQ(lifetime.keys_released(), 1u);
+}
+
+TEST(KeyLifetime, InOrderRemoteChargesBlockUntilDrained) {
+  dts::KeyLifetime lifetime{gc_on()};
+  EXPECT_FALSE(lifetime.charge_remote(0, "x", 3));  // not a settle
+  EXPECT_FALSE(lifetime.charge_remote(0, "x", 0));  // no charge at all
+  EXPECT_FALSE(lifetime.decide(0, false, true));
+  lifetime.drain_remote(0, 3);
+  EXPECT_EQ(lifetime.decide(0, false, true).kind, dts::Release::kFree);
+}
+
+TEST(KeyLifetime, MirrorDrainsExactlyTheChargesNotYetReturned) {
+  dts::KeyLifetime lifetime{gc_on()};
+  // Mirror 0 feeds tasks 1, 2 and 3.
+  for (int i = 0; i < 3; ++i) lifetime.charge(0, "m");
+  const dts::KeyId deps[] = {0};
+  ASSERT_TRUE(lifetime.return_inputs(1, deps));
+  EXPECT_FALSE(lifetime.decide(0, /*mirror=*/true, false));
+  ASSERT_TRUE(lifetime.return_inputs(2, deps));
+  ASSERT_TRUE(lifetime.return_inputs(3, deps));
+  const dts::Release r = lifetime.decide(0, true, false);
+  EXPECT_EQ(r.kind, dts::Release::kDrain);
+  EXPECT_EQ(r.count, 3);
+  EXPECT_FALSE(lifetime.decide(0, true, false));  // nothing left to drain
+  // A later slice charges one more consumer: only that one drains.
+  lifetime.charge(0, "m");
+  ASSERT_TRUE(lifetime.return_inputs(4, deps));
+  const dts::Release again = lifetime.decide(0, true, false);
+  EXPECT_EQ(again.kind, dts::Release::kDrain);
+  EXPECT_EQ(again.count, 1);
+  EXPECT_EQ(lifetime.keys_released(), 0u);  // mirrors are never freed
+}
+
 }  // namespace

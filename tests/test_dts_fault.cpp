@@ -479,4 +479,25 @@ TEST(ShardedFault, SeededWorkerKillMatchesFaultFreeResults) {
   }
 }
 
+TEST(ShardedFault, RerunTaskNeverJoinsAFetchFromTheDeadWorker) {
+  // CI's fault matrix at four shards, scaled down: a task re-run after
+  // worker 1's death must fetch its re-pushed input from the new owner.
+  // Joining the fetch its first attempt left waiting on the dead worker
+  // hangs the run until the simulated-time cap.
+  harness::ScenarioParams p;
+  p.ranks = 4;
+  p.workers = 3;
+  p.block_bytes = 128 << 10;
+  p.timesteps = 4;
+  p.real_data = true;
+  p.shards = 4;
+  const auto clean = harness::run_scenario(harness::Pipeline::kDeisa3, p);
+  auto pf = p;
+  pf.faults.kills.emplace_back(1, 0.1);
+  const auto faulty = harness::run_scenario(harness::Pipeline::kDeisa3, pf);
+  EXPECT_EQ(faulty.recovery.workers_lost, 1u);
+  EXPECT_GT(faulty.recovery.mirrors_rearmed, 0u);
+  EXPECT_EQ(faulty.singular_values, clean.singular_values);
+}
+
 }  // namespace

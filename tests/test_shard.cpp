@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -78,10 +79,10 @@ TEST(ShardMapper, SingleShardMapsEverythingToZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(m.shard_of(random_key(rng)), 0);
 }
 
-/// Split a random DAG per shard exactly as the client does (tasks to the
-/// shard owning their key; each cross-shard edge subscribes the consumer
-/// shard at the dependency's owner) and check the pieces reassemble to
-/// the original edge set — no edge lost, duplicated, or invented.
+/// Split a random DAG with the client's own split (dts::split_graph) and
+/// check the pieces reassemble to the original edge set — no edge lost,
+/// duplicated, or invented — and that the piggybacked consumer counts
+/// charge exactly the cross-shard edges.
 TEST(ShardMapper, RandomDagSplitReassemblesToOriginalEdgeSet) {
   Rng rng(0xDA6);
   for (int shards : {2, 3, 4, 8}) {
@@ -89,69 +90,88 @@ TEST(ShardMapper, RandomDagSplitReassemblesToOriginalEdgeSet) {
     // Random layered DAG: keys "t<i>", deps drawn from earlier keys.
     const int n = 400;
     std::vector<std::string> keyring;
-    std::vector<std::vector<std::string>> deps(n);
+    dts::SchedMsg msg(dts::SchedMsgKind::kUpdateGraph);
     std::set<std::pair<std::string, std::string>> original;  // (task, dep)
     for (int i = 0; i < n; ++i) {
       keyring.push_back("t" + std::to_string(i) + "-" +
                         std::to_string(rng.uniform_index(1 << 16)));
-      if (i == 0) continue;
-      const int ndeps =
-          static_cast<int>(rng.uniform_index(
-              static_cast<std::uint64_t>(std::min(i, 3)) + 1));
-      std::set<int> picked;
-      while (static_cast<int>(picked.size()) < ndeps)
-        picked.insert(static_cast<int>(
-            rng.uniform_index(static_cast<std::uint64_t>(i))));
-      for (int d : picked) {
-        deps[static_cast<std::size_t>(i)].push_back(keyring[d]);
-        original.emplace(keyring[static_cast<std::size_t>(i)], keyring[d]);
-      }
-    }
-
-    // Split (the client algorithm): tasks keep their dep lists; an edge
-    // whose dep lives on another shard additionally records a
-    // subscription (dep, consumer shard) at the owner, deduped.
-    std::vector<std::vector<int>> slice_tasks(
-        static_cast<std::size_t>(shards));
-    std::set<std::pair<std::string, int>> subscriptions;  // (dep, consumer)
-    std::size_t cross_edges = 0;
-    for (int i = 0; i < n; ++i) {
-      const int s = mapper.shard_of(keyring[static_cast<std::size_t>(i)]);
-      slice_tasks[static_cast<std::size_t>(s)].push_back(i);
-      for (const std::string& dep : deps[static_cast<std::size_t>(i)]) {
-        if (mapper.shard_of(dep) != s) {
-          ++cross_edges;
-          subscriptions.emplace(dep, s);
+      std::vector<dts::Key> deps;
+      if (i > 0) {
+        const int ndeps =
+            static_cast<int>(rng.uniform_index(
+                static_cast<std::uint64_t>(std::min(i, 3)) + 1));
+        std::set<int> picked;
+        while (static_cast<int>(picked.size()) < ndeps)
+          picked.insert(static_cast<int>(
+              rng.uniform_index(static_cast<std::uint64_t>(i))));
+        for (int d : picked) {
+          deps.push_back(keyring[static_cast<std::size_t>(d)]);
+          original.emplace(keyring[static_cast<std::size_t>(i)],
+                           keyring[static_cast<std::size_t>(d)]);
         }
       }
+      msg.tasks.emplace_back(keyring[static_cast<std::size_t>(i)],
+                             std::move(deps), nullptr);
     }
+    std::size_t cross_edges = 0;
+    for (const auto& [task, dep] : original)
+      if (mapper.shard_of(task) != mapper.shard_of(dep)) ++cross_edges;
 
-    // Oracle 1: the task sets partition the graph.
+    const dts::Slices slices = dts::split_graph(mapper, std::move(msg));
+
+    // Oracle 1: the task sets partition the graph, each task on the
+    // shard owning its key.
     std::size_t total = 0;
-    for (const auto& st : slice_tasks) total += st.size();
+    for (const auto& [shard, slice] : slices) {
+      total += slice.tasks.size();
+      for (const auto& t : slice.tasks) EXPECT_EQ(mapper.shard_of(t.key), shard);
+    }
     EXPECT_EQ(total, static_cast<std::size_t>(n));
 
     // Oracle 2: reassembling every slice's task dep lists yields exactly
     // the original edge set.
     std::set<std::pair<std::string, std::string>> reassembled;
-    for (const auto& st : slice_tasks)
-      for (int i : st)
-        for (const std::string& dep : deps[static_cast<std::size_t>(i)])
-          reassembled.emplace(keyring[static_cast<std::size_t>(i)], dep);
+    for (const auto& [shard, slice] : slices)
+      for (const auto& t : slice.tasks)
+        for (const std::string& dep : t.deps) reassembled.emplace(t.key, dep);
     EXPECT_EQ(reassembled, original);
 
-    // Oracle 3: every subscription names a genuine cross-shard edge, and
-    // every cross-shard edge is covered by exactly one subscription of
-    // its (dep, consumer-shard) pair.
-    for (const auto& [dep, consumer] : subscriptions)
-      EXPECT_NE(mapper.shard_of(dep), consumer);
-    std::set<std::pair<std::string, int>> expected_subs;
+    // Oracle 3: every subscription sits on its key's owner slice, names a
+    // genuine cross-shard edge, and every cross-shard edge is covered by
+    // exactly one subscription of its (dep, consumer-shard) pair.
+    std::map<std::pair<std::string, int>, int> subscriptions;  // -> count
+    for (const auto& [shard, slice] : slices) {
+      ASSERT_EQ(slice.sub_keys.size(), slice.sub_shards.size());
+      ASSERT_EQ(slice.sub_keys.size(), slice.sub_counts.size());
+      for (std::size_t i = 0; i < slice.sub_keys.size(); ++i) {
+        EXPECT_EQ(mapper.shard_of(slice.sub_keys[i]), shard);
+        EXPECT_NE(slice.sub_shards[i], shard);
+        EXPECT_TRUE(subscriptions
+                        .emplace(std::make_pair(slice.sub_keys[i],
+                                                slice.sub_shards[i]),
+                                 slice.sub_counts[i])
+                        .second)
+            << "duplicate subscription " << slice.sub_keys[i];
+      }
+    }
+    std::map<std::pair<std::string, int>, int> expected;  // -> edge count
     for (const auto& [task, dep] : original) {
       const int s = mapper.shard_of(task);
-      if (mapper.shard_of(dep) != s) expected_subs.emplace(dep, s);
+      if (mapper.shard_of(dep) != s) ++expected[{dep, s}];
     }
-    EXPECT_EQ(subscriptions, expected_subs);
-    EXPECT_GE(cross_edges, subscriptions.size());
+    ASSERT_EQ(subscriptions.size(), expected.size());
+    for (const auto& [sub, count] : expected)
+      EXPECT_EQ(subscriptions.count(sub), 1u) << sub.first << "@" << sub.second;
+
+    // Oracle 4: each (dep, consumer shard) entry counts the consumer
+    // shard's tasks that list the dep, so the counts sum to the number of
+    // cross-shard edges.
+    std::size_t counted = 0;
+    for (const auto& [sub, count] : subscriptions) {
+      EXPECT_EQ(count, expected[sub]) << sub.first << "@" << sub.second;
+      counted += static_cast<std::size_t>(count);
+    }
+    EXPECT_EQ(counted, cross_edges);
   }
 }
 
@@ -611,8 +631,8 @@ TEST(ShardGc, CrossShardReleasesMatchSingleSchedulerOracle) {
 TEST(ShardGc, ReleaseConsumedKeepsResultsIdenticalOnBothSubstrates) {
   // GC at shards == 4 on the full pipeline: releasing consumed keys must
   // not perturb the analytics outputs on either substrate, and the
-  // refcount actually fires (keys do get released) without inflating
-  // worker residency.
+  // refcount fires exactly as often on threads as on the simulator (24
+  // releases, 18 drain acks) without inflating worker residency.
   for (const auto sub :
        {harness::Substrate::kSim, harness::Substrate::kThreads}) {
     auto p = shard_params(4, sub);
@@ -620,7 +640,8 @@ TEST(ShardGc, ReleaseConsumedKeepsResultsIdenticalOnBothSubstrates) {
     auto pg = p;
     pg.release_consumed = true;
     const auto on = harness::run_scenario(harness::Pipeline::kDeisa3, pg);
-    EXPECT_GT(on.keys_released, 0u);
+    EXPECT_EQ(on.keys_released, 24u) << harness::to_string(sub);
+    EXPECT_EQ(on.shard_release_acks, 18u) << harness::to_string(sub);
     EXPECT_EQ(off.keys_released, 0u);
     EXPECT_LE(on.worker_peak_bytes, off.worker_peak_bytes);
     expect_bitwise_equal(off.singular_values, on.singular_values,
@@ -628,6 +649,318 @@ TEST(ShardGc, ReleaseConsumedKeepsResultsIdenticalOnBothSubstrates) {
     expect_bitwise_equal(off.explained_variance, on.explained_variance,
                          "explained_variance");
   }
+}
+
+// ---- ShardLink alone: no engine, no runtime ----
+
+dts::ShardLink link_of(int index, int shards) {
+  dts::ShardLink link;
+  link.index = index;
+  link.mapper.shards = shards;
+  link.peers.assign(static_cast<std::size_t>(shards), nullptr);
+  return link;
+}
+
+TEST(ShardLink, SubscriptionsArePersistentAndDeduped) {
+  dts::ShardLink link = link_of(0, 3);
+  EXPECT_FALSE(link.subscribed(5));
+  EXPECT_TRUE(link.subscribers(5).empty());
+  link.subscribe(5, 2);
+  link.subscribe(5, 1);
+  link.subscribe(5, 2);  // a second slice from the same shard
+  EXPECT_TRUE(link.subscribed(5));
+  EXPECT_EQ(link.subscribers(5), std::vector<int>({2, 1}));
+  // Reading the list (a notification) does not drain it: a key recovered
+  // after worker loss re-announces through the same subscribers.
+  EXPECT_EQ(link.subscribers(5).size(), 2u);
+  EXPECT_THROW(link.subscribe(6, 0), deisa::util::Error);  // own shard
+  EXPECT_THROW(link.subscribe(6, 3), deisa::util::Error);  // no such shard
+  EXPECT_FALSE(link.subscribed(6));
+}
+
+TEST(ShardLink, OneShardOwnsEverything) {
+  const dts::ShardLink link;  // unjoined: shard 0 of 1
+  Rng rng(3);
+  for (int i = 0; i < 100; ++i)
+    EXPECT_FALSE(link.remote(dts::KeyTable::hash_key(random_key(rng))));
+  dts::ShardLink authority;
+  EXPECT_TRUE(authority.worker_dead(0).empty());  // nobody to tell
+}
+
+TEST(ShardLink, DeathBroadcastCarriesAFreshEpochPerDeath) {
+  dts::ShardLink authority = link_of(0, 3);
+  const dts::Slices first = authority.worker_dead(4);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[0].first, 1);
+  EXPECT_EQ(first[1].first, 2);
+  for (const auto& [shard, m] : first) {
+    EXPECT_EQ(m.kind, dts::SchedMsgKind::kShardWorkerDead);
+    EXPECT_EQ(m.worker, 4);
+    EXPECT_EQ(m.bytes, 1u);
+  }
+  EXPECT_EQ(authority.worker_dead(5).front().second.bytes, 2u);
+}
+
+TEST(ShardLink, StaleOrRepeatedDeathIsDropped) {
+  dts::ShardLink peer = link_of(1, 3);
+  EXPECT_TRUE(peer.accept_death(1, /*already_dead=*/false));
+  EXPECT_FALSE(peer.accept_death(1, false));  // repeated broadcast
+  EXPECT_FALSE(peer.accept_death(0, false));  // stale epoch
+  EXPECT_FALSE(peer.accept_death(2, true));   // worker already dead
+  EXPECT_TRUE(peer.accept_death(2, false));
+}
+
+// ---- protocol orderings no end-to-end run produces ----
+//
+// One real Scheduler acting as shard `index` of 2 on the simulator. The
+// other shard and the workers are bare inboxes the test reads, so each
+// ordering below is injected exactly as written.
+
+std::string key_on(int shard, const std::string& stem) {
+  const dts::ShardMapper mapper{2};
+  for (int i = 0;; ++i) {
+    std::string k = stem + std::to_string(i);
+    if (mapper.shard_of(k) == shard) return k;
+  }
+}
+
+struct LoneShard {
+  using SchedInbox = deisa::exec::Channel<dts::SchedMsg>;
+  using WorkerInbox = deisa::exec::Channel<dts::WorkerMsg>;
+  static constexpr int kWorkers = 3;
+
+  sim::Engine eng;
+  std::unique_ptr<net::Cluster> cluster;
+  std::unique_ptr<dts::Scheduler> sched;
+  SchedInbox peer{eng};  // the other shard's inbox
+  std::vector<std::unique_ptr<WorkerInbox>> workers;
+
+  LoneShard(int index, dts::SchedulerParams params) {
+    net::ClusterParams p;
+    p.physical_nodes = kWorkers + 2;
+    p.jitter_sigma = 0.0;
+    cluster = std::make_unique<net::Cluster>(eng, p);
+    sched = std::make_unique<dts::Scheduler>(eng, *cluster, 0, params);
+    std::vector<dts::WorkerRef> refs;
+    for (int w = 0; w < kWorkers; ++w) {
+      workers.push_back(std::make_unique<WorkerInbox>(eng));
+      refs.emplace_back(w, 2 + w, workers.back().get());
+    }
+    sched->attach_workers(refs);
+    std::vector<SchedInbox*> peers(2);
+    peers[static_cast<std::size_t>(index)] = &sched->inbox();
+    peers[static_cast<std::size_t>(1 - index)] = &peer;
+    sched->set_shard_context(index, peers);
+    eng.spawn(sched->run());
+  }
+  ~LoneShard() {
+    sched->inbox().send(dts::SchedMsg(dts::SchedMsgKind::kShutdown));
+    eng.run();
+  }
+
+  /// Hand `m` to the scheduler and run until it is idle again.
+  void deliver(dts::SchedMsg m) {
+    sched->inbox().send(std::move(m));
+    eng.run();
+  }
+  void key_done(const std::string& key, int worker, std::uint64_t bytes,
+                const std::string& error = {}) {
+    dts::SchedMsg m(dts::SchedMsgKind::kShardKeyDone);
+    m.key = key;
+    m.worker = worker;
+    m.bytes = bytes;
+    m.erred = !error.empty();
+    m.error = error;
+    deliver(std::move(m));
+  }
+  /// Submit tasks `keys`, each depending on every key in `deps`.
+  void slice(const std::vector<std::string>& keys,
+             const std::vector<std::string>& deps) {
+    dts::SchedMsg m(dts::SchedMsgKind::kUpdateGraph);
+    for (const auto& k : keys)
+      m.tasks.emplace_back(k, std::vector<dts::Key>(deps.begin(), deps.end()),
+                           nullptr);
+    deliver(std::move(m));
+  }
+  void finished(const std::string& key, int worker) {
+    dts::SchedMsg m(dts::SchedMsgKind::kTaskFinished);
+    m.key = key;
+    m.worker = worker;
+    m.bytes = 8;
+    deliver(std::move(m));
+  }
+  void worker_dead(int worker, std::uint64_t epoch) {
+    dts::SchedMsg m(dts::SchedMsgKind::kShardWorkerDead);
+    m.worker = worker;
+    m.bytes = epoch;
+    deliver(std::move(m));
+  }
+  /// Messages the scheduler sent to worker `w` since the last call.
+  std::vector<dts::WorkerMsg> drain_worker(int w) {
+    std::vector<dts::WorkerMsg> out;
+    while (auto m = workers[static_cast<std::size_t>(w)]->try_recv())
+      out.push_back(std::move(*m));
+    return out;
+  }
+  std::vector<dts::SchedMsg> drain_peer() {
+    std::vector<dts::SchedMsg> out;
+    while (auto m = peer.try_recv()) out.push_back(std::move(*m));
+    return out;
+  }
+};
+
+dts::SchedulerParams lone_params(bool gc, double heartbeat_timeout = 0.0) {
+  dts::SchedulerParams p;
+  p.release_consumed = gc;
+  p.heartbeat_timeout = heartbeat_timeout;
+  return p;
+}
+
+TEST(ShardOrdering, EarlyDrainAckReleasesOnceItsSliceSettles) {
+  LoneShard owner(0, lone_params(/*gc=*/true));
+  const std::string x = key_on(0, "x");
+  const std::string c = key_on(0, "c");
+  // Batch 1: x, a local consumer c, and one consumer on shard 1.
+  dts::SchedMsg batch1(dts::SchedMsgKind::kUpdateGraph);
+  batch1.tasks.emplace_back(x, std::vector<dts::Key>(), nullptr);
+  batch1.tasks.emplace_back(c, std::vector<dts::Key>(1, x), nullptr);
+  batch1.sub_keys.push_back(x);
+  batch1.sub_shards.push_back(1);
+  batch1.sub_counts.push_back(1);
+  owner.deliver(std::move(batch1));
+  ASSERT_EQ(owner.drain_worker(0).size(), 1u);  // x: the rotation's pick
+  owner.finished(x, 0);
+  ASSERT_EQ(owner.drain_worker(0).size(), 1u);  // c, by locality
+  ASSERT_EQ(owner.drain_peer().size(), 1u);     // x is done
+  dts::SchedMsg ack(dts::SchedMsgKind::kShardKeyReleased);
+  ack.key = x;
+  ack.bytes = 1;
+  owner.deliver(ack);  // batch 1's remote consumer finished
+  // Batch 2 adds a second consumer on shard 1. Shard 1 already has x, so
+  // that consumer runs and its drain ack outruns batch 2's owner slice:
+  // the balance parks negative, and holds x once c is done.
+  owner.deliver(ack);
+  owner.finished(c, 0);
+  EXPECT_FALSE(owner.sched->is_released(x));
+  EXPECT_TRUE(owner.drain_worker(0).empty());
+  // Batch 2's owner slice (subscriptions only) lands and settles it.
+  dts::SchedMsg batch2(dts::SchedMsgKind::kUpdateGraph);
+  batch2.sub_keys.push_back(x);
+  batch2.sub_shards.push_back(1);
+  batch2.sub_counts.push_back(1);
+  owner.deliver(std::move(batch2));
+  EXPECT_TRUE(owner.sched->is_released(x));
+  EXPECT_EQ(owner.sched->keys_released(), 1u);
+  const auto sent = owner.drain_worker(0);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].kind, dts::WorkerMsgKind::kReleaseKey);
+  EXPECT_EQ(sent[0].key, x);
+  // A subscription to a key already in memory is answered at once.
+  const auto notes = owner.drain_peer();
+  ASSERT_EQ(notes.size(), 1u);
+  EXPECT_EQ(notes[0].kind, dts::SchedMsgKind::kShardKeyDone);
+}
+
+TEST(ShardOrdering, KeyDoneBeforeItsSliceResolvesTheLateSlice) {
+  LoneShard sub(1, lone_params(/*gc=*/true));
+  const std::string x = key_on(0, "x");
+  const std::string y1 = key_on(1, "y");
+  const std::string y2 = key_on(1, y1 + "-");
+  // The owner ran its slice to completion before ours arrived.
+  sub.key_done(x, /*worker=*/2, /*bytes=*/64);
+  EXPECT_EQ(sub.sched->state_of(x), dts::TaskState::kMemory);
+  sub.slice({y1, y2}, {x});
+  // The late slice resolves against the done mirror: both consumers run
+  // at once, reading x where the owner said it lives.
+  const auto computes = sub.drain_worker(2);
+  ASSERT_EQ(computes.size(), 2u);
+  for (const auto& m : computes) {
+    ASSERT_EQ(m.deps.size(), 1u);
+    EXPECT_EQ(m.deps[0].key, x);
+    EXPECT_EQ(m.deps[0].owner, 2);
+    EXPECT_EQ(m.deps[0].bytes, 64u);
+  }
+  sub.finished(y1, 2);
+  EXPECT_TRUE(sub.drain_peer().empty());  // y2 still reads x
+  sub.finished(y2, 2);
+  const auto acks = sub.drain_peer();
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0].kind, dts::SchedMsgKind::kShardKeyReleased);
+  EXPECT_EQ(acks[0].key, x);
+  EXPECT_EQ(acks[0].bytes, 2u);  // both consumer charges
+  EXPECT_EQ(sub.sched->shard_link().release_acks, 1u);
+  EXPECT_FALSE(sub.sched->is_released(x));  // the owner releases, not us
+}
+
+TEST(ShardOrdering, ReannouncementMovesAMirrorInMemory) {
+  LoneShard sub(1, lone_params(/*gc=*/false));
+  const std::string x = key_on(0, "x");
+  const std::string y = key_on(1, "y");
+  sub.key_done(x, /*worker=*/0, /*bytes=*/64);
+  sub.key_done(x, /*worker=*/1, /*bytes=*/128);  // refresh after recovery
+  sub.slice({y}, {x});
+  const auto computes = sub.drain_worker(1);
+  ASSERT_EQ(computes.size(), 1u);
+  EXPECT_EQ(computes[0].deps[0].owner, 1);
+  EXPECT_EQ(computes[0].deps[0].bytes, 128u);
+  // has_what_ moved too: losing the old worker leaves the mirror alone,
+  // losing the new one parks it back in external.
+  sub.worker_dead(0, 1);
+  EXPECT_EQ(sub.sched->recovery().mirrors_rearmed, 0u);
+  EXPECT_EQ(sub.sched->state_of(x), dts::TaskState::kMemory);
+  sub.worker_dead(1, 2);
+  EXPECT_EQ(sub.sched->recovery().mirrors_rearmed, 1u);
+  EXPECT_EQ(sub.sched->state_of(x), dts::TaskState::kExternal);
+  EXPECT_EQ(sub.sched->state_of(y), dts::TaskState::kWaiting);
+}
+
+TEST(ShardOrdering, ErredReannouncementPoisonsTheMirrorsCone) {
+  LoneShard sub(1, lone_params(/*gc=*/false));
+  const std::string x = key_on(0, "x");
+  const std::string y = key_on(1, "y");
+  const std::string z = key_on(1, y + "-");
+  sub.key_done(x, /*worker=*/0, /*bytes=*/64);
+  sub.slice({y}, {x});
+  ASSERT_EQ(sub.drain_worker(0).size(), 1u);  // y runs against worker 0
+  // The owner lost x unrecoverably after announcing it.
+  sub.key_done(x, -1, 0, "data lost with worker 0");
+  EXPECT_EQ(sub.sched->state_of(x), dts::TaskState::kErred);
+  // Later consumers are poisoned at ingestion ...
+  sub.slice({z}, {x});
+  EXPECT_EQ(sub.sched->state_of(z), dts::TaskState::kErred);
+  // ... and when worker 0's death arrives, the consumer fetching from it
+  // is poisoned instead of re-run, with no stale has-what entry for x.
+  sub.worker_dead(0, 1);
+  EXPECT_EQ(sub.sched->state_of(y), dts::TaskState::kErred);
+  EXPECT_EQ(sub.sched->recovery().mirrors_rearmed, 0u);
+}
+
+TEST(ShardOrdering, StaleOrRepeatedDeathBroadcastChangesNothing) {
+  // Shard 0, the liveness authority, declares worker 0 dead (it never
+  // heartbeated) and broadcasts the death once.
+  LoneShard authority(0, lone_params(/*gc=*/false, /*heartbeat_timeout=*/1.0));
+  dts::SchedMsg lost(dts::SchedMsgKind::kWorkerLost);
+  lost.worker = 0;
+  authority.deliver(lost);
+  authority.deliver(lost);  // a second report of the same death
+  EXPECT_EQ(authority.sched->recovery().workers_lost, 1u);
+  const auto broadcast = authority.drain_peer();
+  ASSERT_EQ(broadcast.size(), 1u);
+  EXPECT_EQ(broadcast[0].kind, dts::SchedMsgKind::kShardWorkerDead);
+  EXPECT_EQ(broadcast[0].worker, 0);
+  EXPECT_EQ(broadcast[0].bytes, 1u);
+
+  LoneShard peer(1, lone_params(/*gc=*/false));
+  peer.worker_dead(0, broadcast[0].bytes);
+  EXPECT_EQ(peer.sched->live_workers(), 2u);
+  peer.worker_dead(0, broadcast[0].bytes);  // repeated
+  peer.worker_dead(0, 2);                   // fresh epoch, same dead worker
+  peer.worker_dead(1, 1);                   // stale epoch
+  EXPECT_EQ(peer.sched->live_workers(), 2u);
+  EXPECT_FALSE(peer.sched->worker_is_dead(1));
+  EXPECT_EQ(authority.sched->recovery().workers_lost +
+                peer.sched->recovery().workers_lost,
+            1u);
 }
 
 }  // namespace

@@ -101,3 +101,22 @@ endif()
 if(NOT err MATCHES "unknown config key 'policy'")
   message(FATAL_ERROR "retired policy key: stderr lacks the diagnostic:\n${err}")
 endif()
+
+# Refcount GC under a fault plan: the plan arms the failure detector, and
+# lineage recovery would re-read inputs the GC released, so the pair is
+# refused before the run starts instead of diverging at the time cap.
+file(WRITE ${WORK_DIR}/gc_fault.yaml
+  "pipeline: DEISA3\nranks: 4\nworkers: 3\nblock_mib: 1\ntimesteps: 6\nruns: 1\nreal_data: true\n")
+execute_process(
+  COMMAND ${SCENARIO_BIN} --release-consumed=true --fault=kill:1@0.2
+          ${WORK_DIR}/gc_fault.yaml
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "gc with a fault plan: expected a non-zero exit")
+endif()
+if(NOT err MATCHES "release_consumed" OR NOT err MATCHES "heartbeat_timeout")
+  message(FATAL_ERROR
+    "gc with a fault plan: stderr lacks release_consumed/heartbeat_timeout:\n${err}")
+endif()
