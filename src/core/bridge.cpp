@@ -52,21 +52,25 @@ const Contract& Bridge::contract() const {
   return contract_;
 }
 
-const dts::Key& Bridge::chunk_key_for(const VirtualArray& va,
-                                      const array::Index& coord) {
-  const auto [it, fresh] = key_builders_.try_emplace(va.name);
-  if (fresh)
-    it->second = array::ChunkKeyBuilder(array::kDeisaPrefix, va.name);
-  return it->second.render(coord);
+Bridge::ArrayCache& Bridge::cache_for(const VirtualArray& va) {
+  const auto [it, fresh] = arrays_.try_emplace(va.name);
+  if (fresh) {
+    it->second.grid = va.grid();
+    it->second.keys = array::ChunkKeyBuilder(array::kDeisaPrefix, va.name);
+  }
+  DEISA_ASSERT(it->second.grid.shape() == va.shape &&
+                   it->second.grid.chunk_shape() == va.subsize,
+               "virtual array " << va.name << " changed its shape");
+  return it->second;
 }
 
-int Bridge::preselect_worker(const VirtualArray& va,
+int Bridge::preselect_worker(const array::ChunkGrid& grid,
                              const array::Index& coord) const {
   const int workers =
       has_contract_ && contract_.num_workers > 0
           ? contract_.num_workers
           : client_->num_workers();
-  return array::preselected_worker(va.grid().linear_of(coord), workers);
+  return array::preselected_worker(grid.linear_of(coord), workers);
 }
 
 exec::Co<std::size_t> Bridge::send_blocks(
@@ -79,18 +83,19 @@ exec::Co<std::size_t> Bridge::send_blocks(
   // Filter against the contract and group the survivors by preselected
   // worker (ordered map: deterministic push order across runs).
   std::map<int, std::vector<std::pair<dts::Key, dts::Data>>> by_worker;
+  ArrayCache& arr = cache_for(va);
   for (auto& [coord, data] : blocks) {
-    if (!contract_.includes(va, coord)) {
+    if (!contract_.includes(va.name, arr.grid, coord)) {
       ++blocks_filtered_;
       obs::count("bridge.blocks_filtered");
       obs::trace_instant("bridge", bridge_lane(rank_), "filtered:" + va.name);
       continue;
     }
     // Copy the rendered key: the builder's buffer is reused per render.
-    dts::Key key = chunk_key_for(va, coord);
+    dts::Key key = arr.keys.render(coord);
     remember_block(key, data);
-    by_worker[preselect_worker(va, coord)].emplace_back(std::move(key),
-                                                        std::move(data));
+    by_worker[preselect_worker(arr.grid, coord)].emplace_back(
+        std::move(key), std::move(data));
   }
   std::size_t sent = 0;
   bool repush_pending = false;
@@ -214,8 +219,9 @@ exec::Co<bool> Bridge::deisa1_send_block(const VirtualArray& va,
   DEISA_CHECK(has_contract_, "DEISA1 bridges fetch their selection first");
   bool sent = false;
   std::uint64_t push_cause = 0;
-  if (contract_.includes(va, coord)) {
-    const dts::Key& key = chunk_key_for(va, coord);
+  ArrayCache& arr = cache_for(va);
+  if (contract_.includes(va.name, arr.grid, coord)) {
+    const dts::Key& key = arr.keys.render(coord);
     const std::uint64_t bytes = data.bytes;
     obs::Span span = obs::trace_span("bridge", bridge_lane(rank_), key);
     if (span.active()) span.add_arg(obs::arg("bytes", bytes));
@@ -226,7 +232,7 @@ exec::Co<bool> Bridge::deisa1_send_block(const VirtualArray& va,
     span.set_cause(client_->last_cause(), obs::EdgeKind::kMessage);
     push_cause = span.id();
     co_await client_->scatter(key, std::move(data),
-                              preselect_worker(va, coord),
+                              preselect_worker(arr.grid, coord),
                               /*external=*/false, span.id());
     span.finish();
     ++blocks_sent_;

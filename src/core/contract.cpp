@@ -6,9 +6,14 @@ namespace deisa::core {
 
 bool Contract::includes(const VirtualArray& va,
                         const array::Index& coord) const {
-  const auto it = selections.find(va.name);
+  return includes(va.name, va.grid(), coord);
+}
+
+bool Contract::includes(const std::string& name, const array::ChunkGrid& grid,
+                        const array::Index& coord) const {
+  const auto it = selections.find(name);
   if (it == selections.end()) return false;
-  return !va.grid().box_of(coord).intersect(it->second).empty();
+  return !grid.box_of(coord).intersect(it->second).empty();
 }
 
 void Contract::validate_against(

@@ -66,13 +66,17 @@ public:
   std::uint64_t blocks_discarded() const { return blocks_discarded_; }
 
 private:
-  int preselect_worker(const VirtualArray& va,
+  /// A virtual array's chunk grid and key builder, cached per array name
+  /// so a bridge pushing B blocks/step derives each array's grid and key
+  /// stem once, not B times. `keys.render()`'s reference is valid until
+  /// its next call.
+  struct ArrayCache {
+    array::ChunkGrid grid;
+    array::ChunkKeyBuilder keys;
+  };
+  ArrayCache& cache_for(const VirtualArray& va);
+  int preselect_worker(const array::ChunkGrid& grid,
                        const array::Index& coord) const;
-  /// Chunk key for (va, coord), rendered by a per-array ChunkKeyBuilder
-  /// so a bridge pushing B blocks/step builds each array's key stem once,
-  /// not B times. The reference is valid until the next call.
-  const dts::Key& chunk_key_for(const VirtualArray& va,
-                                const array::Index& coord);
   /// Remember a pushed block for potential replay (bounded FIFO).
   void remember_block(const dts::Key& key, const dts::Data& data);
   /// Drain the scheduler's re-push assignments and replay from the buffer.
@@ -98,8 +102,7 @@ private:
   // Blocks evicted before a loss are unrecoverable (the scheduler's
   // re-push deadline then errs them out instead of hanging waiters).
   std::size_t replay_capacity_ = 1024;
-  // Key builders cached per virtual-array name (see chunk_key_for).
-  std::unordered_map<std::string, array::ChunkKeyBuilder> key_builders_;
+  std::unordered_map<std::string, ArrayCache> arrays_;  // see cache_for
   std::unordered_map<dts::Key, dts::Data> replay_;
   std::deque<dts::Key> replay_order_;
   std::shared_ptr<exec::Channel<int>> notify_;

@@ -21,6 +21,10 @@ struct Contract {
 
   /// Does the selection for `va` touch the block at `coord`?
   bool includes(const VirtualArray& va, const array::Index& coord) const;
+  /// The same check for a caller that keeps the array's chunk grid
+  /// (`VirtualArray::grid()`) across blocks.
+  bool includes(const std::string& name, const array::ChunkGrid& grid,
+                const array::Index& coord) const;
 
   /// Check every selection is in-bounds for an offered array; throws
   /// ContractError when the analytics asks for data the simulation does

@@ -10,7 +10,7 @@ namespace detail {
 void Detached::promise_type::Final::await_suspend(
     std::coroutine_handle<promise_type> h) const noexcept {
   Executor* ex = h.promise().executor;
-  if (ex != nullptr) ex->unregister_root(h);
+  if (ex != nullptr) ex->unlink_root(h.promise());
   h.destroy();
 }
 
@@ -28,8 +28,49 @@ void Executor::spawn_on(void* strand, Co<void> co) {
   DEISA_CHECK(co.valid(), "spawning an empty coroutine");
   detail::Detached root = detail::run_root(std::move(co));
   root.handle.promise().executor = this;
-  register_root(root.handle);
+  link_root(root.handle.promise());
   post(ResumeToken{root.handle, strand}, now());
+}
+
+std::size_t Executor::live_roots() const {
+  std::lock_guard lk(root_mu_);
+  return root_count_;
+}
+
+void Executor::link_root(detail::Detached::promise_type& root) {
+  std::lock_guard lk(root_mu_);
+  root.next = root_head_;
+  if (root_head_ != nullptr) root_head_->prev = &root;
+  root_head_ = &root;
+  ++root_count_;
+}
+
+void Executor::unlink_root(detail::Detached::promise_type& root) {
+  std::lock_guard lk(root_mu_);
+  if (root.prev != nullptr) {
+    root.prev->next = root.next;
+  } else {
+    root_head_ = root.next;
+  }
+  if (root.next != nullptr) root.next->prev = root.prev;
+  root.prev = root.next = nullptr;
+  --root_count_;
+}
+
+void Executor::destroy_roots() {
+  // Unlink each root before destroying it, so the list never points at
+  // a freed frame; destroying a root destroys the frames it owns.
+  for (;;) {
+    detail::Detached::promise_type* root = nullptr;
+    {
+      std::lock_guard lk(root_mu_);
+      root = root_head_;
+    }
+    if (root == nullptr) return;
+    unlink_root(*root);
+    std::coroutine_handle<detail::Detached::promise_type>::from_promise(*root)
+        .destroy();
+  }
 }
 
 namespace {

@@ -13,6 +13,7 @@
 #include <utility>
 #include <variant>
 
+#include "deisa/exec/frame_pool.hpp"
 #include "deisa/util/error.hpp"
 
 namespace deisa::exec {
@@ -34,7 +35,7 @@ struct FinalAwaiter {
 };
 
 template <typename T>
-struct CoPromise {
+struct CoPromise : PooledFrame {
   std::coroutine_handle<> continuation{};
   std::variant<std::monostate, T, std::exception_ptr> result{};
 
@@ -54,7 +55,7 @@ struct CoPromise {
 };
 
 template <>
-struct CoPromise<void> {
+struct CoPromise<void> : PooledFrame {
   std::coroutine_handle<> continuation{};
   std::exception_ptr exception{};
 

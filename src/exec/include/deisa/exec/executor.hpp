@@ -21,6 +21,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <exception>
+#include <mutex>
 #include <vector>
 
 #include "deisa/exec/co.hpp"
@@ -49,11 +50,15 @@ struct ResumeToken {
 
 namespace detail {
 
-/// Fire-and-forget root coroutine: self-registers with the executor so
-/// that frames suspended at teardown are destroyed deterministically.
+/// Fire-and-forget root coroutine: linked into its executor's root list
+/// while it lives, so that frames suspended at teardown are destroyed
+/// deterministically.
 struct Detached {
-  struct promise_type {
+  struct promise_type : PooledFrame {
     Executor* executor = nullptr;
+    // Links of the executor's root list (guarded by its root mutex).
+    promise_type* prev = nullptr;
+    promise_type* next = nullptr;
 
     Detached get_return_object() {
       return Detached{
@@ -121,6 +126,9 @@ public:
   /// Launch a root actor on an explicit strand (nullptr = default).
   void spawn_on(void* strand, Co<void> co);
 
+  /// Root actors spawned and not finished yet (suspended or queued).
+  std::size_t live_roots() const;
+
   /// Awaitable: resume after `dt` model seconds (dt >= 0).
   auto delay(Time dt) {
     struct Awaiter {
@@ -139,9 +147,20 @@ public:
 protected:
   friend struct detail::Detached::promise_type;
 
-  virtual void register_root(std::coroutine_handle<> h) = 0;
-  virtual void unregister_root(std::coroutine_handle<> h) = 0;
+  /// Destroy every root still alive, which cascades to the frames each
+  /// one owns. A backend calls it at teardown, once no resume can run.
+  void destroy_roots();
   virtual void report_error(std::exception_ptr e) = 0;
+
+private:
+  void link_root(detail::Detached::promise_type& root);
+  void unlink_root(detail::Detached::promise_type& root);
+
+  // Intrusive list of live roots. Its own lock, so that spawning and
+  // finishing a root never take a backend's scheduling lock.
+  mutable std::mutex root_mu_;
+  detail::Detached::promise_type* root_head_ = nullptr;
+  std::size_t root_count_ = 0;
 };
 
 /// RAII: make constructor-time spawns land on `strand`. The simulator

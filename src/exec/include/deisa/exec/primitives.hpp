@@ -17,12 +17,12 @@
 //     exactly as the old `engine.schedule(h, now)` loop did.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
 
 #include "deisa/exec/executor.hpp"
+#include "deisa/exec/fifo.hpp"
 
 namespace deisa::exec {
 
@@ -40,7 +40,7 @@ public:
   }
 
   void set() {
-    std::deque<ResumeToken> to_wake;
+    Fifo<ResumeToken> to_wake;
     {
       std::lock_guard lk(mu_);
       if (set_) return;
@@ -48,7 +48,7 @@ public:
       to_wake.swap(waiters_);
     }
     const Time now = ex_->now();
-    for (const auto& t : to_wake) ex_->post(t, now);
+    while (!to_wake.empty()) ex_->post(to_wake.pop_front(), now);
   }
 
   auto wait() {
@@ -70,7 +70,7 @@ private:
   Executor* ex_;
   mutable std::mutex mu_;
   bool set_ = false;
-  std::deque<ResumeToken> waiters_;
+  Fifo<ResumeToken> waiters_;
 };
 
 /// Unbounded FIFO channel. Multiple receivers are served in arrival order.
@@ -88,8 +88,7 @@ public:
       items_.push_back(std::move(value));
       if (!waiters_.empty()) {
         ++reserved_;
-        waiter = waiters_.front();
-        waiters_.pop_front();
+        waiter = waiters_.pop_front();
       }
     }
     if (waiter) ex_->post(waiter, ex_->now());
@@ -111,9 +110,7 @@ public:
         std::lock_guard lk(channel.mu_);
         if (woken) --channel.reserved_;
         DEISA_ASSERT(!channel.items_.empty(), "channel wakeup without item");
-        T v = std::move(channel.items_.front());
-        channel.items_.pop_front();
-        return v;
+        return channel.items_.pop_front();
       }
     };
     return Awaiter{*this};
@@ -123,9 +120,7 @@ public:
   std::optional<T> try_recv() {
     std::lock_guard lk(mu_);
     if (items_.size() <= reserved_) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    return v;
+    return items_.pop_front();
   }
 
   std::size_t size() const {
@@ -140,8 +135,8 @@ public:
 private:
   Executor* ex_;
   mutable std::mutex mu_;
-  std::deque<T> items_;
-  std::deque<ResumeToken> waiters_;
+  Fifo<T> items_;
+  Fifo<ResumeToken> waiters_;
   std::size_t reserved_ = 0;  // items already promised to scheduled waiters
 };
 
@@ -176,8 +171,7 @@ public:
       std::lock_guard lk(mu_);
       if (!waiters_.empty()) {
         // Hand the token directly to the first waiter.
-        waiter = waiters_.front();
-        waiters_.pop_front();
+        waiter = waiters_.pop_front();
       } else {
         ++count_;
       }
@@ -198,7 +192,7 @@ private:
   Executor* ex_;
   mutable std::mutex mu_;
   std::size_t count_;
-  std::deque<ResumeToken> waiters_;
+  Fifo<ResumeToken> waiters_;
 };
 
 /// FIFO queueing station: `serve(d)` waits for a free server slot, holds

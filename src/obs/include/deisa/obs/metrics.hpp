@@ -22,6 +22,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "deisa/util/stats.hpp"
@@ -158,17 +159,21 @@ private:
 /// The installed registry, or nullptr when metrics are disabled.
 inline MetricsRegistry* metrics() { return MetricsRegistry::current(); }
 
-inline void count(const std::string& name, std::uint64_t n = 1) {
-  if (MetricsRegistry* m = MetricsRegistry::current()) m->counter(name).add(n);
-}
-
-inline void gauge_set(const std::string& name, double value) {
-  if (MetricsRegistry* m = MetricsRegistry::current()) m->gauge(name).set(value);
-}
-
-inline void observe(const std::string& name, double value) {
+// The three helpers take a view, so an instrumentation site passing a
+// literal builds no std::string unless a registry is installed.
+inline void count(std::string_view name, std::uint64_t n = 1) {
   if (MetricsRegistry* m = MetricsRegistry::current())
-    m->histogram(name).observe(value);
+    m->counter(std::string(name)).add(n);
+}
+
+inline void gauge_set(std::string_view name, double value) {
+  if (MetricsRegistry* m = MetricsRegistry::current())
+    m->gauge(std::string(name)).set(value);
+}
+
+inline void observe(std::string_view name, double value) {
+  if (MetricsRegistry* m = MetricsRegistry::current())
+    m->histogram(std::string(name)).observe(value);
 }
 
 }  // namespace deisa::obs

@@ -23,15 +23,14 @@
 #include <condition_variable>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "deisa/exec/executor.hpp"
+#include "deisa/exec/fifo.hpp"
 
 namespace deisa::rt {
 
@@ -98,8 +97,6 @@ public:
   void publish_metrics() const;
 
 protected:
-  void register_root(std::coroutine_handle<> h) override;
-  void unregister_root(std::coroutine_handle<> h) override;
   void report_error(std::exception_ptr e) override;
 
 private:
@@ -108,7 +105,7 @@ private:
     std::chrono::steady_clock::time_point enqueued;
   };
   struct Strand {
-    std::deque<Entry> queue;
+    exec::Fifo<Entry> queue;
     // True while the strand is in runnable_ or being run by a worker;
     // guarantees a strand is never executed by two threads at once.
     bool active = false;
@@ -139,7 +136,7 @@ private:
   std::condition_variable cv_idle_;
   std::vector<std::unique_ptr<Strand>> strands_;
   Strand* default_strand_ = nullptr;
-  std::deque<Strand*> runnable_;
+  exec::Fifo<Strand*> runnable_;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::uint64_t timer_seq_ = 0;
   std::size_t pending_ = 0;
@@ -154,7 +151,6 @@ private:
   bool shutdown_ = false;
   bool joined_ = false;
   std::exception_ptr first_error_;
-  std::unordered_set<void*> roots_;
 
   std::vector<std::thread> workers_;
   std::thread timer_thread_;

@@ -106,10 +106,8 @@ void ThreadedExecutor::worker_loop() {
   for (;;) {
     cv_workers_.wait(lk, [&] { return shutdown_ || !runnable_.empty(); });
     if (shutdown_) return;
-    Strand* s = runnable_.front();
-    runnable_.pop_front();
-    const Entry entry = s->queue.front();
-    s->queue.pop_front();
+    Strand* s = runnable_.pop_front();
+    const Entry entry = s->queue.pop_front();
     // Post -> run scheduling latency: how long the handle sat in the
     // strand queue before a worker picked it up (wall seconds).
     const double wait_s = std::chrono::duration<double>(
@@ -226,16 +224,6 @@ void ThreadedExecutor::stop() {
   cv_idle_.notify_all();
 }
 
-void ThreadedExecutor::register_root(std::coroutine_handle<> h) {
-  std::lock_guard lk(mu_);
-  roots_.insert(h.address());
-}
-
-void ThreadedExecutor::unregister_root(std::coroutine_handle<> h) {
-  std::lock_guard lk(mu_);
-  roots_.erase(h.address());
-}
-
 void ThreadedExecutor::report_error(std::exception_ptr e) {
   std::lock_guard lk(mu_);
   if (!first_error_) first_error_ = e;
@@ -263,9 +251,7 @@ void ThreadedExecutor::shutdown() {
   if (timer_thread_.joinable()) timer_thread_.join();
   workers_.clear();
   // Single-threaded from here on.
-  for (void* addr : roots_)
-    std::coroutine_handle<>::from_address(addr).destroy();
-  roots_.clear();
+  destroy_roots();
 }
 
 }  // namespace deisa::rt

@@ -8,9 +8,7 @@ Engine::~Engine() {
   // Drop pending events first (they may reference coroutines owned by the
   // roots we are about to destroy), then destroy still-suspended roots.
   while (!queue_.empty()) queue_.pop();
-  for (void* addr : roots_)
-    std::coroutine_handle<>::from_address(addr).destroy();
-  roots_.clear();
+  destroy_roots();
 }
 
 void Engine::schedule(std::coroutine_handle<> h, Time t) {

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "deisa/exec/executor.hpp"
@@ -60,15 +59,8 @@ public:
   void stop() override { stopped_ = true; }
 
   std::uint64_t events_processed() const { return events_processed_; }
-  std::size_t live_roots() const { return roots_.size(); }
 
 protected:
-  void register_root(std::coroutine_handle<> h) override {
-    roots_.insert(h.address());
-  }
-  void unregister_root(std::coroutine_handle<> h) override {
-    roots_.erase(h.address());
-  }
   void report_error(std::exception_ptr e) override;
 
 private:
@@ -91,7 +83,6 @@ private:
   bool stopped_ = false;
   std::priority_queue<Scheduled, std::vector<Scheduled>, std::greater<>>
       queue_;
-  std::unordered_set<void*> roots_;
   std::exception_ptr first_error_;
 };
 
