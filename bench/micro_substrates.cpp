@@ -1,9 +1,9 @@
 // Substrate microbenchmarks (google-benchmark): wall-clock throughput of
 // the building blocks — event engine, channels, scheduler pipeline,
-// linear algebra kernels, IPCA update, YAML parsing — plus sim-vs-threads
-// A/B pairs for the executor primitives (channel roundtrip, spawn
-// throughput, transport transfer) so CI tracks the overhead of the real
-// threaded substrate against the modeled one.
+// linear algebra kernels, IPCA update, field-monitor statistics, YAML
+// parsing — plus sim-vs-threads A/B pairs for the executor primitives
+// (channel roundtrip, spawn throughput, transport transfer) so CI tracks
+// the overhead of the real threaded substrate against the modeled one.
 #include <benchmark/benchmark.h>
 
 #include "deisa/net/cluster.hpp"
@@ -11,6 +11,7 @@
 #include "deisa/dts/runtime.hpp"
 #include "deisa/linalg/decomp.hpp"
 #include "deisa/ml/pca.hpp"
+#include "deisa/ml/streaming.hpp"
 #include "deisa/obs/observation.hpp"
 #include "deisa/rt/threaded_executor.hpp"
 #include "deisa/rt/threaded_transport.hpp"
@@ -223,6 +224,23 @@ void BM_IpcaPartialFitRandomized(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IpcaPartialFitRandomized);
+
+// The field monitor's leaf task body: one FieldStats::of over a block at
+// the monitor's default layout (16 bins over [0, 100)), with samples
+// spread over [-10, 110) so both edge bins collect clamped ones. 1,024
+// samples is wide-monitor's block, 524,288 (4 MiB) bulk-monitor-gc's.
+void BM_FieldStatsOf(benchmark::State& state) {
+  deisa::util::Rng rng(11);
+  std::vector<double> block(static_cast<std::size_t>(state.range(0)));
+  for (double& x : block) x = rng.uniform(-10.0, 110.0);
+  for (auto _ : state) {
+    auto s = ml::FieldStats::of(block, 16, 0.0, 100.0);
+    benchmark::DoNotOptimize(s.m2);
+    benchmark::DoNotOptimize(s.histogram.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FieldStatsOf)->Arg(1024)->Arg(524288);
 
 void BM_YamlParseListing1(benchmark::State& state) {
   const std::string doc = R"(

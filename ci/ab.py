@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Interleaved same-host A/B of the real-cost benchmark: BASE vs this tree.
 
-    python3 ci/ab.py BASE [--workload NAME|all] [--pairs 10] [--seconds 30] [--seed 1]
+    python3 ci/ab.py BASE [--workload NAME|all] [--pairs 10] [--seconds 30] [--seed 1] [--trace]
     python3 ci/ab.py --self-test
 
 BASE is any git revision. It is exported with `git archive` into a
@@ -22,9 +22,14 @@ verdict:
     unresolved  either side's interquartile range exceeds that bound
     no change   otherwise
 
+With --trace each run is `perfbench/run.py --trace 1`, and the report is
+one row per per-layer metric of BENCHMARK.json instead: both medians and
+quartiles over the pairs and the change in the median, with no verdict,
+because per-layer metrics have no bounds.
+
 Exit codes: 0 every run correct, 1 some run failed its output checks,
-2 usage, export or build error. --self-test checks the verdict rule on
-canned numbers and runs nothing.
+2 usage, export or build error. --self-test checks the verdict rule and
+the --trace row on canned numbers and runs nothing.
 """
 
 import argparse
@@ -61,6 +66,19 @@ def pairs_won(base, change, better):
     """Pairs (same seed) in which the change did strictly better."""
     sign = 1.0 if better == "lower" else -1.0
     return sum(sign * (c - b) < 0 for b, c in zip(base, change))
+
+
+def median_delta(base, change):
+    """Change in the median, in percent of BASE's ("n/a" when BASE's is 0)."""
+    b_med = median(base)
+    return f"{100.0 * (median(change) / b_med - 1.0):+7.1f}%" if b_med else "    n/a"
+
+
+def layer_row(name, unit, base, change):
+    """One --trace row: both sides' medians and quartiles, and the change
+    in the median. No verdict: per-layer metrics have no bounds."""
+    return (f"  {name:<30} {describe(base, unit):>36} {describe(change, unit):>36}"
+            f" {median_delta(base, change)}")
 
 
 def verdict(base, change, better, bound):
@@ -109,7 +127,15 @@ def self_test():
             bad += 1
             print(f"ab self-test: want {want!r}, got {got!r} for better={better} "
                   f"bound={bound} base={base} change={change}", file=sys.stderr)
-    print(f"ab self-test: {len(cases) - bad}/{len(cases)} verdict cases pass")
+    # --trace: a per-layer row halved by the change, reported without a verdict.
+    row = layer_row("ml.drain_s", "s", [0.40, 0.44, 0.42, 0.46, 0.38],
+                    [0.20, 0.22, 0.21, 0.23, 0.19])
+    want_row = "ml.drain_s 0.4200 [0.3900, 0.4500] s 0.2100 [0.1950, 0.2250] s -50.0%"
+    if row.split() != want_row.split():
+        bad += 1
+        print(f"ab self-test: want --trace row {want_row!r}, got {row!r}", file=sys.stderr)
+    total = len(cases) + 1
+    print(f"ab self-test: {total - bad}/{total} cases pass ({len(cases)} verdict, 1 --trace row)")
     return 1 if bad else 0
 
 
@@ -121,9 +147,9 @@ def export(base, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
-def run_perfbench(tree, workload, seed, seconds):
+def run_perfbench(tree, workload, seed, seconds, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -140,6 +166,8 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    ap.add_argument("--trace", action="store_true",
+                    help="run perfbench with --trace 1 and compare the per-layer metrics")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
     if args.self_test:
@@ -152,7 +180,7 @@ def main():
     if args.workload != "all" and args.workload not in names:
         fail(f"unknown workload {args.workload!r}; BENCHMARK.json lists {', '.join(names)}")
     workloads = names if args.workload == "all" else [args.workload]
-    metrics = cfg["end_to_end"]
+    metrics = cfg["per_layer"] if args.trace else cfg["end_to_end"]
 
     values = {(w, side): [] for w in workloads for side in ("base", "change")}
     incorrect = 0
@@ -164,7 +192,7 @@ def main():
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for w in workloads:
                 for side in order:
-                    out = run_perfbench(trees[side], w, seed, args.seconds)
+                    out = run_perfbench(trees[side], w, seed, args.seconds, args.trace)
                     if not out["correct"]:
                         incorrect += 1
                     values[(w, side)].append(out["metrics"])
@@ -174,19 +202,26 @@ def main():
 
     seeds = f"{args.seed}-{args.seed + args.pairs - 1}"
     print(f"A/B {args.base} (base) vs working tree (change): {args.pairs} pairs, "
-          f"seeds {seeds}, --seconds {args.seconds:g}")
+          f"seeds {seeds}, --seconds {args.seconds:g}{', --trace 1' if args.trace else ''}")
     for w in workloads:
         print(f"\n{w}")
+        if args.trace:
+            print(f"  {'per-layer metric':<30} {'base median [q1, q3]':>36}"
+                  f" {'change median [q1, q3]':>36} {'delta':>8}")
+            for m in metrics:
+                base = [r[m["name"]]["value"] for r in values[(w, "base")]]
+                change = [r[m["name"]]["value"] for r in values[(w, "change")]]
+                print(layer_row(m["name"], m["unit"], base, change))
+            continue
         print(f"  {'metric':<14} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30}"
               f" {'delta':>8} {'won':>6}  verdict")
         for m in metrics:
             base = [r[m["name"]]["value"] for r in values[(w, "base")]]
             change = [r[m["name"]]["value"] for r in values[(w, "change")]]
             won = pairs_won(base, change, m["better"])
-            delta = 100.0 * (median(change) / median(base) - 1.0) if median(base) else math.nan
             print(f"  {m['name']:<14} {describe(base, m['unit']):>30}"
-                  f" {describe(change, m['unit']):>30} {delta:+7.1f}% {won:>3}/{len(base):<2}  "
-                  f"{verdict(base, change, m['better'], m['bound'])}")
+                  f" {describe(change, m['unit']):>30} {median_delta(base, change)}"
+                  f" {won:>3}/{len(base):<2}  {verdict(base, change, m['better'], m['bound'])}")
     if incorrect:
         print(f"\n{incorrect} run(s) failed their output checks")
         return 1

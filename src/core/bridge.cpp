@@ -93,7 +93,7 @@ exec::Co<std::size_t> Bridge::send_blocks(
     }
     // Copy the rendered key: the builder's buffer is reused per render.
     dts::Key key = arr.keys.render(coord);
-    remember_block(key, data);
+    if (client_->recovery_armed()) remember_block(key, data);
     by_worker[preselect_worker(arr.grid, coord)].emplace_back(
         std::move(key), std::move(data));
   }

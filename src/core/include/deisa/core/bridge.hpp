@@ -39,12 +39,14 @@ public:
   /// survivors by preselected worker, and push each group as external-task
   /// completions in ONE bulk transfer plus ONE batched registration RPC —
   /// per-push control overhead is paid once per (rank, worker, timestep)
-  /// instead of once per block. Pushed blocks are retained in a bounded
-  /// replay buffer; when the scheduler acknowledges a key with
+  /// instead of once per block. When the scheduler arms its failure
+  /// detector (Client::recovery_armed), pushed blocks are retained in a
+  /// bounded replay buffer; when the scheduler acknowledges a key with
   /// kAckRepushPending (the target worker is being replaced), the bridge
   /// drains its re-push assignments and replays the lost blocks at the
-  /// re-routed workers, retrying with exponential backoff. Returns the
-  /// number of blocks sent (excluding filtered ones).
+  /// re-routed workers, retrying with exponential backoff. Without a
+  /// detector nothing can ask for a block again, and none is retained.
+  /// Returns the number of blocks sent (excluding filtered ones).
   exec::Co<std::size_t> send_blocks(
       const VirtualArray& va,
       std::vector<std::pair<array::Index, dts::Data>> blocks);
@@ -64,6 +66,8 @@ public:
   std::uint64_t blocks_filtered() const { return blocks_filtered_; }
   std::uint64_t blocks_repushed() const { return blocks_repushed_; }
   std::uint64_t blocks_discarded() const { return blocks_discarded_; }
+  /// Blocks held in the replay buffer now.
+  std::size_t blocks_retained() const { return replay_.size(); }
 
 private:
   /// A virtual array's chunk grid and key builder, cached per array name
@@ -98,9 +102,11 @@ private:
   std::uint64_t blocks_repushed_ = 0;
   std::uint64_t blocks_discarded_ = 0;
 
-  // Replay buffer: the last `replay_capacity_` blocks this rank pushed.
-  // Blocks evicted before a loss are unrecoverable (the scheduler's
-  // re-push deadline then errs them out instead of hanging waiters).
+  // Replay buffer: the last `replay_capacity_` blocks this rank pushed,
+  // kept only when the scheduler arms its failure detector (empty
+  // otherwise). Blocks evicted before a loss are unrecoverable (the
+  // scheduler's re-push deadline then errs them out instead of hanging
+  // waiters).
   std::size_t replay_capacity_ = 1024;
   std::unordered_map<std::string, ArrayCache> arrays_;  // see cache_for
   std::unordered_map<dts::Key, dts::Data> replay_;

@@ -9,7 +9,7 @@ namespace deisa::dts {
 Client::Client(exec::Executor& engine, exec::Transport& cluster, int id, int node,
                int scheduler_node,
                std::vector<exec::Channel<SchedMsg>*> scheduler_inboxes,
-               std::vector<WorkerRef> workers)
+               std::vector<WorkerRef> workers, bool recovery_armed)
     : engine_(&engine),
       cluster_(&cluster),
       id_(id),
@@ -17,7 +17,8 @@ Client::Client(exec::Executor& engine, exec::Transport& cluster, int id, int nod
       scheduler_node_(scheduler_node),
       scheduler_inboxes_(std::move(scheduler_inboxes)),
       mapper_{static_cast<int>(scheduler_inboxes_.size())},
-      workers_(std::move(workers)) {}
+      workers_(std::move(workers)),
+      recovery_armed_(recovery_armed) {}
 
 exec::Co<void> Client::send_to_scheduler(SchedMsg msg, exec::Delivery delivery,
                                         int shard) {

@@ -37,15 +37,21 @@ public:
   /// split per shard (split_graph), keyed RPCs go to the shard owning
   /// the key, name-keyed ops (variables/queues) to the shard owning the
   /// name; at one shard every split is a plain move.
+  /// `recovery_armed`: whether the scheduler arms its failure detector
+  /// (heartbeat_timeout > 0), see recovery_armed().
   Client(exec::Executor& engine, exec::Transport& cluster, int id, int node,
          int scheduler_node,
          std::vector<exec::Channel<SchedMsg>*> scheduler_inboxes,
-         std::vector<WorkerRef> workers);
+         std::vector<WorkerRef> workers, bool recovery_armed);
 
   int id() const { return id_; }
   int node() const { return node_; }
   int num_workers() const { return static_cast<int>(workers_.size()); }
   exec::Executor& engine() { return *engine_; }
+  /// Whether the scheduler can lose a worker and recover from it. Only
+  /// then can it ask a producer to push a key again (repush_keys), so
+  /// only then does a producer need to keep what it pushed.
+  bool recovery_armed() const { return recovery_armed_; }
 
   /// Submit a task graph; `wants` marks the keys this client will gather.
   exec::Co<void> submit(std::vector<TaskSpec> tasks,
@@ -143,6 +149,7 @@ private:
   std::vector<exec::Channel<SchedMsg>*> scheduler_inboxes_;
   ShardMapper mapper_;
   std::vector<WorkerRef> workers_;
+  bool recovery_armed_;
   std::shared_ptr<exec::Channel<int>> notify_;
   std::uint64_t last_cause_ = 0;
 };

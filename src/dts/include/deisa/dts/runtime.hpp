@@ -48,7 +48,9 @@ public:
   int num_workers() const { return static_cast<int>(workers_.size()); }
   std::vector<WorkerRef> worker_refs() const;
 
-  /// Create a client homed on `node`; owned by the Runtime.
+  /// Create a client homed on `node`; owned by the Runtime. The client
+  /// learns whether the scheduler arms its failure detector (every shard
+  /// shares heartbeat_timeout), see Client::recovery_armed().
   Client& make_client(int node);
 
 private:
@@ -57,6 +59,7 @@ private:
   std::unique_ptr<ShardedScheduler> sched_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<Client>> clients_;
+  bool recovery_armed_;
   bool started_ = false;
 };
 

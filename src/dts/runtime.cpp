@@ -5,7 +5,9 @@ namespace deisa::dts {
 Runtime::Runtime(exec::Executor& engine, exec::Transport& cluster,
                  int scheduler_node, std::vector<int> worker_nodes,
                  RuntimeParams params)
-    : engine_(&engine), cluster_(&cluster) {
+    : engine_(&engine),
+      cluster_(&cluster),
+      recovery_armed_(params.scheduler.heartbeat_timeout > 0.0) {
   sched_ = std::make_unique<ShardedScheduler>(
       engine, cluster, scheduler_node, params.shards, params.scheduler);
   for (std::size_t i = 0; i < worker_nodes.size(); ++i)
@@ -44,7 +46,8 @@ void Runtime::start() {
 Client& Runtime::make_client(int node) {
   clients_.push_back(std::make_unique<Client>(
       *engine_, *cluster_, static_cast<int>(clients_.size()), node,
-      sched_->shard(0).node(), sched_->inboxes(), worker_refs()));
+      sched_->shard(0).node(), sched_->inboxes(), worker_refs(),
+      recovery_armed_));
   return *clients_.back();
 }
 

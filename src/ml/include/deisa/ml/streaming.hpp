@@ -22,16 +22,24 @@ struct FieldStats {
   double min = 0.0;
   double max = 0.0;
   double mean = 0.0;
-  double m2 = 0.0;  // sum of squared deviations (Welford/Chan)
+  double m2 = 0.0;  // sum of squared deviations (Chan et al.)
   std::vector<std::uint64_t> histogram;
   double hist_lo = 0.0;
   double hist_hi = 1.0;
 
+  /// Samples per chunk of of()'s kernel: 2 KiB of doubles, so the
+  /// kernel's passes over a chunk read it from L1.
+  static constexpr std::size_t kChunk = 256;
+
   double variance() const { return count > 1 ? m2 / double(count) : 0.0; }
   double stddev() const;
 
-  /// Summarize a buffer into `bins` histogram bins over [lo, hi)
-  /// (out-of-range samples clamp to the edge bins).
+  /// Summarize a buffer into `bins` histogram bins over [lo, hi). A
+  /// sample lands in bin (x - lo) / (width of a bin), truncated;
+  /// out-of-range samples (infinities included) clamp to the edge bins,
+  /// and NaN counts in bin 0. Count, min, max and the histogram are
+  /// exact; mean and m2 come from a chunked two-pass kernel merged with
+  /// Chan's rule (see streaming.cpp).
   static FieldStats of(std::span<const double> samples, std::size_t bins,
                        double lo, double hi);
   /// Exact parallel merge (Chan et al. variance combination).

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "deisa/util/error.hpp"
 
@@ -11,42 +13,122 @@ namespace arr = array;
 
 double FieldStats::stddev() const { return std::sqrt(variance()); }
 
+namespace {
+
+/// Independent accumulators per statistic in the moment passes, so no
+/// add, min or max waits on the previous sample's result.
+constexpr std::size_t kLanes = 4;
+
+/// The lanes added in lane order (a fixed rounding on every build).
+double lane_sum(const double (&lanes)[kLanes]) {
+  double total = lanes[0];
+  for (std::size_t j = 1; j < kLanes; ++j) total += lanes[j];
+  return total;
+}
+
+}  // namespace
+
 FieldStats FieldStats::of(std::span<const double> samples, std::size_t bins,
                           double lo, double hi) {
   DEISA_CHECK(bins >= 1, "histogram needs at least one bin");
+  DEISA_CHECK(bins <= static_cast<std::size_t>(
+                          std::numeric_limits<std::int32_t>::max()),
+              "histogram has more bins than an int32 can index");
   DEISA_CHECK(hi > lo, "histogram range must be non-empty");
   FieldStats s;
   s.histogram.assign(bins, 0);
   s.hist_lo = lo;
   s.hist_hi = hi;
   if (samples.empty()) return s;
-  // Single streaming pass with the Welford accumulators held in locals
-  // (registers) instead of struct members, and the histogram written
-  // through a raw pointer; the update sequence per sample is unchanged,
-  // so the moments are bit-identical to the member-accumulator version.
-  double mn = samples[0];
-  double mx = samples[0];
-  double mean = 0.0;
+  // Chunked kernel, so that no division sits on a loop-carried chain (a
+  // per-sample Welford update divides by the running count, and each
+  // sample waits for the previous sample's division). Per chunk of
+  // kChunk samples: pass 1 sums and takes min and max in kLanes
+  // independent accumulators; pass 2 sums the deviations about the chunk
+  // mean and their squares, and takes the rounding-correction term
+  // (sum of deviations)^2 / n off m2 (the corrected two-pass algorithm);
+  // pass 3 bins each sample; Chan's merge then folds the chunk's
+  // (n, mean, m2) into the running totals. Moments are taken about the
+  // first sample, so a constant block has m2 exactly 0, and a field far
+  // from zero keeps its low-order bits in the merge.
+  const double shift = samples[0];
+  double mn[kLanes];
+  double mx[kLanes];
+  std::fill_n(mn, kLanes, shift);
+  std::fill_n(mx, kLanes, shift);
+  double n = 0.0;
+  double mean = 0.0;  // of the shifted samples
   double m2 = 0.0;
-  std::uint64_t count = 0;
-  std::uint64_t* histo = s.histogram.data();
-  const auto last_bin = static_cast<std::int64_t>(bins) - 1;
   const double width = (hi - lo) / static_cast<double>(bins);
-  for (double x : samples) {
-    ++count;
-    mn = std::min(mn, x);
-    mx = std::max(mx, x);
-    const double delta = x - mean;
-    mean += delta / static_cast<double>(count);
-    m2 += delta * (x - mean);
-    auto bin = static_cast<std::int64_t>((x - lo) / width);
-    bin = std::clamp<std::int64_t>(bin, 0, last_bin);
-    ++histo[static_cast<std::size_t>(bin)];
+  const double top = static_cast<double>(bins - 1);
+  std::uint64_t* histo = s.histogram.data();
+  std::int32_t bin[kChunk] = {};
+  for (std::size_t at = 0; at < samples.size(); at += kChunk) {
+    const double* x = samples.data() + at;
+    const std::size_t len = std::min(kChunk, samples.size() - at);
+    const std::size_t body = len - len % kLanes;
+    const double cn = static_cast<double>(len);
+
+    double sum[kLanes] = {};
+    const auto pass1 = [&](std::size_t j, double v) {
+      sum[j] += v - shift;
+      mn[j] = v < mn[j] ? v : mn[j];  // std::min's NaN rule, per lane
+      mx[j] = mx[j] < v ? v : mx[j];
+    };
+    for (std::size_t i = 0; i < body; i += kLanes)
+      for (std::size_t j = 0; j < kLanes; ++j) pass1(j, x[i + j]);
+    for (std::size_t i = body; i < len; ++i) pass1(i - body, x[i]);
+    const double center = shift + lane_sum(sum) / cn;
+
+    // Two loops, not one: each then vectorizes without shuffles.
+    double dev[kLanes] = {};
+    double dev2[kLanes] = {};
+    for (std::size_t i = 0; i < body; i += kLanes)
+      for (std::size_t j = 0; j < kLanes; ++j) dev[j] += x[i + j] - center;
+    for (std::size_t i = body; i < len; ++i) dev[i - body] += x[i] - center;
+    for (std::size_t i = 0; i < body; i += kLanes)
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        const double d = x[i + j] - center;
+        dev2[j] += d * d;
+      }
+    for (std::size_t i = body; i < len; ++i) {
+      const double d = x[i] - center;
+      dev2[i - body] += d * d;
+    }
+    const double c = lane_sum(dev);
+    const double cm2 = lane_sum(dev2) - c * c / cn;
+    const double cmean = (center - shift) + c / cn;
+
+    // Clamp the quotient as a double: NaN and anything below 0 go to bin
+    // 0, anything at or above the last bin (inf included) to the last,
+    // so the conversion never sees an out-of-range value. Converting to
+    // an int32 buffer lets the division, clamps and conversion vectorize;
+    // the increments follow in their own loop.
+    for (std::size_t i = 0; i < len; ++i) {
+      double q = (x[i] - lo) / width;
+      q = q >= 0.0 ? q : 0.0;
+      q = q < top ? q : top;
+      bin[i] = static_cast<std::int32_t>(q);
+    }
+    for (std::size_t i = 0; i < len; ++i)
+      ++histo[static_cast<std::size_t>(bin[i])];
+
+    const double total = n + cn;
+    const double delta = cmean - mean;
+    mean += delta * (cn / total);
+    m2 += cm2 + delta * delta * (n * (cn / total));
+    n = total;
   }
-  s.count = count;
-  s.min = mn;
-  s.max = mx;
-  s.mean = mean;
+  double lo_all = mn[0];
+  double hi_all = mx[0];
+  for (std::size_t j = 1; j < kLanes; ++j) {
+    lo_all = mn[j] < lo_all ? mn[j] : lo_all;
+    hi_all = hi_all < mx[j] ? mx[j] : hi_all;
+  }
+  s.count = static_cast<std::int64_t>(samples.size());
+  s.min = lo_all;
+  s.max = hi_all;
+  s.mean = shift + mean;
   s.m2 = m2;
   return s;
 }

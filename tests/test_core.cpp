@@ -127,12 +127,15 @@ struct World {
   std::unique_ptr<net::Cluster> cluster;
   std::unique_ptr<dts::Runtime> rt;
 
-  World() {
+  /// `heartbeat_timeout` > 0 arms the scheduler's failure detector.
+  explicit World(double heartbeat_timeout = 0.0) {
     net::ClusterParams p;
     p.physical_nodes = 16;
     cluster = std::make_unique<net::Cluster>(eng, p);
+    dts::RuntimeParams rp;
+    rp.scheduler.heartbeat_timeout = heartbeat_timeout;
     rt = std::make_unique<dts::Runtime>(eng, *cluster, 0,
-                                        std::vector<int>{2, 3});
+                                        std::vector<int>{2, 3}, rp);
     rt->start();
   }
 };
@@ -308,6 +311,60 @@ TEST(Bridge, SendBlocksFiltersGroupsAndRegistersOnce) {
       EXPECT_EQ(w.rt->scheduler().state_of(key), dts::TaskState::kMemory)
           << key;
   }
+}
+
+sim::Co<void> whole_grid_bridge(core::Bridge& bridge, std::int64_t steps,
+                                sim::Event& pushes_done) {
+  const auto va = temp_array(steps);
+  std::vector<core::VirtualArray> arrays;
+  arrays.push_back(va);
+  co_await bridge.publish_arrays(std::move(arrays));
+  co_await bridge.wait_contract();
+  for (std::int64_t t = 0; t < steps; ++t) {
+    std::vector<std::pair<arr::Index, dts::Data>> blocks;
+    for (std::int64_t x = 0; x < 2; ++x)
+      for (std::int64_t y = 0; y < 4; ++y)
+        blocks.emplace_back(ix(t, x, y), dts::Data::sized(va.block_bytes()));
+    (void)co_await bridge.send_blocks(va, std::move(blocks));
+  }
+  pushes_done.set();
+}
+
+sim::Co<void> whole_grid_adaptor(World& w, core::Adaptor& adaptor,
+                                 std::int64_t steps, sim::Event& pushes_done) {
+  (void)co_await adaptor.get_deisa_arrays();
+  adaptor.select("G_temp",
+                 arr::Selection(arr::Box(ix(0, 0, 0), ix(steps, 8, 16))));
+  (void)co_await adaptor.validate_contract();
+  co_await pushes_done.wait();
+  co_await w.rt->shutdown();
+}
+
+/// Push every block of a `steps`-step array (8 blocks a step) through one
+/// bridge and return how many it holds for replay afterwards.
+std::size_t retained_after_pushes(double heartbeat_timeout,
+                                  std::int64_t steps) {
+  World w(heartbeat_timeout);
+  core::Bridge bridge(w.rt->make_client(4), core::Mode::kDeisa3, 0, 1);
+  core::Adaptor adaptor(w.rt->make_client(1), core::Mode::kDeisa3);
+  sim::Event pushes_done(w.eng);
+  w.eng.spawn(whole_grid_adaptor(w, adaptor, steps, pushes_done));
+  w.eng.spawn(whole_grid_bridge(bridge, steps, pushes_done));
+  w.eng.run();
+  EXPECT_EQ(bridge.blocks_sent(), static_cast<std::uint64_t>(8 * steps));
+  return bridge.blocks_retained();
+}
+
+TEST(Bridge, RetainsNoReplayCopiesWithoutFailureDetector) {
+  // heartbeat_timeout 0: no detector, so no worker is ever declared lost
+  // and nothing can ask for a block again.
+  EXPECT_EQ(retained_after_pushes(0.0, 4), 0u);
+  EXPECT_EQ(retained_after_pushes(0.0, 160), 0u);
+}
+
+TEST(Bridge, RetainsLast1024BlocksWithFailureDetector) {
+  EXPECT_EQ(retained_after_pushes(3.0, 4), 32u);
+  EXPECT_EQ(retained_after_pushes(3.0, 160), 1024u);  // 1280 pushed
 }
 
 }  // namespace

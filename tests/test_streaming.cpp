@@ -3,7 +3,11 @@
 // distributed monitoring graph over external tasks, and histogramming.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "deisa/net/cluster.hpp"
 #include "deisa/sim/engine.hpp"
@@ -52,6 +56,126 @@ TEST(FieldStats, OutOfRangeSamplesClampToEdgeBins) {
   const auto s = ml::FieldStats::of(v, 2, 0, 1);
   EXPECT_EQ(s.histogram[0], 2u);  // -10 clamps down, 0.25 in bin 0
   EXPECT_EQ(s.histogram[1], 1u);  // 99 clamps up
+  // At the monitor's default layout (16 bins over [0, 100)), quotients
+  // beyond int64's range clamp too, and NaN counts in bin 0.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double x : {1e20, 1e300, inf}) {
+    const std::vector<double> one{x};
+    EXPECT_EQ(ml::FieldStats::of(one, 16, 0, 100).histogram[15], 1u) << x;
+  }
+  for (const double x : {-1e20, -1e300, -inf, std::nan("")}) {
+    const std::vector<double> one{x};
+    EXPECT_EQ(ml::FieldStats::of(one, 16, 0, 100).histogram[0], 1u) << x;
+  }
+}
+
+// Brute-force summary of a buffer: count, min, max and the histogram the
+// way the monitor defines them, mean and m2 by a two-pass sum in long
+// double.
+struct Oracle {
+  std::int64_t count = 0;
+  double min = 0.0;
+  double max = 0.0;
+  long double mean = 0.0L;
+  long double m2 = 0.0L;
+  std::vector<std::uint64_t> histogram;
+};
+
+Oracle brute_force(const std::vector<double>& v, std::size_t bins, double lo,
+                   double hi) {
+  Oracle o;
+  o.histogram.assign(bins, 0);
+  if (v.empty()) return o;
+  const double width = (hi - lo) / static_cast<double>(bins);
+  o.min = v[0];
+  o.max = v[0];
+  long double sum = 0.0L;
+  for (const double x : v) {
+    ++o.count;
+    o.min = std::min(o.min, x);
+    o.max = std::max(o.max, x);
+    sum += x;
+    const double q = (x - lo) / width;
+    std::size_t bin = 0;
+    if (q >= static_cast<double>(bins)) {
+      bin = bins - 1;
+    } else if (q >= 0.0) {
+      bin = static_cast<std::size_t>(q);
+    }
+    ++o.histogram[bin];
+  }
+  const long double n = static_cast<long double>(v.size());
+  o.mean = sum / n;
+  long double dev = 0.0L;
+  for (const double x : v) {
+    const long double d = x - o.mean;
+    dev += d;
+    o.m2 += d * d;
+  }
+  o.m2 -= dev * dev / n;
+  o.mean += dev / n;
+  return o;
+}
+
+struct Layout {
+  std::size_t bins;
+  double lo;
+  double hi;
+};
+
+TEST(FieldStats, ChunkedKernelMatchesBruteForce) {
+  constexpr std::size_t c = ml::FieldStats::kChunk;
+  const auto seeded = [](std::size_t n, double offset) {
+    Rng rng(n + 1);
+    std::vector<double> v(n);
+    for (double& x : v) x = offset + rng.uniform(-10.0, 110.0);
+    return v;
+  };
+  // The monitor's default layout, and two where binning by a multiply
+  // with 1 / width puts some edge sample in another bin than the
+  // division does.
+  for (const Layout& l : {Layout{16, 0.0, 100.0}, Layout{10, 0.0, 100.0},
+                          Layout{16, -3.7, 101.3}}) {
+    // Every interior bin edge and the double just below it.
+    const double width = (l.hi - l.lo) / static_cast<double>(l.bins);
+    std::vector<double> edges;
+    for (std::size_t k = 1; k < l.bins; ++k) {
+      const double edge = l.lo + static_cast<double>(k) * width;
+      edges.push_back(edge);
+      edges.push_back(
+          std::nextafter(edge, -std::numeric_limits<double>::infinity()));
+    }
+    const auto tiled_edges = [&](std::size_t n) {
+      std::vector<double> v(n);
+      for (std::size_t i = 0; i < n; ++i) v[i] = edges[i % edges.size()];
+      return v;
+    };
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, c - 1, c,
+                                c + 1, 3 * c + 7, std::size_t{524288}}) {
+      const std::vector<std::pair<std::string, std::vector<double>>> inputs{
+          {"seeded", seeded(n, 0.0)},
+          {"edges", tiled_edges(n)},
+          {"constant", std::vector<double>(n, 0.1)},
+          {"offset 1e9", seeded(n, 1e9)}};
+      for (const auto& [name, v] : inputs) {
+        SCOPED_TRACE(name + ", " + std::to_string(n) + " samples, " +
+                     std::to_string(l.bins) + " bins from " +
+                     std::to_string(l.lo));
+        const auto got = ml::FieldStats::of(v, l.bins, l.lo, l.hi);
+        const Oracle want = brute_force(v, l.bins, l.lo, l.hi);
+        EXPECT_EQ(got.count, want.count);
+        EXPECT_EQ(got.min, want.min);
+        EXPECT_EQ(got.max, want.max);
+        EXPECT_EQ(got.histogram, want.histogram);
+        EXPECT_LE(std::abs(got.mean - want.mean),
+                  1e-12L * std::abs(want.mean));
+        EXPECT_LE(std::abs(got.m2 - want.m2), 1e-12L * std::abs(want.m2));
+        if (name == "constant") {
+          EXPECT_EQ(got.m2, 0.0);
+        }
+      }
+    }
+  }
 }
 
 class StatsMergeSplit : public ::testing::TestWithParam<std::size_t> {};
