@@ -16,17 +16,35 @@ std::string bridge_lane(int rank) { return "rank-" + std::to_string(rank); }
 Bridge::Bridge(dts::Client& client, Mode mode, int rank, int nranks)
     : client_(&client), mode_(mode), rank_(rank), nranks_(nranks) {
   DEISA_CHECK(rank >= 0 && rank < nranks, "bridge rank out of range");
-  if (uses_external_tasks(mode_)) {
-    notify_ = std::make_shared<exec::Channel<int>>(client.engine());
-    client_->set_notify_channel(notify_);
-    client_->engine().spawn(run_repush_listener());
-  }
+  if (uses_external_tasks(mode_) && client_->recovery_armed())
+    client_->engine().spawn(run_replays());
 }
 
-exec::Co<void> Bridge::run_repush_listener() {
+exec::Co<void> Bridge::run_replays() {
   while (true) {
-    (void)co_await notify_->recv();
-    co_await run_repush();
+    const dts::RepushList list = co_await client_->replays().recv();
+    obs::trace_instant("bridge", bridge_lane(rank_),
+                       "repush:" + std::to_string(list.size()));
+    // Group the replay by re-routed target and replay each group as one
+    // coalesced scatter_batch — the same wire shape as the original push.
+    // A replay that lands on a dead worker comes back in a fresh list.
+    std::map<int, std::vector<std::pair<dts::Key, dts::Data>>> by_worker;
+    for (const auto& [key, worker] : list) {
+      const auto it = replay_.find(key);
+      if (it == replay_.end()) {
+        // Evicted from the replay buffer: unrecoverable from this rank;
+        // the scheduler's re-push deadline will err the key out.
+        obs::count("bridge.repush_misses");
+        continue;
+      }
+      by_worker[worker].emplace_back(key, it->second);
+    }
+    for (auto& [worker, items] : by_worker) {
+      blocks_repushed_ += items.size();
+      obs::count("bridge.blocks_repushed", items.size());
+      (void)co_await client_->scatter_batch(std::move(items), worker,
+                                            /*external=*/true);
+    }
   }
 }
 
@@ -98,7 +116,6 @@ exec::Co<std::size_t> Bridge::send_blocks(
         std::move(key), std::move(data));
   }
   std::size_t sent = 0;
-  bool repush_pending = false;
   for (auto& [worker, items] : by_worker) {
     const std::size_t n = items.size();
     std::uint64_t bytes = 0;
@@ -123,12 +140,9 @@ exec::Co<std::size_t> Bridge::send_blocks(
       if (ack == dts::kAckDiscarded) {
         ++blocks_discarded_;
         obs::count("bridge.blocks_discarded");
-      } else if (ack == dts::kAckRepushPending) {
-        repush_pending = true;
       }
     }
   }
-  if (repush_pending) co_await run_repush();
   co_return sent;
 }
 
@@ -140,64 +154,6 @@ void Bridge::remember_block(const dts::Key& key, const dts::Data& data) {
       replay_order_.pop_front();
     }
   }
-}
-
-exec::Co<void> Bridge::run_repush() {
-  if (repushing_) co_return;  // the active loop will pick new work up
-  repushing_ = true;
-  // Exponential backoff between rounds: a replacement worker may itself
-  // die, in which case the replayed block re-queues and the next round
-  // retries at the next re-routed target.
-  double backoff = 0.05;
-  constexpr int kMaxRounds = 8;
-  bool drained = false;
-  for (int round = 0; round < kMaxRounds; ++round) {
-    const dts::RepushList assignments = co_await client_->repush_keys();
-    if (assignments.empty()) {
-      drained = true;
-      break;
-    }
-    obs::trace_instant("bridge", bridge_lane(rank_),
-                       "repush:" + std::to_string(assignments.size()));
-    // Group the replay by re-routed target and replay each group as one
-    // coalesced scatter_batch — the same wire shape as the original push,
-    // instead of a (transfer, RPC, ack) round trip per key.
-    std::map<int, std::vector<std::pair<dts::Key, dts::Data>>> by_worker;
-    for (const auto& [key, worker] : assignments) {
-      const auto it = replay_.find(key);
-      if (it == replay_.end()) {
-        // Evicted from the replay buffer: unrecoverable from this rank;
-        // the scheduler's re-push deadline will err the key out.
-        obs::count("bridge.repush_misses");
-        continue;
-      }
-      by_worker[worker].emplace_back(key, it->second);
-    }
-    bool any_pending = false;
-    for (auto& [worker, items] : by_worker) {
-      const std::size_t n = items.size();
-      blocks_repushed_ += n;
-      obs::count("bridge.blocks_repushed", n);
-      const std::vector<int> acks = co_await client_->scatter_batch(
-          std::move(items), worker, /*external=*/true);
-      for (const int ack : acks)
-        if (ack == dts::kAckRepushPending) any_pending = true;
-    }
-    if (!any_pending) {
-      drained = true;
-      break;
-    }
-    co_await client_->engine().delay(backoff);
-    backoff *= 2.0;
-  }
-  if (!drained) {
-    // All rounds spent with work still pending: make the give-up loud.
-    // The scheduler's re-push deadline will eventually err the keys out,
-    // but silence here would read as "replay succeeded".
-    obs::count("bridge.repush_exhausted");
-    obs::trace_instant("bridge", bridge_lane(rank_), "repush_exhausted");
-  }
-  repushing_ = false;
 }
 
 exec::Co<void> Bridge::run_heartbeats(exec::Event& stop) {

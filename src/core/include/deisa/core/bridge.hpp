@@ -41,11 +41,9 @@ public:
   /// per-push control overhead is paid once per (rank, worker, timestep)
   /// instead of once per block. When the scheduler arms its failure
   /// detector (Client::recovery_armed), pushed blocks are retained in a
-  /// bounded replay buffer; when the scheduler acknowledges a key with
-  /// kAckRepushPending (the target worker is being replaced), the bridge
-  /// drains its re-push assignments and replays the lost blocks at the
-  /// re-routed workers, retrying with exponential backoff. Without a
-  /// detector nothing can ask for a block again, and none is retained.
+  /// bounded replay buffer, and run_replays() pushes again whatever the
+  /// scheduler lists as lost. Without a detector nothing can ask for a
+  /// block again, and none is retained.
   /// Returns the number of blocks sent (excluding filtered ones).
   exec::Co<std::size_t> send_blocks(
       const VirtualArray& va,
@@ -83,13 +81,12 @@ private:
                        const array::Index& coord) const;
   /// Remember a pushed block for potential replay (bounded FIFO).
   void remember_block(const dts::Key& key, const dts::Data& data);
-  /// Drain the scheduler's re-push assignments and replay from the buffer.
-  exec::Co<void> run_repush();
-  /// Waits on the notify channel the client registers with the scheduler:
-  /// a poke means re-push work appeared after this rank's last push (a
-  /// crash detected late), so no ack could carry the request. Runs for
-  /// the bridge's lifetime; the engine reaps it at teardown.
-  exec::Co<void> run_repush_listener();
+  /// Spawned by the constructor only when recovery is armed: receive each
+  /// replay list the scheduler sends on the client's replay channel and
+  /// push the listed blocks again from the buffer, at their re-routed
+  /// targets. Runs for the bridge's lifetime; the engine reaps it at
+  /// teardown.
+  exec::Co<void> run_replays();
 
   dts::Client* client_;
   Mode mode_;
@@ -111,8 +108,6 @@ private:
   std::unordered_map<std::string, ArrayCache> arrays_;  // see cache_for
   std::unordered_map<dts::Key, dts::Data> replay_;
   std::deque<dts::Key> replay_order_;
-  std::shared_ptr<exec::Channel<int>> notify_;
-  bool repushing_ = false;  // re-entrancy guard for run_repush()
 };
 
 }  // namespace deisa::core

@@ -18,7 +18,10 @@ Client::Client(exec::Executor& engine, exec::Transport& cluster, int id, int nod
       scheduler_inboxes_(std::move(scheduler_inboxes)),
       mapper_{static_cast<int>(scheduler_inboxes_.size())},
       workers_(std::move(workers)),
-      recovery_armed_(recovery_armed) {}
+      recovery_armed_(recovery_armed),
+      replays_(recovery_armed
+                   ? std::make_shared<exec::Channel<RepushList>>(engine)
+                   : nullptr) {}
 
 exec::Co<void> Client::send_to_scheduler(SchedMsg msg, exec::Delivery delivery,
                                         int shard) {
@@ -91,7 +94,7 @@ exec::Co<int> Client::scatter(Key key, Data data, int worker, bool external,
   reg.bytes = payload_bytes;
   reg.external = external;
   reg.reply_worker = ack;
-  reg.notify = notify_;
+  reg.replays = replays_;
   const int shard = shard_of(reg.key);
   co_await send_to_scheduler(std::move(reg), exec::Delivery::kReliable,
                              shard);
@@ -139,7 +142,7 @@ exec::Co<std::vector<int>> Client::scatter_batch(
   for (auto& [shard, slice] : slices) {
     slice.reply_acks =
         std::make_shared<exec::Channel<std::vector<int>>>(*engine_);
-    slice.notify = notify_;
+    slice.replays = replays_;
     acks.emplace_back(shard, slice.reply_acks);
     co_await send_to_scheduler(std::move(slice), exec::Delivery::kReliable,
                                shard);
@@ -152,23 +155,6 @@ exec::Co<std::vector<int>> Client::scatter_batch(
     for (std::size_t j = 0; j < got.size(); ++j) out[pos[j]] = got[j];
   }
   co_return out;
-}
-
-exec::Co<RepushList> Client::repush_keys() {
-  // Re-armed keys live in the repush buffer of the shard that OWNS each
-  // key, so the drain must fan out over every shard and merge — querying
-  // only shard 0 would leave assignments on other shards to expire.
-  RepushList merged;
-  for (int s = 0; s < mapper_.shards; ++s) {
-    auto reply = std::make_shared<exec::Channel<RepushList>>(*engine_);
-    SchedMsg msg(SchedMsgKind::kRepushKeys);
-    msg.reply_repush = reply;
-    co_await send_to_scheduler(std::move(msg), exec::Delivery::kReliable, s);
-    RepushList part = co_await reply->recv();
-    merged.insert(merged.end(), std::make_move_iterator(part.begin()),
-                  std::make_move_iterator(part.end()));
-  }
-  co_return merged;
 }
 
 exec::Co<int> Client::wait_key(const Key& key) {

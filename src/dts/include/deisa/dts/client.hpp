@@ -49,9 +49,17 @@ public:
   int num_workers() const { return static_cast<int>(workers_.size()); }
   exec::Executor& engine() { return *engine_; }
   /// Whether the scheduler can lose a worker and recover from it. Only
-  /// then can it ask a producer to push a key again (repush_keys), so
-  /// only then does a producer need to keep what it pushed.
+  /// then can it ask a producer to push a key again (replays()), so only
+  /// then does a producer need to keep what it pushed.
   bool recovery_armed() const { return recovery_armed_; }
+  /// The replay channel, which exists only when recovery is armed: every
+  /// push carries it, and each shard that re-arms keys this client pushed
+  /// sends one RepushList here — the keys to push again, each with its
+  /// re-routed target worker.
+  exec::Channel<RepushList>& replays() {
+    DEISA_CHECK(replays_ != nullptr, "no replay channel: recovery disarmed");
+    return *replays_;
+  }
 
   /// Submit a task graph; `wants` marks the keys this client will gather.
   exec::Co<void> submit(std::vector<TaskSpec> tasks,
@@ -67,9 +75,10 @@ public:
   /// it external→memory and unblocks dependents). Like a dask scatter it
   /// sends two messages: bulk data to the worker plus metadata to the
   /// scheduler. Returns the scheduler's registration acknowledgement: the
-  /// worker id normally, or one of the negative ack codes (kAckErred /
-  /// kAckDiscarded / kAckRepushPending) under faults — kAckRepushPending
-  /// asks the caller to follow up with repush_keys().
+  /// worker id, or under faults kAckErred (a plain scatter to a dead
+  /// worker) or kAckDiscarded (the key already erred or completed). An
+  /// external push at a worker already declared dead is acknowledged with
+  /// that worker's id; its replay is asked for on replays().
   /// `cause` is the sender's causality id (a bridge push span); it rides
   /// on both the worker push and the scheduler registration so the trace
   /// links push -> update_data.
@@ -83,20 +92,6 @@ public:
   exec::Co<std::vector<int>> scatter_batch(
       std::vector<std::pair<Key, Data>> items, int worker,
       bool external = false, std::uint64_t cause = 0);
-
-  /// Drain this producer's pending re-push assignments: lost external
-  /// keys the scheduler wants pushed again, each with its re-routed
-  /// target worker. Synchronous RPC (see kAckRepushPending).
-  exec::Co<RepushList> repush_keys();
-
-  /// Register a wake-up channel carried on every scatter registration.
-  /// The scheduler pokes it with kAckRepushPending when re-push work
-  /// appears for this producer after its last push — the only path by
-  /// which a crash detected late (after the final block went out) still
-  /// reaches the producer's replay buffer.
-  void set_notify_channel(std::shared_ptr<exec::Channel<int>> ch) {
-    notify_ = std::move(ch);
-  }
 
   /// Block until `key` is finished; returns the worker holding it.
   /// Throws util::Error if the task erred.
@@ -150,7 +145,7 @@ private:
   ShardMapper mapper_;
   std::vector<WorkerRef> workers_;
   bool recovery_armed_;
-  std::shared_ptr<exec::Channel<int>> notify_;
+  std::shared_ptr<exec::Channel<RepushList>> replays_;  // null when disarmed
   std::uint64_t last_cause_ = 0;
 };
 

@@ -86,7 +86,6 @@ enum class SchedMsgKind {
   kQueuePut,
   kQueueGet,
   kWorkerLost,       // failure detector -> scheduler (serialized recovery)
-  kRepushKeys,       // producer asks for its pending re-push assignments
   kRepushExpired,    // internal deadline: re-armed key never replayed
                      // (carries the re-arm epoch in `bytes`)
   kShardKeyDone,     // cross-shard completion notification {key, worker,
@@ -110,14 +109,10 @@ inline constexpr std::size_t kSchedMsgKindCount =
 // values are worker ids (wait_key, scatter registration).
 inline constexpr int kAckErred = -2;      // task erred / cancelled
 inline constexpr int kAckDiscarded = -3;  // stale push dropped (terminal key)
-/// The push was handled, but the scheduler holds pending re-push
-/// assignments for this producer: it must issue kRepushKeys and replay
-/// the listed blocks (possibly including the one just pushed, if its
-/// target worker is being replaced).
-inline constexpr int kAckRepushPending = -4;
 
-/// Payload of a kRepushKeys reply: lost external keys this producer must
-/// push again, each with its re-routed target worker.
+/// A replay list, sent by the scheduler on a producer's replay channel:
+/// lost external keys this producer must push again, each with its
+/// re-routed target worker.
 using RepushList = std::vector<std::pair<Key, int>>;
 
 struct SchedMsg {
@@ -174,14 +169,12 @@ struct SchedMsg {
   // payload). Channels are engine-bound and shared with the requester.
   std::shared_ptr<exec::Channel<Ack>> reply_worker;
   std::shared_ptr<exec::Channel<Data>> reply_data;
-  std::shared_ptr<exec::Channel<RepushList>> reply_repush;  // kRepushKeys
 
-  /// Producer wake-up channel, carried on kUpdateData. The scheduler
-  /// remembers the latest channel per producing client and pokes it with
-  /// kAckRepushPending when re-push work appears for that producer later
-  /// — e.g. a crash detected after the producer's final push, when no
-  /// further ack could carry the request.
-  std::shared_ptr<exec::Channel<int>> notify;
+  /// The producer's replay channel, carried on kUpdateData only when the
+  /// scheduler arms its failure detector. The scheduler keeps one per
+  /// producing client and sends it a RepushList whenever it re-arms keys
+  /// that client pushed — a crash detected after the final push included.
+  std::shared_ptr<exec::Channel<RepushList>> replays;
 
   /// Memoized sum of tasks[i].deps.size(), shared by wire_bytes() and
   /// the scheduler's service-time model so a large update_graph batch is

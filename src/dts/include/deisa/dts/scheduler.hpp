@@ -130,12 +130,12 @@ public:
 
   /// Main actor loop (spawned by the Runtime). Exits on kShutdown.
   exec::Co<void> run();
-  /// Heartbeat-deadline monitor (spawned alongside run()). Exits
-  /// immediately when params.heartbeat_timeout <= 0, and on every shard
-  /// except shard 0 when sharded (heartbeats land on shard 0 only; it is
-  /// the liveness authority and broadcasts kShardWorkerDead to peers).
-  /// Suspected workers are reported through the scheduler's own inbox
-  /// (kWorkerLost), so recovery serializes with every other handler.
+  /// Heartbeat-deadline monitor (spawned alongside run(); recovery.cpp).
+  /// Exits immediately when params.heartbeat_timeout <= 0, and on every
+  /// shard except shard 0 when sharded (heartbeats land on shard 0 only;
+  /// it is the liveness authority and broadcasts kShardWorkerDead to
+  /// peers). Suspected workers are reported through the scheduler's own
+  /// inbox (kWorkerLost), so recovery serializes with every other handler.
   exec::Co<void> run_failure_detector();
 
   // ---- observability ----
@@ -177,8 +177,6 @@ public:
   std::size_t ready_queue_size() const { return ready_size_; }
   /// Blocked wait_key/gather reply channels across all records.
   std::size_t pending_waiters() const;
-  /// Lost external keys still queued for a producer re-push.
-  std::size_t repush_pending() const;
 
   /// Cross-shard protocol state and counters (remote edges, notify
   /// messages, drain acks; all 0 at one shard).
@@ -306,36 +304,49 @@ private:
   /// Register one pushed/scattered key on `worker` and return the ack
   /// code. Shared by the single-key path and the coalesced batch path
   /// (one kUpdateData carrying keys[]/sizes[] for a whole bridge push).
+  /// An external key pushed at a worker already declared dead is re-armed
+  /// and appended to `rearmed`, for the caller's send_replays().
   exec::Co<int> update_data_one(Key key, int worker, std::uint64_t bytes,
-                               bool external, int sender_client);
+                               bool external, int sender_client,
+                               std::vector<KeyId>& rearmed);
   void handle_create_external(SchedMsg& msg);
   exec::Co<void> handle_wait_key(SchedMsg& msg);
   exec::Co<void> handle_cancel(SchedMsg& msg);
   exec::Co<void> handle_variable(SchedMsg& msg);
   exec::Co<void> handle_queue(SchedMsg& msg);
-  exec::Co<void> handle_worker_lost(SchedMsg& msg);
-  exec::Co<void> handle_repush_keys(SchedMsg& msg);
-  exec::Co<void> handle_repush_expired(SchedMsg& msg);
-
-  /// Recovery core, run as (part of) a serialized handler: classify every
-  /// key held by the dead worker, re-run lost computed keys via lineage,
-  /// re-arm lost external keys for a producer re-push, err unrecoverable
-  /// scatters (poisoning their cones), and re-assign in-flight tasks.
-  exec::Co<void> recover_worker(int worker);
   /// Err task `id` and cascade the poison through its dependent cone,
   /// releasing any blocked waiters with kAckErred.
   exec::Co<void> poison_task(KeyId id, const std::string& error);
   /// Reply `value` to every client blocked on record `id` and drop them.
   exec::Co<void> release_waiters(KeyId id, int value);
+  /// Round-robin over live workers only.
+  int pick_live_worker();
+
+  // ---- failure detection and recovery (defined in recovery.cpp) ----
+  /// Refresh the sending worker's heartbeat deadline (counted but ignored
+  /// once the worker is declared dead).
+  void handle_heartbeat(const SchedMsg& msg);
+  /// Re-check a suspected worker's deadline, declare it dead, broadcast
+  /// the death to peer shards and run recover_worker().
+  exec::Co<void> handle_worker_lost(SchedMsg& msg);
+  /// Recovery core, run as (part of) a serialized handler: classify every
+  /// key held by the dead worker, re-run lost computed keys via lineage,
+  /// re-arm lost external keys for a producer re-push, err unrecoverable
+  /// scatters (poisoning their cones), and re-assign in-flight tasks.
+  exec::Co<void> recover_worker(int worker);
+  /// Re-arm external key `id` for a producer re-push: a fresh epoch, a
+  /// live target worker, and the repush_deadline() that errs it out if
+  /// no replay arrives.
+  void rearm_external(KeyId id, TaskRecord& rec);
+  /// Send each producing client one RepushList naming its re-armed keys
+  /// among `ids` and their targets; a key with no known producer is
+  /// poisoned instead (its data was lost with `worker`).
+  exec::Co<void> send_replays(const std::vector<KeyId>& ids, int worker);
   /// Watchdog for a re-armed external key: if the producer has not
   /// replayed it within params.repush_timeout, err it out (epoch guards
   /// against acting on a key that was replayed and re-armed again).
   exec::Co<void> repush_deadline(Key key, std::uint64_t epoch);
-  /// Poke a producer's registered wake-up channel (no-op if it never
-  /// pushed with one): re-push work is waiting for it.
-  void notify_producer(int client);
-  /// Round-robin over live workers only.
-  int pick_live_worker();
+  exec::Co<void> handle_repush_expired(SchedMsg& msg);
 
   /// Mark record `id` finished in memory and cascade: notify waiters,
   /// decrement dependents, assign newly-ready tasks. The
@@ -432,14 +443,15 @@ private:
   // Which keys' data lives on each worker (memory-state records only).
   // recover_worker reads this instead of scanning every record.
   std::vector<std::unordered_set<KeyId>> has_what_;
-  // Lost external keys awaiting a replay, grouped by producing client
-  // (each bridge holds its own replay buffer). The producer learns about
-  // them via kAckRepushPending — piggybacked on its next push ack, or
-  // poked through its registered notify channel when no further push is
-  // coming — and drains the list with kRepushKeys.
-  std::unordered_map<int, std::vector<KeyId>> repush_;
-  // Latest wake-up channel per producing client (see SchedMsg::notify).
-  std::unordered_map<int, std::shared_ptr<exec::Channel<int>>> producer_notify_;
+  // Where to send each producing client's replay lists (each bridge holds
+  // its own replay buffer); registered from its armed pushes.
+  struct Producer {
+    Producer(int node_, std::shared_ptr<exec::Channel<RepushList>> replays_)
+        : node(node_), replays(std::move(replays_)) {}
+    int node;
+    std::shared_ptr<exec::Channel<RepushList>> replays;
+  };
+  std::unordered_map<int, Producer> producers_;
   RecoveryCounters recovery_;
 
   std::string actor_ = "scheduler";  // trace/span actor id

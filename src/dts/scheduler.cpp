@@ -1,7 +1,6 @@
 #include "deisa/dts/scheduler.hpp"
 
 #include <algorithm>
-#include <set>
 #include <span>
 
 #include "deisa/dts/policy.hpp"
@@ -38,7 +37,6 @@ const char* to_string(SchedMsgKind k) {
     case SchedMsgKind::kQueuePut: return "queue_put";
     case SchedMsgKind::kQueueGet: return "queue_get";
     case SchedMsgKind::kWorkerLost: return "worker_lost";
-    case SchedMsgKind::kRepushKeys: return "repush_keys";
     case SchedMsgKind::kRepushExpired: return "repush_expired";
     case SchedMsgKind::kShardKeyDone: return "shard_key_done";
     case SchedMsgKind::kShardWorkerDead: return "shard_worker_dead";
@@ -137,12 +135,6 @@ bool Scheduler::is_released(const Key& key) const {
 std::size_t Scheduler::pending_waiters() const {
   std::size_t n = 0;
   for (const auto& [id, wl] : waiters_) n += wl.chans.size();
-  return n;
-}
-
-std::size_t Scheduler::repush_pending() const {
-  std::size_t n = 0;
-  for (const auto& [client, ids] : repush_) n += ids.size();
   return n;
 }
 
@@ -298,25 +290,10 @@ exec::Co<void> Scheduler::handle(SchedMsg msg) {
     case SchedMsgKind::kCreateExternal: handle_create_external(msg); break;
     case SchedMsgKind::kWaitKey: co_await handle_wait_key(msg); break;
     case SchedMsgKind::kCancelKey: co_await handle_cancel(msg); break;
-    case SchedMsgKind::kHeartbeatWorker:
-      // The deadline the failure detector checks against. Heartbeats from
-      // a worker already declared dead are counted but ignored (the seed
-      // behavior for all heartbeats: service time is their whole cost).
-      if (msg.worker >= 0 &&
-          static_cast<std::size_t>(msg.worker) < workers_.size()) {
-        if (worker_is_dead(msg.worker)) {
-          ++recovery_.stale_heartbeats;
-          obs::count("scheduler.stale.heartbeats");
-        } else {
-          last_heartbeat_[static_cast<std::size_t>(msg.worker)] =
-              engine_->now();
-        }
-      }
-      break;
+    case SchedMsgKind::kHeartbeatWorker: handle_heartbeat(msg); break;
     case SchedMsgKind::kHeartbeatBridge:
       break;  // service time is their whole cost
     case SchedMsgKind::kWorkerLost: co_await handle_worker_lost(msg); break;
-    case SchedMsgKind::kRepushKeys: co_await handle_repush_keys(msg); break;
     case SchedMsgKind::kRepushExpired:
       co_await handle_repush_expired(msg);
       break;
@@ -715,7 +692,8 @@ exec::Co<void> Scheduler::handle_task_finished(SchedMsg& msg) {
 
 exec::Co<int> Scheduler::update_data_one(Key key, int worker,
                                         std::uint64_t bytes, bool external,
-                                        int sender_client) {
+                                        int sender_client,
+                                        std::vector<KeyId>& rearmed) {
   int ack = worker;
   KeyId id = keys_.find(key);
   if (id == kNoKeyId) {
@@ -757,17 +735,11 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
         rec.origin = Origin::kExternal;
         rec.pusher_client = sender_client;
         if (worker_is_dead(worker)) {
-          // The block was pushed at a worker that is being replaced: the
-          // data never landed. Re-route the preselection and schedule a
-          // re-push from this producer's replay buffer.
-          ++rec.rearm_epoch;
-          if (rec.preferred_worker < 0 || worker_is_dead(rec.preferred_worker))
-            rec.preferred_worker = pick_live_worker();
-          repush_[sender_client].push_back(id);
-          engine_->spawn(repush_deadline(key, rec.rearm_epoch));
-          ++recovery_.external_rearmed;
-          obs::count("scheduler.recovery.external_rearmed");
-          ack = kAckRepushPending;
+          // The block was pushed at a worker already declared dead: the
+          // data never landed. Re-arm the key; the caller sends the
+          // producer a replay list asking for the block again.
+          rearm_external(id, rec);
+          rearmed.push_back(id);
         } else {
           // external -> memory, then the normal finished-task cascade.
           co_await finish_task(id, rec, worker, bytes, false, {});
@@ -797,7 +769,11 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
 }
 
 exec::Co<void> Scheduler::handle_update_data(SchedMsg& msg) {
-  if (msg.notify != nullptr) producer_notify_[msg.sender_client] = msg.notify;
+  if (msg.replays != nullptr)
+    producers_.try_emplace(msg.sender_client, msg.sender_node, msg.replays);
+  // Keys pushed at a dead worker: their replay list goes out before the
+  // ack, so the producer holds it by the time its push returns.
+  std::vector<KeyId> rearmed;
   if (!msg.keys.empty() || msg.reply_acks != nullptr) {
     // Coalesced bridge push: register every (keys[i], sizes[i]) pair on
     // `worker` in one message and reply the per-key acks together — one
@@ -809,16 +785,10 @@ exec::Co<void> Scheduler::handle_update_data(SchedMsg& msg) {
     std::vector<int> acks;
     acks.reserve(msg.keys.size());
     for (std::size_t i = 0; i < msg.keys.size(); ++i)
-      acks.push_back(co_await update_data_one(std::move(msg.keys[i]),
-                                              msg.worker, msg.sizes[i],
-                                              msg.external,
-                                              msg.sender_client));
-    // Pending re-push assignments piggyback on every non-erred ack, as
-    // on the single-key path.
-    const auto rit = repush_.find(msg.sender_client);
-    if (rit != repush_.end() && !rit->second.empty())
-      for (int& a : acks)
-        if (a != kAckErred) a = kAckRepushPending;
+      acks.push_back(co_await update_data_one(
+          std::move(msg.keys[i]), msg.worker, msg.sizes[i], msg.external,
+          msg.sender_client, rearmed));
+    if (!rearmed.empty()) co_await send_replays(rearmed, msg.worker);
     if (msg.reply_acks != nullptr) {
       co_await cluster_->send_control(
           node_, msg.sender_node,
@@ -827,14 +797,10 @@ exec::Co<void> Scheduler::handle_update_data(SchedMsg& msg) {
     }
     co_return;
   }
-  int ack = co_await update_data_one(std::move(msg.key), msg.worker,
-                                     msg.bytes, msg.external,
-                                     msg.sender_client);
-  // Pending re-push assignments for this producer piggyback on the ack:
-  // the producer must follow up with kRepushKeys and replay the blocks.
-  const auto rit = repush_.find(msg.sender_client);
-  if (rit != repush_.end() && !rit->second.empty() && ack != kAckErred)
-    ack = kAckRepushPending;
+  const int ack = co_await update_data_one(std::move(msg.key), msg.worker,
+                                           msg.bytes, msg.external,
+                                           msg.sender_client, rearmed);
+  if (!rearmed.empty()) co_await send_replays(rearmed, msg.worker);
   // scatter is a synchronous RPC: the caller blocks until the scheduler
   // has registered the data. Under DEISA1's per-timestep metadata load
   // this acknowledgement queues behind everything else — the source of
@@ -940,304 +906,6 @@ exec::Co<void> Scheduler::handle_queue(SchedMsg& msg) {
   } else {
     slot.waiters.emplace_back(msg.reply_data, msg.sender_node);
   }
-}
-
-exec::Co<void> Scheduler::run_failure_detector() {
-  if (params_.heartbeat_timeout <= 0.0) co_return;
-  // Heartbeats are keyless, so workers route them to shard 0: it is the
-  // liveness authority. Peer shards must not run deadline scans over
-  // heartbeats they never receive (every worker would look dead); they
-  // learn of deaths through the kShardWorkerDead broadcast instead.
-  if (shard_.index != 0) co_return;
-  const double interval = params_.heartbeat_timeout / 4.0;
-  // Workers that have not heartbeated yet are measured from arming time,
-  // so a worker that dies before its first heartbeat is still detected.
-  const double armed_at = engine_->now();
-  while (!stopping_) {
-    co_await engine_->delay(interval);
-    if (stopping_) co_return;
-    const double now = engine_->now();
-    for (const WorkerRef& ref : workers_) {
-      const auto w = static_cast<std::size_t>(ref.id);
-      if (dead_[w] != 0 || suspected_[w] != 0) continue;
-      const double hb = last_heartbeat_[w];
-      const double last = hb < 0.0 ? armed_at : hb;
-      if (now - last <= params_.heartbeat_timeout) continue;
-      // Report through the scheduler's own inbox so recovery serializes
-      // with every other handler instead of mutating records mid-flight.
-      suspected_[w] = 1;
-      obs::count("scheduler.recovery.suspected");
-      obs::trace_instant(actor_, "recovery",
-                         "suspect:worker-" + std::to_string(ref.id));
-      SchedMsg m(SchedMsgKind::kWorkerLost);
-      m.worker = ref.id;
-      m.sender_node = node_;
-      inbox_.send(std::move(m));
-    }
-  }
-}
-
-exec::Co<void> Scheduler::handle_worker_lost(SchedMsg& msg) {
-  const int w = msg.worker;
-  if (w < 0 || static_cast<std::size_t>(w) >= workers_.size()) co_return;
-  suspected_[static_cast<std::size_t>(w)] = 0;
-  if (worker_is_dead(w)) co_return;
-  // A heartbeat may have slipped in while this report queued: re-check
-  // the deadline before declaring the worker dead.
-  const double hb = last_heartbeat_[static_cast<std::size_t>(w)];
-  if (hb >= 0.0 && engine_->now() - hb <= params_.heartbeat_timeout)
-    co_return;
-  DEISA_CHECK(live_workers() > 1,
-              "worker " << w << " lost and no surviving worker to recover "
-                        << "onto");
-  dead_[static_cast<std::size_t>(w)] = 1;
-  ++dead_count_;
-  ++recovery_.workers_lost;
-  obs::count("scheduler.recovery.workers_lost");
-  obs::trace_instant(actor_, "recovery",
-                     "worker_lost:worker-" + std::to_string(w));
-  DEISA_TRACE("scheduler", "worker " << w << " declared lost; recovering");
-  // Worker-dead hook. As the liveness authority, broadcast the death
-  // before running local recovery, so peer shards start recovering their
-  // own records — mirrors included — as early as possible.
-  Slices broadcast = shard_.worker_dead(w);
-  for (auto& [s, m] : broadcast) co_await send_shard(s, std::move(m));
-  co_await recover_worker(w);
-}
-
-exec::Co<void> Scheduler::recover_worker(int w) {
-  obs::Span span;
-  if (obs::tracer() != nullptr)
-    span = obs::trace_span(actor_, "recovery",
-                           "recover:worker-" + std::to_string(w));
-  // Phase 1: classify every key whose data lived on the dead worker. The
-  // has-what index hands them over directly (sorted for deterministic
-  // event ordering) — no scan of the full record table.
-  auto& held = has_what_[static_cast<std::size_t>(w)];
-  std::vector<KeyId> lost_ids(held.begin(), held.end());
-  held.clear();
-  std::sort(lost_ids.begin(), lost_ids.end());
-  std::vector<std::uint8_t> lost(records_.size(), 0);
-  std::vector<std::pair<KeyId, std::string>> to_poison;
-  std::vector<KeyId> rearmed;
-  for (const KeyId id : lost_ids) {
-    TaskRecord& rec = records_[id];
-    DEISA_ASSERT(rec.state == TaskState::kMemory && rec.worker == w,
-                 "has-what index out of sync on " << keys_.name(id));
-    lost[id] = 1;
-    switch (rec.origin) {
-      case Origin::kComputed:
-        // Lineage exists: re-run the task once its inputs are back.
-        transition(id, rec, TaskState::kWaiting);
-        rec.worker = -1;
-        rec.bytes = 0;
-        rec.nwaiting = 0;
-        ++recovery_.keys_recomputed;
-        obs::count("scheduler.recovery.keys_recomputed");
-        break;
-      case Origin::kExternal:
-        // The producer still holds the block: re-arm the external state
-        // and schedule a re-push at a surviving worker.
-        transition(id, rec, TaskState::kExternal);
-        rec.worker = -1;
-        rec.bytes = 0;
-        rec.nwaiting = 0;
-        ++rec.rearm_epoch;
-        rec.preferred_worker = pick_live_worker();
-        rearmed.push_back(id);
-        ++recovery_.external_rearmed;
-        obs::count("scheduler.recovery.external_rearmed");
-        break;
-      case Origin::kScattered:
-        // No lineage and no re-push protocol: unrecoverable. Poisoned
-        // below, after dependent edges are rebuilt, so the cascade
-        // reaches every consumer.
-        to_poison.emplace_back(
-            id, "scattered data lost with worker " + std::to_string(w));
-        ++recovery_.keys_lost;
-        obs::count("scheduler.recovery.keys_lost");
-        break;
-      case Origin::kRemote:
-        // Mirror of a key owned by another shard: the owner recovers the
-        // actual data (lineage, re-push, or poison) and re-announces the
-        // outcome through its persistent subscription list. Park the
-        // mirror back in external so the fresh kShardKeyDone completes
-        // it again with the new location.
-        transition(id, rec, TaskState::kExternal);
-        rec.worker = -1;
-        rec.bytes = 0;
-        rec.nwaiting = 0;
-        ++recovery_.mirrors_rearmed;
-        obs::count("scheduler.recovery.mirrors_rearmed");
-        break;
-    }
-  }
-  // Phase 2: rebuild consumer edges and restart derailed in-flight work.
-  // A finished key's dependent edges were cleared when it completed, so
-  // consumers of lost keys are rediscovered from the CSR dep slices —
-  // one flat sweep per lost worker, not per message.
-  std::vector<KeyId> assignable;
-  const KeyId nrec = static_cast<KeyId>(records_.size());
-  for (KeyId id = 0; id < nrec; ++id) {
-    TaskRecord& rec = records_[id];
-    if (rec.state == TaskState::kWaiting) {
-      bool doomed = false;
-      for (std::uint32_t i = 0; i < rec.dep_count; ++i) {
-        const KeyId d = deps_pool_[rec.dep_off + i];
-        TaskRecord& drec = records_[d];
-        if (drec.state == TaskState::kErred) {
-          doomed = true;
-          continue;
-        }
-        if (lost[d] == 0) continue;
-        ++rec.nwaiting;
-        add_dependent(drec, id);
-      }
-      if (doomed)
-        to_poison.emplace_back(id, "dependency unrecoverable after loss "
-                                   "of worker " +
-                                       std::to_string(w));
-      else if (lost[id] != 0 && rec.nwaiting == 0)
-        assignable.push_back(id);  // lost key whose inputs all survived
-    } else if (rec.state == TaskState::kProcessing) {
-      bool derailed = rec.worker == w;
-      if (!derailed)
-        for (std::uint32_t i = 0; i < rec.dep_count; ++i)
-          if (lost[deps_pool_[rec.dep_off + i]] != 0) {
-            derailed = true;  // its compute is fetching from the corpse
-            break;
-          }
-      if (!derailed) continue;
-      transition(id, rec, TaskState::kWaiting);
-      rec.worker = -1;
-      rec.nwaiting = 0;
-      bool doomed = false;
-      for (std::uint32_t i = 0; i < rec.dep_count; ++i) {
-        const KeyId d = deps_pool_[rec.dep_off + i];
-        TaskRecord& drec = records_[d];
-        if (drec.state == TaskState::kErred) {
-          doomed = true;
-          continue;
-        }
-        if (lost[d] != 0 || drec.state != TaskState::kMemory) {
-          ++rec.nwaiting;
-          add_dependent(drec, id);
-        }
-      }
-      ++recovery_.tasks_rerun;
-      obs::count("scheduler.recovery.tasks_rerun");
-      if (doomed)
-        to_poison.emplace_back(id, "dependency unrecoverable after loss "
-                                   "of worker " +
-                                       std::to_string(w));
-      else if (rec.nwaiting == 0)
-        assignable.push_back(id);
-    } else if (rec.state == TaskState::kExternal &&
-               rec.preferred_worker == w) {
-      // Pending preselection on the dead worker, no data pushed yet:
-      // point it at a survivor so the eventual push/replay lands. (Keys
-      // re-armed in phase 1 already point at a survivor, so this only
-      // catches never-pushed preselections.)
-      rec.preferred_worker = pick_live_worker();
-      ++recovery_.external_rerouted;
-      obs::count("scheduler.recovery.external_rerouted");
-    }
-  }
-  // Phase 3: fail the unrecoverable cones (waiters get kAckErred now
-  // instead of hanging on data that will never exist).
-  for (const auto& [id, error] : to_poison) co_await poison_task(id, error);
-  // Phase 4: queue re-pushes with their producers and arm the deadline
-  // that errs a re-armed key out if the producer never replays it. The
-  // producers are poked through their notify channels: detection often
-  // happens after a producer's final push, when no ack could carry the
-  // kAckRepushPending request.
-  std::set<int> producers_to_poke;
-  for (const KeyId id : rearmed) {
-    TaskRecord& rec = records_[id];
-    if (rec.state != TaskState::kExternal) continue;
-    if (rec.pusher_client >= 0) {
-      repush_[rec.pusher_client].push_back(id);
-      producers_to_poke.insert(rec.pusher_client);
-      engine_->spawn(repush_deadline(keys_.name(id), rec.rearm_epoch));
-    } else {
-      co_await poison_task(id, "external data lost with worker " +
-                                   std::to_string(w) +
-                                   " and no known producer");
-    }
-  }
-  for (int client : producers_to_poke) notify_producer(client);
-  // Phase 5: re-assign everything that is immediately runnable.
-  for (const KeyId id : assignable) {
-    TaskRecord& rec = records_[id];
-    if (rec.state == TaskState::kWaiting && rec.nwaiting == 0) push_ready(id);
-  }
-  co_await drain_ready();
-}
-
-exec::Co<void> Scheduler::handle_repush_keys(SchedMsg& msg) {
-  RepushList list;
-  const auto it = repush_.find(msg.sender_client);
-  if (it != repush_.end()) {
-    for (const KeyId id : it->second) {
-      TaskRecord& rec = records_[id];
-      // Skip keys that were replayed, poisoned, or expired meanwhile.
-      if (rec.state != TaskState::kExternal) continue;
-      int target = rec.preferred_worker;
-      if (target < 0 || worker_is_dead(target)) {
-        target = pick_live_worker();
-        rec.preferred_worker = target;
-      }
-      list.emplace_back(keys_.name(id), target);
-    }
-    repush_.erase(it);
-  }
-  DEISA_ASSERT(msg.reply_repush != nullptr, "missing repush reply channel");
-  co_await cluster_->send_control(
-      node_, msg.sender_node,
-      kControlMsgBase + list.size() * kWirePerKeyBytes);
-  msg.reply_repush->send(std::move(list));
-}
-
-exec::Co<void> Scheduler::handle_repush_expired(SchedMsg& msg) {
-  const KeyId id = keys_.find(msg.key);
-  if (id == kNoKeyId) co_return;
-  TaskRecord& rec = records_[id];
-  // The epoch (carried in msg.bytes) guards against expiring a key that
-  // was replayed and re-armed again after this deadline was set.
-  if (rec.state != TaskState::kExternal || rec.rearm_epoch != msg.bytes)
-    co_return;
-  ++recovery_.repush_expired;
-  obs::count("scheduler.recovery.repush_expired");
-  obs::trace_instant(actor_, "recovery", "repush_expired:" + msg.key);
-  for (auto& [client, ids] : repush_)
-    ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-  co_await poison_task(id, "external re-push timed out");
-}
-
-void Scheduler::notify_producer(int client) {
-  const auto it = producer_notify_.find(client);
-  // The wake-up is a local channel send (modelling the scheduler->client
-  // stream dask keeps open); the follow-up kRepushKeys RPC pays the real
-  // network cost. Extra pokes are absorbed by the bridge's re-entrancy
-  // guard.
-  if (it != producer_notify_.end()) it->second->send(kAckRepushPending);
-}
-
-exec::Co<void> Scheduler::repush_deadline(Key key, std::uint64_t epoch) {
-  co_await engine_->delay(params_.repush_timeout);
-  if (stopping_) co_return;
-  const KeyId id = keys_.find(key);
-  if (id == kNoKeyId) co_return;
-  const TaskRecord& rec = records_[id];
-  if (rec.state != TaskState::kExternal || rec.rearm_epoch != epoch)
-    co_return;  // replayed (or re-armed again, with a fresh deadline)
-  // Route the expiry through the inbox so the poisoning serializes with
-  // the message handlers.
-  SchedMsg msg(SchedMsgKind::kRepushExpired);
-  msg.key = std::move(key);
-  msg.bytes = epoch;
-  msg.sender_node = node_;
-  inbox_.send(std::move(msg));
 }
 
 exec::Co<void> Scheduler::reply_ack(std::shared_ptr<exec::Channel<Ack>> ch,

@@ -180,6 +180,8 @@ struct RunResult {
   std::uint64_t shard_release_acks = 0;
   std::uint64_t bridge_blocks_sent = 0;
   std::uint64_t bridge_blocks_filtered = 0;
+  /// Blocks the bridges pushed again from their replay buffers.
+  std::uint64_t bridge_blocks_repushed = 0;
   std::uint64_t network_bytes = 0;
   /// Per-worker CPU busy seconds (observability/calibration).
   std::vector<double> worker_busy_seconds;

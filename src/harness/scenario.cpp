@@ -660,10 +660,10 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
     } else {
       // One bridge (client connection) per rank, plus the adaptor's
       // client. Each rank gets its own strand holding its bridge
-      // (including the repush listener the constructor spawns), its rank
-      // actor and its heartbeat loop, so that trio never runs
-      // concurrently with itself. Strands are no-ops under sim,
-      // preserving the exact pre-seam event order.
+      // (including the replay loop the constructor spawns when recovery
+      // is armed), its rank actor and its heartbeat loop, so that trio
+      // never runs concurrently with itself. Strands are no-ops under
+      // sim, preserving the exact pre-seam event order.
       std::vector<void*> rank_strands(static_cast<std::size_t>(params.ranks));
       for (auto& s : rank_strands) s = w.engine.new_strand();
       for (int r = 0; r < params.ranks; ++r) {
@@ -726,6 +726,7 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
   for (const auto& b : st.bridges) {
     res.bridge_blocks_sent += b->blocks_sent();
     res.bridge_blocks_filtered += b->blocks_filtered();
+    res.bridge_blocks_repushed += b->blocks_repushed();
   }
   res.network_bytes = w.cluster.stats().bytes;
   res.scheduler_busy_seconds = sched.total_service_time();

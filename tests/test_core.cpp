@@ -307,9 +307,10 @@ TEST(Bridge, SendBlocksFiltersGroupsAndRegistersOnce) {
     const bool included =
         !va.grid().box_of(coord).intersect(selection).empty();
     EXPECT_EQ(w.rt->scheduler().knows(key), included) << key;
-    if (included)
+    if (included) {
       EXPECT_EQ(w.rt->scheduler().state_of(key), dts::TaskState::kMemory)
           << key;
+    }
   }
 }
 
@@ -365,6 +366,64 @@ TEST(Bridge, RetainsNoReplayCopiesWithoutFailureDetector) {
 TEST(Bridge, RetainsLast1024BlocksWithFailureDetector) {
   EXPECT_EQ(retained_after_pushes(3.0, 4), 32u);
   EXPECT_EQ(retained_after_pushes(3.0, 160), 1024u);  // 1280 pushed
+}
+
+/// Every key of a `steps`-step array, in grid order.
+std::vector<std::string> all_keys(std::int64_t steps) {
+  const auto va = temp_array(steps);
+  std::vector<std::string> out;
+  for (std::int64_t i = 0; i < va.grid().num_chunks(); ++i)
+    out.push_back(
+        arr::chunk_key(arr::kDeisaPrefix, va.name, va.grid().coord_of(i)));
+  return out;
+}
+
+sim::Co<void> crash_after_final_push_adaptor(World& w, core::Adaptor& adaptor,
+                                             std::int64_t steps,
+                                             sim::Event& pushes_done,
+                                             std::size_t& lost,
+                                             std::vector<int>& owners) {
+  (void)co_await adaptor.get_deisa_arrays();
+  adaptor.select("G_temp",
+                 arr::Selection(arr::Box(ix(0, 0, 0), ix(steps, 8, 16))));
+  (void)co_await adaptor.validate_contract();
+  co_await pushes_done.wait();
+  const std::vector<std::string> keys = all_keys(steps);
+  for (const auto& key : keys)
+    if (co_await adaptor.client().wait_key(key) == 0) ++lost;
+  // The bridge has pushed its final block: no later push or ack can tell
+  // it that worker 0's blocks are gone.
+  w.rt->worker(0).crash();
+  co_await w.eng.delay(10.0);  // detection, then the replay lists
+  for (const auto& key : keys)
+    owners.push_back(co_await adaptor.client().wait_key(key));
+  co_await w.rt->shutdown();
+}
+
+TEST(Bridge, ReplaysBlocksLostAfterItsFinalPush) {
+  constexpr std::int64_t kSteps = 2;
+  World w(/*heartbeat_timeout=*/3.0);
+  core::Bridge bridge(w.rt->make_client(4), core::Mode::kDeisa3, 0, 1);
+  core::Adaptor adaptor(w.rt->make_client(1), core::Mode::kDeisa3);
+  sim::Event pushes_done(w.eng);
+  std::size_t lost = 0;
+  std::vector<int> owners;
+  w.eng.spawn(crash_after_final_push_adaptor(w, adaptor, kSteps, pushes_done,
+                                             lost, owners));
+  w.eng.spawn(whole_grid_bridge(bridge, kSteps, pushes_done));
+  w.eng.run();
+  EXPECT_EQ(bridge.blocks_sent(), static_cast<std::uint64_t>(8 * kSteps));
+  EXPECT_GT(lost, 0u);
+  EXPECT_EQ(bridge.blocks_repushed(), lost);
+  const dts::Scheduler& s = w.rt->scheduler();
+  EXPECT_EQ(s.recovery().workers_lost, 1u);
+  EXPECT_EQ(s.recovery().external_rearmed, lost);
+  const std::vector<std::string> keys = all_keys(kSteps);
+  ASSERT_EQ(owners.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(s.state_of(keys[i]), dts::TaskState::kMemory) << keys[i];
+    EXPECT_FALSE(s.worker_is_dead(owners[i])) << keys[i];
+  }
 }
 
 }  // namespace

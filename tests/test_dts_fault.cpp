@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <memory>
+#include <optional>
 
 #include "deisa/dts/runtime.hpp"
 #include "deisa/fault/fault.hpp"
@@ -303,7 +304,7 @@ sim::Co<void> rearm_repush_flow(TestCluster& tc, int& first_ack,
   co_await tc.eng.delay(1.0);
   tc.rt->worker(0).crash();
   co_await tc.eng.delay(10.0);  // detection re-arms blk for re-push
-  assignments = co_await tc.client->repush_keys();
+  assignments = tc.client->replays().try_recv().value_or(dts::RepushList());
   for (const auto& [key, target] : assignments)
     (void)co_await tc.client->scatter(key, int_data(9), target,
                                       /*external=*/true);
@@ -314,7 +315,7 @@ sim::Co<void> rearm_repush_flow(TestCluster& tc, int& first_ack,
 TEST(Fault, LostExternalKeyRearmedAndRepushed) {
   // External data has no lineage; the producer must replay it. The
   // scheduler re-arms the key, re-routes the preselection to a survivor,
-  // and hands the assignment out via kRepushKeys.
+  // and sends the assignment on the client's replay channel.
   TestCluster tc(2, /*heartbeat_timeout=*/3.0);
   int first_ack = -1;
   dts::RepushList assignments;
@@ -328,6 +329,61 @@ TEST(Fault, LostExternalKeyRearmedAndRepushed) {
   EXPECT_EQ(value, 9);
   const dts::Scheduler& s = tc.rt->scheduler();
   EXPECT_EQ(s.recovery().external_rearmed, 1u);
+  EXPECT_EQ(s.state_of("blk"), dts::TaskState::kMemory);
+}
+
+sim::Co<void> replay_at_dead_target_flow(TestCluster& tc,
+                                         dts::RepushList& first,
+                                         int& stale_ack,
+                                         dts::RepushList& second, int& value) {
+  std::vector<int> pw;
+  pw.push_back(0);
+  co_await tc.client->external_futures(keys("blk"), std::move(pw));
+  (void)co_await tc.client->scatter("blk", int_data(9), 0, /*external=*/true);
+  co_await tc.eng.delay(1.0);
+  tc.rt->worker(0).crash();
+  co_await tc.eng.delay(10.0);  // detection re-arms blk and lists it
+  first = tc.client->replays().try_recv().value_or(dts::RepushList());
+  const int t1 = first.at(0).second;
+  // The target dies before the producer replays. Its detection finds
+  // nothing stored there and only re-routes the pending preselection.
+  tc.rt->worker(t1).crash();
+  co_await tc.eng.delay(10.0);
+  // The replay from the stale list lands on a dead worker: the scheduler
+  // re-arms the key again and sends a fresh list, before the ack.
+  stale_ack = co_await tc.client->scatter("blk", int_data(9), t1,
+                                          /*external=*/true);
+  second = tc.client->replays().try_recv().value_or(dts::RepushList());
+  for (const auto& [key, target] : second)
+    (void)co_await tc.client->scatter(key, int_data(9), target,
+                                      /*external=*/true);
+  value = (co_await tc.client->gather("blk")).as<int>();
+  co_await tc.rt->shutdown();
+}
+
+TEST(Fault, ReplayAtADeadTargetComesBackInAFreshList) {
+  TestCluster tc(3, /*heartbeat_timeout=*/3.0);
+  dts::RepushList first;
+  dts::RepushList second;
+  int stale_ack = -1;
+  int value = 0;
+  tc.eng.spawn(replay_at_dead_target_flow(tc, first, stale_ack, second, value));
+  tc.eng.run();
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].first, "blk");
+  const int t1 = first[0].second;
+  EXPECT_NE(t1, 0);  // a survivor of the first crash
+  EXPECT_EQ(stale_ack, t1);  // acknowledged with the dead worker's id
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].first, "blk");
+  const int t2 = second[0].second;
+  EXPECT_NE(t2, 0);
+  EXPECT_NE(t2, t1);
+  EXPECT_EQ(value, 9);
+  const dts::Scheduler& s = tc.rt->scheduler();
+  EXPECT_EQ(s.recovery().workers_lost, 2u);
+  EXPECT_EQ(s.recovery().external_rearmed, 2u);
+  EXPECT_EQ(s.recovery().external_rerouted, 1u);
   EXPECT_EQ(s.state_of("blk"), dts::TaskState::kMemory);
 }
 

@@ -17,6 +17,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -411,7 +412,7 @@ struct FaultCluster {
 
 /// run_dag under a fault plan: the "simulation" paces its external pushes
 /// so the planned kill lands mid-stream, then plays the producer's part of
-/// the re-push protocol (what Bridge::run_repush does) until the cluster
+/// the re-push protocol (what Bridge::run_replays does) until the cluster
 /// has been quiet past the kill's detection window.
 sim::Co<void> run_dag_under_faults(FaultCluster& fc, const RandomDag& dag,
                                    double quiet_after,
@@ -451,7 +452,7 @@ sim::Co<void> run_dag_under_faults(FaultCluster& fc, const RandomDag& dag,
   co_await client.submit(std::move(tasks), std::move(wants));
 
   // Paced, scrambled external pushes. A push may target a worker that is
-  // already dead scheduler-side: the ack then carries kAckRepushPending
+  // already dead scheduler-side: the scheduler then sends a replay list,
   // and the replay loop below re-sends at the re-routed target.
   for (std::size_t i = ext_keys.size(); i-- > 0;) {
     co_await fc.eng.delay(0.7);
@@ -460,16 +461,18 @@ sim::Co<void> run_dag_under_faults(FaultCluster& fc, const RandomDag& dag,
         ext_workers[i], /*external=*/true);
   }
   // Producer replay loop: blocks lost with a crashed worker have no
-  // lineage, so the scheduler re-arms them and hands out re-push
-  // assignments. Drain until none are left AND the last planned kill's
-  // detection window has fully elapsed.
+  // lineage, so the scheduler re-arms them and sends replay lists. Drain
+  // until none are left AND the last planned kill's detection window has
+  // fully elapsed.
   while (true) {
-    const dts::RepushList assignments = co_await client.repush_keys();
-    for (const auto& [key, target] : assignments)
-      (void)co_await client.scatter(
-          key, dts::Data::make<std::int64_t>(ext_value[key], 8), target,
-          /*external=*/true);
-    if (assignments.empty() && fc.eng.now() > quiet_after) break;
+    const std::optional<dts::RepushList> assignments =
+        client.replays().try_recv();
+    if (assignments)
+      for (const auto& [key, target] : *assignments)
+        (void)co_await client.scatter(
+            key, dts::Data::make<std::int64_t>(ext_value[key], 8), target,
+            /*external=*/true);
+    if (!assignments && fc.eng.now() > quiet_after) break;
     co_await fc.eng.delay(1.0);
   }
 

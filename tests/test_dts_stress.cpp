@@ -174,7 +174,6 @@ TEST(SchedStress, HundredThousandTaskGraphDrainsWithoutLeaks) {
   // Zero transient scheduler state after close.
   EXPECT_EQ(sched->ready_queue_size(), 0u);
   EXPECT_EQ(sched->pending_waiters(), 0u);
-  EXPECT_EQ(sched->repush_pending(), 0u);
 }
 
 // ---- refcount GC: bounded residency over a long timestep loop ----

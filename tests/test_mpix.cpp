@@ -160,7 +160,9 @@ TEST(Comm, ReduceSumsOnRoot) {
   EXPECT_DOUBLE_EQ(out[2][0], expect0);
   EXPECT_DOUBLE_EQ(out[2][1], expect0 * 2);
   for (int r = 0; r < p; ++r)
-    if (r != 2) EXPECT_TRUE(out[static_cast<std::size_t>(r)].empty());
+    if (r != 2) {
+      EXPECT_TRUE(out[static_cast<std::size_t>(r)].empty());
+    }
 }
 
 sim::Co<void> allreduce_actor(mpix::Comm& comm, int rank, mpix::ReduceOp op,

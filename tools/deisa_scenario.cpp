@@ -374,7 +374,8 @@ int run(const Flags& flags) {
                 << rec.external_rearmed << ", external_rerouted "
                 << rec.external_rerouted << ", mirrors_rearmed "
                 << rec.mirrors_rearmed << ", keys_lost " << rec.keys_lost
-                << ", repush_expired " << rec.repush_expired << "\n"
+                << ", repush_expired " << rec.repush_expired
+                << ", blocks_repushed " << r.bridge_blocks_repushed << "\n"
                 << "  stale: task_finished " << rec.stale_task_finished
                 << ", update_data " << rec.stale_update_data
                 << ", heartbeats " << rec.stale_heartbeats << "\n";
