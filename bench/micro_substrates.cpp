@@ -6,6 +6,7 @@
 // the overhead of the real threaded substrate against the modeled one.
 #include <benchmark/benchmark.h>
 
+#include "deisa/apps/heat2d.hpp"
 #include "deisa/net/cluster.hpp"
 #include "deisa/config/yaml.hpp"
 #include "deisa/dts/runtime.hpp"
@@ -21,6 +22,7 @@
 
 namespace {
 
+namespace apps = deisa::apps;
 namespace dts = deisa::dts;
 namespace exec = deisa::exec;
 namespace la = deisa::linalg;
@@ -241,6 +243,36 @@ void BM_FieldStatsOf(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FieldStatsOf)->Arg(1024)->Arg(524288);
+
+// heat2d-ipca's simulation kernel: one warm Heat2d step of a 48 x 48
+// rank on a 1 x 1 process grid (no neighbours, so no halo message: the
+// strips and the stencil update alone).
+sim::Co<void> one_heat2d_step(apps::Heat2d& solver, deisa::mpix::Comm& comm) {
+  co_await solver.step(comm);
+}
+
+void BM_Heat2dStep(benchmark::State& state) {
+  sim::Engine eng;
+  net::ClusterParams cp;
+  cp.physical_nodes = 1;
+  net::Cluster cluster(eng, cp);
+  deisa::mpix::Comm comm(cluster, {0});
+  apps::Heat2dConfig cfg;
+  cfg.local_nx = 48;
+  cfg.local_ny = 48;
+  apps::Heat2d solver(cfg, 0);
+  solver.initialize();
+  eng.spawn(one_heat2d_step(solver, comm));
+  eng.run();
+  for (auto _ : state) {
+    eng.spawn(one_heat2d_step(solver, comm));
+    eng.run();
+    benchmark::DoNotOptimize(solver.field().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * cfg.local_nx * cfg.local_ny);
+}
+BENCHMARK(BM_Heat2dStep);
 
 void BM_YamlParseListing1(benchmark::State& state) {
   const std::string doc = R"(

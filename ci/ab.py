@@ -4,12 +4,15 @@
     python3 ci/ab.py BASE [--workload NAME|all] [--pairs 10] [--seconds 30] [--seed 1] [--trace]
     python3 ci/ab.py --self-test
 
-BASE is any git revision. It is exported with `git archive` into a
-temporary directory (a plain copy: perfbench builds into the tree it runs
-from, and a worktree would share this repository's git state). Pair i
-runs perfbench/run.py once in each tree with seed --seed + i, and the side
-that runs first alternates from pair to pair. This tree is the working
-tree, uncommitted edits included.
+BASE is any git revision. Both sides run from plain copies in sibling
+temporary directories (perfbench builds into the tree it runs from, and a
+worktree would share this repository's git state): BASE is exported with
+`git archive`, the change is the working tree exported the same way, its
+tracked files with any uncommitted edits (`git stash create`) plus the
+untracked files git does not ignore. So neither side runs from a warm
+build or from another directory layout. Pair i runs perfbench/run.py once
+in each copy with seed --seed + i, and the side that runs first
+alternates from pair to pair.
 
 For each workload and each end-to-end metric of BENCHMARK.json it prints
 both medians and quartiles, the number of pairs the change won, and one
@@ -35,6 +38,7 @@ the --trace row on canned numbers and runs nothing.
 import argparse
 import json
 import math
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -147,6 +151,21 @@ def export(base, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
+def export_working_tree(dest):
+    """Tracked files as they stand (uncommitted edits included) plus the
+    untracked files that are not ignored."""
+    stash = subprocess.run(["git", "-C", str(ROOT), "stash", "create"],
+                           capture_output=True, text=True)
+    if stash.returncode != 0:
+        fail(f"git stash create: {stash.stderr.strip()}")
+    export(stash.stdout.strip() or "HEAD", dest)
+    untracked = subprocess.run(["git", "-C", str(ROOT), "ls-files", "--others",
+                                "--exclude-standard", "-z"], capture_output=True, check=True)
+    for name in filter(None, untracked.stdout.decode().split("\0")):
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(ROOT / name, dest / name)
+
+
 def run_perfbench(tree, workload, seed, seconds, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
@@ -184,9 +203,12 @@ def main():
 
     values = {(w, side): [] for w in workloads for side in ("base", "change")}
     incorrect = 0
-    with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
-        export(args.base, Path(tmp))
-        trees = {"base": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        for tree in trees.values():
+            tree.mkdir()
+        export(args.base, trees["base"])
+        export_working_tree(trees["change"])
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("base", "change") if i % 2 == 0 else ("change", "base")

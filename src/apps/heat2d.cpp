@@ -40,14 +40,14 @@ void Heat2d::initialize() {
   const double cy = 0.6 * static_cast<double>(cfg_.global_ny());
   const double r2 =
       0.02 * static_cast<double>(cfg_.global_nx() * cfg_.global_ny());
+  double* f = field_.data();  // row-major (local_nx, local_ny)
   for (std::int64_t i = 0; i < cfg_.local_nx; ++i) {
     for (std::int64_t j = 0; j < cfg_.local_ny; ++j) {
       const double x = gx0 + static_cast<double>(i);
       const double y = gy0 + static_cast<double>(j);
       const double d2 = (x - cx) * (x - cx) + (y - cy) * (y - cy);
-      const array::Index ij{i, j};
-      field_.at(ij) = 100.0 * std::exp(-d2 / r2) +
-                      0.05 * x + 0.02 * y;  // blob + gradient
+      f[i * cfg_.local_ny + j] = 100.0 * std::exp(-d2 / r2) +
+                                 0.05 * x + 0.02 * y;  // blob + gradient
     }
   }
   step_count_ = 0;
@@ -68,18 +68,17 @@ exec::Co<void> Heat2d::step(mpix::Comm& comm) {
   const int north = neighbor(0, -1);
   const int south = neighbor(0, +1);
 
-  // Gather boundary strips.
-  std::vector<double> west_col(static_cast<std::size_t>(ny));
-  std::vector<double> east_col(static_cast<std::size_t>(ny));
+  // Gather boundary strips. The field is row-major (nx, ny): cell (i, j)
+  // sits at f[i * ny + j], so a west/east strip is one contiguous row.
+  const double* f = field_.data();
+  const auto row = [&](std::int64_t i) { return f + i * ny; };
+  std::vector<double> west_col(row(0), row(0) + ny);
+  std::vector<double> east_col(row(nx - 1), row(nx - 1) + ny);
   std::vector<double> north_row(static_cast<std::size_t>(nx));
   std::vector<double> south_row(static_cast<std::size_t>(nx));
-  for (std::int64_t j = 0; j < ny; ++j) {
-    west_col[static_cast<std::size_t>(j)] = field_.at(array::Index{0, j});
-    east_col[static_cast<std::size_t>(j)] = field_.at(array::Index{nx - 1, j});
-  }
   for (std::int64_t i = 0; i < nx; ++i) {
-    north_row[static_cast<std::size_t>(i)] = field_.at(array::Index{i, 0});
-    south_row[static_cast<std::size_t>(i)] = field_.at(array::Index{i, ny - 1});
+    north_row[static_cast<std::size_t>(i)] = row(i)[0];
+    south_row[static_cast<std::size_t>(i)] = row(i)[ny - 1];
   }
 
   // Halo exchange: send our boundary, receive the neighbour's. Tags name
@@ -113,26 +112,29 @@ exec::Co<void> Heat2d::step(mpix::Comm& comm) {
                  .as<std::vector<double>>();
 
   // Explicit 5-point update; Neumann (insulated) boundaries at the
-  // global domain edge.
+  // global domain edge: a missing neighbour reads this rank's own edge
+  // cell. Interior cells read the field directly; only the first and last
+  // row and column consult a halo.
   const double cdx = cfg_.alpha * dt_ / (cfg_.dx * cfg_.dx);
   const double cdy = cfg_.alpha * dt_ / (cfg_.dy * cfg_.dy);
-  const auto value_at = [&](std::int64_t i, std::int64_t j) {
-    if (i < 0) return west >= 0 ? halo_w[static_cast<std::size_t>(j)]
-                                : field_.at(array::Index{0, j});
-    if (i >= nx) return east >= 0 ? halo_e[static_cast<std::size_t>(j)]
-                                  : field_.at(array::Index{nx - 1, j});
-    if (j < 0) return north >= 0 ? halo_n[static_cast<std::size_t>(i)]
-                                 : field_.at(array::Index{i, 0});
-    if (j >= ny) return south >= 0 ? halo_s[static_cast<std::size_t>(i)]
-                                   : field_.at(array::Index{i, ny - 1});
-    return field_.at(array::Index{i, j});
-  };
+  const double* west_edge = west >= 0 ? halo_w.data() : row(0);
+  const double* east_edge = east >= 0 ? halo_e.data() : row(nx - 1);
+  double* out = next_.data();
   for (std::int64_t i = 0; i < nx; ++i) {
+    const double* c_row = row(i);
+    const double* w_row = i > 0 ? row(i - 1) : west_edge;
+    const double* e_row = i + 1 < nx ? row(i + 1) : east_edge;
+    const auto ui = static_cast<std::size_t>(i);
+    const double n_edge = north >= 0 ? halo_n[ui] : c_row[0];
+    const double s_edge = south >= 0 ? halo_s[ui] : c_row[ny - 1];
+    double* o_row = out + i * ny;
     for (std::int64_t j = 0; j < ny; ++j) {
-      const double c = field_.at(array::Index{i, j});
-      const double lap_x = value_at(i - 1, j) - 2.0 * c + value_at(i + 1, j);
-      const double lap_y = value_at(i, j - 1) - 2.0 * c + value_at(i, j + 1);
-      next_.at(array::Index{i, j}) = c + cdx * lap_x + cdy * lap_y;
+      const double c = c_row[j];
+      const double lap_x = w_row[j] - 2.0 * c + e_row[j];
+      const double north_v = j > 0 ? c_row[j - 1] : n_edge;
+      const double south_v = j + 1 < ny ? c_row[j + 1] : s_edge;
+      const double lap_y = north_v - 2.0 * c + south_v;
+      o_row[j] = c + cdx * lap_x + cdy * lap_y;
     }
   }
   std::swap(field_, next_);

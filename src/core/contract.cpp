@@ -1,5 +1,7 @@
 #include "deisa/core/contract.hpp"
 
+#include <algorithm>
+
 #include "deisa/util/error.hpp"
 
 namespace deisa::core {
@@ -13,7 +15,23 @@ bool Contract::includes(const std::string& name, const array::ChunkGrid& grid,
                         const array::Index& coord) const {
   const auto it = selections.find(name);
   if (it == selections.end()) return false;
-  return !grid.box_of(coord).intersect(it->second).empty();
+  // The chunk's box meets the selection iff their extents overlap in
+  // every dimension; compared in place, so no box is built per block.
+  const array::Box& sel = it->second;
+  const std::size_t ndim = grid.ndim();
+  DEISA_CHECK(coord.size() == ndim, "chunk coordinate rank mismatch");
+  DEISA_CHECK(sel.ndim() == ndim, "box rank mismatch");
+  bool overlap = true;
+  for (std::size_t d = 0; d < ndim; ++d) {
+    DEISA_CHECK(coord[d] >= 0 && coord[d] < grid.chunks_in(d),
+                "chunk coordinate " << coord[d] << " out of range in dim "
+                                    << d);
+    const std::int64_t lo = coord[d] * grid.chunk_shape()[d];
+    const std::int64_t hi =
+        std::min(grid.shape()[d], lo + grid.chunk_shape()[d]);
+    overlap = overlap && std::max(lo, sel.lo[d]) < std::min(hi, sel.hi[d]);
+  }
+  return overlap;
 }
 
 void Contract::validate_against(

@@ -204,11 +204,13 @@ struct WorkerMsg {
   /// Causality id of the sending span (scheduler assign, bridge push).
   std::uint64_t cause = 0;
 
-  // kCompute
-  TaskSpec spec;
+  // kCompute: the task named `key`, its spec in the scheduler's arena
+  // (read-only once ingested, alive as long as the worker; DESIGN.md §5e)
+  // and where each dependency lives.
+  const TaskSpec* spec = nullptr;
   std::vector<DepLocation> deps;
 
-  // kReceiveData / kGetData
+  // kCompute / kReceiveData / kGetData
   Key key;
   Data payload;
   int requester_node = -1;

@@ -21,7 +21,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "deisa/dts/key_lifetime.hpp"
@@ -221,9 +220,10 @@ private:
     /// forwarded as DepLocation::cause so dependents can record
     /// dep-ready -> execute edges (0 when untraced).
     std::uint64_t done_cause = 0;
-    /// Execution payload (fn/io/cost/out_bytes) in spec_arena_; null for
-    /// records the scheduler never assigns (external/scattered keys).
-    TaskSpec* spec = nullptr;
+    /// Execution payload (fn/io/cost/out_bytes) in spec_arena_, read-only
+    /// once ingested (workers read it concurrently); null for records the
+    /// scheduler never assigns (external/scattered keys).
+    const TaskSpec* spec = nullptr;
   };
 
   /// Clients blocked in wait_key/gather on one record (cold path).
@@ -270,9 +270,11 @@ private:
   /// from), create each record and hand it to `init(i, id, rec)`.
   template <typename KeyAt, typename Init>
   void intern_batch(std::size_t n, KeyAt key_at, const char* dup, Init init);
-  /// Point record `id` at `worker` (-1: nowhere) holding `bytes`, keeping
-  /// has_what_ in step — the one place a location changes.
-  void locate(KeyId id, TaskRecord& rec, int worker, std::uint64_t bytes);
+  /// Point `rec` at `worker` (-1: nowhere) holding `bytes`.
+  static void locate(TaskRecord& rec, int worker, std::uint64_t bytes) {
+    rec.worker = worker;
+    rec.bytes = bytes;
+  }
 
   // ---- the cross-shard protocol (defined in shard.cpp) ----
   /// Intern a record for a key owned by another shard (origin kRemote,
@@ -440,9 +442,6 @@ private:
   std::vector<std::uint8_t> suspected_;  // reported, recovery pending
   std::size_t dead_count_ = 0;
   std::vector<double> last_heartbeat_;   // sim time; <0 = never seen
-  // Which keys' data lives on each worker (memory-state records only).
-  // recover_worker reads this instead of scanning every record.
-  std::vector<std::unordered_set<KeyId>> has_what_;
   // Where to send each producing client's replay lists (each bridge holds
   // its own replay buffer); registered from its armed pushes.
   struct Producer {

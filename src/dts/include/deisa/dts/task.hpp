@@ -4,11 +4,11 @@
 // and the Data payload moved between workers.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "deisa/exec/co.hpp"
@@ -55,13 +55,13 @@ enum class DataPlane { kCopy };
 /// Value moved between actors. In functional runs `value` holds a real
 /// payload; in synthetic (paper-scale benchmark) runs only `bytes` is
 /// meaningful and `value` stays empty — the same scheduler/worker code
-/// paths run either way.
+/// paths run either way. The payload is one `make_shared<const T>` (its
+/// control block and the T in one allocation), typed by `type`.
 struct Data {
   Data() = default;
-  Data(std::shared_ptr<const std::any> value_, std::uint64_t bytes_)
-      : value(std::move(value_)), bytes(bytes_) {}
 
-  std::shared_ptr<const std::any> value;
+  std::shared_ptr<const void> value;
+  const std::type_info* type = nullptr;  // of *value; null when empty
   std::uint64_t bytes = 0;
   /// Causal provenance: span id of the event that produced this payload
   /// (execute span for computed results, push span for scattered blocks).
@@ -69,23 +69,30 @@ struct Data {
   /// their own spans back to the producer. 0 = unknown.
   std::uint64_t cause = 0;
 
-  bool has_value() const { return value != nullptr && value->has_value(); }
+  bool has_value() const { return value != nullptr; }
 
   template <typename T>
   const T& as() const {
     DEISA_CHECK(value != nullptr, "Data carries no value (synthetic mode?)");
-    const T* p = std::any_cast<T>(value.get());
-    DEISA_CHECK(p != nullptr, "Data payload type mismatch");
-    return *p;
+    DEISA_CHECK(*type == typeid(T), "Data payload type mismatch");
+    return *static_cast<const T*>(value.get());
   }
 
   template <typename T>
   static Data make(T v, std::uint64_t bytes) {
-    return Data(std::make_shared<const std::any>(std::move(v)), bytes);
+    Data d;
+    d.value = std::make_shared<const T>(std::move(v));
+    d.type = &typeid(T);
+    d.bytes = bytes;
+    return d;
   }
 
   /// Size-only payload for synthetic runs.
-  static Data sized(std::uint64_t bytes) { return Data(nullptr, bytes); }
+  static Data sized(std::uint64_t bytes) {
+    Data d;
+    d.bytes = bytes;
+    return d;
+  }
 };
 
 /// Worker-executed function: inputs are the dependency outputs in the

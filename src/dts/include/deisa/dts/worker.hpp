@@ -102,13 +102,15 @@ private:
     Data data;
   };
 
-  exec::Co<void> handle_compute(TaskSpec spec, std::vector<DepLocation> deps,
+  /// Run task `key` (its spec lives in the scheduler's arena, which
+  /// outlives this worker's frames).
+  exec::Co<void> handle_compute(const TaskSpec* spec, Key key,
+                                std::vector<DepLocation> deps,
                                 std::uint64_t cause);
   exec::Co<Data> fetch(const DepLocation& dep);
-  /// Fetch one dependency into slot `i` of the shared input vector
-  /// (spawned per dep by handle_compute; joined with when_all).
-  exec::Co<void> fetch_one(std::shared_ptr<std::vector<Data>> inputs,
-                          std::size_t i, DepLocation dep);
+  /// Fetch `dep` into `out`, both in handle_compute's frame (spawned per
+  /// dep; when_all joins them all before that frame moves on).
+  exec::Co<void> fetch_one(const DepLocation& dep, Data& out);
   exec::Co<void> handle_get_data(WorkerMsg msg);
   /// Store `data` and wake local readers. A `cached` peer copy counts
   /// in peer_fetch_cached_bytes_ instead of bytes_stored_.

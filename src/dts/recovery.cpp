@@ -1,7 +1,6 @@
 // Failure detection and recovery: the scheduler's heartbeat deadlines,
 // worker-loss handling, lineage re-execution, and the re-arm of lost
 // external keys, whose producers get one replay list each.
-#include <algorithm>
 #include <map>
 
 #include "deisa/dts/scheduler.hpp"
@@ -93,20 +92,18 @@ exec::Co<void> Scheduler::recover_worker(int w) {
   if (obs::tracer() != nullptr)
     span = obs::trace_span(actor_, "recovery",
                            "recover:worker-" + std::to_string(w));
-  // Phase 1: classify every key whose data lived on the dead worker. The
-  // has-what index hands them over directly (sorted for deterministic
-  // event ordering) — no scan of the full record table.
-  auto& held = has_what_[static_cast<std::size_t>(w)];
-  std::vector<KeyId> lost_ids(held.begin(), held.end());
-  held.clear();
-  std::sort(lost_ids.begin(), lost_ids.end());
+  // Phase 1: classify every key whose data lived on the dead worker: a
+  // sweep in ascending id order (deterministic event ordering) over the
+  // records in memory there that the GC has not released.
+  const KeyId nrec = static_cast<KeyId>(records_.size());
   std::vector<std::uint8_t> lost(records_.size(), 0);
   std::vector<std::pair<KeyId, std::string>> to_poison;
   std::vector<KeyId> rearmed;
-  for (const KeyId id : lost_ids) {
+  for (KeyId id = 0; id < nrec; ++id) {
     TaskRecord& rec = records_[id];
-    DEISA_ASSERT(rec.state == TaskState::kMemory && rec.worker == w,
-                 "has-what index out of sync on " << keys_.name(id));
+    if (rec.state != TaskState::kMemory || rec.worker != w ||
+        lifetime_.released(id))
+      continue;
     lost[id] = 1;
     if (rec.origin == Origin::kScattered) {
       // No lineage and no re-push protocol: unrecoverable. Poisoned
@@ -125,7 +122,7 @@ exec::Co<void> Scheduler::recover_worker(int w) {
     // through its persistent subscription list (a fresh kShardKeyDone).
     transition(id, rec, rec.origin == Origin::kComputed ? TaskState::kWaiting
                                                         : TaskState::kExternal);
-    locate(id, rec, -1, 0);
+    locate(rec, -1, 0);
     rec.nwaiting = 0;
     if (rec.origin == Origin::kComputed) {
       ++recovery_.keys_recomputed;
@@ -143,7 +140,6 @@ exec::Co<void> Scheduler::recover_worker(int w) {
   // consumers of lost keys are rediscovered from the CSR dep slices —
   // one flat sweep per lost worker, not per message.
   std::vector<KeyId> assignable;
-  const KeyId nrec = static_cast<KeyId>(records_.size());
   for (KeyId id = 0; id < nrec; ++id) {
     TaskRecord& rec = records_[id];
     if (rec.state == TaskState::kExternal && rec.preferred_worker == w) {

@@ -110,7 +110,6 @@ void Scheduler::attach_workers(std::vector<WorkerRef> workers) {
   dead_.assign(workers_.size(), 0);
   suspected_.assign(workers_.size(), 0);
   last_heartbeat_.assign(workers_.size(), -1.0);
-  has_what_.assign(workers_.size(), {});
   dead_count_ = 0;
 }
 
@@ -442,18 +441,6 @@ void Scheduler::intern_batch(std::size_t n, KeyAt key_at, const char* dup,
   }
 }
 
-void Scheduler::locate(KeyId id, TaskRecord& rec, int worker,
-                       std::uint64_t bytes) {
-  // Worker -1 (nowhere) casts to a huge index and fails the bound.
-  const auto from = static_cast<std::size_t>(rec.worker);
-  const auto to = static_cast<std::size_t>(worker);
-  if (rec.state == TaskState::kMemory && from < has_what_.size())
-    has_what_[from].erase(id);
-  rec.worker = worker;
-  rec.bytes = bytes;
-  if (to < has_what_.size()) has_what_[to].insert(id);
-}
-
 exec::Co<void> Scheduler::key_terminal(KeyId id, TaskRecord& rec) {
   for (const int s : shard_.subscribers(id)) co_await notify_shard(s, id);
   const std::span<const KeyId> deps(deps_pool_.data() + rec.dep_off,
@@ -480,8 +467,7 @@ exec::Co<void> Scheduler::release(KeyId id, Release r) {
     co_await drain_to_owner(id, r.count);
     co_return;
   }
-  TaskRecord& rec = records_[id];
-  has_what_[static_cast<std::size_t>(rec.worker)].erase(id);
+  const TaskRecord& rec = records_[id];
   if (auto* m = obs::metrics()) {
     m->counter("scheduler.gc.keys_released").add();
     m->counter("scheduler.gc.bytes_released").add(rec.bytes);
@@ -552,16 +538,10 @@ exec::Co<void> Scheduler::assign(KeyId id) {
   rec.worker = w;
   transition(id, rec, TaskState::kProcessing);
   WorkerMsg m(WorkerMsgKind::kCompute);
-  // Field-wise copy: the dep strings stay scheduler-side (workers consume
-  // m.deps below), so assignment never re-serializes the dependency list.
-  const TaskSpec& s = *rec.spec;
-  m.spec.key = keys_.name(id);  // rebuilt at the wire boundary
-  m.spec.fn = s.fn;
-  m.spec.io = s.io;
-  m.spec.cost = s.cost;
-  m.spec.out_bytes = s.out_bytes;
-  m.spec.preferred_worker = rec.preferred_worker;
-  m.spec.retries = rec.retries;
+  // The worker reads fn/io/cost/out_bytes through the arena pointer: no
+  // spec field is written after ingest, so nothing is copied per assign.
+  m.spec = rec.spec;
+  m.key = keys_.name(id);  // rebuilt at the wire boundary
   m.cause = current_cause_;
   m.deps.reserve(rec.dep_count);
   for (std::uint32_t i = 0; i < rec.dep_count; ++i) {
@@ -624,7 +604,7 @@ exec::Co<void> Scheduler::finish_task(KeyId id, TaskRecord& rec, int worker,
     co_await poison_task(id, error);
     co_return;
   }
-  locate(id, rec, worker, bytes);
+  locate(rec, worker, bytes);
   transition(id, rec, TaskState::kMemory);
   rec.done_cause = current_cause_;
   errors_.erase(id);
@@ -713,7 +693,7 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
       // Plain scatter of a fresh key: register it directly in memory.
       rec.state = TaskState::kMemory;
       rec.pusher_client = sender_client;
-      locate(id, rec, worker, bytes);
+      locate(rec, worker, bytes);
     }
     record_created(id, rec);
   } else {
@@ -756,7 +736,7 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
         } else {
           // Re-scatter of an existing key: refresh location. Fresh bytes
           // landed, so a GC release from a previous round is undone.
-          locate(id, rec, worker, bytes);
+          locate(rec, worker, bytes);
           lifetime_.refilled(id);
         }
         break;

@@ -253,7 +253,7 @@ exec::Co<void> Scheduler::handle_shard_key_done(SchedMsg& msg) {
       errors_[id] = msg.error;
     } else {
       records_[id].done_cause = current_cause_;
-      locate(id, records_[id], msg.worker, msg.bytes);
+      locate(records_[id], msg.worker, msg.bytes);
     }
     co_return;
   }
@@ -267,7 +267,7 @@ exec::Co<void> Scheduler::handle_shard_key_done(SchedMsg& msg) {
     // assigns and recovery see where the bytes actually live now. An
     // erred one means the owner lost the key unrecoverably after
     // announcing it: the data is nowhere, and the cone is poisoned below.
-    locate(id, rec, msg.erred ? -1 : msg.worker,
+    locate(rec, msg.erred ? -1 : msg.worker,
            msg.erred ? rec.bytes : msg.bytes);
     if (!msg.erred) co_return;
   }

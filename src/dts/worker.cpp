@@ -50,8 +50,8 @@ exec::Co<void> Worker::run() {
     }
     switch (msg.kind) {
       case WorkerMsgKind::kCompute:
-        engine_->spawn(handle_compute(std::move(msg.spec), std::move(msg.deps),
-                                      msg.cause));
+        engine_->spawn(handle_compute(msg.spec, std::move(msg.key),
+                                      std::move(msg.deps), msg.cause));
         break;
       case WorkerMsgKind::kReceiveData:
         // Pushed payloads inherit the push span as provenance so later
@@ -241,26 +241,27 @@ exec::Co<void> Worker::handle_get_data(WorkerMsg msg) {
   msg.reply_data->send(std::move(d));
 }
 
-exec::Co<void> Worker::fetch_one(std::shared_ptr<std::vector<Data>> inputs,
-                                std::size_t i, DepLocation dep) {
-  (*inputs)[i] = co_await fetch(dep);
+exec::Co<void> Worker::fetch_one(const DepLocation& dep, Data& out) {
+  out = co_await fetch(dep);
 }
 
-exec::Co<void> Worker::handle_compute(TaskSpec spec,
+exec::Co<void> Worker::handle_compute(const TaskSpec* spec, Key key,
                                      std::vector<DepLocation> deps,
                                      std::uint64_t cause) {
   // Fetch all dependencies concurrently (each a spawned coroutine, joined
   // below): request/transfer latencies overlap instead of summing, with
   // total in-flight fetches bounded by fetch_slots_. Results land in
   // dep-list order regardless of arrival order, so execution stays
-  // deterministic.
-  auto inputs = std::make_shared<std::vector<Data>>(deps.size());
+  // deterministic. Each fetch writes its slot of `inputs` and reads its
+  // `deps` entry in this frame: when_all joins every fetch before the
+  // frame moves on.
+  std::vector<Data> inputs(deps.size());
   obs::CauseId fetch_cause = 0;
   if (!deps.empty()) {
     // The fetch phase is one causal node: caused by the assign, fed by a
     // dep edge per input (the scheduler supplies each dep's completion
     // id, so the edge set is identical on both substrates).
-    obs::Span fetch_span = obs::trace_span(actor_, "fetch", spec.key);
+    obs::Span fetch_span = obs::trace_span(actor_, "fetch", key);
     fetch_span.set_cause(cause, obs::EdgeKind::kAssign);
     fetch_cause = fetch_span.id();
     for (const DepLocation& d : deps)
@@ -269,36 +270,36 @@ exec::Co<void> Worker::handle_compute(TaskSpec spec,
     std::vector<exec::Co<void>> fetches;
     fetches.reserve(deps.size());
     for (std::size_t i = 0; i < deps.size(); ++i)
-      fetches.push_back(fetch_one(inputs, i, deps[i]));
+      fetches.push_back(fetch_one(deps[i], inputs[i]));
     co_await exec::when_all(*engine_, std::move(fetches));
   }
   if (!alive_) co_return;  // crashed while fetching inputs
 
   SchedMsg done(SchedMsgKind::kTaskFinished);
-  done.key = spec.key;
+  done.key = key;
   done.worker = id_;
   done.sender_node = node_;
   const double exec_start = engine_->now();
-  obs::Span span = obs::trace_span(actor_, "execute", spec.key);
+  obs::Span span = obs::trace_span(actor_, "execute", key);
   if (fetch_cause != 0)
     span.set_cause(fetch_cause, obs::EdgeKind::kLocal);
   else
     span.set_cause(cause, obs::EdgeKind::kAssign);
   done.cause = span.id();
   try {
-    if (spec.io) co_await spec.io();
-    co_await cpu_.serve(spec.cost);
+    if (spec->io) co_await spec->io();
+    co_await cpu_.serve(spec->cost);
     if (!alive_) co_return;  // crashed mid-execution: drop the result
     Data out;
-    if (spec.fn) {
-      out = spec.fn(*inputs);
+    if (spec->fn) {
+      out = spec->fn(inputs);
     } else {
-      out = Data::sized(spec.out_bytes);
+      out = Data::sized(spec->out_bytes);
     }
     done.bytes = out.bytes;
     if (span.active()) span.add_arg(obs::arg("bytes", out.bytes));
     out.cause = done.cause;  // stored result carries the execute span
-    store_put(std::move(spec.key), std::move(out));  // done.key copied above
+    store_put(std::move(key), std::move(out));  // done.key copied above
     ++tasks_executed_;
   } catch (const std::exception& e) {
     done.erred = true;

@@ -3,6 +3,7 @@
 // independence) and the cost model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -114,6 +115,71 @@ INSTANTIATE_TEST_SUITE_P(Grids, Decompositions,
                          ::testing::Values(std::pair{2, 1}, std::pair{1, 2},
                                            std::pair{2, 2}, std::pair{4, 2},
                                            std::pair{3, 2}));
+
+TEST(Heat2d, StepMatchesPerCellOracleBitForBit) {
+  // A 3 x 2 process grid of uneven 5 x 7 blocks against a plain update of
+  // the assembled global array: the same per-cell expression, with the
+  // index clamped at the global edge (the insulated boundary). Equality
+  // on the raw doubles catches an edge or halo bug that two runs of the
+  // same solver code would share.
+  apps::Heat2dConfig cfg;
+  cfg.local_nx = 5;
+  cfg.local_ny = 7;
+  cfg.proc_x = 3;
+  cfg.proc_y = 2;
+  constexpr int kSteps = 12;
+  const std::int64_t gnx = cfg.global_nx();
+  const std::int64_t gny = cfg.global_ny();
+  World w(cfg.ranks());
+  std::vector<std::unique_ptr<apps::Heat2d>> solvers;
+  for (int r = 0; r < cfg.ranks(); ++r) {
+    solvers.push_back(std::make_unique<apps::Heat2d>(cfg, r));
+    solvers.back()->initialize();
+  }
+  const auto assemble = [&] {
+    arr::NDArray global(arr::Index{gnx, gny});
+    for (const auto& s : solvers) {
+      arr::Box box;
+      box.lo = {s->px() * cfg.local_nx, s->py() * cfg.local_ny};
+      box.hi = {box.lo[0] + cfg.local_nx, box.lo[1] + cfg.local_ny};
+      global.insert(box, s->field());
+    }
+    return global;
+  };
+  const arr::NDArray initial = assemble();
+  std::vector<double> oracle(initial.flat().begin(), initial.flat().end());
+  const double dt = cfg.stable_dt();
+  const double cdx = cfg.alpha * dt / (cfg.dx * cfg.dx);
+  const double cdy = cfg.alpha * dt / (cfg.dy * cfg.dy);
+  std::vector<double> next(oracle.size());
+  const auto at = [&](std::int64_t i, std::int64_t j) {
+    i = std::clamp<std::int64_t>(i, 0, gnx - 1);
+    j = std::clamp<std::int64_t>(j, 0, gny - 1);
+    return oracle[static_cast<std::size_t>(i * gny + j)];
+  };
+  for (int step = 0; step < kSteps; ++step) {
+    for (std::int64_t i = 0; i < gnx; ++i) {
+      for (std::int64_t j = 0; j < gny; ++j) {
+        const double c = at(i, j);
+        const double lap_x = at(i - 1, j) - 2.0 * c + at(i + 1, j);
+        const double lap_y = at(i, j - 1) - 2.0 * c + at(i, j + 1);
+        next[static_cast<std::size_t>(i * gny + j)] =
+            c + cdx * lap_x + cdy * lap_y;
+      }
+    }
+    oracle.swap(next);
+  }
+
+  for (auto& s : solvers) w.eng.spawn(run_steps(*s, *w.comm, kSteps));
+  w.eng.run();
+  const arr::NDArray field = assemble();
+  ASSERT_EQ(field.size(), static_cast<std::int64_t>(oracle.size()));
+  for (std::int64_t i = 0; i < gnx; ++i)
+    for (std::int64_t j = 0; j < gny; ++j)
+      EXPECT_EQ(field.flat()[static_cast<std::size_t>(i * gny + j)],
+                oracle[static_cast<std::size_t>(i * gny + j)])
+          << "cell (" << i << ", " << j << ")";
+}
 
 TEST(Heat2d, TotalHeatConservedAcrossDecomposition) {
   apps::Heat2dConfig cfg;

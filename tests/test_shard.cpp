@@ -903,8 +903,8 @@ TEST(ShardOrdering, ReannouncementMovesAMirrorInMemory) {
   ASSERT_EQ(computes.size(), 1u);
   EXPECT_EQ(computes[0].deps[0].owner, 1);
   EXPECT_EQ(computes[0].deps[0].bytes, 128u);
-  // has_what_ moved too: losing the old worker leaves the mirror alone,
-  // losing the new one parks it back in external.
+  // The recorded location moved too: losing the old worker leaves the
+  // mirror alone, losing the new one parks it back in external.
   sub.worker_dead(0, 1);
   EXPECT_EQ(sub.sched->recovery().mirrors_rearmed, 0u);
   EXPECT_EQ(sub.sched->state_of(x), dts::TaskState::kMemory);
@@ -929,7 +929,8 @@ TEST(ShardOrdering, ErredReannouncementPoisonsTheMirrorsCone) {
   sub.slice({z}, {x});
   EXPECT_EQ(sub.sched->state_of(z), dts::TaskState::kErred);
   // ... and when worker 0's death arrives, the consumer fetching from it
-  // is poisoned instead of re-run, with no stale has-what entry for x.
+  // is poisoned instead of re-run, and x (erred, located nowhere) is not
+  // swept up as lost.
   sub.worker_dead(0, 1);
   EXPECT_EQ(sub.sched->state_of(y), dts::TaskState::kErred);
   EXPECT_EQ(sub.sched->recovery().mirrors_rearmed, 0u);
