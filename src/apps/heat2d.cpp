@@ -68,48 +68,47 @@ exec::Co<void> Heat2d::step(mpix::Comm& comm) {
   const int north = neighbor(0, -1);
   const int south = neighbor(0, +1);
 
-  // Gather boundary strips. The field is row-major (nx, ny): cell (i, j)
-  // sits at f[i * ny + j], so a west/east strip is one contiguous row.
+  // Halo exchange: send each present neighbour our boundary strip, then
+  // receive theirs. Tags name the direction of travel as seen by the
+  // RECEIVER. The field is row-major (nx, ny): cell (i, j) sits at
+  // f[i * ny + j], so a west/east strip is one contiguous row and a
+  // north/south strip a column. Only strips a neighbour needs are built,
+  // and each moves into its message.
   const double* f = field_.data();
   const auto row = [&](std::int64_t i) { return f + i * ny; };
-  std::vector<double> west_col(row(0), row(0) + ny);
-  std::vector<double> east_col(row(nx - 1), row(nx - 1) + ny);
-  std::vector<double> north_row(static_cast<std::size_t>(nx));
-  std::vector<double> south_row(static_cast<std::size_t>(nx));
-  for (std::int64_t i = 0; i < nx; ++i) {
-    north_row[static_cast<std::size_t>(i)] = row(i)[0];
-    south_row[static_cast<std::size_t>(i)] = row(i)[ny - 1];
-  }
-
-  // Halo exchange: send our boundary, receive the neighbour's. Tags name
-  // the direction of travel as seen by the RECEIVER.
+  const auto column = [&](std::int64_t j) {
+    std::vector<double> strip(static_cast<std::size_t>(nx));
+    for (std::int64_t i = 0; i < nx; ++i)
+      strip[static_cast<std::size_t>(i)] = row(i)[j];
+    return strip;
+  };
   const auto send_strip = [&](int to, int tag,
                               std::vector<double> strip) -> exec::Co<void> {
     const std::uint64_t bytes = strip.size() * sizeof(double);
     co_await comm.send_value<std::vector<double>>(rank_, to, tag,
                                                   std::move(strip), bytes);
   };
-  if (west >= 0) co_await send_strip(west, kTagEast, west_col);
-  if (east >= 0) co_await send_strip(east, kTagWest, east_col);
-  if (north >= 0) co_await send_strip(north, kTagSouth, north_row);
-  if (south >= 0) co_await send_strip(south, kTagNorth, south_row);
-
-  std::vector<double> halo_w(static_cast<std::size_t>(ny), 0.0);
-  std::vector<double> halo_e(static_cast<std::size_t>(ny), 0.0);
-  std::vector<double> halo_n(static_cast<std::size_t>(nx), 0.0);
-  std::vector<double> halo_s(static_cast<std::size_t>(nx), 0.0);
   if (west >= 0)
-    halo_w = (co_await comm.recv(rank_, west, kTagWest))
-                 .as<std::vector<double>>();
+    co_await send_strip(west, kTagEast,
+                        std::vector<double>(row(0), row(0) + ny));
   if (east >= 0)
-    halo_e = (co_await comm.recv(rank_, east, kTagEast))
-                 .as<std::vector<double>>();
-  if (north >= 0)
-    halo_n = (co_await comm.recv(rank_, north, kTagNorth))
-                 .as<std::vector<double>>();
-  if (south >= 0)
-    halo_s = (co_await comm.recv(rank_, south, kTagSouth))
-                 .as<std::vector<double>>();
+    co_await send_strip(east, kTagWest,
+                        std::vector<double>(row(nx - 1), row(nx - 1) + ny));
+  if (north >= 0) co_await send_strip(north, kTagSouth, column(0));
+  if (south >= 0) co_await send_strip(south, kTagNorth, column(ny - 1));
+
+  // A received halo takes over the sender's buffer; an absent neighbour
+  // leaves its halo empty (the update below never reads it).
+  const auto recv_strip = [&](int from, int tag)
+      -> exec::Co<std::vector<double>> {
+    mpix::Message m = co_await comm.recv(rank_, from, tag);
+    co_return std::any_cast<std::vector<double>>(std::move(m.payload));
+  };
+  std::vector<double> halo_w, halo_e, halo_n, halo_s;
+  if (west >= 0) halo_w = co_await recv_strip(west, kTagWest);
+  if (east >= 0) halo_e = co_await recv_strip(east, kTagEast);
+  if (north >= 0) halo_n = co_await recv_strip(north, kTagNorth);
+  if (south >= 0) halo_s = co_await recv_strip(south, kTagSouth);
 
   // Explicit 5-point update; Neumann (insulated) boundaries at the
   // global domain edge: a missing neighbour reads this rank's own edge

@@ -3,7 +3,6 @@
 #include <charconv>
 
 #include "deisa/util/error.hpp"
-#include "deisa/util/strings.hpp"
 
 namespace deisa::array {
 
@@ -125,36 +124,11 @@ const std::string& ChunkKeyBuilder::render(const Index& coord) {
   return buf_;
 }
 
-std::pair<std::string, Index> parse_chunk_key(const std::string& prefix,
-                                              const std::string& key) {
-  DEISA_CHECK(util::starts_with(key, prefix),
-              "key '" << key << "' lacks prefix '" << prefix << "'");
-  const std::string rest = key.substr(prefix.size());
-  const std::size_t bar = rest.find('|');
-  DEISA_CHECK(bar != std::string::npos, "malformed chunk key: " << key);
-  const std::string name = rest.substr(0, bar);
-  Index coord;
-  for (const std::string& tok : util::split(rest.substr(bar + 1), ',')) {
-    std::int64_t v = 0;
-    const auto [p, ec] =
-        std::from_chars(tok.data(), tok.data() + tok.size(), v);
-    DEISA_CHECK(ec == std::errc() && p == tok.data() + tok.size(),
-                "malformed chunk coordinate in key: " << key);
-    coord.push_back(v);
-  }
-  return {name, coord};
-}
-
 Selection Selection::all(const Index& shape) {
   Box box;
   box.lo.assign(shape.size(), 0);
   box.hi = shape;
   return Selection(std::move(box));
-}
-
-bool Selection::includes_chunk(const ChunkGrid& grid,
-                               const Index& coord) const {
-  return !grid.box_of(coord).intersect(box).empty();
 }
 
 }  // namespace deisa::array

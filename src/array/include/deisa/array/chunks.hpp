@@ -67,10 +67,6 @@ private:
   std::size_t stem_ = 0;
 };
 
-/// Parse a chunk key back into (name, coord); throws on malformed keys.
-std::pair<std::string, Index> parse_chunk_key(const std::string& prefix,
-                                              const std::string& key);
-
 /// A rectangular selection (contract filter): per-dimension [start, stop).
 struct Selection {
   Selection() = default;
@@ -79,7 +75,6 @@ struct Selection {
 
   /// Full-array selection (the `[...]` of Listing 2).
   static Selection all(const Index& shape);
-  bool includes_chunk(const ChunkGrid& grid, const Index& coord) const;
 };
 
 }  // namespace deisa::array

@@ -2,7 +2,6 @@
 // dask.array backed (optionally) by external tasks.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "deisa/array/chunks.hpp"
@@ -45,18 +44,6 @@ public:
   static DArray descriptor(dts::Client& client, std::string name, Index shape,
                            Index chunk_shape);
 
-  /// Build a derived array by mapping a function over every chunk of
-  /// `src` (one task per chunk, same grid). Submits the graph.
-  static exec::Co<DArray> map_chunks(
-      const DArray& src, std::string name,
-      std::function<dts::Data(const dts::Data&)> fn, double cost_per_chunk,
-      std::uint64_t out_bytes_per_chunk);
-
-  /// Rechunk into a new chunk shape: each target chunk depends on the
-  /// overlapping source chunks and assembles its box from them (real
-  /// payloads are NDArrays; synthetic payloads carry sizes only).
-  exec::Co<DArray> rechunk(Index new_chunk_shape, std::string name) const;
-
   /// Gather the chunks overlapping `sel` and assemble the sub-array
   /// covering sel.box (functional mode only).
   exec::Co<NDArray> gather_box(const Selection& sel) const;
@@ -68,7 +55,7 @@ public:
 
 private:
   DArray(dts::Client& client, std::string name, ChunkGrid grid);
-  void build_keys(const std::string& prefix);
+  void build_keys();
 
   dts::Client* client_ = nullptr;
   std::string name_;

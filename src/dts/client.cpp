@@ -79,10 +79,9 @@ exec::Co<int> Client::scatter(Key key, Data data, int worker, bool external,
   co_await cluster_->transfer(node_, ref.node,
                               std::max(payload_bytes, kMinTransferBytes));
   obs::count_moved(payload_bytes);
-  WorkerMsg push(WorkerMsgKind::kReceiveData);
+  WorkerMsg push(WorkerMsgKind::kReceiveDataBatch);
   push.cause = cause;
-  push.key = key;
-  push.payload = std::move(data);
+  push.batch.emplace_back(key, std::move(data));
   ref.inbox->send(std::move(push));
   // 2) ... and the metadata registration to the scheduler — a
   // synchronous RPC, as dask's scatter is: wait for the acknowledgement.
@@ -242,16 +241,6 @@ exec::Co<void> Client::run_heartbeats(double interval, exec::Event& stop) {
     hb.worker = id_;
     co_await send_to_scheduler(std::move(hb), exec::Delivery::kDroppable);
   }
-}
-
-exec::Co<void> Client::cancel(const Key& key) {
-  auto ack = std::make_shared<exec::Channel<Ack>>(*engine_);
-  SchedMsg msg(SchedMsgKind::kCancelKey);
-  msg.key = key;
-  msg.reply_worker = ack;
-  co_await send_to_scheduler(std::move(msg), exec::Delivery::kReliable,
-                             shard_of(key));
-  (void)co_await ack->recv();
 }
 
 exec::Co<void> Client::send_shutdown() {

@@ -115,11 +115,6 @@ public:
   /// (interval <= 0 here). Runs until `stop` is set.
   exec::Co<void> run_heartbeats(double interval, exec::Event& stop);
 
-  /// Cancel a not-yet-finished task: it (and its downstream cone) moves
-  /// to the erred state with a "cancelled" message. Completed results
-  /// are left untouched. Synchronous.
-  exec::Co<void> cancel(const Key& key);
-
   /// Ask the scheduler to shut down (tests/teardown).
   exec::Co<void> send_shutdown();
 

@@ -80,7 +80,6 @@ enum class SchedMsgKind {
   kWaitKey,          // client gather support
   kHeartbeatWorker,
   kHeartbeatBridge,
-  kCancelKey,
   kVariableSet,
   kVariableGet,
   kQueuePut,
@@ -107,7 +106,7 @@ inline constexpr std::size_t kSchedMsgKindCount =
 
 // Acknowledgement codes carried on int reply channels. Non-negative
 // values are worker ids (wait_key, scatter registration).
-inline constexpr int kAckErred = -2;      // task erred / cancelled
+inline constexpr int kAckErred = -2;      // task erred
 inline constexpr int kAckDiscarded = -3;  // stale push dropped (terminal key)
 
 /// A replay list, sent by the scheduler on a producer's replay channel:
@@ -190,8 +189,7 @@ std::uint64_t spec_dep_total(const SchedMsg& msg);
 /// Messages accepted by a worker inbox.
 enum class WorkerMsgKind {
   kCompute,
-  kReceiveData,       // direct push (scatter / bridge send)
-  kReceiveDataBatch,  // coalesced push: several blocks in one message
+  kReceiveDataBatch,  // pushed blocks (scatter, bridge send), one or more
   kGetData,           // peer or client fetch
   kReleaseKey,        // refcount GC: drop the stored value for `key`
   kShutdown,
@@ -210,9 +208,8 @@ struct WorkerMsg {
   const TaskSpec* spec = nullptr;
   std::vector<DepLocation> deps;
 
-  // kCompute / kReceiveData / kGetData
+  // kCompute / kGetData / kReleaseKey
   Key key;
-  Data payload;
   int requester_node = -1;
   std::shared_ptr<exec::Channel<Data>> reply_data;
 

@@ -142,7 +142,6 @@ public:
     return arrivals_[static_cast<std::size_t>(kind)];
   }
   std::uint64_t total_messages() const { return total_messages_; }
-  std::uint64_t retries_performed() const { return retries_performed_; }
   double total_service_time() const { return server_.total_busy_time(); }
   TaskState state_of(const Key& key) const;
   bool knows(const Key& key) const { return keys_.find(key) != kNoKeyId; }
@@ -195,7 +194,7 @@ private:
   static constexpr std::uint32_t kNoEdge = static_cast<std::uint32_t>(-1);
 
   /// Flat task record, indexed by KeyId in records_ — sized for cache
-  /// residency (88 bytes). The key string lives in keys_; the submitted
+  /// residency (80 bytes). The key string lives in keys_; the submitted
   /// TaskSpec stays in spec_arena_ (one wholesale vector move per
   /// update_graph) and the record points at it; cold per-task state
   /// (blocked waiters, error text) lives in side tables keyed by id.
@@ -209,8 +208,6 @@ private:
     std::uint32_t dependents_head = kNoEdge;  // pooled intrusive list
     KeyId next_ready = kNoKeyId;  // intrusive ready-queue link
     int preferred_worker = -1;    // scheduler's (re-routable) copy
-    int retries = 0;
-    int attempts = 0;  // executions so far (retry support)
     int pusher_client = -1;  // client id of the bridge that completed an
                              // external key (for re-push routing)
     std::uint64_t bytes = 0;
@@ -313,7 +310,6 @@ private:
                                std::vector<KeyId>& rearmed);
   void handle_create_external(SchedMsg& msg);
   exec::Co<void> handle_wait_key(SchedMsg& msg);
-  exec::Co<void> handle_cancel(SchedMsg& msg);
   exec::Co<void> handle_variable(SchedMsg& msg);
   exec::Co<void> handle_queue(SchedMsg& msg);
   /// Err task `id` and cascade the poison through its dependent cone,
@@ -430,7 +426,6 @@ private:
 
   std::array<std::uint64_t, kSchedMsgKindCount> arrivals_{};
   std::uint64_t total_messages_ = 0;
-  std::uint64_t retries_performed_ = 0;
   /// Causality id of the handling span of the message currently being
   /// processed (0 untraced); stamped into outgoing assigns and recorded
   /// as done_cause when a key completes.

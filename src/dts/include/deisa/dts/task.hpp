@@ -108,15 +108,13 @@ using AsyncHook = std::function<exec::Co<void>()>;
 struct TaskSpec {
   TaskSpec() = default;  // non-aggregate: see mpix::Message note on GCC 12
   TaskSpec(Key key_, std::vector<Key> deps_, TaskFn fn_, double cost_ = 0.0,
-           std::uint64_t out_bytes_ = 0, int preferred_worker_ = -1,
-           int retries_ = 0)
+           std::uint64_t out_bytes_ = 0, int preferred_worker_ = -1)
       : key(std::move(key_)),
         deps(std::move(deps_)),
         fn(std::move(fn_)),
         cost(cost_),
         out_bytes(out_bytes_),
-        preferred_worker(preferred_worker_),
-        retries(retries_) {}
+        preferred_worker(preferred_worker_) {}
 
   Key key;
   std::vector<Key> deps;
@@ -125,7 +123,6 @@ struct TaskSpec {
   double cost = 0.0;             // simulated compute seconds
   std::uint64_t out_bytes = 0;   // output size estimate (synthetic mode)
   int preferred_worker = -1;     // -1: scheduler decides
-  int retries = 0;               // re-run attempts after a failure
 };
 
 }  // namespace deisa::dts

@@ -29,7 +29,6 @@ const char* to_string(SchedMsgKind k) {
     case SchedMsgKind::kUpdateData: return "update_data";
     case SchedMsgKind::kCreateExternal: return "create_external";
     case SchedMsgKind::kWaitKey: return "wait_key";
-    case SchedMsgKind::kCancelKey: return "cancel_key";
     case SchedMsgKind::kHeartbeatWorker: return "heartbeat_worker";
     case SchedMsgKind::kHeartbeatBridge: return "heartbeat_bridge";
     case SchedMsgKind::kVariableSet: return "variable_set";
@@ -54,9 +53,9 @@ bool transition_valid(TaskState from, TaskState to) {
     case TaskState::kReady:
       return to == TaskState::kProcessing || to == TaskState::kErred;
     case TaskState::kProcessing:
-      // -> ready/waiting are the retry and worker-loss re-run paths.
+      // -> waiting: the worker-loss re-run path.
       return to == TaskState::kMemory || to == TaskState::kErred ||
-             to == TaskState::kReady || to == TaskState::kWaiting;
+             to == TaskState::kWaiting;
     case TaskState::kMemory:
       // -> waiting: lost computed key re-running via lineage.
       // -> external: lost external key re-armed for a producer re-push.
@@ -288,7 +287,6 @@ exec::Co<void> Scheduler::handle(SchedMsg msg) {
     case SchedMsgKind::kUpdateData: co_await handle_update_data(msg); break;
     case SchedMsgKind::kCreateExternal: handle_create_external(msg); break;
     case SchedMsgKind::kWaitKey: co_await handle_wait_key(msg); break;
-    case SchedMsgKind::kCancelKey: co_await handle_cancel(msg); break;
     case SchedMsgKind::kHeartbeatWorker: handle_heartbeat(msg); break;
     case SchedMsgKind::kHeartbeatBridge:
       break;  // service time is their whole cost
@@ -335,7 +333,6 @@ exec::Co<void> Scheduler::handle_update_graph(SchedMsg& msg) {
       "task key resubmitted: ", [&](std::size_t i, KeyId id, TaskRecord& rec) {
         rec.spec = &batch[i];
         rec.preferred_worker = batch[i].preferred_worker;
-        rec.retries = batch[i].retries;
         record_created(id, rec);
         scratch_batch_.push_back(id);
       });
@@ -561,8 +558,8 @@ exec::Co<void> Scheduler::poison_task(KeyId id, const std::string& error) {
     transition(id, rec, TaskState::kErred);
     errors_[id] = error;
     co_await release_waiters(id, kAckErred);
-    // Erred is terminal (retries were exhausted upstream): the task will
-    // never read its inputs, so return their consumer charges.
+    // Erred is terminal: the task will never read its inputs, so return
+    // their consumer charges.
     if (terminal_work(id)) co_await key_terminal(id, rec);
   }
   // Poison the whole downstream cone, replying to any waiters so blocked
@@ -644,7 +641,7 @@ exec::Co<void> Scheduler::handle_task_finished(SchedMsg& msg) {
   TaskRecord& rec = records_[id];
   // Stale guard: only the worker currently assigned may report the task,
   // and only while it is processing. Anything else — a report for a task
-  // cancelled/poisoned meanwhile (the old erred→memory resurrection bug),
+  // poisoned meanwhile (the old erred→memory resurrection bug),
   // a report from a worker the task was re-assigned away from, or a
   // fault-duplicated delivery — is dropped here, never reaching an
   // illegal transition.
@@ -652,18 +649,6 @@ exec::Co<void> Scheduler::handle_task_finished(SchedMsg& msg) {
     ++recovery_.stale_task_finished;
     obs::count("scheduler.stale.task_finished");
     obs::trace_instant(actor_, "recovery", "stale_finish:" + msg.key);
-    co_return;
-  }
-  ++rec.attempts;
-  if (msg.erred && rec.attempts <= rec.retries) {
-    // Transient failure: re-run (dask's `retries=` semantics). The task
-    // returns to ready and is re-assigned (possibly elsewhere). The stale
-    // guard above makes this always a processing→ready edge — the retry
-    // path can no longer lift a task out of erred.
-    ++retries_performed_;
-    obs::count("scheduler.retries");
-    push_ready(id);
-    co_await drain_ready();
     co_return;
   }
   rec.origin = Origin::kComputed;
@@ -700,8 +685,8 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
     TaskRecord& rec = records_[id];
     switch (rec.state) {
       case TaskState::kErred:
-        // Push to a cancelled/poisoned key (the old DEISA_CHECK abort):
-        // acknowledge and discard so the producer keeps stepping.
+        // Push to a poisoned key (the old DEISA_CHECK abort): acknowledge
+        // and discard so the producer keeps stepping.
         ++recovery_.stale_update_data;
         obs::count("scheduler.stale.update_data");
         obs::trace_instant(actor_, "recovery", "stale_push:" + key);
@@ -831,19 +816,6 @@ exec::Co<void> Scheduler::handle_wait_key(SchedMsg& msg) {
     wl.chans.push_back(msg.reply_worker);
     wl.nodes.push_back(msg.sender_node);
   }
-}
-
-exec::Co<void> Scheduler::handle_cancel(SchedMsg& msg) {
-  const KeyId id = keys_.find(msg.key);
-  DEISA_CHECK(id != kNoKeyId, "cancel of unknown key: " << msg.key);
-  TaskRecord& rec = records_[id];
-  // Finished work is left in place (dask semantics: cancel is advisory
-  // for completed futures); anything not yet in memory is poisoned.
-  if (rec.state != TaskState::kMemory && rec.state != TaskState::kErred)
-    co_await finish_task(id, rec, -1, 0, /*erred=*/true,
-                         "cancelled by client");
-  if (msg.reply_worker != nullptr)
-    co_await reply_ack(msg.reply_worker, msg.sender_node, 0, current_cause_);
 }
 
 exec::Co<void> Scheduler::handle_variable(SchedMsg& msg) {

@@ -53,13 +53,9 @@ exec::Co<void> Worker::run() {
         engine_->spawn(handle_compute(msg.spec, std::move(msg.key),
                                       std::move(msg.deps), msg.cause));
         break;
-      case WorkerMsgKind::kReceiveData:
+      case WorkerMsgKind::kReceiveDataBatch:
         // Pushed payloads inherit the push span as provenance so later
         // consumers (gather, queue hand-offs) can link back to it.
-        if (msg.cause != 0) msg.payload.cause = msg.cause;
-        store_put(std::move(msg.key), std::move(msg.payload));
-        break;
-      case WorkerMsgKind::kReceiveDataBatch:
         for (auto& [key, payload] : msg.batch) {
           if (msg.cause != 0) payload.cause = msg.cause;
           store_put(std::move(key), std::move(payload));

@@ -29,9 +29,16 @@ enum class Delivery {
   kDroppable,   // may be silently lost (heartbeats)
   kIdempotent,  // may be duplicated; receiver dedups (task_finished,
                 // scatter registrations)
-  kLossy,       // may be dropped or duplicated
   kBulk,        // data-plane transfer: may be delayed, never lost
 };
+
+/// The fault rule of the delivery classes, shared by the fault injector
+/// and both transports: only kDroppable traffic may be lost, and only
+/// kIdempotent traffic may arrive twice.
+inline constexpr bool may_drop(Delivery d) { return d == Delivery::kDroppable; }
+inline constexpr bool may_duplicate(Delivery d) {
+  return d == Delivery::kIdempotent;
+}
 
 /// Verdict of the fault hook for one message.
 struct FaultDecision {

@@ -6,25 +6,11 @@
 #include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 #include "deisa/util/log.hpp"
+#include "deisa/util/strings.hpp"
 
 namespace deisa::fault {
 
 namespace {
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
 
 double parse_double(const std::string& s, const std::string& what) {
   std::size_t pos = 0;
@@ -43,7 +29,7 @@ double parse_double(const std::string& s, const std::string& what) {
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;
-  for (const std::string& part : split(spec, ';')) {
+  for (const std::string& part : util::split(spec, ';')) {
     if (part.empty()) continue;
     const auto colon = part.find(':');
     DEISA_CHECK(colon != std::string::npos,
@@ -136,13 +122,9 @@ void FaultInjector::arm(dts::Runtime& runtime) {
       net::FaultDecision fd;
       // One draw per opportunity, in deterministic engine order: the
       // decision stream is a pure function of the plan seed.
-      if (plan_.drop_prob > 0.0 &&
-          (delivery == net::Delivery::kDroppable ||
-           delivery == net::Delivery::kLossy))
+      if (plan_.drop_prob > 0.0 && exec::may_drop(delivery))
         fd.drop = rng_.uniform() < plan_.drop_prob;
-      if (!fd.drop && plan_.dup_prob > 0.0 &&
-          (delivery == net::Delivery::kIdempotent ||
-           delivery == net::Delivery::kLossy))
+      if (!fd.drop && plan_.dup_prob > 0.0 && exec::may_duplicate(delivery))
         fd.duplicate = rng_.uniform() < plan_.dup_prob;
       if (plan_.delay_prob > 0.0 && rng_.uniform() < plan_.delay_prob)
         fd.extra_delay = plan_.delay_seconds;

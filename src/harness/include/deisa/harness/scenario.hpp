@@ -106,12 +106,9 @@ struct ScenarioParams {
   /// exportable as Chrome trace JSON). Metrics are always collected; the
   /// trace recorder is only attached when this is set.
   bool trace = false;
-  /// What to evict when the trace ring fills (kOldest keeps the run's
-  /// tail, kNewest freezes its head). Either way `trace.dropped_events`
-  /// counts the overflow.
-  obs::DropPolicy trace_drop_policy = obs::DropPolicy::kOldest;
   /// Ring-buffer capacity of the trace recorder (bounded memory; oldest
-  /// events are evicted beyond this).
+  /// events are evicted beyond this, and `trace.dropped_events` counts
+  /// them).
   std::size_t trace_capacity = obs::Recorder::kDefaultCapacity;
 
   /// Fault plan armed against the run (worker kills, message drop/dup,

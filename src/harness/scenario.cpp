@@ -601,8 +601,7 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
   // outer test harness) are restored on return.
   std::shared_ptr<obs::Recorder> recorder;
   if (params.trace)
-    recorder = std::make_shared<obs::Recorder>(params.trace_capacity,
-                                               params.trace_drop_policy);
+    recorder = std::make_shared<obs::Recorder>(params.trace_capacity);
   obs::MetricsRegistry registry;
   obs::ObservationScope scope(recorder.get(), &registry,
                               [&engine = w.engine] { return engine.now(); });

@@ -133,16 +133,6 @@ public:
   /// finish before submitting the next (old IPCA).
   exec::Co<IpcaFit> fit_per_step(ChunkProvider& provider);
 
-  /// After an AOT fit in the slab (non-distributed) mode: submit one
-  /// transform task per timestep projecting that step's slab onto the
-  /// fitted components — the dimensionality-reduced output the paper's
-  /// motivating use case (Gysela compression) consumes. Returns the
-  /// per-step keys of the reduced (samples x n_components) matrices.
-  exec::Co<std::vector<dts::Key>> transform_steps(const IpcaFit& fit,
-                                                 std::int64_t steps);
-  /// Gather one reduced timestep (functional mode).
-  exec::Co<linalg::Matrix> collect_reduced(const dts::Key& key);
-
   /// Gather the fitted IncrementalPca state (functional mode).
   exec::Co<IncrementalPca> collect_state(const IpcaFit& fit);
   /// Gather a result vector (functional mode).

@@ -34,7 +34,6 @@ public:
 
   /// Fit on X (rows = samples, cols = features).
   void fit(const linalg::Matrix& x);
-  linalg::Matrix transform(const linalg::Matrix& x) const;
 
   const linalg::Matrix& components() const { return components_; }
   const std::vector<double>& singular_values() const {
@@ -68,7 +67,6 @@ public:
 
   /// Update the model with one minibatch (rows = samples).
   void partial_fit(const linalg::Matrix& x);
-  linalg::Matrix transform(const linalg::Matrix& x) const;
 
   std::size_t n_samples_seen() const { return n_samples_seen_; }
   std::size_t n_features() const { return mean_.size(); }

@@ -309,48 +309,6 @@ exec::Co<IpcaFit> InSituIncrementalPca::fit_per_step(ChunkProvider& provider) {
   co_return fit;
 }
 
-exec::Co<std::vector<dts::Key>> InSituIncrementalPca::transform_steps(
-    const IpcaFit& fit, std::int64_t steps) {
-  DEISA_CHECK(!opts_.distributed_update,
-              "transform_steps requires the slab (non-distributed) mode");
-  DEISA_CHECK(!slab_shape_.empty(), "transform before fit");
-  const std::size_t k = opts_.pca.n_components;
-  const std::size_t m = samples_per_step();
-  const std::uint64_t out_bytes = m * k * sizeof(double);
-  std::vector<dts::TaskSpec> tasks;
-  std::vector<dts::Key> out_keys;
-  for (std::int64_t t = 0; t < steps; ++t) {
-    dts::Key key = opts_.name + "/reduced/t" + std::to_string(t);
-    std::vector<dts::Key> deps;
-    deps.push_back(fit.state_key);
-    deps.push_back(slab_key(/*submission=*/0, t));
-    dts::TaskFn fn = [row_dims = sample_dims_,
-                      out_bytes](const std::vector<dts::Data>& in) {
-      if (!in[0].has_value() || !in[1].has_value())
-        return dts::Data::sized(out_bytes);
-      const auto& model = in[0].as<IncrementalPca>();
-      const arr::NDArray m2d = in[1].as<arr::NDArray>().reshape_2d(row_dims);
-      const linalg::Matrix x = linalg::Matrix::from_row_major(
-          static_cast<std::size_t>(m2d.shape()[0]),
-          static_cast<std::size_t>(m2d.shape()[1]), m2d.flat());
-      linalg::Matrix reduced = model.transform(x);
-      const std::uint64_t b = reduced.size() * sizeof(double);
-      return dts::Data::make<linalg::Matrix>(std::move(reduced), b);
-    };
-    tasks.emplace_back(key, std::move(deps), std::move(fn),
-                       opts_.cost.partial_fit_cost(m, k, k), out_bytes);
-    out_keys.push_back(std::move(key));
-  }
-  co_await client_->submit(std::move(tasks), out_keys);
-  co_return out_keys;
-}
-
-exec::Co<linalg::Matrix> InSituIncrementalPca::collect_reduced(
-    const dts::Key& key) {
-  const dts::Data d = co_await client_->gather(key);
-  co_return d.as<linalg::Matrix>();
-}
-
 exec::Co<IncrementalPca> InSituIncrementalPca::collect_state(
     const IpcaFit& fit) {
   const dts::Data d = co_await client_->gather(fit.state_key);

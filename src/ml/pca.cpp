@@ -91,12 +91,6 @@ void Pca::fit(const la::Matrix& x) {
   }
 }
 
-la::Matrix Pca::transform(const la::Matrix& x) const {
-  DEISA_CHECK(!components_.empty(), "PCA not fitted");
-  const la::Matrix xc = center(x, mean_);
-  return la::matmul(xc, components_.transposed());
-}
-
 IncrementalPca::IncrementalPca(PcaOptions opts) : opts_(opts) {
   DEISA_CHECK(opts_.n_components >= 1, "n_components must be >= 1");
 }
@@ -191,12 +185,6 @@ void IncrementalPca::partial_fit(const la::Matrix& x) {
     explained_variance_.push_back(ev);
     explained_variance_ratio_.push_back(total_var > 0 ? ev / total_var : 0.0);
   }
-}
-
-la::Matrix IncrementalPca::transform(const la::Matrix& x) const {
-  DEISA_CHECK(n_samples_seen_ > 0, "IncrementalPCA not fitted");
-  const la::Matrix xc = center(x, mean_);
-  return la::matmul(xc, components_.transposed());
 }
 
 }  // namespace deisa::ml

@@ -6,25 +6,18 @@
 namespace deisa::mpix {
 
 namespace {
-// Collective tags live far above any user tag.
-constexpr int kCollectiveTagBase = 1 << 20;
-constexpr int kOpBarrier = 0;
-constexpr int kOpBcast = 1;
-constexpr int kOpReduce = 2;
-constexpr int kOpGather = 3;
-constexpr int kOpAllgather = 4;
-constexpr int kOpScatter = 5;
-constexpr int kOpAlltoall = 6;
-constexpr int kOpSlots = 8;
-// Dissemination barrier rounds get their own sub-slot per round.
-constexpr int kRoundStride = kOpSlots * 64;
+// Barrier tags live far above any user tag. Each barrier owns a stride of
+// tags, and each of its rounds a sub-slot of that stride.
+constexpr int kBarrierTagBase = 1 << 20;
+constexpr int kRoundSlot = 8;
+constexpr int kBarrierStride = kRoundSlot * 64;
 }  // namespace
 
 Comm::Comm(exec::Transport& cluster, std::vector<int> rank_to_node)
     : cluster_(&cluster), rank_to_node_(std::move(rank_to_node)) {
   DEISA_CHECK(!rank_to_node_.empty(), "communicator needs at least one rank");
   mailboxes_.resize(rank_to_node_.size());
-  collective_seq_.assign(rank_to_node_.size(), 0);
+  barrier_seq_.assign(rank_to_node_.size(), 0);
 }
 
 int Comm::node_of(int rank) const {
@@ -100,194 +93,24 @@ exec::Co<Message> Comm::recv(int rank, int source, int tag) {
   co_return std::move(waiter.result);
 }
 
-int Comm::next_collective_tag(int rank, int op_id) {
-  const std::uint32_t seq = collective_seq_[static_cast<std::size_t>(rank)]++;
-  return kCollectiveTagBase + static_cast<int>(seq) * kRoundStride + op_id;
+int Comm::next_barrier_tag(int rank) {
+  const std::uint32_t seq = barrier_seq_[static_cast<std::size_t>(rank)]++;
+  return kBarrierTagBase + static_cast<int>(seq) * kBarrierStride;
 }
 
 exec::Co<void> Comm::barrier(int rank) {
-  const int base = next_collective_tag(rank, kOpBarrier);
+  const int base = next_barrier_tag(rank);
   const int p = size();
   // Dissemination barrier: log2(P) rounds of pairwise signals.
   int round = 0;
   for (int dist = 1; dist < p; dist <<= 1, ++round) {
     const int to = (rank + dist) % p;
     const int from = (rank - dist % p + p) % p;
-    const int tag = base + kOpSlots * (round + 1);
+    const int tag = base + kRoundSlot * (round + 1);
     Message signal(rank, tag, 8);
     co_await send(rank, to, tag, std::move(signal));
     (void)co_await recv(rank, from, tag);
   }
-}
-
-exec::Co<Message> Comm::bcast(int rank, int root, Message msg) {
-  const int tag = next_collective_tag(rank, kOpBcast);
-  const int p = size();
-  const int vrank = (rank - root % p + p) % p;
-  Message data = std::move(msg);
-  int mask = 1;
-  while (mask < p) {
-    if ((vrank & mask) != 0) {
-      const int src = (vrank - mask + root) % p;
-      data = co_await recv(rank, src, tag);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vrank + mask < p) {
-      const int dst = (vrank + mask + root) % p;
-      Message copy = data;
-      copy.tag = tag;
-      co_await send(rank, dst, tag, std::move(copy));
-    }
-    mask >>= 1;
-  }
-  co_return data;
-}
-
-namespace {
-void combine(std::vector<double>& acc, const std::vector<double>& other,
-             ReduceOp op) {
-  DEISA_CHECK(acc.size() == other.size(),
-              "reduce buffers differ in length: " << acc.size() << " vs "
-                                                  << other.size());
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    switch (op) {
-      case ReduceOp::kSum: acc[i] += other[i]; break;
-      case ReduceOp::kMax: acc[i] = std::max(acc[i], other[i]); break;
-      case ReduceOp::kMin: acc[i] = std::min(acc[i], other[i]); break;
-    }
-  }
-}
-}  // namespace
-
-exec::Co<std::vector<double>> Comm::reduce(int rank, int root,
-                                          std::vector<double> local,
-                                          ReduceOp op) {
-  const int tag = next_collective_tag(rank, kOpReduce);
-  const int p = size();
-  const int vrank = (rank - root % p + p) % p;
-  std::vector<double> acc = std::move(local);
-  const std::uint64_t bytes = acc.size() * sizeof(double);
-  int mask = 1;
-  while (mask < p) {
-    if ((vrank & mask) == 0) {
-      const int vpeer = vrank + mask;
-      if (vpeer < p) {
-        const int peer = (vpeer + root) % p;
-        Message m = co_await recv(rank, peer, tag);
-        combine(acc, m.as<std::vector<double>>(), op);
-      }
-    } else {
-      const int peer = (vrank - mask + root) % p;
-      Message partial(rank, tag, bytes, std::move(acc));
-      co_await send(rank, peer, tag, std::move(partial));
-      acc.clear();
-      break;
-    }
-    mask <<= 1;
-  }
-  co_return acc;  // root holds the reduction; other ranks return empty
-}
-
-exec::Co<std::vector<double>> Comm::allreduce(int rank,
-                                             std::vector<double> local,
-                                             ReduceOp op) {
-  const std::uint64_t bytes = local.size() * sizeof(double);
-  std::vector<double> reduced = co_await reduce(rank, 0, std::move(local), op);
-  Message m;
-  m.bytes = std::max<std::uint64_t>(bytes, 8);
-  if (rank == 0) m.payload = std::move(reduced);
-  Message out = co_await bcast(rank, 0, std::move(m));
-  co_return out.as<std::vector<double>>();
-}
-
-exec::Co<std::vector<Message>> Comm::gather(int rank, int root, Message msg) {
-  const int tag = next_collective_tag(rank, kOpGather);
-  const int p = size();
-  if (rank != root) {
-    co_await send(rank, root, tag, std::move(msg));
-    co_return std::vector<Message>{};
-  }
-  std::vector<Message> out(static_cast<std::size_t>(p));
-  msg.source = rank;
-  out[static_cast<std::size_t>(rank)] = std::move(msg);
-  for (int i = 0; i < p - 1; ++i) {
-    Message m = co_await recv(rank, kAnySource, tag);
-    out[static_cast<std::size_t>(m.source)] = std::move(m);
-  }
-  co_return out;
-}
-
-exec::Co<std::vector<std::vector<double>>> Comm::allgather(
-    int rank, std::vector<double> local) {
-  const int tag = next_collective_tag(rank, kOpAllgather);
-  const int p = size();
-  // Ring allgather: p-1 rounds, each forwarding the previously-received
-  // block — bandwidth-optimal, as in real MPI implementations.
-  std::vector<std::vector<double>> out(static_cast<std::size_t>(p));
-  out[static_cast<std::size_t>(rank)] = std::move(local);
-  const int right = (rank + 1) % p;
-  const int left = (rank - 1 + p) % p;
-  int have = rank;  // the block we forward next round
-  for (int round = 0; round < p - 1; ++round) {
-    const int round_tag = tag + kOpSlots * (round + 1);
-    std::vector<double> block = out[static_cast<std::size_t>(have)];
-    const std::uint64_t bytes =
-        std::max<std::size_t>(block.size() * sizeof(double), 8);
-    Message m(rank, round_tag, bytes, std::move(block));
-    co_await send(rank, right, round_tag, std::move(m));
-    Message got = co_await recv(rank, left, round_tag);
-    have = (have - 1 + p) % p;
-    out[static_cast<std::size_t>(have)] =
-        got.as<std::vector<double>>();
-  }
-  co_return out;
-}
-
-exec::Co<Message> Comm::scatter_from(int rank, int root,
-                                    std::vector<Message> parts) {
-  const int tag = next_collective_tag(rank, kOpScatter);
-  const int p = size();
-  if (rank == root) {
-    DEISA_CHECK(static_cast<int>(parts.size()) == p,
-                "scatter needs one part per rank, got " << parts.size());
-    Message mine = std::move(parts[static_cast<std::size_t>(root)]);
-    for (int r = 0; r < p; ++r) {
-      if (r == root) continue;
-      co_await send(rank, r, tag, std::move(parts[static_cast<std::size_t>(r)]));
-    }
-    co_return mine;
-  }
-  co_return co_await recv(rank, root, tag);
-}
-
-exec::Co<std::vector<std::vector<double>>> Comm::alltoall(
-    int rank, std::vector<std::vector<double>> outgoing) {
-  const int tag = next_collective_tag(rank, kOpAlltoall);
-  const int p = size();
-  DEISA_CHECK(static_cast<int>(outgoing.size()) == p,
-              "alltoall needs one payload per rank");
-  std::vector<std::vector<double>> incoming(static_cast<std::size_t>(p));
-  incoming[static_cast<std::size_t>(rank)] =
-      std::move(outgoing[static_cast<std::size_t>(rank)]);
-  // Pairwise exchange schedule: round r partners with rank XOR-free
-  // (rank + r) % p ordering; send low-rank-first to avoid head blocking.
-  for (int r = 1; r < p; ++r) {
-    const int to = (rank + r) % p;
-    const int from = (rank - r + p) % p;
-    auto& payload = outgoing[static_cast<std::size_t>(to)];
-    const std::uint64_t bytes =
-        std::max<std::size_t>(payload.size() * sizeof(double), 8);
-    Message m(rank, tag + kOpSlots * r, bytes, std::move(payload));
-    co_await send(rank, to, tag + kOpSlots * r, std::move(m));
-    Message got = co_await recv(rank, from, tag + kOpSlots * r);
-    incoming[static_cast<std::size_t>(from)] =
-        got.as<std::vector<double>>();
-  }
-  co_return incoming;
 }
 
 }  // namespace deisa::mpix

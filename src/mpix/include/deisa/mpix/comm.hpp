@@ -1,9 +1,9 @@
 // Mini-MPI over the discrete-event cluster: ranks are coroutines, point-
-// to-point messages match on (source, tag) with wildcards, and the
-// collectives used by the Heat2D miniapp and the DEISA bridges (barrier,
-// bcast, reduce, allreduce, gather) are built from point-to-point
-// messages over binomial trees — so their cost scales with log2(P) and
-// with the switch distance of the allocation, as on a real machine.
+// to-point messages match on (source, tag) with wildcards, and the one
+// collective the workflow needs — the barrier the Heat2D ranks and the
+// DEISA bridges meet at — is a dissemination barrier built from
+// point-to-point messages, so its cost scales with log2(P) and with the
+// switch distance of the allocation, as on a real machine.
 #pragma once
 
 #include <any>
@@ -52,8 +52,6 @@ struct Message {
   }
 };
 
-enum class ReduceOp { kSum, kMax, kMin };
-
 /// Communicator over a set of ranks placed on cluster nodes.
 class Comm {
 public:
@@ -82,30 +80,8 @@ public:
   /// Blocking receive matching (source, tag); wildcards allowed.
   exec::Co<Message> recv(int rank, int source = kAnySource, int tag = kAnyTag);
 
-  // ---- collectives (every rank of the comm must call, in order) ----
+  /// Dissemination barrier; every rank of the comm must call it, in order.
   exec::Co<void> barrier(int rank);
-  /// Broadcast `bytes` of payload from root over a binomial tree; the
-  /// returned message carries root's payload on every rank.
-  exec::Co<Message> bcast(int rank, int root, Message msg);
-  /// Element-wise reduce of a vector<double> to root (binomial tree).
-  exec::Co<std::vector<double>> reduce(int rank, int root,
-                                      std::vector<double> local, ReduceOp op);
-  exec::Co<std::vector<double>> allreduce(int rank, std::vector<double> local,
-                                         ReduceOp op);
-  /// Gather per-rank payloads to root; result (root only) is indexed by
-  /// rank, other ranks receive an empty vector.
-  exec::Co<std::vector<Message>> gather(int rank, int root, Message msg);
-  /// Every rank receives every rank's contribution, indexed by rank.
-  exec::Co<std::vector<std::vector<double>>> allgather(
-      int rank, std::vector<double> local);
-  /// Root distributes one payload per rank; returns this rank's share.
-  exec::Co<Message> scatter_from(int rank, int root,
-                                std::vector<Message> parts);
-  /// Personalized all-to-all exchange of vector<double> payloads:
-  /// `outgoing[r]` goes to rank r; the result holds what each rank sent
-  /// to this one, indexed by source rank.
-  exec::Co<std::vector<std::vector<double>>> alltoall(
-      int rank, std::vector<std::vector<double>> outgoing);
 
 private:
   struct Waiter {
@@ -127,8 +103,7 @@ private:
   }
 
   void deliver(int to, Message msg);
-  int next_collective_tag(int rank, int op_id);
-
+  int next_barrier_tag(int rank);
 
   exec::Transport* cluster_;
   std::vector<int> rank_to_node_;
@@ -136,11 +111,9 @@ private:
   // the sender's strand, recv() on the receiver's.
   std::mutex mu_;
   std::vector<Mailbox> mailboxes_;
-  // Per-rank sequence, only ever touched by that rank's own collective
-  // calls (one strand), so it needs no lock.
-  std::vector<std::uint32_t> collective_seq_;
-
-  friend struct RecvAwaiter;
+  // Per-rank barrier sequence, only ever touched by that rank's own
+  // barrier calls (one strand), so it needs no lock.
+  std::vector<std::uint32_t> barrier_seq_;
 };
 
 }  // namespace deisa::mpix

@@ -146,15 +146,11 @@ sim::Co<SendResult> Cluster::send_control(int src, int dst,
   double extra = 0.0;
   if (fault_hook_ && delivery != Delivery::kReliable) {
     const FaultDecision fd = fault_hook_(src, dst, bytes, delivery);
-    const bool may_drop =
-        delivery == Delivery::kDroppable || delivery == Delivery::kLossy;
-    const bool may_dup =
-        delivery == Delivery::kIdempotent || delivery == Delivery::kLossy;
-    if (fd.drop && may_drop) {
+    if (fd.drop && exec::may_drop(delivery)) {
       result.delivered = false;
       result.copies = 0;
       obs::count("net.faults.dropped");
-    } else if (fd.duplicate && may_dup) {
+    } else if (fd.duplicate && exec::may_duplicate(delivery)) {
       result.copies = 2;
       obs::count("net.faults.duplicated");
     }

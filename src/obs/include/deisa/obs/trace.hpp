@@ -129,18 +129,12 @@ private:
   std::vector<TraceArg> args_;
 };
 
-/// What to evict when the ring reaches its capacity.
-enum class DropPolicy : std::uint8_t {
-  kOldest,  // ring semantics: overwrite the oldest retained event
-  kNewest,  // freeze the prefix: discard incoming events instead
-};
-
 class Recorder {
 public:
   static constexpr std::size_t kDefaultCapacity = 1u << 18;
 
-  explicit Recorder(std::size_t capacity = kDefaultCapacity,
-                    DropPolicy drop_policy = DropPolicy::kOldest);
+  /// A full ring evicts its oldest event for each new one.
+  explicit Recorder(std::size_t capacity = kDefaultCapacity);
 
   /// The process-wide recorder instrumentation writes to; nullptr (the
   /// default) disables tracing everywhere.
@@ -183,13 +177,11 @@ public:
   }
 
   std::size_t capacity() const { return capacity_; }
-  DropPolicy drop_policy() const { return drop_policy_; }
   std::size_t size() const {
     std::lock_guard lk(mu_);
     return ring_.size();
   }
-  /// Events evicted (kOldest) or discarded on arrival (kNewest) because
-  /// the ring was full.
+  /// Events evicted because the ring was full.
   std::uint64_t dropped() const {
     std::lock_guard lk(mu_);
     return dropped_;
@@ -220,7 +212,6 @@ private:
   /// for_each() callbacks (exporters, tests) read tracks() mid-walk.
   mutable std::recursive_mutex mu_;
   std::size_t capacity_;
-  DropPolicy drop_policy_;
   std::vector<TraceEvent> ring_;
   std::size_t next_ = 0;  // oldest slot once the ring has wrapped
   std::uint64_t total_ = 0;

@@ -83,8 +83,7 @@ void Span::finish() {
   recorder_ = nullptr;
 }
 
-Recorder::Recorder(std::size_t capacity, DropPolicy drop_policy)
-    : capacity_(capacity), drop_policy_(drop_policy) {
+Recorder::Recorder(std::size_t capacity) : capacity_(capacity) {
   DEISA_CHECK(capacity_ > 0, "trace recorder needs a positive capacity");
   ring_.reserve(std::min<std::size_t>(capacity_, 4096));
 }
@@ -159,13 +158,10 @@ void Recorder::push(TraceEvent ev) {
       ring_.push_back(std::move(ev));
       return;
     }
+    // Ring full: overwrite the oldest event.
     ++dropped_;
-    if (drop_policy_ == DropPolicy::kOldest) {
-      // Ring full: overwrite the oldest event.
-      ring_[next_] = std::move(ev);
-      next_ = (next_ + 1) % ring_.size();
-    }
-    // kNewest: keep the prefix, discard the incoming event.
+    ring_[next_] = std::move(ev);
+    next_ = (next_ + 1) % ring_.size();
   }
   // Outside the recorder lock: the registry has its own synchronization.
   count("trace.dropped_events");

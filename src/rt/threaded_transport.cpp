@@ -103,15 +103,11 @@ exec::Co<exec::SendResult> ThreadedTransport::send_control(
   double extra = 0.0;
   if (delivery != exec::Delivery::kReliable) {
     const exec::FaultDecision fd = consult_hook(src, dst, bytes, delivery);
-    const bool may_drop = delivery == exec::Delivery::kDroppable ||
-                          delivery == exec::Delivery::kLossy;
-    const bool may_dup = delivery == exec::Delivery::kIdempotent ||
-                         delivery == exec::Delivery::kLossy;
-    if (fd.drop && may_drop) {
+    if (fd.drop && exec::may_drop(delivery)) {
       result.delivered = false;
       result.copies = 0;
       obs::count("net.faults.dropped");
-    } else if (fd.duplicate && may_dup) {
+    } else if (fd.duplicate && exec::may_duplicate(delivery)) {
       result.copies = 2;
       obs::count("net.faults.duplicated");
     }

@@ -1,4 +1,5 @@
-// Small string helpers shared by the config parser and key naming scheme.
+// Small string helpers shared by the config parser and the fault-spec
+// parser.
 #pragma once
 
 #include <string>
@@ -10,6 +11,5 @@ namespace deisa::util {
 std::vector<std::string> split(std::string_view s, char sep);
 std::string_view trim(std::string_view s);
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
-bool starts_with(std::string_view s, std::string_view prefix);
 
 }  // namespace deisa::util

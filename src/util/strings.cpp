@@ -34,8 +34,4 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
 }  // namespace deisa::util

@@ -1,5 +1,5 @@
-// Tests for NDArray, chunk grids, the naming scheme, selections, and the
-// distributed DArray (external chunks, rechunk, gather).
+// Tests for NDArray, chunk grids, the naming scheme, placement, and the
+// distributed DArray (external chunks, gather).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -280,28 +280,13 @@ TEST(ChunkGrid, ChunksOverlapping) {
   EXPECT_TRUE(g.chunks_overlapping(arr::Box(idx({8, 8}), idx({9, 9}))).empty());
 }
 
-TEST(Naming, ChunkKeyRoundTrip) {
-  const std::string key = arr::chunk_key("deisa-", "temp", idx({1, 3, 5}));
-  EXPECT_EQ(key, "deisa-temp|1,3,5");
-  const auto [name, coord] = arr::parse_chunk_key("deisa-", key);
-  EXPECT_EQ(name, "temp");
-  EXPECT_EQ(coord, idx({1, 3, 5}));
-}
-
-TEST(Naming, MalformedKeysThrow) {
-  EXPECT_THROW(arr::parse_chunk_key("deisa-", "other-temp|1"),
-               deisa::util::Error);
-  EXPECT_THROW(arr::parse_chunk_key("deisa-", "deisa-temp|1,x"),
-               deisa::util::Error);
-}
-
-TEST(Selection, IncludesChunk) {
-  const arr::ChunkGrid g(idx({4, 8}), idx({1, 4}));
-  arr::Selection sel(arr::Box(idx({0, 0}), idx({4, 4})));  // left half
-  EXPECT_TRUE(sel.includes_chunk(g, idx({0, 0})));
-  EXPECT_FALSE(sel.includes_chunk(g, idx({0, 1})));
-  const auto all = arr::Selection::all(g.shape());
-  EXPECT_TRUE(all.includes_chunk(g, idx({3, 1})));
+TEST(Naming, ChunkKeyRendersStemAndCoords) {
+  EXPECT_EQ(arr::chunk_key("deisa-", "temp", idx({1, 3, 5})),
+            "deisa-temp|1,3,5");
+  // A reused builder renders each key from its stem alone.
+  arr::ChunkKeyBuilder builder("deisa-", "temp");
+  EXPECT_EQ(builder.render(idx({12, 0})), "deisa-temp|12,0");
+  EXPECT_EQ(builder.render(idx({7})), "deisa-temp|7");
 }
 
 TEST(Placement, RoundRobinIsStable) {
@@ -366,71 +351,6 @@ TEST(DArray, ExternalChunksAssembleToGlobalArray) {
   for (std::int64_t i = 0; i < 4; ++i)
     for (std::int64_t j = 0; j < 4; ++j)
       EXPECT_DOUBLE_EQ(out.at(idx({i, j})), static_cast<double>(10 * i + j));
-}
-
-sim::Co<void> rechunk_flow(TestCluster& tc, arr::NDArray& out) {
-  arr::DArray da = co_await arr::DArray::from_external(
-      *tc.client, "f", ix(4, 4), ix(2, 2));
-  // Rechunk BEFORE pushing data: the whole derived graph sits on external
-  // tasks (the paper's ahead-of-time submission).
-  arr::DArray rc = co_await da.rechunk(ix(4, 2), "f-rechunked");
-  EXPECT_EQ(rc.grid().num_chunks(), 2);
-  for (std::int64_t i = 0; i < 4; ++i) {
-    const arr::Index c = da.grid().coord_of(i);
-    const arr::Box box = da.grid().box_of(c);
-    arr::NDArray blk(ix(2, 2));
-    for (std::int64_t r = 0; r < 2; ++r)
-      for (std::int64_t q = 0; q < 2; ++q)
-        blk.at(ix(r, q)) =
-            static_cast<double>((box.lo[0] + r) * 10 + (box.lo[1] + q));
-    co_await tc.client->scatter(da.key_of(c), chunk_data(blk), da.worker_of(c),
-                                true);
-  }
-  out = co_await rc.gather_box(arr::Selection::all(rc.shape()));
-  co_await tc.rt->shutdown();
-}
-
-TEST(DArray, RechunkPreservesContent) {
-  TestCluster tc(2);
-  arr::NDArray out;
-  tc.eng.spawn(rechunk_flow(tc, out));
-  tc.eng.run();
-  ASSERT_EQ(out.shape(), idx({4, 4}));
-  for (std::int64_t i = 0; i < 4; ++i)
-    for (std::int64_t j = 0; j < 4; ++j)
-      EXPECT_DOUBLE_EQ(out.at(idx({i, j})), static_cast<double>(10 * i + j));
-}
-
-sim::Co<void> map_chunks_flow(TestCluster& tc, arr::NDArray& out) {
-  arr::DArray da = co_await arr::DArray::from_external(
-      *tc.client, "g", ix(2, 4), ix(2, 2));
-  arr::DArray doubled = co_await arr::DArray::map_chunks(
-      da, "g-doubled",
-      [](const dts::Data& d) {
-        arr::NDArray a = d.as<arr::NDArray>();
-        for (double& v : a.flat()) v *= 2.0;
-        const std::uint64_t b = a.bytes();
-        return dts::Data::make<arr::NDArray>(std::move(a), b);
-      },
-      0.0, 0);
-  for (std::int64_t i = 0; i < 2; ++i) {
-    arr::NDArray blk(ix(2, 2), static_cast<double>(i + 1));
-    co_await tc.client->scatter(da.keys()[static_cast<std::size_t>(i)],
-                                chunk_data(blk),
-                                arr::preselected_worker(i, 2), true);
-  }
-  out = co_await doubled.gather_box(arr::Selection::all(doubled.shape()));
-  co_await tc.rt->shutdown();
-}
-
-TEST(DArray, MapChunksAppliesFunction) {
-  TestCluster tc(2);
-  arr::NDArray out;
-  tc.eng.spawn(map_chunks_flow(tc, out));
-  tc.eng.run();
-  ASSERT_EQ(out.shape(), idx({2, 4}));
-  EXPECT_DOUBLE_EQ(out.at(idx({0, 0})), 2.0);
-  EXPECT_DOUBLE_EQ(out.at(idx({0, 3})), 4.0);
 }
 
 sim::Co<void> partial_gather_flow(TestCluster& tc, arr::NDArray& out) {

@@ -501,9 +501,11 @@ TEST(Dts, FetchedDepCachedForLaterTasks) {
 sim::Co<void> scatter_batch_flow(TestCluster& tc, std::vector<int>& acks) {
   co_await tc.client->external_futures(keys("e1", "e2", "e3"),
                                        ints(0, 0, 0));
-  // Poison e2 before the push: its slot of the batched ack must come back
-  // kAckDiscarded while its neighbors register normally.
-  co_await tc.client->cancel("e2");
+  // e2 is already in memory when the batch pushes it again: its slot of
+  // the batched ack must come back kAckDiscarded while its neighbors
+  // register normally.
+  (void)co_await tc.client->scatter("e2", dts::Data::sized(256), /*worker=*/0,
+                                    /*external=*/true);
   std::vector<std::pair<dts::Key, dts::Data>> items;
   items.emplace_back("e1", dts::Data::sized(256));
   items.emplace_back("e2", dts::Data::sized(256));
@@ -522,7 +524,9 @@ TEST(Dts, ScatterBatchReturnsPerKeyAcks) {
   EXPECT_EQ(acks[1], dts::kAckDiscarded);
   EXPECT_EQ(acks[2], 0);
   EXPECT_EQ(tc.rt->scheduler().state_of("e1"), dts::TaskState::kMemory);
+  EXPECT_EQ(tc.rt->scheduler().state_of("e2"), dts::TaskState::kMemory);
   EXPECT_EQ(tc.rt->scheduler().state_of("e3"), dts::TaskState::kMemory);
+  EXPECT_EQ(tc.rt->scheduler().recovery().stale_update_data, 1u);
 }
 
 sim::Co<void> batch_one_rpc_flow(TestCluster& tc) {

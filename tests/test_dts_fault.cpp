@@ -1,6 +1,5 @@
-// Fault-handling tests for the task system: retries of transient
-// failures, cancellation semantics, worker memory accounting, stale
-// lifecycle reports, heartbeat-based failure detection, lost-key
+// Fault-handling tests for the task system: pushes onto erred tasks,
+// worker memory accounting, stale lifecycle reports, heartbeat-based failure detection, lost-key
 // re-execution, the external re-arm/re-push protocol, and sharded
 // recovery (worker kills at shards > 1 produce byte-identical results).
 #include <gtest/gtest.h>
@@ -54,159 +53,32 @@ std::vector<dts::Key> keys(K... k) {
   return std::vector<dts::Key>{dts::Key(k)...};
 }
 
-sim::Co<void> flaky_flow(TestCluster& tc, int fails, int retries, int& result,
-                         bool& threw) {
-  auto attempts = std::make_shared<int>(0);
+sim::Co<void> push_onto_erred_flow(TestCluster& tc, int& ack) {
   std::vector<dts::TaskSpec> tasks;
-  dts::TaskSpec flaky(
-      "flaky", no_keys(),
-      [attempts, fails](const std::vector<dts::Data>&) -> dts::Data {
-        if ((*attempts)++ < fails) throw std::runtime_error("transient");
-        return int_data(7);
-      });
-  flaky.retries = retries;
-  tasks.push_back(std::move(flaky));
-  co_await tc.client->submit(std::move(tasks), keys("flaky"));
-  try {
-    result = (co_await tc.client->gather("flaky")).as<int>();
-  } catch (const deisa::util::Error&) {
-    threw = true;
-  }
-  co_await tc.rt->shutdown();
-}
-
-TEST(Fault, RetriesRecoverTransientFailures) {
-  TestCluster tc(2);
-  int result = 0;
-  bool threw = false;
-  tc.eng.spawn(flaky_flow(tc, /*fails=*/2, /*retries=*/3, result, threw));
-  tc.eng.run();
-  EXPECT_FALSE(threw);
-  EXPECT_EQ(result, 7);
-  EXPECT_EQ(tc.rt->scheduler().retries_performed(), 2u);
-  EXPECT_EQ(tc.rt->scheduler().state_of("flaky"), dts::TaskState::kMemory);
-}
-
-TEST(Fault, RetriesExhaustedStillErrs) {
-  TestCluster tc(2);
-  int result = 0;
-  bool threw = false;
-  tc.eng.spawn(flaky_flow(tc, /*fails=*/5, /*retries=*/2, result, threw));
-  tc.eng.run();
-  EXPECT_TRUE(threw);
-  EXPECT_EQ(tc.rt->scheduler().retries_performed(), 2u);
-  EXPECT_EQ(tc.rt->scheduler().state_of("flaky"), dts::TaskState::kErred);
-}
-
-TEST(Fault, ZeroRetriesFailImmediately) {
-  TestCluster tc(1);
-  int result = 0;
-  bool threw = false;
-  tc.eng.spawn(flaky_flow(tc, /*fails=*/1, /*retries=*/0, result, threw));
-  tc.eng.run();
-  EXPECT_TRUE(threw);
-  EXPECT_EQ(tc.rt->scheduler().retries_performed(), 0u);
-}
-
-sim::Co<void> cancel_external_flow(TestCluster& tc, std::string& error) {
-  std::vector<int> pw;
-  pw.push_back(0);
-  co_await tc.client->external_futures(keys("never-arrives"), std::move(pw));
-  std::vector<dts::TaskSpec> tasks;
-  tasks.emplace_back("dependent", keys("never-arrives"),
-                     [](const std::vector<dts::Data>&) {
-                       return int_data(0);
+  tasks.emplace_back("boom", no_keys(),
+                     [](const std::vector<dts::Data>&) -> dts::Data {
+                       throw std::runtime_error("boom");
                      });
-  co_await tc.client->submit(std::move(tasks), keys("dependent"));
-  co_await tc.eng.delay(1.0);
-  // The simulation died; cancel the external task to release the graph.
-  co_await tc.client->cancel("never-arrives");
+  co_await tc.client->submit(std::move(tasks), keys("boom"));
   try {
-    (void)co_await tc.client->gather("dependent");
-  } catch (const deisa::util::Error& e) {
-    error = e.what();
+    (void)co_await tc.client->wait_key("boom");
+  } catch (const deisa::util::Error&) {
   }
+  // A producer, unaware that the key erred, pushes a block onto it.
+  ack = co_await tc.client->scatter("boom", int_data(3), 0, /*external=*/true);
   co_await tc.rt->shutdown();
 }
 
-TEST(Fault, CancellingExternalTaskPoisonsDependents) {
-  // Without cancel, a dead simulation would leave the analytics graph
-  // waiting forever; cancel unblocks every waiter with an error.
-  TestCluster tc(1);
-  std::string error;
-  tc.eng.spawn(cancel_external_flow(tc, error));
-  tc.eng.run();
-  EXPECT_NE(error.find("dependent"), std::string::npos);
-  EXPECT_EQ(tc.rt->scheduler().state_of("never-arrives"),
-            dts::TaskState::kErred);
-  EXPECT_EQ(tc.rt->scheduler().state_of("dependent"),
-            dts::TaskState::kErred);
-}
-
-sim::Co<void> cancel_finished_flow(TestCluster& tc, int& result) {
-  std::vector<dts::TaskSpec> tasks;
-  tasks.emplace_back("done", no_keys(), [](const std::vector<dts::Data>&) {
-    return int_data(5);
-  });
-  co_await tc.client->submit(std::move(tasks), keys("done"));
-  (void)co_await tc.client->wait_key("done");
-  co_await tc.client->cancel("done");  // advisory on finished tasks
-  result = (co_await tc.client->gather("done")).as<int>();
-  co_await tc.rt->shutdown();
-}
-
-TEST(Fault, CancelOnFinishedTaskIsAdvisory) {
-  TestCluster tc(1);
-  int result = 0;
-  tc.eng.spawn(cancel_finished_flow(tc, result));
-  tc.eng.run();
-  EXPECT_EQ(result, 5);
-  EXPECT_EQ(tc.rt->scheduler().state_of("done"), dts::TaskState::kMemory);
-}
-
-sim::Co<void> cancel_late_finish_flow(TestCluster& tc) {
-  std::vector<dts::TaskSpec> tasks;
-  tasks.emplace_back("slow", no_keys(),
-                     [](const std::vector<dts::Data>&) { return int_data(1); },
-                     /*cost=*/2.0);
-  co_await tc.client->submit(std::move(tasks), keys("slow"));
-  co_await tc.eng.delay(0.5);          // now processing on a worker
-  co_await tc.client->cancel("slow");  // erred while still running
-  co_await tc.eng.delay(5.0);          // the task_finished arrives late
-  co_await tc.rt->shutdown();
-}
-
-TEST(Fault, CancelThenLateCompletionStaysErred) {
-  // A task cancelled mid-execution still reports task_finished when the
-  // worker completes it; that stale report used to resurrect the task
-  // into memory. It must be dropped and the task stay terminal.
-  TestCluster tc(1);
-  tc.eng.spawn(cancel_late_finish_flow(tc));
-  tc.eng.run();
-  EXPECT_EQ(tc.rt->scheduler().state_of("slow"), dts::TaskState::kErred);
-  EXPECT_EQ(tc.rt->scheduler().recovery().stale_task_finished, 1u);
-}
-
-sim::Co<void> cancel_external_push_flow(TestCluster& tc, int& ack) {
-  std::vector<int> pw;
-  pw.push_back(0);
-  co_await tc.client->external_futures(keys("ext"), std::move(pw));
-  co_await tc.client->cancel("ext");
-  // The simulation-side bridge, unaware of the cancel, pushes the block.
-  ack = co_await tc.client->scatter("ext", int_data(3), 0, /*external=*/true);
-  co_await tc.rt->shutdown();
-}
-
-TEST(Fault, CancelExternalThenBridgePushIsDiscarded) {
-  // Pushing to a cancelled external task used to trip a DEISA_CHECK and
-  // abort the scheduler; it must be acknowledged and discarded so the
-  // producer keeps stepping.
+TEST(Fault, PushOntoErredTaskIsDiscarded) {
+  // Pushing to an erred key used to trip a DEISA_CHECK and abort the
+  // scheduler; it must be acknowledged and discarded so the producer
+  // keeps stepping, and the key must stay erred.
   TestCluster tc(1);
   int ack = 0;
-  tc.eng.spawn(cancel_external_push_flow(tc, ack));
+  tc.eng.spawn(push_onto_erred_flow(tc, ack));
   tc.eng.run();
   EXPECT_EQ(ack, dts::kAckDiscarded);
-  EXPECT_EQ(tc.rt->scheduler().state_of("ext"), dts::TaskState::kErred);
+  EXPECT_EQ(tc.rt->scheduler().state_of("boom"), dts::TaskState::kErred);
   EXPECT_EQ(tc.rt->scheduler().recovery().stale_update_data, 1u);
 }
 

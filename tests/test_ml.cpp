@@ -65,23 +65,6 @@ TEST(Pca, ComponentsAreOrthonormal) {
   EXPECT_LT(la::max_abs_diff(cct, la::Matrix::identity(3)), 1e-9);
 }
 
-TEST(Pca, TransformReducesDimensionality) {
-  const auto x = make_data(60, 10, 3);
-  ml::PcaOptions opts;
-  opts.n_components = 2;
-  ml::Pca pca(opts);
-  pca.fit(x);
-  const la::Matrix t = pca.transform(x);
-  EXPECT_EQ(t.rows(), 60u);
-  EXPECT_EQ(t.cols(), 2u);
-  // Transformed data is centered.
-  for (std::size_t j = 0; j < 2; ++j) {
-    double mean = 0;
-    for (std::size_t i = 0; i < t.rows(); ++i) mean += t(i, j);
-    EXPECT_NEAR(mean / static_cast<double>(t.rows()), 0.0, 1e-9);
-  }
-}
-
 TEST(Pca, RandomizedRatioMatchesExact) {
   // 30 features, so the 12-column sketch is taken. It returns only the
   // two leading singular values; the ratios must still divide by the
@@ -417,52 +400,6 @@ TEST(InSituIpca, SyntheticModeRunsSameGraphWithoutPayloads) {
   tc.eng.spawn(synthetic_aot_flow(tc, done_at));
   tc.eng.run();
   EXPECT_GT(done_at, 0.0);
-}
-
-}  // namespace
-
-namespace {
-
-sim::Co<void> transform_flow(TestCluster& tc, la::Matrix& reduced0,
-                             ml::IncrementalPca& model_out) {
-  arr::DArray da = co_await arr::DArray::from_external(
-      *tc.client, "temp", ix(3, 6, 8), ix(1, 3, 4));
-  ml::InSituIpcaOptions o = listing2_options(2);
-  o.name = "ipca-tr";
-  ml::InSituIncrementalPca ipca(*tc.client, o);
-  ml::ExternalArrayProvider provider(da);
-  const ml::IpcaFit fit = co_await ipca.fit_ahead_of_time(provider);
-  co_await push_all_blocks(tc, da);
-  co_await tc.client->wait_key(fit.state_key);
-  // Dimensionality reduction: project each timestep onto the components.
-  const auto keys = co_await ipca.transform_steps(fit, 3);
-  reduced0 = co_await ipca.collect_reduced(keys[0]);
-  model_out = co_await ipca.collect_state(fit);
-  co_await tc.rt->shutdown();
-}
-
-TEST(InSituIpca, TransformProducesReducedTimesteps) {
-  TestCluster tc(2);
-  la::Matrix reduced0;
-  ml::IncrementalPca model(ml::PcaOptions{});
-  tc.eng.spawn(transform_flow(tc, reduced0, model));
-  tc.eng.run();
-  // Step 0 slab: 8 samples (Y) x 6 features (X) -> reduced 8 x 2.
-  ASSERT_EQ(reduced0.rows(), 8u);
-  ASSERT_EQ(reduced0.cols(), 2u);
-
-  // Reference: transform the same slab locally with the gathered model.
-  const arr::Box slab_box(ix(0, 0, 0), ix(1, 6, 8));
-  const arr::NDArray slab = make_block(slab_box, 7);
-  const arr::NDArray m2d = slab.reshape_2d({0, 2});
-  la::Matrix x(static_cast<std::size_t>(m2d.shape()[0]),
-               static_cast<std::size_t>(m2d.shape()[1]));
-  for (std::int64_t r = 0; r < m2d.shape()[0]; ++r)
-    for (std::int64_t c = 0; c < m2d.shape()[1]; ++c)
-      x(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) =
-          m2d.at(arr::Index{r, c});
-  const la::Matrix expected = model.transform(x);
-  EXPECT_LT(la::max_abs_diff(reduced0, expected), 1e-12);
 }
 
 }  // namespace

@@ -392,26 +392,8 @@ TEST(Export, JsonEscapeHandlesControlChars) {
   EXPECT_EQ(obs::json_escape("温度\xc3\xa9"), "温度\xc3\xa9");
 }
 
-TEST(Recorder, DropNewestFreezesHeadAndCountsDropped) {
-  obs::Recorder rec(4, obs::DropPolicy::kNewest);
-  obs::MetricsRegistry reg;
-  obs::ObservationScope scope(&rec, &reg, [] { return 0.0; });
-  const auto track = rec.track("x", "y");
-  for (int i = 0; i < 10; ++i)
-    rec.instant(track, "e" + std::to_string(i));
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.total_recorded(), 10u);
-  EXPECT_EQ(rec.dropped(), 6u);
-  const auto events = rec.events();
-  ASSERT_EQ(events.size(), 4u);
-  // kNewest keeps the run's head: the first four events survive.
-  EXPECT_EQ(events[0].name, "e0");
-  EXPECT_EQ(events[3].name, "e3");
-  EXPECT_EQ(reg.snapshot().counter("trace.dropped_events"), 6u);
-}
-
 TEST(Recorder, DropOldestCountsDroppedMetric) {
-  obs::Recorder rec(2, obs::DropPolicy::kOldest);
+  obs::Recorder rec(2);
   obs::MetricsRegistry reg;
   obs::ObservationScope scope(&rec, &reg, [] { return 0.0; });
   const auto track = rec.track("x", "y");

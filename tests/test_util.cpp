@@ -159,8 +159,6 @@ TEST(Strings, SplitTrimJoin) {
             (std::vector<std::string>{"a", "b", "", "c"}));
   EXPECT_EQ(util::trim("  hi \t\n"), "hi");
   EXPECT_EQ(util::join({"x", "y", "z"}, "::"), "x::y::z");
-  EXPECT_TRUE(util::starts_with("deisa-temp", "deisa-"));
-  EXPECT_FALSE(util::starts_with("temp", "deisa-"));
 }
 
 TEST(Table, AlignsColumns) {

@@ -74,6 +74,22 @@ if(NOT err MATCHES "unknown config key 'data_plane'")
   message(FATAL_ERROR "retired key: stderr lacks the diagnostic:\n${err}")
 endif()
 
+# The retired trace ring policy key: a full ring always evicts its oldest
+# event now, so a config still asking for a policy must not run silently.
+file(WRITE ${WORK_DIR}/trace_drop.yaml
+  "pipeline: DEISA3\nranks: 2\nworkers: 1\ntrace_drop: newest\n")
+execute_process(
+  COMMAND ${SCENARIO_BIN} ${WORK_DIR}/trace_drop.yaml
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "retired trace_drop key: expected exit 2, got '${rc}'")
+endif()
+if(NOT err MATCHES "unknown config key 'trace_drop'")
+  message(FATAL_ERROR "retired trace_drop key: stderr lacks the diagnostic:\n${err}")
+endif()
+
 # The retired placement option: the flag is unknown ...
 execute_process(
   COMMAND ${SCENARIO_BIN} --policy=locality /dev/null

@@ -26,8 +26,8 @@
 //                            #           (--release-consumed= wins)
 //   shards: 1                # optional: scheduler shards (--shards= wins)
 //   time_scale: 0.05         # optional: wall seconds per model second
-//   trace_capacity: 1048576  # optional: trace ring size (events)
-//   trace_drop: oldest       # optional: ring policy, oldest | newest
+//   trace_capacity: 1048576  # optional: trace ring size (events; a full
+//                            #           ring evicts its oldest event)
 //
 // Every top-level config key must be one of the keys listed above: a
 // misspelled or retired key aborts with exit code 2 and the known-key
@@ -198,7 +198,6 @@ const char* const kConfigKeys[] = {
     "runs", "seed", "arrays", "real_data", "contract_fraction",
     "n_components", "faults", "substrate", "substrate_threads",
     "shards", "release_consumed", "time_scale", "trace_capacity",
-    "trace_drop",
 };
 
 /// The config's top-level keys that kConfigKeys does not list.
@@ -280,13 +279,6 @@ int run(const Flags& flags) {
     p.trace_capacity = static_cast<std::size_t>(
         doc.get_int("trace_capacity",
                     static_cast<std::int64_t>(p.trace_capacity)));
-    const std::string drop = doc.get_string("trace_drop", "oldest");
-    if (drop == "newest") {
-      p.trace_drop_policy = obs::DropPolicy::kNewest;
-    } else if (drop != "oldest") {
-      throw util::ConfigError("unknown trace_drop '" + drop +
-                              "' (expected oldest|newest)");
-    }
     runs = static_cast<int>(doc.get_int("runs", 1));
     seed = static_cast<std::uint64_t>(doc.get_int("seed", 1000));
     if (!fault_spec.empty()) {
