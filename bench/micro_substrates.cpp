@@ -157,46 +157,6 @@ la::Matrix random_matrix(std::size_t m, std::size_t n) {
   return a;
 }
 
-void BM_Gemm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = random_matrix(n, n);
-  const auto b = random_matrix(n, n);
-  for (auto _ : state) {
-    auto c = la::matmul(a, b);
-    benchmark::DoNotOptimize(c.data().data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128);
-
-void BM_QrThin(benchmark::State& state) {
-  const auto a = random_matrix(static_cast<std::size_t>(state.range(0)), 32);
-  for (auto _ : state) {
-    auto qr = la::qr_thin(a);
-    benchmark::DoNotOptimize(qr.r.data().data());
-  }
-}
-BENCHMARK(BM_QrThin)->Arg(256)->Arg(1024);
-
-void BM_JacobiSvd(benchmark::State& state) {
-  const auto a = random_matrix(static_cast<std::size_t>(state.range(0)), 24);
-  for (auto _ : state) {
-    auto svd = la::svd(a);
-    benchmark::DoNotOptimize(svd.s.data());
-  }
-}
-BENCHMARK(BM_JacobiSvd)->Arg(128)->Arg(512);
-
-void BM_RandomizedSvd(benchmark::State& state) {
-  const auto a = random_matrix(static_cast<std::size_t>(state.range(0)),
-                               static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto svd = la::randomized_svd(a, 4, 8, 2, 5);
-    benchmark::DoNotOptimize(svd.s.data());
-  }
-}
-BENCHMARK(BM_RandomizedSvd)->Arg(128)->Arg(256);
-
 void BM_IpcaPartialFit(benchmark::State& state) {
   ml::PcaOptions opts;
   opts.n_components = 4;
@@ -226,6 +186,58 @@ void BM_IpcaPartialFitRandomized(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IpcaPartialFitRandomized);
+
+// The kernels that partial_fit spends its time in, at heat2d-ipca's
+// shapes: the sketch is 12 columns wide (2 components + 10 oversampling),
+// so each call runs 5 matmuls and 5 matmul_tns of the 195 x 48 stack
+// against 12 columns, 5 QRs of 195 x 12 and 4 of 48 x 12 panels, and one
+// Jacobi SVD of the 12 x 48 projected matrix.
+void BM_Matmul(benchmark::State& state) {
+  const auto a = random_matrix(195, 48);
+  const auto b = random_matrix(48, 12);
+  for (auto _ : state) {
+    auto c = la::matmul(a, b);
+    benchmark::DoNotOptimize(c.data().data());
+  }
+}
+BENCHMARK(BM_Matmul);
+
+void BM_MatmulTn(benchmark::State& state) {
+  const auto a = random_matrix(195, 48);
+  const auto b = random_matrix(195, 12);
+  for (auto _ : state) {
+    auto c = la::matmul_tn(a, b);
+    benchmark::DoNotOptimize(c.data().data());
+  }
+}
+BENCHMARK(BM_MatmulTn);
+
+void BM_QrThin(benchmark::State& state) {
+  const auto a = random_matrix(static_cast<std::size_t>(state.range(0)), 12);
+  for (auto _ : state) {
+    auto qr = la::qr_thin(a);
+    benchmark::DoNotOptimize(qr.r.data().data());
+  }
+}
+BENCHMARK(BM_QrThin)->Arg(195)->Arg(48);
+
+void BM_JacobiSvd(benchmark::State& state) {
+  const auto a = random_matrix(12, 48);
+  for (auto _ : state) {
+    auto svd = la::svd(a);
+    benchmark::DoNotOptimize(svd.s.data());
+  }
+}
+BENCHMARK(BM_JacobiSvd);
+
+void BM_RandomizedSvd(benchmark::State& state) {
+  const auto a = random_matrix(195, 48);
+  for (auto _ : state) {
+    auto svd = la::randomized_svd(a, 2, 10, 4, 5);
+    benchmark::DoNotOptimize(svd.s.data());
+  }
+}
+BENCHMARK(BM_RandomizedSvd);
 
 // The field monitor's leaf task body: one FieldStats::of over a block at
 // the monitor's default layout (16 bins over [0, 100)), with samples

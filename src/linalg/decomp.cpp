@@ -6,25 +6,81 @@
 
 #include "deisa/util/error.hpp"
 #include "deisa/util/rng.hpp"
+#include "kernel.hpp"
 
 namespace deisa::linalg {
+
+namespace {
+
+// Applies H = I - 2 v v^T, where v covers rows [k, m), to kCount lane
+// groups of columns of a row-major matrix (x points at row k of the first
+// column, rows ld apart). One pass over the rows sums every column's
+// v . x(:, j) in ascending row order from +0.0; a second subtracts
+// (2 (v . x(:, j))) v from each column.
+template <typename T, int kCount>
+void reflect(std::span<const double> v, double* x, std::size_t ld) {
+  constexpr std::size_t kLanes = sizeof(T) / sizeof(double);
+  T proj[kCount] = {};
+  for (std::size_t i = 0; i < v.size(); ++i)
+    for (int c = 0; c < kCount; ++c)
+      proj[c] += v[i] * load<T>(x + i * ld + c * kLanes);
+  for (int c = 0; c < kCount; ++c) proj[c] *= 2.0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    // Read before the row's stores, which the compiler cannot tell apart
+    // from v.
+    const double vi = v[i];
+    for (int c = 0; c < kCount; ++c) {
+      double* xc = x + i * ld + c * kLanes;
+      store(xc, load<T>(xc) - proj[c] * vi);
+    }
+  }
+}
+
+// Applies H = I - 2 v v^T, where v covers rows [k, m), to the columns
+// [k, n) of the row-major m x n matrix x, in pairs of columns from the
+// even column at or below k and up to six pairs per pass over v. The
+// column k - 1 that an odd k adds changes only in rows [k, m): below R's
+// diagonal, and +0.0 that stays +0.0 in Q.
+void reflect_columns(std::span<const double> v, std::size_t k, double* x,
+                     std::size_t n) {
+  double* row_k = x + k * n;
+  std::size_t j = k - k % 2;
+  for (; j + 12 <= n; j += 12) reflect<Pair, 6>(v, row_k + j, n);
+  switch ((n - j) / 2) {
+    case 5: reflect<Pair, 5>(v, row_k + j, n); break;
+    case 4: reflect<Pair, 4>(v, row_k + j, n); break;
+    case 3: reflect<Pair, 3>(v, row_k + j, n); break;
+    case 2: reflect<Pair, 2>(v, row_k + j, n); break;
+    case 1: reflect<Pair, 1>(v, row_k + j, n); break;
+    default: break;
+  }
+  if ((n - j) % 2 == 1) reflect<double, 1>(v, row_k + n - 1, n);
+}
+
+}  // namespace
 
 QrResult qr_thin(const Matrix& a) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   DEISA_CHECK(m >= n, "qr_thin requires rows >= cols, got " << m << "x" << n);
-  Matrix r = a;  // reduced in place
-  // Householder vectors, stored per step.
-  std::vector<std::vector<double>> vs(n);
+  // R is reduced in place in row-major order, so that the columns of one
+  // row sit side by side in pairs.
+  std::vector<double> r(m * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto aj = a.col(j);
+    for (std::size_t i = 0; i < m; ++i) r[i * n + j] = aj[i];
+  }
+  // Reflector k in rows [k, m) of column k; a zero column keeps the
+  // all-zero (identity) reflector.
+  Matrix vs(m, n);
 
   for (std::size_t k = 0; k < n; ++k) {
     // Build the reflector for column k below the diagonal.
-    std::vector<double> v(m - k);
-    for (std::size_t i = k; i < m; ++i) v[i - k] = r(i, k);
+    const auto v = vs.col(k).subspan(k);
+    for (std::size_t i = k; i < m; ++i) v[i - k] = r[i * n + k];
     const double alpha = norm2(v);
     if (alpha == 0.0) {
-      vs[k] = std::move(v);  // zero column: identity reflector
-      for (double& x : vs[k]) x = 0.0;
+      std::fill(v.begin(), v.end(), 0.0);
       continue;
     }
     const double sign = v[0] >= 0.0 ? 1.0 : -1.0;
@@ -33,36 +89,57 @@ QrResult qr_thin(const Matrix& a) {
     if (vnorm > 0.0)
       for (double& x : v) x /= vnorm;
     // Apply H = I - 2 v v^T to the trailing block of R.
-    for (std::size_t j = k; j < n; ++j) {
-      double proj = 0.0;
-      for (std::size_t i = k; i < m; ++i) proj += v[i - k] * r(i, j);
-      proj *= 2.0;
-      for (std::size_t i = k; i < m; ++i) r(i, j) -= proj * v[i - k];
-    }
-    vs[k] = std::move(v);
+    reflect_columns(v, k, r.data(), n);
   }
 
-  // Q = H_0 H_1 ... H_{n-1} * [I_n; 0]  (thin).
-  Matrix q(m, n);
-  for (std::size_t j = 0; j < n; ++j) q(j, j) = 1.0;
+  // Q = H_0 H_1 ... H_{n-1} * [I_n; 0]  (thin), row-major like R.
+  // Reflector k leaves the columns j < k at +0.0 in rows [k, m), and the
+  // zero reflector (v[0] is 0 only for it) leaves every column as it is,
+  // so neither is applied.
+  std::vector<double> qr(m * n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) qr[j * n + j] = 1.0;
   for (std::size_t k = n; k-- > 0;) {
-    const auto& v = vs[k];
-    for (std::size_t j = 0; j < n; ++j) {
-      double proj = 0.0;
-      for (std::size_t i = k; i < m; ++i) proj += v[i - k] * q(i, j);
-      proj *= 2.0;
-      for (std::size_t i = k; i < m; ++i) q(i, j) -= proj * v[i - k];
-    }
+    const auto v = vs.col(k).subspan(k);
+    if (v[0] != 0.0) reflect_columns(v, k, qr.data(), n);
+  }
+  Matrix q(m, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto qj = q.col(j);
+    for (std::size_t i = 0; i < m; ++i) qj[i] = qr[i * n + j];
   }
 
   // Zero the sub-diagonal noise of R and truncate to n x n.
   Matrix r_out(n, n);
   for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t i = 0; i <= j; ++i) r_out(i, j) = r(i, j);
+    for (std::size_t i = 0; i <= j; ++i) r_out(i, j) = r[i * n + j];
   return {std::move(q), std::move(r_out)};
 }
 
 namespace {
+
+// The three sums a Jacobi rotation of columns (p, q) is decided on, each
+// its own ascending sum from +0.0. Products come two rows at a time in
+// Pairs and are added lane by lane, low row first.
+struct Dots {
+  double alpha = 0.0;  // ap . ap
+  double beta = 0.0;   // aq . aq
+  double gamma = 0.0;  // ap . aq
+
+  static double lane(double x, std::size_t) { return x; }
+  static double lane(Pair x, std::size_t l) { return x[l]; }
+
+  template <typename T>
+  void add(T x, T y) {
+    const T xx = x * x;
+    const T yy = y * y;
+    const T xy = x * y;
+    for (std::size_t l = 0; l < sizeof(T) / sizeof(double); ++l) {
+      alpha += lane(xx, l);
+      beta += lane(yy, l);
+      gamma += lane(xy, l);
+    }
+  }
+};
 
 /// One-sided Jacobi on an m x n matrix with m >= n: rotates column pairs
 /// until all are pairwise orthogonal. Returns U (m x n), s (n), V (n x n).
@@ -72,30 +149,54 @@ SvdResult jacobi_tall(Matrix a) {
   DEISA_ASSERT(m >= n, "jacobi_tall requires m >= n");
   Matrix v = Matrix::identity(n);
 
+  const std::size_t body = m - m % 2;
+  const auto dots = [m, body](const double* ap, const double* aq) {
+    Dots d;
+    for (std::size_t i = 0; i < body; i += 2)
+      d.add(load<Pair>(ap + i), load<Pair>(aq + i));
+    if (body < m) d.add(ap[body], aq[body]);
+    return d;
+  };
+
   constexpr int kMaxSweeps = 64;
   constexpr double kTol = 1e-14;
   for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     bool rotated = false;
     for (std::size_t p = 0; p + 1 < n; ++p) {
+      double* ap = a.col(p).data();
+      Dots d = dots(ap, a.col(p + 1).data());
       for (std::size_t q = p + 1; q < n; ++q) {
-        auto ap = a.col(p);
-        auto aq = a.col(q);
-        const double alpha = dot(ap, ap);
-        const double beta = dot(aq, aq);
-        const double gamma = dot(ap, aq);
-        if (std::abs(gamma) <= kTol * std::sqrt(alpha * beta)) continue;
+        double* aq = a.col(q).data();
+        // Column q + 1 of the next pair, which this pair leaves as it is
+        // (column q after the last pair, whose next sums go unused).
+        const double* an = a.col(q + 1 < n ? q + 1 : q).data();
+        if (std::abs(d.gamma) <= kTol * std::sqrt(d.alpha * d.beta)) {
+          if (q + 1 < n) d = dots(ap, an);
+          continue;
+        }
         rotated = true;
-        const double zeta = (beta - alpha) / (2.0 * gamma);
+        const double zeta = (d.beta - d.alpha) / (2.0 * d.gamma);
         const double t = (zeta >= 0.0 ? 1.0 : -1.0) /
                          (std::abs(zeta) + std::sqrt(1.0 + zeta * zeta));
         const double c = 1.0 / std::sqrt(1.0 + t * t);
         const double s = c * t;
-        for (std::size_t i = 0; i < m; ++i) {
-          const double x = ap[i];
-          const double y = aq[i];
-          ap[i] = c * x - s * y;
-          aq[i] = s * x + c * y;
+        // Rotate, and sum the next pair's dots over the rotated column p
+        // in the same pass.
+        Dots next;
+        const auto rotate = [&](auto x, auto y, double* xp, double* yp) {
+          const auto xr = c * x - s * y;
+          store(xp, xr);
+          store(yp, s * x + c * y);
+          return xr;
+        };
+        for (std::size_t i = 0; i < body; i += 2) {
+          const Pair xr = rotate(load<Pair>(ap + i), load<Pair>(aq + i),
+                                 ap + i, aq + i);
+          next.add(xr, load<Pair>(an + i));
         }
+        if (body < m)
+          next.add(rotate(ap[body], aq[body], ap + body, aq + body), an[body]);
+        d = next;
         for (std::size_t i = 0; i < n; ++i) {
           const double x = v(i, p);
           const double y = v(i, q);
@@ -107,15 +208,9 @@ SvdResult jacobi_tall(Matrix a) {
     if (!rotated) break;
   }
 
-  // Singular values are the column norms; normalize to get U.
+  // Singular values are the column norms; normalized columns are U.
   std::vector<double> s(n);
-  Matrix u(m, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double nj = norm2(a.col(j));
-    s[j] = nj;
-    if (nj > 0.0)
-      for (std::size_t i = 0; i < m; ++i) u(i, j) = a(i, j) / nj;
-  }
+  for (std::size_t j = 0; j < n; ++j) s[j] = norm2(a.col(j));
 
   // Sort by descending singular value.
   std::vector<std::size_t> order(n);
@@ -128,8 +223,10 @@ SvdResult jacobi_tall(Matrix a) {
   out.s.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t src = order[j];
-    out.s[j] = s[src];
-    for (std::size_t i = 0; i < m; ++i) out.u(i, j) = u(i, src);
+    const double nj = s[src];
+    out.s[j] = nj;
+    if (nj > 0.0)
+      for (std::size_t i = 0; i < m; ++i) out.u(i, j) = a(i, src) / nj;
     for (std::size_t i = 0; i < n; ++i) out.v(i, j) = v(i, src);
   }
   return out;
@@ -162,12 +259,16 @@ SvdResult randomized_svd(const Matrix& a, std::size_t k, std::size_t oversample,
   Matrix omega(n, p);
   for (double& x : omega.data()) x = rng.normal();
 
+  // A^T once, for every product with it below: multiply(at, q, false) is
+  // matmul_tn(a, q) sum for sum.
+  const Matrix at = a.transposed();
   Matrix q = qr_thin(matmul(a, omega)).q;  // m x p
   for (std::size_t it = 0; it < power_iters; ++it) {
-    const Matrix z = qr_thin(matmul_tn(a, q)).q;  // n x p
+    const Matrix z = qr_thin(multiply(at, q, false)).q;  // n x p
     q = qr_thin(matmul(a, z)).q;
   }
-  const Matrix b = matmul_tn(q, a);  // p x n
+  // Q^T A as (A^T Q)^T: the same products, each sum in the same order.
+  const Matrix b = multiply(at, q, false).transposed();  // p x n
   SvdResult small = svd(b);
   SvdResult out;
   out.u = matmul(q, small.u.block(0, 0, p, std::min(k, small.u.cols())));

@@ -1,8 +1,10 @@
 #include "deisa/linalg/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "deisa/util/error.hpp"
+#include "kernel.hpp"
 
 namespace deisa::linalg {
 
@@ -91,88 +93,127 @@ Matrix Matrix::block(std::size_t r0, std::size_t c0, std::size_t nr,
   return out;
 }
 
-std::vector<double> Matrix::row(std::size_t i) const {
-  std::vector<double> out(cols_);
-  for (std::size_t j = 0; j < cols_; ++j) out[j] = (*this)(i, j);
-  return out;
+namespace {
+
+constexpr std::size_t kTileCols = 6;
+
+// Columns [0, cols) of a depth x n B, k-major: b(k, j) broadcast into
+// both lanes at [k * cols + j], and has_zero[k] set where one of row k's
+// entries is 0.
+void pack_b(const double* b, std::size_t depth, std::size_t cols,
+            std::vector<Pair>& bb, std::vector<char>& has_zero) {
+  std::fill(has_zero.begin(), has_zero.end(), 0);
+  for (std::size_t j = 0; j < cols; ++j)
+    for (std::size_t k = 0; k < depth; ++k) {
+      const double v = b[j * depth + k];
+      bb[k * cols + j] = Pair{v, v};
+      has_zero[k] |= v == 0.0;
+    }
+}
+
+// One register tile of C: W pairs of rows by kCols columns. Each step k
+// loads W pairs of A's column k (element (i, k) at a[k * lda + i]) and
+// multiplies them by kCols packed entries of B's row k, so one pass over
+// the depth feeds 2 W kCols independent sums. Every element's sum starts
+// at +0.0 and adds its terms in ascending k; with kSkipZero a zero
+// b(k, j) adds no term (tested entry by entry only on the rows has_zero
+// marks), so 0 * inf puts no NaN into the sum.
+template <int W, int kCols, bool kSkipZero>
+void tile(const double* a, std::size_t lda, const Pair* bb,
+          const char* has_zero, std::size_t depth, double* c,
+          std::size_t ldc) {
+  Pair acc[kCols][W] = {};
+  for (std::size_t k = 0; k < depth; ++k) {
+    Pair ak[W];
+    for (int w = 0; w < W; ++w) ak[w] = load<Pair>(a + k * lda + 2 * w);
+    const Pair* bk = bb + k * kCols;
+    if (kSkipZero && has_zero[k]) {
+      for (int j = 0; j < kCols; ++j)
+        if (bk[j][0] != 0.0)
+          for (int w = 0; w < W; ++w) acc[j][w] += ak[w] * bk[j];
+      continue;
+    }
+    for (int j = 0; j < kCols; ++j)
+      for (int w = 0; w < W; ++w) acc[j][w] += ak[w] * bk[j];
+  }
+  for (int j = 0; j < kCols; ++j)
+    for (int w = 0; w < W; ++w) store(c + j * ldc + 2 * w, acc[j][w]);
+}
+
+// The same sums for one row (an odd last row of C).
+template <int kCols, bool kSkipZero>
+void row(const double* a, std::size_t lda, const Pair* bb, std::size_t depth,
+         double* c, std::size_t ldc) {
+  double acc[kCols] = {};
+  for (std::size_t k = 0; k < depth; ++k)
+    for (int j = 0; j < kCols; ++j) {
+      const double bkj = bb[k * kCols + j][0];
+      if (kSkipZero && bkj == 0.0) continue;
+      acc[j] += a[k * lda] * bkj;
+    }
+  for (int j = 0; j < kCols; ++j) c[j * ldc] = acc[j];
+}
+
+// C's columns [0, kCols) over all m rows of A (m x depth, column-major),
+// from one packed column tile of B; C has leading dimension m.
+template <int kCols, bool kSkipZero>
+void column_tile(const double* a, std::size_t m, const Pair* bb,
+                 const char* has_zero, std::size_t depth, double* c) {
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4)
+    tile<2, kCols, kSkipZero>(a + i, m, bb, has_zero, depth, c + i, m);
+  if (i + 2 <= m) {
+    tile<1, kCols, kSkipZero>(a + i, m, bb, has_zero, depth, c + i, m);
+    i += 2;
+  }
+  if (i < m) row<kCols, kSkipZero>(a + i, m, bb, depth, c + i, m);
+}
+
+template <bool kSkipZero>
+void gemm(const Matrix& a, const Matrix& b, Matrix& c) {
+  const std::size_t m = a.rows();
+  const std::size_t depth = b.rows();
+  const double* ad = a.data().data();
+  std::vector<Pair> bb(depth * kTileCols);
+  std::vector<char> has_zero(depth);
+  for (std::size_t j = 0; j < b.cols(); j += kTileCols) {
+    const std::size_t cols = std::min(kTileCols, b.cols() - j);
+    pack_b(b.col(j).data(), depth, cols, bb, has_zero);
+    double* cj = c.col(j).data();
+    switch (cols) {
+      case 6: column_tile<6, kSkipZero>(ad, m, bb.data(), has_zero.data(), depth, cj); break;
+      case 5: column_tile<5, kSkipZero>(ad, m, bb.data(), has_zero.data(), depth, cj); break;
+      case 4: column_tile<4, kSkipZero>(ad, m, bb.data(), has_zero.data(), depth, cj); break;
+      case 3: column_tile<3, kSkipZero>(ad, m, bb.data(), has_zero.data(), depth, cj); break;
+      case 2: column_tile<2, kSkipZero>(ad, m, bb.data(), has_zero.data(), depth, cj); break;
+      default: column_tile<1, kSkipZero>(ad, m, bb.data(), has_zero.data(), depth, cj); break;
+    }
+  }
+}
+
+}  // namespace
+
+Matrix multiply(const Matrix& a, const Matrix& b, bool skip_zero) {
+  Matrix c(a.rows(), b.cols());
+  if (c.empty() || b.rows() == 0) return c;
+  if (skip_zero)
+    gemm<true>(a, b, c);
+  else
+    gemm<false>(a, b, c);
+  return c;
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
   DEISA_CHECK(a.cols() == b.rows(), "matmul shape mismatch: "
                                         << a.rows() << "x" << a.cols() << " * "
                                         << b.rows() << "x" << b.cols());
-  Matrix c(a.rows(), b.cols());
-  // j-i-tiled-k loops over the raw column spans: for each output column,
-  // a tile of c's rows stays register/L1-resident while the whole k sweep
-  // runs over it. Per output element the k additions still happen in
-  // ascending k order (and zero b(k,j) terms are still skipped), so the
-  // result is bit-identical to the untiled j-k-i kernel.
-  constexpr std::size_t kRowTile = 256;
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  const double* ad = a.data().data();
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    double* cj = c.col(j).data();
-    const double* bj = b.col(j).data();
-    for (std::size_t i0 = 0; i0 < m; i0 += kRowTile) {
-      const std::size_t i1 = std::min(m, i0 + kRowTile);
-      for (std::size_t k = 0; k < n; ++k) {
-        const double bkj = bj[k];
-        if (bkj == 0.0) continue;
-        const double* ak = ad + k * m;
-        for (std::size_t i = i0; i < i1; ++i) cj[i] += ak[i] * bkj;
-      }
-    }
-  }
-  return c;
+  return multiply(a, b, true);
 }
 
 Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   DEISA_CHECK(a.rows() == b.rows(), "matmul_tn shape mismatch");
-  Matrix c(a.cols(), b.cols());
-  // Both operands are read column-wise (contiguous spans); each output
-  // element is one sequential dot, so accumulation order is unchanged.
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    const auto bj = b.col(j);
-    double* cj = c.col(j).data();
-    for (std::size_t i = 0; i < a.cols(); ++i) cj[i] = dot(a.col(i), bj);
-  }
-  return c;
-}
-
-std::vector<double> matvec(const Matrix& a, std::span<const double> x) {
-  DEISA_CHECK(a.cols() == x.size(), "matvec shape mismatch");
-  std::vector<double> y(a.rows(), 0.0);
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    const auto aj = a.col(j);
-    const double xj = x[j];
-    for (std::size_t i = 0; i < a.rows(); ++i) y[i] += aj[i] * xj;
-  }
-  return y;
-}
-
-Matrix operator+(const Matrix& a, const Matrix& b) {
-  DEISA_CHECK(a.same_shape(b), "matrix addition shape mismatch");
-  Matrix c = a;
-  auto cd = c.data();
-  auto bd = b.data();
-  for (std::size_t i = 0; i < cd.size(); ++i) cd[i] += bd[i];
-  return c;
-}
-
-Matrix operator-(const Matrix& a, const Matrix& b) {
-  DEISA_CHECK(a.same_shape(b), "matrix subtraction shape mismatch");
-  Matrix c = a;
-  auto cd = c.data();
-  auto bd = b.data();
-  for (std::size_t i = 0; i < cd.size(); ++i) cd[i] -= bd[i];
-  return c;
-}
-
-Matrix operator*(double s, const Matrix& a) {
-  Matrix c = a;
-  for (double& v : c.data()) v *= s;
-  return c;
+  // A^T's row i is A's column i, laid out as matmul reads A's rows.
+  return multiply(a.transposed(), b, false);
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {
@@ -183,8 +224,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
 }
 
 double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
-double frobenius(const Matrix& a) { return norm2(a.data()); }
 
 double max_abs_diff(const Matrix& a, const Matrix& b) {
   DEISA_CHECK(a.same_shape(b), "max_abs_diff shape mismatch");

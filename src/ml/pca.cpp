@@ -39,16 +39,32 @@ la::SvdResult solve_svd(const la::Matrix& a, const PcaOptions& opts) {
   return la::svd(a);
 }
 
+/// For each column j of x, the sum from +0.0 of term(x(i, j), j) in
+/// ascending i. Eight columns share each pass over the rows, so eight
+/// sums advance side by side instead of one chain at a time.
+template <std::size_t kWidth, typename Term>
+void column_sums(const la::Matrix& x, std::size_t j0, Term term,
+                 std::vector<double>& out) {
+  double s[kWidth] = {};
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    for (std::size_t c = 0; c < kWidth; ++c)
+      s[c] += term(x(i, j0 + c), j0 + c);
+  std::copy_n(s, kWidth, out.begin() + static_cast<std::ptrdiff_t>(j0));
+}
+
+template <typename Term>
+std::vector<double> column_sums(const la::Matrix& x, Term term) {
+  std::vector<double> out(x.cols());
+  std::size_t j = 0;
+  for (; j + 8 <= x.cols(); j += 8) column_sums<8>(x, j, term, out);
+  for (; j < x.cols(); ++j) column_sums<1>(x, j, term, out);
+  return out;
+}
+
 std::vector<double> column_means(const la::Matrix& x) {
-  std::vector<double> mean(x.cols(), 0.0);
-  // One sequential pass over each contiguous column span; same ascending
-  // accumulation order as the element-wise version (bit-identical).
-  for (std::size_t j = 0; j < x.cols(); ++j) {
-    const auto xj = x.col(j);
-    double s = 0.0;
-    for (double v : xj) s += v;
-    mean[j] = s / static_cast<double>(x.rows());
-  }
+  std::vector<double> mean =
+      column_sums(x, [](double v, std::size_t) { return v; });
+  for (double& s : mean) s /= static_cast<double>(x.rows());
   return mean;
 }
 
@@ -120,17 +136,12 @@ void IncrementalPca::partial_fit(const la::Matrix& x) {
   const double n_new = static_cast<double>(m);
   const double n_tot = n_old + n_new;
   const std::vector<double> batch_mean = column_means(x);
-  std::vector<double> batch_var(f, 0.0);
-  for (std::size_t j = 0; j < f; ++j) {
-    const auto xj = x.col(j);
-    const double mu = batch_mean[j];
-    double s2 = 0.0;
-    for (double v : xj) {
-      const double d = v - mu;
-      s2 += d * d;
-    }
-    batch_var[j] = s2 / n_new;  // population variance of the batch
-  }
+  std::vector<double> batch_var =
+      column_sums(x, [&batch_mean](double v, std::size_t j) {
+        const double d = v - batch_mean[j];
+        return d * d;
+      });
+  for (double& v : batch_var) v /= n_new;  // population variance
   std::vector<double> new_mean(f);
   std::vector<double> new_var(f);
   for (std::size_t j = 0; j < f; ++j) {
@@ -142,25 +153,19 @@ void IncrementalPca::partial_fit(const la::Matrix& x) {
         (m2_old + m2_new + delta * delta * n_old * n_new / n_tot) / n_tot;
   }
 
-  // --- build the stacked matrix
-  la::Matrix stack;
-  if (n_samples_seen_ == 0) {
-    stack = center(x, batch_mean);
-  } else {
-    const std::size_t k = components_.rows();
-    la::Matrix sv(k, f);
-    for (std::size_t c = 0; c < f; ++c) {
-      const auto comp = components_.col(c);
-      const auto svc = sv.col(c);
-      for (std::size_t r = 0; r < k; ++r)
-        svc[r] = singular_values_[r] * comp[r];
-    }
-    la::Matrix xc = center(x, batch_mean);
-    la::Matrix corr(1, f);
-    const double scale = std::sqrt(n_old * n_new / n_tot);
-    for (std::size_t c = 0; c < f; ++c)
-      corr(0, c) = scale * (mean_[c] - batch_mean[c]);
-    stack = sv.vstack(xc).vstack(corr);
+  // --- the stacked matrix [S.V; X - batch mean; mean correction], or
+  // the centered batch alone for the first batch, in one pass per column
+  const std::size_t top = n_samples_seen_ == 0 ? 0 : components_.rows();
+  la::Matrix stack(n_samples_seen_ == 0 ? m : top + m + 1, f);
+  const double scale = std::sqrt(n_old * n_new / n_tot);
+  for (std::size_t c = 0; c < f; ++c) {
+    const auto out = stack.col(c);
+    for (std::size_t r = 0; r < top; ++r)
+      out[r] = singular_values_[r] * components_(r, c);
+    const auto xc = x.col(c);
+    const double mu = batch_mean[c];
+    for (std::size_t i = 0; i < m; ++i) out[top + i] = xc[i] - mu;
+    if (n_samples_seen_ > 0) out[top + m] = scale * (mean_[c] - mu);
   }
 
   la::SvdResult r = solve_svd(stack, opts_);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <sstream>
 
 #include "deisa/net/cluster.hpp"
 #include "deisa/sim/engine.hpp"
@@ -196,6 +198,49 @@ TEST(IncrementalPca, RandomizedSolverCloseToExact) {
   for (std::size_t i = 0; i < 3; ++i)
     EXPECT_NEAR(a.singular_values()[i], b.singular_values()[i],
                 0.02 * a.singular_values()[0]);
+}
+
+TEST(IncrementalPca, RandomizedFitReproducesRecordedBits) {
+  // Five 2-component randomized partial_fits of 192 x 48 batches: the
+  // first solves the centered batch, the others heat2d-ipca's 195 x 48
+  // [S.V; Xc; correction] stack. The constants were printed by this test
+  // (a failure prints the values to record) when every linalg kernel
+  // still ran one plain ascending loop per output element, and the
+  // blocked kernels must reproduce them bit for bit. They hold for GCC at
+  // the default x86-64 target (SSE2 doubles, no FMA) with glibc's libm.
+  ml::PcaOptions opts;
+  opts.n_components = 2;
+  opts.randomized = true;
+  ml::IncrementalPca ipca(opts);
+  for (std::uint64_t b = 0; b < 5; ++b)
+    ipca.partial_fit(make_data(192, 48, 910 + b));
+  const auto literals = [](const std::vector<double>& xs) {
+    std::ostringstream os;
+    os << std::hexfloat;
+    for (const double x : xs) os << x << ", ";
+    return os.str();
+  };
+  const auto bits = [](const std::vector<double>& xs) {
+    std::vector<std::uint64_t> out(xs.size());
+    std::memcpy(out.data(), xs.data(), xs.size() * sizeof(double));
+    return out;
+  };
+  const std::vector<double> sv = {0x1.c70620ac2656bp+8, 0x1.33fe5b40d82f7p+7};
+  const std::vector<double> ev = {0x1.afcc18b650e54p+7, 0x1.8ba98ee9065d6p+4};
+  EXPECT_EQ(bits(ipca.singular_values()), bits(sv))
+      << literals(ipca.singular_values());
+  EXPECT_EQ(bits(ipca.explained_variance()), bits(ev))
+      << literals(ipca.explained_variance());
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the bit patterns
+  for (const double x : ipca.components().data()) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, &x, sizeof word);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  EXPECT_EQ(h, 0x4eb96848be77ab84ull) << "components: 0x" << std::hex << h << "ull";
 }
 
 TEST(SvdFlip, MakesLargestComponentEntryPositive) {
