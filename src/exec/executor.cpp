@@ -29,7 +29,7 @@ void Executor::spawn_on(void* strand, Co<void> co) {
   detail::Detached root = detail::run_root(std::move(co));
   root.handle.promise().executor = this;
   link_root(root.handle.promise());
-  post(ResumeToken{root.handle, strand}, now());
+  wake(ResumeToken{root.handle, strand});
 }
 
 std::size_t Executor::live_roots() const {
@@ -95,7 +95,7 @@ Co<void> all_wrapper(std::shared_ptr<AllState> state, Co<void> task) {
     std::lock_guard lk(state->mu);
     if (--state->remaining == 0 && state->waiter) waiter = state->waiter;
   }
-  if (waiter) state->ex->post(waiter, state->ex->now());
+  if (waiter) state->ex->wake(waiter);
 }
 
 struct AllAwaiter {

@@ -1,11 +1,27 @@
 // Lazy coroutine task type shared by every execution substrate.
 //
 // `Co<T>` is a coroutine that starts when awaited (or when spawned on an
-// Executor) and resumes its awaiter via symmetric transfer when it
-// completes. All actors in deisa-cpp — MPI ranks, the Dask-style
+// Executor). All actors in deisa-cpp — MPI ranks, the Dask-style
 // scheduler, workers, bridges — are written as straight-line `Co<void>`
 // coroutines; whether they run over the simulated clock or on real
 // threads is decided by the Executor they are spawned on.
+//
+// Awaiting a Co runs the child inline, from the awaiter's await_suspend.
+// A child that finishes without suspending returns there, and the
+// awaiter goes on without suspending: a loop that awaits a million such
+// children keeps a flat stack. Only a child that suspended resumes its
+// awaiter from its final suspend, by symmetric transfer. Symmetric
+// transfer alone (await_suspend returning the child's handle) would nest
+// one resume per awaited child unless the compiler turns each transfer
+// into a tail call, and GCC 12 does that only at -O2 without sanitizers.
+//
+// The promise's continuation doubles as the flag: it stays null while the
+// child runs inline, and await_suspend sets it only once the child has
+// suspended. That needs no atomics. A child is resumed only through a
+// token captured on its own strand (Executor::capture), which is the
+// awaiter's strand, and the thread running the awaiter holds that strand
+// until its resume returns, so no other thread can resume the child
+// while Co::await_suspend reads done() and sets the continuation.
 #pragma once
 
 #include <coroutine>
@@ -28,6 +44,8 @@ struct FinalAwaiter {
   template <typename Promise>
   std::coroutine_handle<> await_suspend(
       std::coroutine_handle<Promise> h) noexcept {
+    // No continuation: the child never suspended, so it returns into
+    // Co::await_suspend, whose awaiter then continues without suspending.
     auto cont = h.promise().continuation;
     return cont ? cont : std::noop_coroutine();
   }
@@ -95,12 +113,15 @@ public:
 
   bool valid() const { return static_cast<bool>(h_); }
 
-  /// Awaiting starts the child coroutine via symmetric transfer.
+  /// Awaiting runs the child inline; the awaiter suspends only if the
+  /// child suspended before it finished.
   bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
+  bool await_suspend(std::coroutine_handle<> awaiter) {
     DEISA_ASSERT(h_ && !h_.done(), "awaiting an invalid or finished Co");
+    h_.resume();
+    if (h_.done()) return false;
     h_.promise().continuation = awaiter;
-    return h_;
+    return true;
   }
   T await_resume() { return h_.promise().take_result(); }
 

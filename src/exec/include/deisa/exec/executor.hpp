@@ -36,7 +36,8 @@ using Time = double;
 class Executor;
 
 /// A suspended coroutine plus the strand it must resume on. Produced by
-/// Executor::capture() at suspension points; consumed by Executor::post().
+/// Executor::capture() at suspension points; consumed by Executor::post()
+/// and Executor::wake().
 /// Primitives store tokens, never raw handles, so waiters always wake on
 /// the strand that suspended them.
 struct ResumeToken {
@@ -91,6 +92,9 @@ public:
   /// Schedule a captured coroutine to resume at model time `t`. A past
   /// `t` means "as soon as possible" (the simulator asserts t >= now).
   virtual void post(ResumeToken token, Time t) = 0;
+  /// Schedule a captured coroutine to resume as soon as possible: the
+  /// same as post(token, now()), with at most one clock read.
+  virtual void wake(ResumeToken token) = 0;
 
   /// Capture `h` together with the strand it is currently running on.
   virtual ResumeToken capture(std::coroutine_handle<> h) = 0;

@@ -13,10 +13,12 @@
 //   * a waiter that could proceed immediately returns false from
 //     await_suspend (synchronous continuation — zero engine events, the
 //     same as the old await_ready fast path), and
-//   * wakes post waiters in FIFO registration order at the current time,
-//     exactly as the old `engine.schedule(h, now)` loop did.
+//   * wakes hand waiters to Executor::wake in FIFO registration order;
+//     the simulator posts them at the current time, exactly as the old
+//     `engine.schedule(h, now)` loop did.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -47,8 +49,7 @@ public:
       set_ = true;
       to_wake.swap(waiters_);
     }
-    const Time now = ex_->now();
-    while (!to_wake.empty()) ex_->post(to_wake.pop_front(), now);
+    while (!to_wake.empty()) ex_->wake(to_wake.pop_front());
   }
 
   auto wait() {
@@ -91,7 +92,7 @@ public:
         waiter = waiters_.pop_front();
       }
     }
-    if (waiter) ex_->post(waiter, ex_->now());
+    if (waiter) ex_->wake(waiter);
   }
 
   auto recv() {
@@ -176,28 +177,21 @@ public:
         ++count_;
       }
     }
-    if (waiter) ex_->post(waiter, ex_->now());
-  }
-
-  std::size_t available() const {
-    std::lock_guard lk(mu_);
-    return count_;
-  }
-  std::size_t queue_length() const {
-    std::lock_guard lk(mu_);
-    return waiters_.size();
+    if (waiter) ex_->wake(waiter);
   }
 
 private:
   Executor* ex_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::size_t count_;
   Fifo<ResumeToken> waiters_;
 };
 
 /// FIFO queueing station: `serve(d)` waits for a free server slot, holds
-/// it for `d` model seconds, then releases it. Tracks busy time and
-/// arrivals for utilization reporting.
+/// it for `d` model seconds, then releases it. A zero-length service
+/// takes and releases its slot without a trip through the executor, after
+/// waiting its FIFO turn like any other job. Tracks busy time for
+/// utilization reporting.
 class FifoServer {
 public:
   FifoServer(Executor& ex, std::size_t servers = 1)
@@ -205,42 +199,22 @@ public:
 
   Co<void> serve(Time duration) {
     DEISA_CHECK(duration >= 0.0, "negative service time " << duration);
-    const Time enqueue_at = ex_->now();
-    {
-      std::lock_guard lk(stats_mu_);
-      ++arrivals_;
-    }
     co_await sem_.acquire();
-    {
-      std::lock_guard lk(stats_mu_);
-      waiting_time_ += ex_->now() - enqueue_at;
-      busy_time_ += duration;
+    if (duration > 0.0) {
+      busy_time_.fetch_add(duration, std::memory_order_relaxed);
+      co_await ex_->delay(duration);
     }
-    co_await ex_->delay(duration);
     sem_.release();
   }
 
-  std::uint64_t arrivals() const {
-    std::lock_guard lk(stats_mu_);
-    return arrivals_;
-  }
   Time total_busy_time() const {
-    std::lock_guard lk(stats_mu_);
-    return busy_time_;
+    return busy_time_.load(std::memory_order_relaxed);
   }
-  Time total_waiting_time() const {
-    std::lock_guard lk(stats_mu_);
-    return waiting_time_;
-  }
-  std::size_t queue_length() const { return sem_.queue_length(); }
 
 private:
   Executor* ex_;
   Semaphore sem_;
-  mutable std::mutex stats_mu_;
-  std::uint64_t arrivals_ = 0;
-  Time busy_time_ = 0.0;
-  Time waiting_time_ = 0.0;
+  std::atomic<Time> busy_time_{0.0};
 };
 
 }  // namespace deisa::exec

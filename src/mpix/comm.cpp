@@ -45,8 +45,7 @@ void Comm::deliver(int to, Message msg) {
       return;
     }
   }
-  exec::Executor& ex = cluster_->executor();
-  ex.post(token, ex.now());
+  cluster_->executor().wake(token);
 }
 
 exec::Co<void> Comm::send(int from, int to, int tag, Message msg) {

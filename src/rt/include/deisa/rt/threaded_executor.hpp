@@ -4,8 +4,10 @@
 // a FIFO of resumable coroutine handles that is never executed by two
 // threads at once, so a group of actors spawned on one strand needs no
 // locking among themselves (the same guarantee the single-threaded
-// simulator gives globally). Timers are a (deadline, seq) min-heap
-// serviced by a dedicated thread over a condition variable.
+// simulator gives globally). A strand that becomes runnable signals a
+// worker only if one is idle: busy workers take it from the run queue
+// when they next look. Timers are a (deadline, seq) min-heap serviced by
+// a dedicated thread over a condition variable.
 //
 // Model time maps to wall clock: `now()` is the wall seconds elapsed
 // since construction divided by `time_scale`, and `delay(dt)` sleeps
@@ -70,6 +72,7 @@ public:
   exec::Time now() const override;
 
   void post(exec::ResumeToken token, exec::Time t) override;
+  void wake(exec::ResumeToken token) override;
   exec::ResumeToken capture(std::coroutine_handle<> h) override;
   void* new_strand() override;
   void* current_strand() const override;
@@ -122,8 +125,10 @@ private:
   };
 
   std::chrono::steady_clock::time_point wall_deadline(exec::Time t) const;
-  // Callers hold mu_.
-  void enqueue_locked(exec::ResumeToken token);
+  // Callers hold mu_. `at` is when the resume became due (the start of its
+  // post -> run latency).
+  void enqueue_locked(exec::ResumeToken token,
+                      std::chrono::steady_clock::time_point at);
   void worker_loop();
   void timer_loop();
 
@@ -140,6 +145,9 @@ private:
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::uint64_t timer_seq_ = 0;
   std::size_t pending_ = 0;
+  // Workers blocked on cv_workers_: a new runnable strand signals one of
+  // them, and a busy worker takes it from runnable_ when it next looks.
+  std::size_t idle_workers_ = 0;
   // Contention counters (guarded by mu_; mutated on the scheduling path,
   // which already holds it).
   std::uint64_t posts_ = 0;

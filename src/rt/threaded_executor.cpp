@@ -57,30 +57,40 @@ std::chrono::steady_clock::time_point ThreadedExecutor::wall_deadline(
   return epoch_ + to_wall(t * time_scale_);
 }
 
-void ThreadedExecutor::enqueue_locked(exec::ResumeToken token) {
+void ThreadedExecutor::enqueue_locked(
+    exec::ResumeToken token, std::chrono::steady_clock::time_point at) {
   auto* s = token.strand != nullptr ? static_cast<Strand*>(token.strand)
                                     : default_strand_;
-  s->queue.push_back(Entry{token.handle, std::chrono::steady_clock::now()});
+  s->queue.push_back(Entry{token.handle, at});
   ++posts_;
   s->max_depth = std::max(s->max_depth, s->queue.size());
   if (!s->active) {
     s->active = true;
     runnable_.push_back(s);
-    cv_workers_.notify_one();
+    if (idle_workers_ > 0) cv_workers_.notify_one();
   }
 }
 
 void ThreadedExecutor::post(exec::ResumeToken token, exec::Time t) {
   const auto when = wall_deadline(t);
+  const auto at = std::chrono::steady_clock::now();
   std::lock_guard lk(mu_);
   if (shutdown_) return;  // frame stays suspended; destroyed via its root
   ++pending_;
-  if (when <= std::chrono::steady_clock::now()) {
-    enqueue_locked(token);
+  if (when <= at) {
+    enqueue_locked(token, at);
   } else {
     timers_.push(Timer{when, timer_seq_++, token});
     cv_timer_.notify_one();
   }
+}
+
+void ThreadedExecutor::wake(exec::ResumeToken token) {
+  const auto at = std::chrono::steady_clock::now();
+  std::lock_guard lk(mu_);
+  if (shutdown_) return;  // frame stays suspended; destroyed via its root
+  ++pending_;
+  enqueue_locked(token, at);
 }
 
 exec::ResumeToken ThreadedExecutor::capture(std::coroutine_handle<> h) {
@@ -104,7 +114,11 @@ void* ThreadedExecutor::exchange_current_strand(void* strand) {
 void ThreadedExecutor::worker_loop() {
   std::unique_lock lk(mu_);
   for (;;) {
-    cv_workers_.wait(lk, [&] { return shutdown_ || !runnable_.empty(); });
+    while (!shutdown_ && runnable_.empty()) {
+      ++idle_workers_;
+      cv_workers_.wait(lk);
+      --idle_workers_;
+    }
     if (shutdown_) return;
     Strand* s = runnable_.pop_front();
     const Entry entry = s->queue.pop_front();
@@ -127,7 +141,9 @@ void ThreadedExecutor::worker_loop() {
     --pending_;
     if (!s->queue.empty()) {
       runnable_.push_back(s);
-      cv_workers_.notify_one();
+      // This thread takes the run queue's head next; an idle worker is
+      // needed only for the strands behind it.
+      if (runnable_.size() > 1 && idle_workers_ > 0) cv_workers_.notify_one();
     } else {
       s->active = false;
     }
@@ -148,10 +164,10 @@ void ThreadedExecutor::timer_loop() {
       cv_timer_.wait_until(lk, when);
       continue;  // re-check: an earlier timer or shutdown may have arrived
     }
-    while (!timers_.empty() &&
-           timers_.top().when <= std::chrono::steady_clock::now()) {
+    const auto now = std::chrono::steady_clock::now();
+    while (!timers_.empty() && timers_.top().when <= now) {
       ++timer_fires_;
-      enqueue_locked(timers_.top().token);
+      enqueue_locked(timers_.top().token, now);
       timers_.pop();
     }
   }

@@ -6,9 +6,9 @@
 // its seeds, which is what makes the paper's Figure 5 variability study
 // reproducible (same node allocation ⇒ same per-rank pattern). The seam
 // methods map onto the legacy API without adding or reordering events:
-// post() is schedule(), capture() is the bare handle (no strands), so any
-// run through the Executor interface replays the exact pre-seam event
-// sequence.
+// post() is schedule(), wake() is post() at the current time, and
+// capture() is the bare handle (no strands), so any run through the
+// Executor interface replays the exact pre-seam event sequence.
 #pragma once
 
 #include <coroutine>
@@ -41,6 +41,7 @@ public:
   void post(exec::ResumeToken token, Time t) override {
     schedule(token.handle, t);
   }
+  void wake(exec::ResumeToken token) override { post(token, now_); }
   exec::ResumeToken capture(std::coroutine_handle<> h) override {
     return exec::ResumeToken{h, nullptr};
   }

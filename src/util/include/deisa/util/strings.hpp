@@ -10,6 +10,5 @@ namespace deisa::util {
 
 std::vector<std::string> split(std::string_view s, char sep);
 std::string_view trim(std::string_view s);
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 }  // namespace deisa::util

@@ -13,9 +13,6 @@ inline constexpr std::uint64_t kGiB = 1024ULL * kMiB;
 /// "1.5 GiB", "128.0 MiB", "42 B" — binary units as in the paper.
 std::string format_bytes(std::uint64_t bytes);
 
-/// "12.3 s", "4.56 ms", "789 us".
-std::string format_seconds(double seconds);
-
 /// Bandwidth in binary mebibytes per second, as the paper's Figure 3.
 double mib_per_second(std::uint64_t bytes, double seconds);
 

@@ -25,13 +25,4 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 }  // namespace deisa::util

@@ -20,13 +20,6 @@ std::string format_bytes(std::uint64_t bytes) {
   return std::to_string(bytes) + " B";
 }
 
-std::string format_seconds(double seconds) {
-  if (seconds >= 1.0) return fmt(seconds, "s");
-  if (seconds >= 1e-3) return fmt(seconds * 1e3, "ms");
-  if (seconds >= 1e-6) return fmt(seconds * 1e6, "us");
-  return fmt(seconds * 1e9, "ns");
-}
-
 double mib_per_second(std::uint64_t bytes, double seconds) {
   if (seconds <= 0.0) return 0.0;
   return static_cast<double>(bytes) / static_cast<double>(kMiB) / seconds;

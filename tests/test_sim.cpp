@@ -237,21 +237,54 @@ TEST(Semaphore, SerializesBeyondCapacity) {
   EXPECT_DOUBLE_EQ(acquired_at[3], 10.0);
 }
 
-sim::Co<void> client_of(sim::FifoServer& server, sim::Time service) {
+sim::Co<void> client_of(sim::Engine& eng, sim::FifoServer& server,
+                        sim::Time service, int id,
+                        std::vector<std::pair<double, int>>& done) {
   co_await server.serve(service);
+  done.emplace_back(eng.now(), id);
 }
 
 TEST(FifoServer, QueueingDelayAccumulates) {
   sim::Engine eng;
   sim::FifoServer server(eng, 1);
-  for (int i = 0; i < 3; ++i) eng.spawn(client_of(server, 2.0));
+  std::vector<std::pair<double, int>> done;
+  for (int i = 0; i < 3; ++i) eng.spawn(client_of(eng, server, 2.0, i, done));
   eng.run();
   // Three jobs of 2 s on one server: finishes at t=6.
   EXPECT_DOUBLE_EQ(eng.now(), 6.0);
-  EXPECT_EQ(server.arrivals(), 3u);
   EXPECT_DOUBLE_EQ(server.total_busy_time(), 6.0);
-  // Waiting: job2 waits 2, job3 waits 4.
-  EXPECT_DOUBLE_EQ(server.total_waiting_time(), 6.0);
+  // Waiting: job 1 waits 2 s and job 2 waits 4 s, so they finish at 4 and 6.
+  const std::vector<std::pair<double, int>> want{{2.0, 0}, {4.0, 1}, {6.0, 2}};
+  EXPECT_EQ(done, want);
+}
+
+TEST(FifoServer, ZeroCostServiceWaitsItsFifoTurn) {
+  sim::Engine eng;
+  sim::FifoServer server(eng, 1);
+  std::vector<std::pair<double, int>> done;
+  // A 2 s job takes the one slot; the zero-cost jobs that arrive while it
+  // holds the slot queue behind it, and a 1 s job behind them.
+  eng.spawn(client_of(eng, server, 2.0, 0, done));
+  eng.spawn(client_of(eng, server, 0.0, 1, done));
+  eng.spawn(client_of(eng, server, 0.0, 2, done));
+  eng.spawn(client_of(eng, server, 1.0, 3, done));
+  eng.run();
+  const std::vector<std::pair<double, int>> want{
+      {2.0, 0}, {2.0, 1}, {2.0, 2}, {3.0, 3}};
+  EXPECT_EQ(done, want);
+  EXPECT_DOUBLE_EQ(server.total_busy_time(), 3.0);
+}
+
+TEST(FifoServer, ZeroCostServiceOnAFreeServerPostsNoEvent) {
+  sim::Engine eng;
+  sim::FifoServer server(eng, 1);
+  std::vector<std::pair<double, int>> done;
+  eng.spawn(client_of(eng, server, 0.0, 0, done));
+  eng.run();
+  // The spawn is the only event: the serve finished inline.
+  EXPECT_EQ(eng.events_processed(), 1u);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_DOUBLE_EQ(done[0].first, 0.0);
 }
 
 sim::Co<void> spawn_three(sim::Engine& eng, std::vector<int>& done) {

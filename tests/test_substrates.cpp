@@ -6,7 +6,12 @@
 // of analytics output must match). These tests pin that contract:
 //
 //   * ThreadedExecutor primitives behave like their sim counterparts
-//     (channels, events, when_all, timers, strand exclusion).
+//     (channels, events, when_all, timers, strand exclusion), a
+//     zero-cost serve takes no executor hop, and a ring of strands loses
+//     no wake-up.
+//   * An awaited Co that finishes without suspending returns inline: a
+//     million such children, or a zero-cost scheduler draining a large
+//     backlog, keep a flat stack on both substrates.
 //   * heat2d-style functional scenarios (real Heat2D data, real IPCA
 //     math) produce byte-identical singular values / explained variance
 //     on both substrates.
@@ -21,10 +26,13 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "deisa/array/darray.hpp"
 #include "deisa/dts/runtime.hpp"
+#include "deisa/dts/scheduler.hpp"
 #include "deisa/exec/primitives.hpp"
 #include "deisa/harness/scenario.hpp"
 #include "deisa/ml/streaming.hpp"
@@ -146,6 +154,139 @@ TEST(ThreadedExecutor, RunUntilReportsNonQuiescence) {
   ex.spawn(sleeper(ex));
   EXPECT_FALSE(ex.run_until(0.05));
   ex.shutdown();  // drop the outstanding timer and its actor
+}
+
+TEST(ThreadedExecutor, ZeroCostServeOnAFreeServerAddsNoResume) {
+  rt::ThreadedExecutor ex(rt::ThreadedExecutorParams{2, kTestTimeScale});
+  exec::FifoServer server(ex, 1);
+  auto serves = [](exec::FifoServer& srv, int n) -> exec::Co<void> {
+    for (int i = 0; i < n; ++i) co_await srv.serve(0.0);
+  };
+  ex.spawn(serves(server, 0));
+  ex.run();
+  const std::uint64_t spawn_only = ex.stats().resumes;
+  ex.spawn(serves(server, 1000));
+  ex.run();
+  // The second root costs what the first did: its spawn, and no hop for
+  // any of its 1000 serves.
+  EXPECT_EQ(ex.stats().resumes, 2 * spawn_only);
+}
+
+// ---- inline completion (the stack stays flat; ASan and TSan targets) ----
+
+exec::Co<void> count_inline(long& n) {
+  ++n;
+  co_return;
+}
+
+/// Awaits `count` children that all finish without suspending. Were each
+/// awaited child resumed by an untransformed symmetric transfer, the stack
+/// would grow by a few frames per child and overflow long before a million.
+exec::Co<void> await_inline_children(long& n, long count) {
+  for (long i = 0; i < count; ++i) co_await count_inline(n);
+}
+
+constexpr long kInlineChildren = 1'000'000;
+
+TEST(InlineCompletion, MillionInlineChildrenOnSim) {
+  sim::Engine eng;
+  long n = 0;
+  eng.spawn(await_inline_children(n, kInlineChildren));
+  eng.run();
+  EXPECT_EQ(n, kInlineChildren);
+  EXPECT_EQ(eng.events_processed(), 1u);
+}
+
+TEST(InlineCompletion, MillionInlineChildrenOnThreads) {
+  rt::ThreadedExecutor ex(rt::ThreadedExecutorParams{2, kTestTimeScale});
+  long n = 0;
+  ex.spawn(await_inline_children(n, kInlineChildren));
+  ex.run();
+  EXPECT_EQ(n, kInlineChildren);
+  EXPECT_EQ(ex.stats().resumes, 1u);
+}
+
+TEST(InlineCompletion, ZeroCostSchedulerDrainsBacklogWithoutSuspending) {
+  // With every service cost 0, the scheduler loop takes each queued
+  // message, serves it and handles it without one suspension, so the
+  // whole backlog drains inside the loop's first resume.
+  rt::ThreadedExecutor ex(rt::ThreadedExecutorParams{2, kTestTimeScale});
+  rt::ThreadedTransport transport(ex, rt::ThreadedTransportParams{1});
+  dts::SchedulerParams params;
+  params.service_base = 0.0;
+  params.service_per_task = 0.0;
+  params.service_per_key = 0.0;
+  params.service_queue_extra = 0.0;
+  dts::Scheduler sched(ex, transport, 0, params);
+  constexpr std::uint64_t kBacklog = 100'000;
+  for (std::uint64_t i = 0; i < kBacklog; ++i)
+    sched.inbox().send(dts::SchedMsg(dts::SchedMsgKind::kHeartbeatBridge));
+  sched.inbox().send(dts::SchedMsg(dts::SchedMsgKind::kShutdown));
+  ex.spawn_on(ex.new_strand(), sched.run());
+  ex.run();
+  EXPECT_EQ(sched.total_messages(), kBacklog + 1);
+  EXPECT_EQ(sched.messages_received(dts::SchedMsgKind::kHeartbeatBridge),
+            kBacklog);
+  EXPECT_EQ(ex.stats().resumes, 1u);
+}
+
+// ---- conditional worker wake-ups (TSan target) ----
+
+using Ring = std::vector<std::unique_ptr<exec::Channel<int>>>;
+
+/// Link `i` of the ring: once `go` is set, passes `rounds` tokens from its
+/// channel to the next link's, adding one to each.
+exec::Co<void> ring_link(exec::Event& go, Ring& ring, std::size_t i,
+                         int rounds, std::atomic<int>& delivered) {
+  co_await go.wait();
+  exec::Channel<int>& in = *ring[i];
+  exec::Channel<int>& out = *ring[(i + 1) % ring.size()];
+  for (int r = 0; r < rounds; ++r) {
+    const int token = co_await in.recv();
+    delivered.fetch_add(1, std::memory_order_relaxed);
+    out.send(token + 1);
+  }
+}
+
+TEST(ThreadedExecutor, RingOfStrandsLosesNoWakeup) {
+  // Four workers and 64 strands hand tokens around a ring of channels, so
+  // runnable strands outnumber workers and workers keep going idle and
+  // being signalled. The spawns and the event that starts the ring come
+  // from threads that are not workers, while every worker is asleep: a
+  // wake-up lost there leaves strands queued that no worker takes, and
+  // run_until() then times out instead of going quiescent.
+  constexpr int kLinks = 64;
+  constexpr int kRounds = 16;
+  constexpr int kRepeats = 200;
+  constexpr double kDeadline = 30.0;  // model = wall seconds here
+  rt::ThreadedExecutor ex(rt::ThreadedExecutorParams{4, 1.0});
+  std::vector<void*> strands;
+  for (int i = 0; i < kLinks; ++i) strands.push_back(ex.new_strand());
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    exec::Event go(ex);
+    Ring ring;
+    for (int i = 0; i < kLinks; ++i)
+      ring.push_back(std::make_unique<exec::Channel<int>>(ex));
+    for (auto& link : ring) link->send(0);
+    std::atomic<int> delivered{0};
+    for (std::size_t i = 0; i < ring.size(); ++i)
+      ex.spawn_on(strands[i], ring_link(go, ring, i, kRounds, delivered));
+    // Every link parks on the event.
+    ASSERT_TRUE(ex.run_until(ex.now() + kDeadline)) << "repetition " << rep;
+    ASSERT_EQ(delivered.load(), 0) << "repetition " << rep;
+    std::thread setter([&go] { go.set(); });
+    setter.join();
+    ASSERT_TRUE(ex.run_until(ex.now() + kDeadline)) << "repetition " << rep;
+    ASSERT_EQ(delivered.load(), kLinks * kRounds) << "repetition " << rep;
+    int hops = 0;
+    for (auto& link : ring) {
+      const std::optional<int> token = link->try_recv();
+      ASSERT_TRUE(token.has_value()) << "repetition " << rep;
+      hops += *token;
+    }
+    EXPECT_EQ(hops, kLinks * kRounds) << "repetition " << rep;
+    EXPECT_EQ(ex.live_roots(), 0u) << "repetition " << rep;
+  }
 }
 
 // ---- functional scenario equivalence (sim vs threads) ----

@@ -154,11 +154,10 @@ TEST(Units, MibPerSecond) {
   EXPECT_DOUBLE_EQ(util::mib_per_second(100, 0.0), 0.0);
 }
 
-TEST(Strings, SplitTrimJoin) {
+TEST(Strings, SplitAndTrim) {
   EXPECT_EQ(util::split("a,b,,c", ','),
             (std::vector<std::string>{"a", "b", "", "c"}));
   EXPECT_EQ(util::trim("  hi \t\n"), "hi");
-  EXPECT_EQ(util::join({"x", "y", "z"}, "::"), "x::y::z");
 }
 
 TEST(Table, AlignsColumns) {
