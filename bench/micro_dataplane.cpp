@@ -1,20 +1,14 @@
-// Data-plane fast-path microbench: the three legs of the PR measured
-// against the pre-PR path in the same process and the same window.
+// Data-plane fast-path microbench: each fast path measured against the
+// path it replaced, in the same process and the same window.
 //
 //   kernels   WALL-CLOCK throughput of NDArray extract / insert /
 //             reshape_2d (contiguous-run strided copies) vs an
 //             element-wise oracle that re-creates the old per-element
 //             for_each_index + at() path. Results are asserted
 //             byte-identical before timing is reported.
-//   fetch     SIMULATED seconds for one task with 8 remote dependencies
-//             under max_concurrent_fetches = 1 (the old strictly
-//             sequential worker loop) vs 8 (overlapped fetches).
 //   push      SIMULATED seconds + scheduler registration-RPC count for a
 //             bridge-style push of many blocks: per-block scatter loop
 //             vs one coalesced scatter_batch per target worker.
-//   heat2d    End-to-end functional run (real Heat2D data, real IPCA)
-//             A/B on the fetch knob; asserts the singular values are
-//             identical, so the fast path changes time, not answers.
 //
 // Emits BENCH_dataplane.json so later PRs can track the trajectory.
 //
@@ -32,12 +26,11 @@
 #include "deisa/array/ndarray.hpp"
 #include "deisa/dts/runtime.hpp"
 #include "deisa/net/cluster.hpp"
-#include "deisa/harness/scenario.hpp"
 #include "deisa/util/table.hpp"
 
 namespace arr = deisa::array;
 namespace dts = deisa::dts;
-namespace harness = deisa::harness;
+namespace exec = deisa::exec;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
 
@@ -227,93 +220,30 @@ std::vector<KernelResult> run_kernels(int repeat) {
 }
 
 // ---------------------------------------------------------------------
-// Section 2: overlapped dependency fetches (simulated time).
+// Section 2: coalesced bridge pushes (simulated time + RPC count).
 // ---------------------------------------------------------------------
 
-constexpr int kFetchDeps = 8;
-/// Two regimes: small deps (partial reductions, IPCA factors) are
-/// latency-bound — overlap collapses 8 request round-trips into ~1.
-/// Large deps are bandwidth-bound on the consumer's ingress link, which
-/// the network model serializes — overlap must NOT make them slower.
-constexpr std::uint64_t kFetchSmallBytes = 64ull << 10;  // 64 KiB per dep
-constexpr std::uint64_t kFetchLargeBytes = 8ull << 20;   // 8 MiB per dep
-
+/// A runtime with the paper-calibrated scheduler service model, which IS
+/// the per-RPC overhead the coalesced push avoids.
 struct Fixture {
   sim::Engine eng;
   std::unique_ptr<net::Cluster> cluster;
   std::unique_ptr<dts::Runtime> rt;
   dts::Client* client = nullptr;
 
-  /// `paper_sched=false` zeroes the modelled Python-scheduler service so
-  /// the window isolates the worker data plane (the fetch section);
-  /// `true` keeps the paper-calibrated service model, which IS the
-  /// per-RPC overhead the coalesced push avoids (the push section).
-  Fixture(int workers, int max_concurrent_fetches, bool paper_sched = false) {
+  explicit Fixture(int workers) {
     net::ClusterParams cp;
     cp.physical_nodes = workers + 4;
     cluster = std::make_unique<net::Cluster>(eng, cp);
     std::vector<int> wn;
     for (int i = 0; i < workers; ++i) wn.push_back(2 + i);
     dts::RuntimeParams rp;
-    if (!paper_sched) {
-      rp.scheduler.service_base = 1e-9;
-      rp.scheduler.service_per_task = 0;
-      rp.scheduler.service_per_key = 0;
-    }
     rp.worker.heartbeat_interval = 0;
-    rp.worker.max_concurrent_fetches = max_concurrent_fetches;
     rt = std::make_unique<dts::Runtime>(eng, *cluster, 0, wn, rp);
     rt->start();
     client = &rt->make_client(1);
   }
 };
-
-sim::Co<void> fetch_flow(Fixture& fx, std::uint64_t dep_bytes,
-                         double& fetch_seconds) {
-  // One dep per worker 0..kFetchDeps-1; the consumer is pinned to the
-  // last worker, so every dependency is a remote peer fetch.
-  std::vector<dts::Key> deps;
-  for (int i = 0; i < kFetchDeps; ++i) {
-    dts::Key k = "dep" + std::to_string(i);
-    (void)co_await fx.client->scatter(k, dts::Data::sized(dep_bytes), i);
-    deps.push_back(std::move(k));
-  }
-  const double t0 = fx.eng.now();
-  std::vector<dts::TaskSpec> tasks;
-  tasks.emplace_back("reduce", deps, dts::TaskFn{}, /*cost=*/0.0,
-                     /*out_bytes=*/64, /*preferred_worker=*/kFetchDeps);
-  co_await fx.client->submit(std::move(tasks));
-  (void)co_await fx.client->wait_key("reduce");
-  fetch_seconds = fx.eng.now() - t0;
-  co_await fx.rt->shutdown();
-}
-
-double run_fetch(std::uint64_t dep_bytes, int max_concurrent_fetches) {
-  Fixture fx(kFetchDeps + 1, max_concurrent_fetches);
-  double fetch_seconds = 0.0;
-  fx.eng.spawn(fetch_flow(fx, dep_bytes, fetch_seconds));
-  fx.eng.run();
-  return fetch_seconds;
-}
-
-struct FetchResult {
-  std::uint64_t dep_bytes = 0;
-  double sequential = 0.0;
-  double overlapped = 0.0;
-  double speedup() const { return sequential / overlapped; }
-};
-
-FetchResult run_fetch_regime(std::uint64_t dep_bytes) {
-  FetchResult r;
-  r.dep_bytes = dep_bytes;
-  r.sequential = run_fetch(dep_bytes, 1);
-  r.overlapped = run_fetch(dep_bytes, 8);
-  return r;
-}
-
-// ---------------------------------------------------------------------
-// Section 3: coalesced bridge pushes (simulated time + RPC count).
-// ---------------------------------------------------------------------
 
 constexpr int kPushWorkers = 4;
 constexpr int kPushBlocks = 64;
@@ -324,7 +254,7 @@ struct PushResult {
   std::uint64_t update_rpcs = 0;
 };
 
-sim::Co<void> push_flow(Fixture& fx, bool coalesced, PushResult& out) {
+exec::Co<void> push_flow(Fixture& fx, bool coalesced, PushResult& out) {
   std::vector<dts::Key> keys;
   std::vector<int> targets;
   for (int i = 0; i < kPushBlocks; ++i) {
@@ -354,8 +284,7 @@ sim::Co<void> push_flow(Fixture& fx, bool coalesced, PushResult& out) {
 }
 
 PushResult run_push(bool coalesced) {
-  Fixture fx(kPushWorkers, /*max_concurrent_fetches=*/8,
-             /*paper_sched=*/true);
+  Fixture fx(kPushWorkers);
   PushResult out;
   fx.eng.spawn(push_flow(fx, coalesced, out));
   fx.eng.run();
@@ -363,43 +292,11 @@ PushResult run_push(bool coalesced) {
 }
 
 // ---------------------------------------------------------------------
-// Section 4: heat2d end-to-end A/B on the fetch knob (real data).
-// ---------------------------------------------------------------------
-
-struct E2eResult {
-  double analytics_seq = 0.0;      // max_concurrent_fetches = 1
-  double analytics_overlap = 0.0;  // default (8)
-  bool identical_results = false;
-};
-
-E2eResult run_heat2d() {
-  harness::ScenarioParams p;
-  p.ranks = 8;
-  p.workers = 4;
-  p.block_bytes = 32 * 32 * sizeof(double);
-  p.timesteps = 4;
-  p.real_data = true;
-  p.max_concurrent_fetches = 1;
-  const harness::RunResult seq =
-      harness::run_scenario(harness::Pipeline::kDeisa3, p);
-  p.max_concurrent_fetches = 8;
-  const harness::RunResult overlap =
-      harness::run_scenario(harness::Pipeline::kDeisa3, p);
-  E2eResult r;
-  r.analytics_seq = seq.analytics_seconds;
-  r.analytics_overlap = overlap.analytics_seconds;
-  r.identical_results = seq.singular_values == overlap.singular_values &&
-                        !seq.singular_values.empty();
-  return r;
-}
-
-// ---------------------------------------------------------------------
 
 void write_json(const std::string& path,
                 const std::vector<KernelResult>& kernels,
-                const std::vector<FetchResult>& fetches,
                 const PushResult& push_loop, const PushResult& push_batch,
-                const E2eResult& e2e, int repeat) {
+                int repeat) {
   std::ofstream f(path);
   f << "{\n  \"bench\": \"micro_dataplane\",\n  \"repeat\": " << repeat
     << ",\n  \"kernels\": [\n";
@@ -411,15 +308,6 @@ void write_json(const std::string& path,
       << ", \"speedup\": " << r.speedup() << "}"
       << (i + 1 < kernels.size() ? "," : "") << "\n";
   }
-  f << "  ],\n  \"fetch\": [\n";
-  for (std::size_t i = 0; i < fetches.size(); ++i) {
-    const FetchResult& r = fetches[i];
-    f << "    {\"deps\": " << kFetchDeps << ", \"dep_bytes\": " << r.dep_bytes
-      << ", \"sequential_sim_seconds\": " << r.sequential
-      << ", \"overlapped_sim_seconds\": " << r.overlapped
-      << ", \"speedup\": " << r.speedup() << "}"
-      << (i + 1 < fetches.size() ? "," : "") << "\n";
-  }
   f << "  ],\n";
   f << "  \"push\": {\"blocks\": " << kPushBlocks
     << ", \"workers\": " << kPushWorkers
@@ -427,11 +315,7 @@ void write_json(const std::string& path,
     << ", \"per_block_update_rpcs\": " << push_loop.update_rpcs
     << ", \"coalesced_sim_seconds\": " << push_batch.seconds
     << ", \"coalesced_update_rpcs\": " << push_batch.update_rpcs
-    << ", \"speedup\": " << push_loop.seconds / push_batch.seconds << "},\n";
-  f << "  \"heat2d\": {\"analytics_sequential_seconds\": " << e2e.analytics_seq
-    << ", \"analytics_overlapped_seconds\": " << e2e.analytics_overlap
-    << ", \"identical_results\": "
-    << (e2e.identical_results ? "true" : "false") << "}\n}\n";
+    << ", \"speedup\": " << push_loop.seconds / push_batch.seconds << "}\n}\n";
 }
 
 }  // namespace
@@ -464,19 +348,6 @@ int main(int argc, char** argv) {
                "oracle (wall-clock, byte-identical) ===\n";
   kt.print(std::cout);
 
-  const std::vector<FetchResult> fetches = {
-      run_fetch_regime(kFetchSmallBytes), run_fetch_regime(kFetchLargeBytes)};
-  std::cout << "\n=== dependency fetches: 1 task, " << kFetchDeps
-            << " remote deps (simulated) ===\n";
-  deisa::util::Table ft(
-      {"dep size", "sequential ms", "overlapped ms", "speedup"});
-  for (const FetchResult& r : fetches)
-    ft.add_row({deisa::util::Table::num(r.dep_bytes / 1024.0, 0) + " KiB",
-                deisa::util::Table::num(r.sequential * 1e3, 3),
-                deisa::util::Table::num(r.overlapped * 1e3, 3),
-                deisa::util::Table::num(r.speedup(), 2) + "x"});
-  ft.print(std::cout);
-
   const PushResult push_loop = run_push(/*coalesced=*/false);
   const PushResult push_batch = run_push(/*coalesced=*/true);
   std::cout << "\n=== bridge push: " << kPushBlocks << " blocks -> "
@@ -491,16 +362,7 @@ int main(int argc, char** argv) {
                                        2)
             << "x)\n";
 
-  const E2eResult e2e = run_heat2d();
-  std::cout << "\n=== heat2d end-to-end (real data, DEISA3) ===\n"
-            << "analytics, sequential fetches: "
-            << deisa::util::Table::num(e2e.analytics_seq, 3) << " s\n"
-            << "analytics, overlapped fetches: "
-            << deisa::util::Table::num(e2e.analytics_overlap, 3) << " s\n"
-            << "singular values identical: "
-            << (e2e.identical_results ? "yes" : "NO — REGRESSION") << "\n";
-
-  write_json(out, kernels, fetches, push_loop, push_batch, e2e, repeat);
+  write_json(out, kernels, push_loop, push_batch, repeat);
   std::cout << "\nwrote " << out << "\n";
-  return e2e.identical_results ? 0 : 1;
+  return 0;
 }

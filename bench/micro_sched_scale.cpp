@@ -24,6 +24,7 @@
 #include "deisa/util/table.hpp"
 
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
 
@@ -110,20 +111,20 @@ Graph make_graph(int n, bool external_leaves) {
   return g;
 }
 
-sim::Co<void> ingest_flow(Fixture& fx, Graph g) {
+exec::Co<void> ingest_flow(Fixture& fx, Graph g) {
   co_await fx.client->external_futures(std::move(g.leaves),
                                        std::move(g.leaf_workers));
   co_await fx.client->submit(std::move(g.tasks));
   co_await fx.rt->shutdown();
 }
 
-sim::Co<void> drain_flow(Fixture& fx, Graph g) {
+exec::Co<void> drain_flow(Fixture& fx, Graph g) {
   co_await fx.client->submit(std::move(g.tasks));
   for (const dts::Key& k : g.sinks) (void)co_await fx.client->wait_key(k);
   co_await fx.rt->shutdown();
 }
 
-sim::Co<void> push_flow(Fixture& fx, Graph g, double& push_seconds) {
+exec::Co<void> push_flow(Fixture& fx, Graph g, double& push_seconds) {
   const std::vector<dts::Key> leaves = g.leaves;
   const std::vector<int> targets = g.leaf_workers;
   co_await fx.client->external_futures(std::move(g.leaves),

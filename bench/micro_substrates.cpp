@@ -10,6 +10,7 @@
 #include "deisa/net/cluster.hpp"
 #include "deisa/config/yaml.hpp"
 #include "deisa/dts/runtime.hpp"
+#include "deisa/exec/primitives.hpp"
 #include "deisa/linalg/decomp.hpp"
 #include "deisa/ml/pca.hpp"
 #include "deisa/ml/streaming.hpp"
@@ -17,7 +18,6 @@
 #include "deisa/rt/threaded_executor.hpp"
 #include "deisa/rt/threaded_transport.hpp"
 #include "deisa/sim/engine.hpp"
-#include "deisa/sim/primitives.hpp"
 #include "deisa/util/rng.hpp"
 
 namespace {
@@ -31,8 +31,8 @@ namespace net = deisa::net;
 namespace rt = deisa::rt;
 namespace sim = deisa::sim;
 
-sim::Co<void> ping_pong(exec::Executor& eng, sim::Channel<int>& a,
-                        sim::Channel<int>& b, int n) {
+exec::Co<void> ping_pong(exec::Executor& eng, exec::Channel<int>& a,
+                         exec::Channel<int>& b, int n) {
   for (int i = 0; i < n; ++i) {
     a.send(i);
     (void)co_await b.recv();
@@ -40,7 +40,7 @@ sim::Co<void> ping_pong(exec::Executor& eng, sim::Channel<int>& a,
   (void)eng;
 }
 
-sim::Co<void> echo(sim::Channel<int>& a, sim::Channel<int>& b, int n) {
+exec::Co<void> echo(exec::Channel<int>& a, exec::Channel<int>& b, int n) {
   for (int i = 0; i < n; ++i) {
     const int v = co_await a.recv();
     b.send(v);
@@ -50,8 +50,8 @@ sim::Co<void> echo(sim::Channel<int>& a, sim::Channel<int>& b, int n) {
 void BM_EngineChannelRoundtrip(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine eng;
-    sim::Channel<int> a(eng);
-    sim::Channel<int> b(eng);
+    exec::Channel<int> a(eng);
+    exec::Channel<int> b(eng);
     const int n = static_cast<int>(state.range(0));
     eng.spawn(ping_pong(eng, a, b, n));
     eng.spawn(echo(a, b, n));
@@ -62,12 +62,18 @@ void BM_EngineChannelRoundtrip(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineChannelRoundtrip)->Arg(1000);
 
+exec::Co<void> timer(exec::Executor& eng, exec::Time dt) {
+  co_await eng.delay(dt);
+}
+
+// One coroutine per timer: the queue holds every timer at once, fired
+// in time order.
 void BM_EngineTimerWheel(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine eng;
     deisa::util::Rng rng(7);
     for (int i = 0; i < state.range(0); ++i)
-      eng.schedule_callback([] {}, rng.uniform(0.0, 100.0));
+      eng.spawn(timer(eng, rng.uniform(0.0, 100.0)));
     eng.run();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -92,7 +98,7 @@ void BM_ThreadedChannelRoundtrip(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadedChannelRoundtrip)->Arg(1000);
 
-sim::Co<void> noop_actor() { co_return; }
+exec::Co<void> noop_actor() { co_return; }
 
 void BM_EngineSpawnThroughput(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -116,8 +122,8 @@ void BM_ThreadedSpawnThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadedSpawnThroughput)->Arg(10000);
 
-sim::Co<void> transfer_actor(exec::Transport& tp, int count,
-                             std::uint64_t bytes) {
+exec::Co<void> transfer_actor(exec::Transport& tp, int count,
+                              std::uint64_t bytes) {
   for (int i = 0; i < count; ++i) co_await tp.transfer(0, 1, bytes);
 }
 
@@ -259,7 +265,7 @@ BENCHMARK(BM_FieldStatsOf)->Arg(1024)->Arg(524288);
 // heat2d-ipca's simulation kernel: one warm Heat2d step of a 48 x 48
 // rank on a 1 x 1 process grid (no neighbours, so no halo message: the
 // strips and the stencil update alone).
-sim::Co<void> one_heat2d_step(apps::Heat2d& solver, deisa::mpix::Comm& comm) {
+exec::Co<void> one_heat2d_step(apps::Heat2d& solver, deisa::mpix::Comm& comm) {
   co_await solver.step(comm);
 }
 
@@ -317,8 +323,8 @@ plugins:
 }
 BENCHMARK(BM_YamlParseListing1);
 
-sim::Co<void> scheduler_pipeline(dts::Client& client, dts::Runtime& rt,
-                                 int n) {
+exec::Co<void> scheduler_pipeline(dts::Client& client, dts::Runtime& rt,
+                                  int n) {
   std::vector<dts::TaskSpec> tasks;
   std::vector<dts::Key> wants;
   for (int i = 0; i < n; ++i) {

@@ -15,6 +15,7 @@
 namespace arr = deisa::array;
 namespace core = deisa::core;
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
 
@@ -39,7 +40,7 @@ core::VirtualArray field_array() {
                            shape3(1, kEdge, kEdge));
 }
 
-sim::Co<void> bridge_rank(core::Bridge& bridge, int rank) {
+exec::Co<void> bridge_rank(core::Bridge& bridge, int rank) {
   const core::VirtualArray va = field_array();
   if (rank == 0) {
     std::vector<core::VirtualArray> arrays;
@@ -66,8 +67,8 @@ sim::Co<void> bridge_rank(core::Bridge& bridge, int rank) {
   }
 }
 
-sim::Co<void> analytics(dts::Runtime& rt, dts::Client& client,
-                        std::vector<core::Bridge*> bridges) {
+exec::Co<void> analytics(dts::Runtime& rt, dts::Client& client,
+                         std::vector<core::Bridge*> bridges) {
   core::Adaptor adaptor(client, core::Mode::kDeisa3);
   const auto arrays = co_await adaptor.get_deisa_arrays();
   const auto& va = arrays[0];

@@ -18,6 +18,7 @@
 namespace apps = deisa::apps;
 namespace arr = deisa::array;
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace ml = deisa::ml;
 namespace mpix = deisa::mpix;
 namespace net = deisa::net;
@@ -39,8 +40,8 @@ arr::Index shape3(std::int64_t a, std::int64_t b, std::int64_t c) {
 }
 
 /// Environment 1: the simulated twin (Heat2D), single rank.
-sim::Co<void> twin_environment(mpix::Comm& comm, dts::Client& client,
-                               const arr::DArray& field) {
+exec::Co<void> twin_environment(mpix::Comm& comm, dts::Client& client,
+                                const arr::DArray& field) {
   apps::Heat2dConfig hc;
   hc.local_nx = kEdge;
   hc.local_ny = kEdge;
@@ -61,8 +62,8 @@ sim::Co<void> twin_environment(mpix::Comm& comm, dts::Client& client,
 
 /// Environment 2: the physical asset's sensors — the same field plus
 /// noise, plus a growing hot-spot fault after step 3.
-sim::Co<void> sensor_environment(mpix::Comm& comm, dts::Client& client,
-                                 const arr::DArray& sensed) {
+exec::Co<void> sensor_environment(mpix::Comm& comm, dts::Client& client,
+                                  const arr::DArray& sensed) {
   apps::Heat2dConfig hc;
   hc.local_nx = kEdge;
   hc.local_ny = kEdge;
@@ -86,7 +87,7 @@ sim::Co<void> sensor_environment(mpix::Comm& comm, dts::Client& client,
   }
 }
 
-sim::Co<void> twin_analytics(dts::Runtime& rt, dts::Client& client) {
+exec::Co<void> twin_analytics(dts::Runtime& rt, dts::Client& client) {
   // Both environments are declared up front as external arrays...
   arr::DArray field = co_await arr::DArray::from_external(
       client, "twin", shape3(kSteps, kEdge, kEdge), shape3(1, kEdge, kEdge));

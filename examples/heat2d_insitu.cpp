@@ -20,6 +20,7 @@ namespace arr = deisa::array;
 namespace cfg = deisa::config;
 namespace core = deisa::core;
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace ml = deisa::ml;
 namespace mpix = deisa::mpix;
 namespace net = deisa::net;
@@ -76,7 +77,7 @@ cfg::Value sim_cfg_value() {
 
 /// One MPI rank: solve, expose through PDI each step. The deisa plugin
 /// does all the coupling — the solver knows nothing about Dask.
-sim::Co<void> rank_main(mpix::Comm& comm, int rank, dts::Client& client) {
+exec::Co<void> rank_main(mpix::Comm& comm, int rank, dts::Client& client) {
   const cfg::Node spec = cfg::parse_yaml(yaml_config());
   pdi::DataStore store(spec);
   store.set_meta("cfg", sim_cfg_value());
@@ -108,8 +109,8 @@ sim::Co<void> rank_main(mpix::Comm& comm, int rank, dts::Client& client) {
 }
 
 /// The analytics client: Listing 2.
-sim::Co<void> analytics_main(dts::Runtime& rt, dts::Client& client,
-                             std::vector<double>& sv_out) {
+exec::Co<void> analytics_main(dts::Runtime& rt, dts::Client& client,
+                              std::vector<double>& sv_out) {
   core::Adaptor adaptor(client, core::Mode::kDeisa3);
   const auto arrays = co_await adaptor.get_deisa_arrays();
   std::cout << "adaptor received " << arrays.size() << " deisa array(s): "

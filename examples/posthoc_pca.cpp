@@ -17,6 +17,7 @@
 namespace apps = deisa::apps;
 namespace arr = deisa::array;
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace io = deisa::io;
 namespace ml = deisa::ml;
 namespace mpix = deisa::mpix;
@@ -37,9 +38,9 @@ arr::Index shape3(std::int64_t a, std::int64_t b, std::int64_t c) {
   return i;
 }
 
-sim::Co<void> sim_phase(mpix::Comm& comm, int rank, io::Pfs& pfs,
-                        io::PosthocDataset& ds, sim::Event& done,
-                        int& remaining) {
+exec::Co<void> sim_phase(mpix::Comm& comm, int rank, io::Pfs& pfs,
+                         io::PosthocDataset& ds, exec::Event& done,
+                         int& remaining) {
   apps::Heat2dConfig hc;
   hc.local_nx = kLocal;
   hc.local_ny = kLocal;
@@ -59,9 +60,9 @@ sim::Co<void> sim_phase(mpix::Comm& comm, int rank, io::Pfs& pfs,
   if (--remaining == 0) done.set();
 }
 
-sim::Co<void> analysis_phase(dts::Runtime& rt, dts::Client& client,
-                             io::Pfs& pfs, io::PosthocDataset& ds,
-                             sim::Event& sim_done) {
+exec::Co<void> analysis_phase(dts::Runtime& rt, dts::Client& client,
+                              io::Pfs& pfs, io::PosthocDataset& ds,
+                              exec::Event& sim_done) {
   co_await sim_done.wait();
   std::cout << "simulation wrote " << pfs.bytes_written() / 1024 << " KiB in "
             << pfs.ops() << " PFS ops; starting post-hoc analysis\n";
@@ -102,7 +103,7 @@ int main() {
 
   std::vector<int> rank_nodes{4, 4, 5, 5};
   mpix::Comm comm(cluster, rank_nodes);
-  sim::Event sim_done(engine);
+  exec::Event sim_done(engine);
   int remaining = kProc * kProc;
   for (int r = 0; r < kProc * kProc; ++r)
     engine.spawn(sim_phase(comm, r, pfs, ds, sim_done, remaining));

@@ -17,6 +17,7 @@
 
 namespace arr = deisa::array;
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
 
@@ -35,7 +36,7 @@ arr::Index shape3(std::int64_t a, std::int64_t b, std::int64_t c) {
 
 /// The analytics: one task per step sums its slab; a final task adds the
 /// per-step sums — submitted before ANY data exists.
-sim::Co<void> workflow(dts::Runtime& rt, dts::Client& client) {
+exec::Co<void> workflow(dts::Runtime& rt, dts::Client& client) {
   arr::DArray field = co_await arr::DArray::from_external(
       client, "temp", shape3(kSteps, 8, 8), shape3(1, 4, 4));
 

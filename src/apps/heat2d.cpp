@@ -85,8 +85,8 @@ exec::Co<void> Heat2d::step(mpix::Comm& comm) {
   const auto send_strip = [&](int to, int tag,
                               std::vector<double> strip) -> exec::Co<void> {
     const std::uint64_t bytes = strip.size() * sizeof(double);
-    co_await comm.send_value<std::vector<double>>(rank_, to, tag,
-                                                  std::move(strip), bytes);
+    mpix::Message msg(rank_, tag, bytes, std::move(strip));
+    co_await comm.send(rank_, to, tag, std::move(msg));
   };
   if (west >= 0)
     co_await send_strip(west, kTagEast,
@@ -102,7 +102,7 @@ exec::Co<void> Heat2d::step(mpix::Comm& comm) {
   const auto recv_strip = [&](int from, int tag)
       -> exec::Co<std::vector<double>> {
     mpix::Message m = co_await comm.recv(rank_, from, tag);
-    co_return std::any_cast<std::vector<double>>(std::move(m.payload));
+    co_return std::move(m.payload);
   };
   std::vector<double> halo_w, halo_e, halo_n, halo_s;
   if (west >= 0) halo_w = co_await recv_strip(west, kTagWest);

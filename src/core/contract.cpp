@@ -6,11 +6,6 @@
 
 namespace deisa::core {
 
-bool Contract::includes(const VirtualArray& va,
-                        const array::Index& coord) const {
-  return includes(va.name, va.grid(), coord);
-}
-
 bool Contract::includes(const std::string& name, const array::ChunkGrid& grid,
                         const array::Index& coord) const {
   const auto it = selections.find(name);

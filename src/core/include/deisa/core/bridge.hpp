@@ -32,7 +32,6 @@ public:
   /// All bridges, including rank 0, wait here before sending any data.
   exec::Co<void> wait_contract();
   const Contract& contract() const;
-  bool has_contract() const { return has_contract_; }
 
   /// DEISA2/3 data path (step 3 of Figure 1): filter every block this
   /// rank produced in one timestep against the contract, group the

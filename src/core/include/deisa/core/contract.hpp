@@ -19,10 +19,9 @@ struct Contract {
   /// preselected worker per block as the adaptor did).
   int num_workers = 0;
 
-  /// Does the selection for `va` touch the block at `coord`?
-  bool includes(const VirtualArray& va, const array::Index& coord) const;
-  /// The same check for a caller that keeps the array's chunk grid
-  /// (`VirtualArray::grid()`) across blocks.
+  /// Does the selection for array `name` touch the block at `coord` of
+  /// its chunk grid (`VirtualArray::grid()`, kept by the caller across
+  /// blocks)?
   bool includes(const std::string& name, const array::ChunkGrid& grid,
                 const array::Index& coord) const;
 

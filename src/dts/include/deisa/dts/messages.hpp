@@ -192,6 +192,7 @@ enum class WorkerMsgKind {
   kReceiveDataBatch,  // pushed blocks (scatter, bridge send), one or more
   kGetData,           // peer or client fetch
   kReleaseKey,        // refcount GC: drop the stored value for `key`
+  kPeerLost,          // the scheduler declared worker `peer` dead
   kShutdown,
 };
 
@@ -215,6 +216,9 @@ struct WorkerMsg {
 
   // kReceiveDataBatch
   std::vector<std::pair<Key, Data>> batch;
+
+  // kPeerLost
+  int peer = -1;
 };
 
 /// Estimated wire size of a scheduler message (metadata serialization).

@@ -16,11 +16,6 @@ namespace deisa::dts {
 struct WorkerParams {
   /// Seconds between heartbeats to the scheduler; <= 0 disables.
   double heartbeat_interval = 1.0;
-  /// Peer dependency fetches a worker keeps in flight at once. Fetches of
-  /// a compute request overlap up to this bound (1 restores the old
-  /// strictly sequential behavior); in-flight fetches of the same key are
-  /// shared, never duplicated.
-  int max_concurrent_fetches = 8;
 };
 
 class Worker {
@@ -100,6 +95,10 @@ private:
     exec::Event done;
     int owner;
     Data data;
+    /// Set once the request is on the wire; peer_lost() wakes its reader.
+    std::shared_ptr<exec::Channel<Data>> reply;
+    /// The owner was declared dead before it answered.
+    bool aborted = false;
   };
 
   /// Run task `key` (its spec lives in the scheduler's arena, which
@@ -107,10 +106,12 @@ private:
   exec::Co<void> handle_compute(const TaskSpec* spec, Key key,
                                 std::vector<DepLocation> deps,
                                 std::uint64_t cause);
-  exec::Co<Data> fetch(const DepLocation& dep);
   /// Fetch `dep` into `out`, both in handle_compute's frame (spawned per
-  /// dep; when_all joins them all before that frame moves on).
-  exec::Co<void> fetch_one(const DepLocation& dep, Data& out);
+  /// dep; when_all joins them all before that frame moves on). Sets
+  /// `aborted` instead when the owner is declared dead before answering.
+  exec::Co<void> fetch(const DepLocation& dep, Data& out, bool& aborted);
+  /// The scheduler declared `peer` dead: fail every fetch from it.
+  void peer_lost(int peer);
   exec::Co<void> handle_get_data(WorkerMsg msg);
   /// Store `data` and wake local readers. A `cached` peer copy counts
   /// in peer_fetch_cached_bytes_ instead of bytes_stored_.
@@ -133,6 +134,7 @@ private:
   int scheduler_node_ = -1;
   std::vector<exec::Channel<SchedMsg>*> scheduler_inboxes_;
   std::vector<WorkerRef> peers_;
+  std::vector<char> dead_peers_;  // by worker id, set by kPeerLost
 
   std::unordered_map<Key, Data> store_;
   std::unordered_map<Key, std::unique_ptr<exec::Event>> arrivals_;

@@ -79,6 +79,16 @@ exec::Co<void> Scheduler::handle_worker_lost(SchedMsg& msg) {
   obs::trace_instant(actor_, "recovery",
                      "worker_lost:worker-" + std::to_string(w));
   DEISA_TRACE("scheduler", "worker " << w << " declared lost; recovering");
+  // Tell every live worker first: a fetch request to the dead worker
+  // holds a fetch slot that no reply will ever free, and the re-runs
+  // recovery assigns below need those slots.
+  for (const WorkerRef& ref : workers_) {
+    if (worker_is_dead(ref.id)) continue;
+    co_await cluster_->send_control(node_, ref.node, kControlMsgBase);
+    WorkerMsg lost(WorkerMsgKind::kPeerLost);
+    lost.peer = w;
+    ref.inbox->send(std::move(lost));
+  }
   // Worker-dead hook. As the liveness authority, broadcast the death
   // before running local recovery, so peer shards start recovering their
   // own records — mirrors included — as early as possible.

@@ -7,6 +7,13 @@
 
 namespace deisa::dts {
 
+namespace {
+/// Peer dependency fetches a worker keeps in flight at once. Fetches of a
+/// compute request overlap up to this bound; in-flight fetches of the
+/// same key are shared, never duplicated.
+constexpr std::size_t kMaxConcurrentFetches = 8;
+}  // namespace
+
 Worker::Worker(exec::Executor& engine, exec::Transport& cluster, int id, int node,
                WorkerParams params)
     : engine_(&engine),
@@ -17,8 +24,7 @@ Worker::Worker(exec::Executor& engine, exec::Transport& cluster, int id, int nod
       params_(params),
       inbox_(engine),
       cpu_(engine),
-      fetch_slots_(engine, static_cast<std::size_t>(
-                               std::max(1, params.max_concurrent_fetches))) {}
+      fetch_slots_(engine, kMaxConcurrentFetches) {}
 
 void Worker::record_memory() {
   if (memory_bytes_ > peak_memory_bytes_) peak_memory_bytes_ = memory_bytes_;
@@ -36,6 +42,7 @@ void Worker::attach(int scheduler_node,
   scheduler_node_ = scheduler_node;
   scheduler_inboxes_ = std::move(scheduler_inboxes);
   peers_ = std::move(peers);
+  dead_peers_.assign(peers_.size(), 0);
 }
 
 exec::Co<void> Worker::run() {
@@ -78,6 +85,9 @@ exec::Co<void> Worker::run() {
         }
         break;
       }
+      case WorkerMsgKind::kPeerLost:
+        peer_lost(msg.peer);
+        break;
       case WorkerMsgKind::kShutdown:
         stopping_ = true;
         co_return;
@@ -158,7 +168,8 @@ exec::Co<const Data*> Worker::local_ref(const Key& key) {
   }
 }
 
-exec::Co<Data> Worker::fetch(const DepLocation& dep) {
+exec::Co<void> Worker::fetch(const DepLocation& dep, Data& out,
+                             bool& aborted) {
   if (dep.owner == id_ || dep.owner < 0) {
     // Local (or still in flight to this worker, e.g. an external-task
     // block the bridge pushes here): wait for the store and hand back a
@@ -166,16 +177,25 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
     // serialization: every local dependency read duplicates the payload.
     const Data* d = co_await local_ref(dep.key);
     obs::count_moved(d->bytes);
-    co_return *d;
+    out = *d;
+    co_return;
   }
   DEISA_CHECK(static_cast<std::size_t>(dep.owner) < peers_.size(),
               "dep owner " << dep.owner << " unknown");
+  const auto owner = static_cast<std::size_t>(dep.owner);
   // Already cached from an earlier fetch: no network round trip.
   if (const auto hit = store_.find(dep.key); hit != store_.end()) {
     ++peer_fetch_cache_hits_;
     obs::count("worker.peer_fetch_cache_hits");
     obs::count_moved(hit->second.bytes);
-    co_return hit->second;
+    out = hit->second;
+    co_return;
+  }
+  // A peer declared dead never answers: fail at once, holding no slot.
+  if (dead_peers_[owner] != 0) {
+    aborted = true;
+    obs::count("worker.fetches_aborted");
+    co_return;
   }
   // The same key is already on the wire from the same peer for another
   // task: join that fetch instead of issuing a duplicate request. A flight
@@ -187,7 +207,11 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
     ++peer_fetches_shared_;
     obs::count("worker.peer_fetch_shared");
     co_await flight->done.wait();
-    co_return flight->data;
+    if (flight->aborted)
+      aborted = true;
+    else
+      out = flight->data;
+    co_return;
   }
   // First requester: register the flight *before* waiting for a fetch
   // slot so later requesters of the same key join immediately instead of
@@ -195,36 +219,64 @@ exec::Co<Data> Worker::fetch(const DepLocation& dep) {
   auto flight = std::make_shared<InflightFetch>(*engine_, dep.owner);
   inflight_[dep.key] = flight;
   co_await fetch_slots_.acquire();
-  // Peer fetch: request + bulk transfer back.
-  const WorkerRef& peer = peers_[static_cast<std::size_t>(dep.owner)];
+  // Peer fetch: request + bulk transfer back. The owner may be declared
+  // dead at any suspension point; peer_lost() wakes the reply wait.
+  const WorkerRef& peer = peers_[owner];
   obs::Span span = obs::trace_span(actor_, "transfer", dep.key);
   if (span.active())
     span.add_arg(obs::arg("from_worker", static_cast<std::uint64_t>(dep.owner)));
-  auto reply = std::make_shared<exec::Channel<Data>>(*engine_);
-  co_await cluster_->send_control(node_, peer.node,
-                                  kControlMsgBase + dep.key.size());
-  WorkerMsg req(WorkerMsgKind::kGetData);
-  req.key = dep.key;
-  req.requester_node = node_;
-  req.reply_data = reply;
-  peer.inbox->send(std::move(req));
-  Data d = co_await reply->recv();
-  obs::count_moved(d.bytes);
-  fetch_slots_.release();
-  if (span.active()) span.add_arg(obs::arg("bytes", d.bytes));
-  span.finish();
-  ++peer_fetches_;
-  if (auto* m = obs::metrics()) {
-    m->counter("worker.peer_fetches").add();
-    m->counter("worker.peer_fetch_bytes").add(d.bytes);
+  if (dead_peers_[owner] == 0)
+    co_await cluster_->send_control(node_, peer.node,
+                                    kControlMsgBase + dep.key.size());
+  if (dead_peers_[owner] == 0) {
+    flight->reply = std::make_shared<exec::Channel<Data>>(*engine_);
+    WorkerMsg req(WorkerMsgKind::kGetData);
+    req.key = dep.key;
+    req.requester_node = node_;
+    req.reply_data = flight->reply;
+    peer.inbox->send(std::move(req));
+    flight->data = co_await flight->reply->recv();
   }
-  // Cache locally, as dask workers do (skip if we crashed mid-fetch:
-  // the store of a dead worker stays empty).
-  if (alive_) store_put(dep.key, d, /*cached=*/true);
-  flight->data = d;
+  if (dead_peers_[owner] != 0) {
+    // No answer will come (or it came too late to trust): give the slot
+    // back and fail this fetch and every fetch that joined it.
+    fetch_slots_.release();
+    flight->aborted = true;
+    obs::count("worker.fetches_aborted");
+  } else {
+    const Data& d = flight->data;
+    obs::count_moved(d.bytes);
+    fetch_slots_.release();
+    if (span.active()) span.add_arg(obs::arg("bytes", d.bytes));
+    span.finish();
+    ++peer_fetches_;
+    if (auto* m = obs::metrics()) {
+      m->counter("worker.peer_fetches").add();
+      m->counter("worker.peer_fetch_bytes").add(d.bytes);
+    }
+    // Cache locally, as dask workers do (skip if we crashed mid-fetch:
+    // the store of a dead worker stays empty).
+    if (alive_) store_put(dep.key, d, /*cached=*/true);
+  }
   flight->done.set();
-  inflight_.erase(dep.key);
-  co_return d;
+  // Erase this flight only: a re-run may have registered its own flight
+  // for the key (from the key's new owner) meanwhile.
+  if (const auto it = inflight_.find(dep.key);
+      it != inflight_.end() && it->second == flight)
+    inflight_.erase(it);
+  if (flight->aborted)
+    aborted = true;
+  else
+    out = flight->data;
+}
+
+void Worker::peer_lost(int peer) {
+  dead_peers_[static_cast<std::size_t>(peer)] = 1;
+  // Wake each request on the wire to that peer with an empty reply,
+  // which fetch() discards once it sees the mark. Fetches that have not
+  // sent their request yet see the mark when they resume.
+  for (const auto& [key, flight] : inflight_)
+    if (flight->owner == peer && flight->reply) flight->reply->send(Data{});
 }
 
 exec::Co<void> Worker::handle_get_data(WorkerMsg msg) {
@@ -235,10 +287,6 @@ exec::Co<void> Worker::handle_get_data(WorkerMsg msg) {
   co_await cluster_->transfer(node_, msg.requester_node, b);
   if (!alive_) co_return;
   msg.reply_data->send(std::move(d));
-}
-
-exec::Co<void> Worker::fetch_one(const DepLocation& dep, Data& out) {
-  out = co_await fetch(dep);
 }
 
 exec::Co<void> Worker::handle_compute(const TaskSpec* spec, Key key,
@@ -252,6 +300,7 @@ exec::Co<void> Worker::handle_compute(const TaskSpec* spec, Key key,
   // `deps` entry in this frame: when_all joins every fetch before the
   // frame moves on.
   std::vector<Data> inputs(deps.size());
+  bool aborted = false;
   obs::CauseId fetch_cause = 0;
   if (!deps.empty()) {
     // The fetch phase is one causal node: caused by the assign, fed by a
@@ -266,10 +315,13 @@ exec::Co<void> Worker::handle_compute(const TaskSpec* spec, Key key,
     std::vector<exec::Co<void>> fetches;
     fetches.reserve(deps.size());
     for (std::size_t i = 0; i < deps.size(); ++i)
-      fetches.push_back(fetch_one(deps[i], inputs[i]));
+      fetches.push_back(fetch(deps[i], inputs[i], aborted));
     co_await exec::when_all(*engine_, std::move(fetches));
   }
-  if (!alive_) co_return;  // crashed while fetching inputs
+  // Crashed while fetching inputs, or an input's owner was declared dead
+  // first: the scheduler re-runs the task, so this attempt reports
+  // nothing (a report could pass for the re-run's on this worker).
+  if (!alive_ || aborted) co_return;
 
   SchedMsg done(SchedMsgKind::kTaskFinished);
   done.key = key;

@@ -3,8 +3,8 @@
 // Two backends implement it:
 //   * sim::Engine          — deterministic single-threaded discrete-event
 //                            simulation over virtual time. All paper
-//                            figures run here; (time, seq) event ordering
-//                            is bit-identical to the pre-seam engine.
+//                            figures run here; events at the same time
+//                            fire in post order.
 //   * rt::ThreadedExecutor — N worker threads over wall-clock time, with
 //                            strand-serialized actor groups, MPMC run
 //                            queues and condition-variable timers.
@@ -110,9 +110,6 @@ public:
   /// spawns from non-coroutine code (constructors) land on a chosen
   /// strand.
   virtual void* exchange_current_strand(void* strand) = 0;
-
-  /// True when actors on different strands really run concurrently.
-  virtual bool concurrent() const = 0;
 
   /// Run until quiescent (event queue drained / no scheduled resumes).
   /// Rethrows the first exception escaping any root actor.

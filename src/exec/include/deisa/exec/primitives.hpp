@@ -8,14 +8,13 @@
 //
 // All primitives work on any Executor. They are internally locked so the
 // same code runs on the threaded substrate; under the single-threaded
-// simulator the locks are uncontended and the wake ordering is exactly
-// the pre-seam ordering:
+// simulator the locks are uncontended and the wake ordering is
+// deterministic:
 //   * a waiter that could proceed immediately returns false from
-//     await_suspend (synchronous continuation — zero engine events, the
-//     same as the old await_ready fast path), and
+//     await_suspend (synchronous continuation — zero engine events), and
 //   * wakes hand waiters to Executor::wake in FIFO registration order;
-//     the simulator posts them at the current time, exactly as the old
-//     `engine.schedule(h, now)` loop did.
+//     the simulator posts them at the current time, so they fire in that
+//     order.
 #pragma once
 
 #include <atomic>

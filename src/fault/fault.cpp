@@ -138,8 +138,8 @@ void FaultInjector::arm(dts::Runtime& runtime) {
   }
 }
 
-sim::Co<void> FaultInjector::kill_at(dts::Runtime& runtime, int worker,
-                                     double time) {
+exec::Co<void> FaultInjector::kill_at(dts::Runtime& runtime, int worker,
+                                      double time) {
   co_await engine_->delay(time);
   dts::Worker& w = runtime.worker(worker);
   if (!w.alive()) co_return;

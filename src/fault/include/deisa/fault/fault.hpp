@@ -71,7 +71,7 @@ public:
   std::uint64_t kills_performed() const { return kills_performed_; }
 
 private:
-  sim::Co<void> kill_at(dts::Runtime& runtime, int worker, double time);
+  exec::Co<void> kill_at(dts::Runtime& runtime, int worker, double time);
 
   sim::Engine* engine_;
   net::Cluster* cluster_;

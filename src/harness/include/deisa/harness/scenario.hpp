@@ -69,9 +69,6 @@ struct ScenarioParams {
   /// 128 MiB block costs ≈ 2.4 s per iteration as in Figure 2a.
   double sim_cell_rate = 7.0e6;
   double worker_heartbeat_interval = 1.0;
-  /// Worker-side bound on concurrent peer dependency fetches (1 = the
-  /// pre-overlap strictly sequential behavior; see WorkerParams).
-  int max_concurrent_fetches = 8;
   /// Refcount GC: release a key from worker memory once every consumer
   /// task has finished (bounded residency over long runs), including
   /// consumers ingested on other shards. Off by default — incompatible

@@ -187,7 +187,6 @@ struct World {
     if (!p.faults.empty() && rp.scheduler.heartbeat_timeout <= 0.0)
       rp.scheduler.heartbeat_timeout = 3.5 * p.worker_heartbeat_interval;
     rp.worker.heartbeat_interval = p.worker_heartbeat_interval;
-    rp.worker.max_concurrent_fetches = p.max_concurrent_fetches;
     rp.scheduler.release_consumed = p.release_consumed;
     rp.shards = p.shards;
     runtime = std::make_unique<dts::Runtime>(engine, cluster, scheduler_node,
@@ -662,7 +661,7 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
       // (including the replay loop the constructor spawns when recovery
       // is armed), its rank actor and its heartbeat loop, so that trio
       // never runs concurrently with itself. Strands are no-ops under
-      // sim, preserving the exact pre-seam event order.
+      // sim, so they change no event order there.
       std::vector<void*> rank_strands(static_cast<std::size_t>(params.ranks));
       for (auto& s : rank_strands) s = w.engine.new_strand();
       for (int r = 0; r < params.ranks; ++r) {

@@ -55,10 +55,6 @@ fs::path H5Mini::chunk_path(const array::Index& coord) const {
   return dir_ / ("chunk-" + std::to_string(grid_.linear_of(coord)) + ".bin");
 }
 
-bool H5Mini::has_chunk(const array::Index& coord) const {
-  return fs::exists(chunk_path(coord));
-}
-
 void H5Mini::write_chunk(const array::Index& coord,
                          const array::NDArray& data) {
   const array::Box box = grid_.box_of(coord);
@@ -87,15 +83,6 @@ array::NDArray H5Mini::read_chunk(const array::Index& coord) const {
   DEISA_CHECK(in.gcount() ==
                   static_cast<std::streamsize>(flat.size() * sizeof(double)),
               "short read from " << chunk_path(coord));
-  return out;
-}
-
-array::NDArray H5Mini::read_all() const {
-  array::NDArray out(grid_.shape());
-  for (std::int64_t i = 0; i < grid_.num_chunks(); ++i) {
-    const array::Index c = grid_.coord_of(i);
-    out.insert(grid_.box_of(c), read_chunk(c));
-  }
   return out;
 }
 

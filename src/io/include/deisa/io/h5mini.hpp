@@ -31,10 +31,6 @@ public:
   void write_chunk(const array::Index& coord, const array::NDArray& data);
   /// Read one chunk back.
   array::NDArray read_chunk(const array::Index& coord) const;
-  bool has_chunk(const array::Index& coord) const;
-
-  /// Read the full array (tests / small data).
-  array::NDArray read_all() const;
 
 private:
   H5Mini(std::filesystem::path dir, array::ChunkGrid grid)

@@ -58,9 +58,7 @@ private:
 
 /// Incremental PCA: constant-memory minibatch fitting. With the randomized
 /// solver each partial_fit sketches the (k + batch + 1) x features stack
-/// at rank k instead of taking its full SVD; explained-variance ratios
-/// divide by the tracked per-feature variance, so they need no more than
-/// the k singular values a sketch returns.
+/// at rank k instead of taking its full SVD.
 class IncrementalPca {
 public:
   explicit IncrementalPca(PcaOptions opts);
@@ -68,17 +66,12 @@ public:
   /// Update the model with one minibatch (rows = samples).
   void partial_fit(const linalg::Matrix& x);
 
-  std::size_t n_samples_seen() const { return n_samples_seen_; }
-  std::size_t n_features() const { return mean_.size(); }
   const linalg::Matrix& components() const { return components_; }
   const std::vector<double>& singular_values() const {
     return singular_values_;
   }
   const std::vector<double>& explained_variance() const {
     return explained_variance_;
-  }
-  const std::vector<double>& explained_variance_ratio() const {
-    return explained_variance_ratio_;
   }
   const std::vector<double>& mean() const { return mean_; }
   const std::vector<double>& variance() const { return var_; }
@@ -94,7 +87,6 @@ private:
   linalg::Matrix components_;
   std::vector<double> singular_values_;
   std::vector<double> explained_variance_;
-  std::vector<double> explained_variance_ratio_;
 };
 
 /// Deterministic component orientation (sklearn svd_flip with

@@ -181,15 +181,8 @@ void IncrementalPca::partial_fit(const la::Matrix& x) {
 
   const double denom = static_cast<double>(n_samples_seen_ - 1);
   explained_variance_.clear();
-  explained_variance_ratio_.clear();
-  double total_var = 0.0;
-  for (double v : var_) total_var += v * static_cast<double>(n_samples_seen_) /
-                                     std::max(1.0, denom);
-  for (std::size_t i = 0; i < k; ++i) {
-    const double ev = denom > 0 ? r.s[i] * r.s[i] / denom : 0.0;
-    explained_variance_.push_back(ev);
-    explained_variance_ratio_.push_back(total_var > 0 ? ev / total_var : 0.0);
-  }
+  for (std::size_t i = 0; i < k; ++i)
+    explained_variance_.push_back(denom > 0 ? r.s[i] * r.s[i] / denom : 0.0);
 }
 
 }  // namespace deisa::ml

@@ -62,8 +62,7 @@ exec::Co<Message> Comm::recv(int rank, int source, int tag) {
   // The pending-queue scan happens inside await_suspend, under the
   // mailbox lock and atomically with waiter registration, so a message
   // delivered from another strand can neither be missed nor double-
-  // matched. Returning false continues synchronously (no engine event),
-  // which is exactly the old scan-before-suspend fast path.
+  // matched. Returning false continues synchronously (no engine event).
   struct Awaiter {
     Comm& comm;
     int rank;

@@ -6,7 +6,6 @@
 // switch distance of the allocation, as on a real machine.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -32,7 +31,8 @@ inline constexpr int kAnyTag = -1;
 // constructor forces the correct copy/move path. Do not remove it.
 struct Message {
   Message() = default;
-  Message(int source_, int tag_, std::uint64_t bytes_, std::any payload_ = {})
+  Message(int source_, int tag_, std::uint64_t bytes_,
+          std::vector<double> payload_ = {})
       : source(source_),
         tag(tag_),
         bytes(bytes_),
@@ -40,16 +40,10 @@ struct Message {
 
   int source = 0;
   int tag = 0;
+  /// Modeled size on the wire; set by the sender, whatever the payload.
   std::uint64_t bytes = 0;
-  std::any payload;  // empty in synthetic (size-only) mode
-
-  template <typename T>
-  const T& as() const {
-    const T* p = std::any_cast<T>(&payload);
-    DEISA_CHECK(p != nullptr, "message payload type mismatch (tag=" << tag
-                                                                    << ")");
-    return *p;
-  }
+  /// Halo values; empty for barrier signals.
+  std::vector<double> payload;
 };
 
 /// Communicator over a set of ranks placed on cluster nodes.
@@ -66,16 +60,6 @@ public:
   /// Blocking (rendezvous-free, eager) send: completes when the payload
   /// has fully landed in the destination mailbox.
   exec::Co<void> send(int from, int to, int tag, Message msg);
-
-  template <typename T>
-  exec::Co<void> send_value(int from, int to, int tag, T value,
-                           std::uint64_t bytes = 0) {
-    Message m;
-    m.tag = tag;
-    m.bytes = bytes != 0 ? bytes : sizeof(T);
-    m.payload = std::move(value);
-    return send(from, to, tag, std::move(m));
-  }
 
   /// Blocking receive matching (source, tag); wildcards allowed.
   exec::Co<Message> recv(int rank, int source = kAnySource, int tag = kAnyTag);

@@ -22,13 +22,13 @@ Cluster::Cluster(sim::Engine& engine, ClusterParams params)
   ingress_.reserve(static_cast<std::size_t>(n));
   node_memory_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    egress_.push_back(std::make_unique<sim::Semaphore>(engine, 1));
-    ingress_.push_back(std::make_unique<sim::Semaphore>(engine, 1));
-    node_memory_.push_back(std::make_unique<sim::Semaphore>(engine, 2));
+    egress_.push_back(std::make_unique<exec::Semaphore>(engine, 1));
+    ingress_.push_back(std::make_unique<exec::Semaphore>(engine, 1));
+    node_memory_.push_back(std::make_unique<exec::Semaphore>(engine, 2));
   }
   uplinks_.reserve(static_cast<std::size_t>(leaves));
   for (int i = 0; i < leaves; ++i)
-    uplinks_.push_back(std::make_unique<sim::Semaphore>(
+    uplinks_.push_back(std::make_unique<exec::Semaphore>(
         engine, static_cast<std::size_t>(params_.uplinks_per_leaf)));
 }
 
@@ -61,12 +61,7 @@ double Cluster::effective_bandwidth(int src, int dst) const {
   return bw;
 }
 
-double Cluster::ideal_duration(int src, int dst, std::uint64_t bytes) const {
-  return base_latency(src, dst) +
-         static_cast<double>(bytes) / effective_bandwidth(src, dst);
-}
-
-sim::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes) {
+exec::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes) {
   DEISA_CHECK(dst >= 0 && dst < params_.physical_nodes,
               "dst node " << dst << " out of range");
   ++stats_.count;
@@ -118,7 +113,7 @@ sim::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes) {
   auto& in = *ingress_[static_cast<std::size_t>(dst)];
   // Acquisition order (egress → uplink → ingress) is a DAG: no deadlock.
   co_await eg.acquire();
-  sim::Semaphore* up = nullptr;
+  exec::Semaphore* up = nullptr;
   if (src_leaf != dst_leaf) {
     up = uplinks_[static_cast<std::size_t>(src_leaf)].get();
     co_await up->acquire();
@@ -133,9 +128,9 @@ sim::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes) {
   eg.release();
 }
 
-sim::Co<SendResult> Cluster::send_control(int src, int dst,
-                                          std::uint64_t bytes,
-                                          Delivery delivery) {
+exec::Co<SendResult> Cluster::send_control(int src, int dst,
+                                           std::uint64_t bytes,
+                                           Delivery delivery) {
   ++stats_.count;
   stats_.bytes += bytes;
   if (auto* m = obs::metrics()) {

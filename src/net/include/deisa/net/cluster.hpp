@@ -19,9 +19,9 @@
 #include <memory>
 #include <vector>
 
+#include "deisa/exec/primitives.hpp"
 #include "deisa/exec/transport.hpp"
 #include "deisa/sim/engine.hpp"
-#include "deisa/sim/primitives.hpp"
 #include "deisa/util/rng.hpp"
 
 namespace deisa::net {
@@ -79,13 +79,13 @@ public:
   /// the last byte lands. Holds NIC (and uplink, when crossing the spine)
   /// slots for the whole flow so that concurrent flows queue. The fault
   /// hook may stretch the flow (kBulk extra_delay) but never lose it.
-  sim::Co<void> transfer(int src, int dst, std::uint64_t bytes) override;
+  exec::Co<void> transfer(int src, int dst, std::uint64_t bytes) override;
 
   /// Pure latency-only message (control traffic small enough that
   /// bandwidth does not matter). Never queues. The returned SendResult
   /// tells fault-aware senders whether to enqueue the message 0, 1 or 2
   /// times; callers sending kReliable traffic may ignore it.
-  sim::Co<SendResult> send_control(
+  exec::Co<SendResult> send_control(
       int src, int dst, std::uint64_t bytes = 256,
       Delivery delivery = Delivery::kReliable) override;
 
@@ -99,7 +99,6 @@ public:
   }
 
   /// Ideal (contention-free) duration of a transfer; used by tests.
-  double ideal_duration(int src, int dst, std::uint64_t bytes) const;
   /// Bulk-transfer bandwidth between two nodes (software cap applied).
   double effective_bandwidth(int src, int dst) const;
 
@@ -112,11 +111,11 @@ private:
   sim::Engine* engine_;
   ClusterParams params_;
   // Full-duplex NIC: separate injection/ejection slots per node.
-  std::vector<std::unique_ptr<sim::Semaphore>> egress_;
-  std::vector<std::unique_ptr<sim::Semaphore>> ingress_;
-  std::vector<std::unique_ptr<sim::Semaphore>> node_memory_;
+  std::vector<std::unique_ptr<exec::Semaphore>> egress_;
+  std::vector<std::unique_ptr<exec::Semaphore>> ingress_;
+  std::vector<std::unique_ptr<exec::Semaphore>> node_memory_;
   // One uplink pool per leaf switch (for flows leaving that leaf).
-  std::vector<std::unique_ptr<sim::Semaphore>> uplinks_;
+  std::vector<std::unique_ptr<exec::Semaphore>> uplinks_;
   util::Rng rng_;
   TransferStats stats_;
   FaultHook fault_hook_;

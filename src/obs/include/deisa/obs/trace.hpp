@@ -7,8 +7,9 @@
 // chrome://tracing) or flat CSV (export.hpp).
 //
 // Zero cost when disabled: instrumentation sites go through the
-// trace_span()/trace_instant()/trace_counter() helpers, which reduce to a
-// single null-pointer check when no recorder is installed.
+// trace_span()/trace_instant() helpers, or an explicit tracer() check,
+// which reduce to a single null-pointer check when no recorder is
+// installed.
 //
 // Thread-safe: one mutex serializes ring and track-table mutation, so
 // actors on the threaded executor can record concurrently (events
@@ -186,10 +187,6 @@ public:
     std::lock_guard lk(mu_);
     return dropped_;
   }
-  std::uint64_t total_recorded() const {
-    std::lock_guard lk(mu_);
-    return total_;
-  }
   void clear();
 
   /// Visit retained events oldest-first. Holds the recorder lock for the
@@ -214,7 +211,6 @@ private:
   std::size_t capacity_;
   std::vector<TraceEvent> ring_;
   std::size_t next_ = 0;  // oldest slot once the ring has wrapped
-  std::uint64_t total_ = 0;
   std::uint64_t dropped_ = 0;
   std::atomic<CauseId> cause_seq_{0};
   std::map<std::pair<std::string, std::string>, TrackId> track_ids_;
@@ -238,12 +234,6 @@ inline void trace_instant(std::string_view actor, std::string_view lane,
                           std::string name, std::vector<TraceArg> args = {}) {
   if (Recorder* r = Recorder::current())
     r->instant(r->track(actor, lane), std::move(name), std::move(args));
-}
-
-inline void trace_counter(std::string_view actor, std::string_view lane,
-                          std::string name, double value) {
-  if (Recorder* r = Recorder::current())
-    r->counter(r->track(actor, lane), std::move(name), value);
 }
 
 /// Record a causal edge src -> dst on (actor, lane); inert when tracing

@@ -153,7 +153,6 @@ void Recorder::push(TraceEvent ev) {
   {
     std::lock_guard lk(mu_);
     DEISA_ASSERT(ev.track < tracks_.size(), "trace event on unknown track");
-    ++total_;
     if (ring_.size() < capacity_) {
       ring_.push_back(std::move(ev));
       return;
@@ -171,7 +170,6 @@ void Recorder::clear() {
   std::lock_guard lk(mu_);
   ring_.clear();
   next_ = 0;
-  total_ = 0;
   dropped_ = 0;
 }
 

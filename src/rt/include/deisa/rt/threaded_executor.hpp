@@ -77,7 +77,6 @@ public:
   void* new_strand() override;
   void* current_strand() const override;
   void* exchange_current_strand(void* strand) override;
-  bool concurrent() const override { return true; }
 
   void run() override;
   bool run_until(exec::Time t_end) override;

@@ -11,32 +11,22 @@ Engine::~Engine() {
   destroy_roots();
 }
 
-void Engine::schedule(std::coroutine_handle<> h, Time t) {
+void Engine::post(exec::ResumeToken token, exec::Time t) {
   DEISA_ASSERT(t >= now_, "scheduling into the past: t=" << t
                                                          << " now=" << now_);
-  queue_.push(Scheduled{t, next_seq_++, h, nullptr});
+  queue_.push(Scheduled{t, next_seq_++, token.handle});
 }
 
-void Engine::schedule_callback(std::function<void()> fn, Time t) {
-  DEISA_ASSERT(t >= now_, "scheduling into the past: t=" << t
-                                                         << " now=" << now_);
-  queue_.push(Scheduled{t, next_seq_++, {}, std::move(fn)});
-}
-
-void Engine::dispatch(Scheduled& ev) {
+void Engine::dispatch(const Scheduled& ev) {
   now_ = ev.time;
   ++events_processed_;
-  if (ev.handle) {
-    ev.handle.resume();
-  } else if (ev.callback) {
-    ev.callback();
-  }
+  ev.handle.resume();
 }
 
 void Engine::run() {
   stopped_ = false;
   while (!queue_.empty() && !stopped_) {
-    Scheduled ev = queue_.top();
+    const Scheduled ev = queue_.top();
     queue_.pop();
     dispatch(ev);
     if (first_error_) {
@@ -46,14 +36,14 @@ void Engine::run() {
   }
 }
 
-bool Engine::run_until(Time t_end) {
+bool Engine::run_until(exec::Time t_end) {
   stopped_ = false;
   while (!queue_.empty() && !stopped_) {
     if (queue_.top().time > t_end) {
       now_ = t_end;
       return false;
     }
-    Scheduled ev = queue_.top();
+    const Scheduled ev = queue_.top();
     queue_.pop();
     dispatch(ev);
     if (first_error_) {

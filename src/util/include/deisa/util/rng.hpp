@@ -33,8 +33,6 @@ public:
   /// Standard normal via Box-Muller (cached pair).
   double normal();
   double normal(double mean, double stddev);
-  /// Exponential with the given mean (> 0).
-  double exponential(double mean);
   /// Lognormal parameterized by the *linear-space* mean and the sigma of
   /// the underlying normal — convenient for service-time jitter.
   double lognormal_mean(double mean, double sigma);

@@ -69,13 +69,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-double Rng::exponential(double mean) {
-  DEISA_CHECK(mean > 0.0, "exponential mean must be positive");
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return -mean * std::log(u);
-}
-
 double Rng::lognormal_mean(double mean, double sigma) {
   DEISA_CHECK(mean > 0.0, "lognormal mean must be positive");
   // E[exp(N(mu, sigma^2))] = exp(mu + sigma^2/2) == mean.

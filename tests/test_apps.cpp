@@ -13,6 +13,7 @@
 
 namespace apps = deisa::apps;
 namespace arr = deisa::array;
+namespace exec = deisa::exec;
 namespace mpix = deisa::mpix;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
@@ -34,7 +35,7 @@ struct World {
   }
 };
 
-sim::Co<void> run_steps(apps::Heat2d& solver, mpix::Comm& comm, int steps) {
+exec::Co<void> run_steps(apps::Heat2d& solver, mpix::Comm& comm, int steps) {
   for (int s = 0; s < steps; ++s) co_await solver.step(comm);
 }
 

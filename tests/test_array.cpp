@@ -11,6 +11,7 @@
 
 namespace arr = deisa::array;
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
 
@@ -321,7 +322,7 @@ dts::Data chunk_data(const arr::NDArray& a) {
   return dts::Data::make<arr::NDArray>(a, b);
 }
 
-sim::Co<void> external_array_flow(TestCluster& tc, arr::NDArray& out) {
+exec::Co<void> external_array_flow(TestCluster& tc, arr::NDArray& out) {
   // 4x4 array chunked 2x2: 4 chunks, external.
   arr::DArray da = co_await arr::DArray::from_external(
       *tc.client, "temp", ix(4, 4), ix(2, 2));
@@ -353,7 +354,7 @@ TEST(DArray, ExternalChunksAssembleToGlobalArray) {
       EXPECT_DOUBLE_EQ(out.at(idx({i, j})), static_cast<double>(10 * i + j));
 }
 
-sim::Co<void> partial_gather_flow(TestCluster& tc, arr::NDArray& out) {
+exec::Co<void> partial_gather_flow(TestCluster& tc, arr::NDArray& out) {
   arr::DArray da = co_await arr::DArray::from_external(
       *tc.client, "h", ix(4, 4), ix(2, 2));
   for (std::int64_t i = 0; i < 4; ++i) {

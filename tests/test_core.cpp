@@ -16,6 +16,7 @@ namespace arr = deisa::array;
 namespace cfg = deisa::config;
 namespace core = deisa::core;
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
 using deisa::util::ContractError;
@@ -82,14 +83,13 @@ TEST(Contract, IncludesChecksOverlap) {
   const auto va = temp_array();
   core::Contract c;
   c.selections["G_temp"] = arr::Box(ix(0, 0, 0), ix(4, 8, 8));  // half Y
-  EXPECT_TRUE(c.includes(va, ix(0, 0, 0)));
-  EXPECT_TRUE(c.includes(va, ix(3, 1, 1)));
-  EXPECT_FALSE(c.includes(va, ix(0, 0, 2)));
-  EXPECT_FALSE(c.includes(va, ix(0, 0, 3)));
+  const arr::ChunkGrid grid = va.grid();
+  EXPECT_TRUE(c.includes(va.name, grid, ix(0, 0, 0)));
+  EXPECT_TRUE(c.includes(va.name, grid, ix(3, 1, 1)));
+  EXPECT_FALSE(c.includes(va.name, grid, ix(0, 0, 2)));
+  EXPECT_FALSE(c.includes(va.name, grid, ix(0, 0, 3)));
   // Unknown array name: nothing matches.
-  EXPECT_FALSE(c.includes(core::VirtualArray("other", ix(4, 8, 16),
-                                             ix(1, 4, 4)),
-                          ix(0, 0, 0)));
+  EXPECT_FALSE(c.includes("other", grid, ix(0, 0, 0)));
 }
 
 TEST(Contract, ValidateAgainstOfferings) {
@@ -140,9 +140,9 @@ struct World {
   }
 };
 
-sim::Co<void> protocol_bridge(core::Bridge& bridge, int rank, int steps,
-                              double& contract_at, int& remaining,
-                              sim::Event& all_done) {
+exec::Co<void> protocol_bridge(core::Bridge& bridge, int rank, int steps,
+                               double& contract_at, int& remaining,
+                               exec::Event& all_done) {
   const auto va = temp_array(steps);
   if (rank == 0) {
     std::vector<core::VirtualArray> arrays;
@@ -160,9 +160,9 @@ sim::Co<void> protocol_bridge(core::Bridge& bridge, int rank, int steps,
   if (--remaining == 0) all_done.set();
 }
 
-sim::Co<void> protocol_adaptor(World& w, core::Adaptor& adaptor,
-                               std::uint64_t& selected_chunks,
-                               sim::Event& bridges_done) {
+exec::Co<void> protocol_adaptor(World& w, core::Adaptor& adaptor,
+                                std::uint64_t& selected_chunks,
+                                exec::Event& bridges_done) {
   const auto arrays = co_await adaptor.get_deisa_arrays();
   EXPECT_EQ(arrays.size(), 1u);
   adaptor.select(arrays[0].name,
@@ -190,7 +190,7 @@ TEST(Protocol, Deisa3ContractRoundTrip) {
         w.rt->make_client(4 + r / 2), core::Mode::kDeisa3, r, 8));
   core::Adaptor adaptor(w.rt->make_client(1), core::Mode::kDeisa3);
   std::uint64_t selected_chunks = 0;
-  sim::Event bridges_done(w.eng);
+  exec::Event bridges_done(w.eng);
   int remaining = 8;
   w.eng.spawn(protocol_adaptor(w, adaptor, selected_chunks, bridges_done));
   for (int r = 0; r < 8; ++r)
@@ -211,8 +211,8 @@ TEST(Protocol, Deisa3ContractRoundTrip) {
   for (int r = 0; r < 8; ++r) EXPECT_GE(contract_at[r], 0.0) << r;
 }
 
-sim::Co<void> bad_selection_adaptor(World& w, core::Adaptor& adaptor,
-                                    std::string& error) {
+exec::Co<void> bad_selection_adaptor(World& w, core::Adaptor& adaptor,
+                                     std::string& error) {
   (void)co_await adaptor.get_deisa_arrays();
   adaptor.select("G_temp",
                  arr::Selection(arr::Box(ix(0, 0, 0), ix(4, 8, 999))));
@@ -224,7 +224,7 @@ sim::Co<void> bad_selection_adaptor(World& w, core::Adaptor& adaptor,
   co_await w.rt->shutdown();
 }
 
-sim::Co<void> publish_only(core::Bridge& bridge) {
+exec::Co<void> publish_only(core::Bridge& bridge) {
   std::vector<core::VirtualArray> arrays;
   arrays.push_back(temp_array());
   co_await bridge.publish_arrays(std::move(arrays));
@@ -247,8 +247,8 @@ TEST(Bridge, SendBeforeContractThrows) {
   EXPECT_THROW((void)bridge.contract(), deisa::util::Error);
 }
 
-sim::Co<void> coalesced_bridge(core::Bridge& bridge, std::size_t& sent,
-                               sim::Event& pushes_done) {
+exec::Co<void> coalesced_bridge(core::Bridge& bridge, std::size_t& sent,
+                                exec::Event& pushes_done) {
   const auto va = temp_array(2);
   std::vector<core::VirtualArray> arrays;
   arrays.push_back(va);
@@ -266,8 +266,8 @@ sim::Co<void> coalesced_bridge(core::Bridge& bridge, std::size_t& sent,
   pushes_done.set();
 }
 
-sim::Co<void> coalesced_adaptor(World& w, core::Adaptor& adaptor,
-                                sim::Event& pushes_done) {
+exec::Co<void> coalesced_adaptor(World& w, core::Adaptor& adaptor,
+                                 exec::Event& pushes_done) {
   (void)co_await adaptor.get_deisa_arrays();
   // Half the Y extent: per step, 4 of the 8 blocks are in-contract.
   adaptor.select("G_temp", arr::Selection(arr::Box(ix(0, 0, 0), ix(2, 8, 8))));
@@ -283,7 +283,7 @@ TEST(Bridge, SendBlocksFiltersGroupsAndRegistersOnce) {
   core::Bridge bridge(w.rt->make_client(4), core::Mode::kDeisa3, 0, 1);
   core::Adaptor adaptor(w.rt->make_client(1), core::Mode::kDeisa3);
   std::size_t sent = 0;
-  sim::Event pushes_done(w.eng);
+  exec::Event pushes_done(w.eng);
   w.eng.spawn(coalesced_adaptor(w, adaptor, pushes_done));
   w.eng.spawn(coalesced_bridge(bridge, sent, pushes_done));
   w.eng.run();
@@ -314,8 +314,8 @@ TEST(Bridge, SendBlocksFiltersGroupsAndRegistersOnce) {
   }
 }
 
-sim::Co<void> whole_grid_bridge(core::Bridge& bridge, std::int64_t steps,
-                                sim::Event& pushes_done) {
+exec::Co<void> whole_grid_bridge(core::Bridge& bridge, std::int64_t steps,
+                                 exec::Event& pushes_done) {
   const auto va = temp_array(steps);
   std::vector<core::VirtualArray> arrays;
   arrays.push_back(va);
@@ -331,8 +331,9 @@ sim::Co<void> whole_grid_bridge(core::Bridge& bridge, std::int64_t steps,
   pushes_done.set();
 }
 
-sim::Co<void> whole_grid_adaptor(World& w, core::Adaptor& adaptor,
-                                 std::int64_t steps, sim::Event& pushes_done) {
+exec::Co<void> whole_grid_adaptor(World& w, core::Adaptor& adaptor,
+                                  std::int64_t steps,
+                                  exec::Event& pushes_done) {
   (void)co_await adaptor.get_deisa_arrays();
   adaptor.select("G_temp",
                  arr::Selection(arr::Box(ix(0, 0, 0), ix(steps, 8, 16))));
@@ -348,7 +349,7 @@ std::size_t retained_after_pushes(double heartbeat_timeout,
   World w(heartbeat_timeout);
   core::Bridge bridge(w.rt->make_client(4), core::Mode::kDeisa3, 0, 1);
   core::Adaptor adaptor(w.rt->make_client(1), core::Mode::kDeisa3);
-  sim::Event pushes_done(w.eng);
+  exec::Event pushes_done(w.eng);
   w.eng.spawn(whole_grid_adaptor(w, adaptor, steps, pushes_done));
   w.eng.spawn(whole_grid_bridge(bridge, steps, pushes_done));
   w.eng.run();
@@ -378,11 +379,11 @@ std::vector<std::string> all_keys(std::int64_t steps) {
   return out;
 }
 
-sim::Co<void> crash_after_final_push_adaptor(World& w, core::Adaptor& adaptor,
-                                             std::int64_t steps,
-                                             sim::Event& pushes_done,
-                                             std::size_t& lost,
-                                             std::vector<int>& owners) {
+exec::Co<void> crash_after_final_push_adaptor(World& w, core::Adaptor& adaptor,
+                                              std::int64_t steps,
+                                              exec::Event& pushes_done,
+                                              std::size_t& lost,
+                                              std::vector<int>& owners) {
   (void)co_await adaptor.get_deisa_arrays();
   adaptor.select("G_temp",
                  arr::Selection(arr::Box(ix(0, 0, 0), ix(steps, 8, 16))));
@@ -405,7 +406,7 @@ TEST(Bridge, ReplaysBlocksLostAfterItsFinalPush) {
   World w(/*heartbeat_timeout=*/3.0);
   core::Bridge bridge(w.rt->make_client(4), core::Mode::kDeisa3, 0, 1);
   core::Adaptor adaptor(w.rt->make_client(1), core::Mode::kDeisa3);
-  sim::Event pushes_done(w.eng);
+  exec::Event pushes_done(w.eng);
   std::size_t lost = 0;
   std::vector<int> owners;
   w.eng.spawn(crash_after_final_push_adaptor(w, adaptor, kSteps, pushes_done,

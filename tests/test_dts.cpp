@@ -13,6 +13,7 @@
 #include "deisa/obs/observation.hpp"
 
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
 
@@ -40,7 +41,7 @@ struct TestCluster {
   }
 
   /// Run a client workload to completion, then shut the cluster down.
-  void run(sim::Co<void> workload) {
+  void run(exec::Co<void> workload) {
     eng.spawn(std::move(workload));
     eng.run();
   }
@@ -71,7 +72,7 @@ dts::TaskSpec add_task(dts::Key key, std::vector<dts::Key> deps) {
       });
 }
 
-sim::Co<void> simple_chain(TestCluster& tc, int& result) {
+exec::Co<void> simple_chain(TestCluster& tc, int& result) {
   std::vector<dts::TaskSpec> tasks;
   tasks.push_back(dts::TaskSpec("one", no_keys(), [](const auto&) {
     return int_data(1);
@@ -95,7 +96,7 @@ TEST(Dts, ExecutesDependencyGraph) {
   EXPECT_EQ(tc.rt->scheduler().state_of("double"), dts::TaskState::kMemory);
 }
 
-sim::Co<void> scatter_then_compute(TestCluster& tc, int& result) {
+exec::Co<void> scatter_then_compute(TestCluster& tc, int& result) {
   co_await tc.client->scatter("input", int_data(20), /*worker=*/0);
   std::vector<dts::TaskSpec> tasks;
   tasks.push_back(add_task("out", keys("input", "input")));
@@ -111,7 +112,7 @@ TEST(Dts, ScatterThenDependentGraph) {
   EXPECT_EQ(result, 40);
 }
 
-sim::Co<void> graph_on_unknown_key(TestCluster& tc, bool& threw) {
+exec::Co<void> graph_on_unknown_key(TestCluster& tc, bool& threw) {
   std::vector<dts::TaskSpec> tasks;
   tasks.push_back(add_task("out", keys("never-scattered")));
   co_await tc.client->submit(std::move(tasks), keys("out"));
@@ -132,9 +133,9 @@ TEST(Dts, GraphOnUnknownKeyFailsWithoutExternalTasks) {
   EXPECT_THROW(tc.eng.run(), deisa::util::Error);
 }
 
-sim::Co<void> external_ahead_of_time(TestCluster& tc, int& result,
-                                     double& graph_submitted_at,
-                                     double& data_arrived_at) {
+exec::Co<void> external_ahead_of_time(TestCluster& tc, int& result,
+                                      double& graph_submitted_at,
+                                      double& data_arrived_at) {
   // 1) Create external tasks for data that DOES NOT EXIST yet.
   co_await tc.client->external_futures(keys("ext-0", "ext-1"), ints(0, 1));
   // 2) Submit the analytics graph ahead of the data.
@@ -161,7 +162,7 @@ TEST(Dts, ExternalTasksAllowGraphSubmissionBeforeData) {
   EXPECT_GE(arrived, 5.0);
 }
 
-sim::Co<void> one_external_task(TestCluster& tc) {
+exec::Co<void> one_external_task(TestCluster& tc) {
   co_await tc.client->external_futures(keys("ext"), ints(0));
   co_await tc.eng.delay(1.0);
   co_await tc.client->scatter("ext", int_data(7), 0, /*external=*/true);
@@ -221,9 +222,9 @@ TEST(Dts, OneExternalTaskEmitsExactlyItsLifecycleEvents) {
   EXPECT_EQ(lifecycle_transitions, 1);
 }
 
-sim::Co<void> external_state_probe(TestCluster& tc,
-                                   dts::TaskState& before,
-                                   dts::TaskState& after) {
+exec::Co<void> external_state_probe(TestCluster& tc,
+                                    dts::TaskState& before,
+                                    dts::TaskState& after) {
   co_await tc.client->external_futures(keys("ext"), ints(0));
   co_await tc.eng.delay(0.1);
   before = tc.rt->scheduler().state_of("ext");
@@ -241,7 +242,7 @@ TEST(Dts, ExternalTransitionsToMemoryOnPush) {
   EXPECT_EQ(after, dts::TaskState::kMemory);
 }
 
-sim::Co<void> plain_scatter_cannot_complete_external(TestCluster& tc) {
+exec::Co<void> plain_scatter_cannot_complete_external(TestCluster& tc) {
   co_await tc.client->external_futures(keys("ext"), ints(0));
   co_await tc.client->scatter("ext", int_data(1), 0, /*external=*/false);
   co_await tc.rt->shutdown();
@@ -253,7 +254,7 @@ TEST(Dts, PlainScatterOntoExternalKeyRejected) {
   EXPECT_THROW(tc.eng.run(), deisa::util::Error);
 }
 
-sim::Co<void> external_preferred_worker(TestCluster& tc, int& holder) {
+exec::Co<void> external_preferred_worker(TestCluster& tc, int& holder) {
   co_await tc.client->external_futures(keys("blk"), ints(1));
   std::vector<dts::TaskSpec> tasks;
   tasks.push_back(add_task("use", keys("blk")));
@@ -272,7 +273,7 @@ TEST(Dts, DependentScheduledWithDataLocality) {
   EXPECT_EQ(holder, 1);
 }
 
-sim::Co<void> erring_task(TestCluster& tc, std::string& error_text) {
+exec::Co<void> erring_task(TestCluster& tc, std::string& error_text) {
   std::vector<dts::TaskSpec> tasks;
   tasks.push_back(dts::TaskSpec("bad", no_keys(), [](const auto&) -> dts::Data {
     throw std::runtime_error("kaboom");
@@ -297,7 +298,7 @@ TEST(Dts, TaskErrorsPropagateToDependents) {
             dts::TaskState::kErred);
 }
 
-sim::Co<void> variables_flow(TestCluster& tc, int& got) {
+exec::Co<void> variables_flow(TestCluster& tc, int& got) {
   // Reader blocks until the writer sets the variable.
   co_await tc.eng.delay(1.0);
   co_await tc.client->variable_set("contract", int_data(123));
@@ -305,7 +306,7 @@ sim::Co<void> variables_flow(TestCluster& tc, int& got) {
   (void)got;
 }
 
-sim::Co<void> variable_reader(TestCluster& tc, int& got, double& at) {
+exec::Co<void> variable_reader(TestCluster& tc, int& got, double& at) {
   const dts::Data d = co_await tc.client->variable_get("contract");
   got = d.as<int>();
   at = tc.eng.now();
@@ -322,14 +323,14 @@ TEST(Dts, VariableGetBlocksUntilSet) {
   EXPECT_GE(at, 1.0);
 }
 
-sim::Co<void> queue_writer(TestCluster& tc) {
+exec::Co<void> queue_writer(TestCluster& tc) {
   for (int i = 0; i < 3; ++i) {
     co_await tc.eng.delay(0.5);
     co_await tc.client->queue_put("q", int_data(i));
   }
 }
 
-sim::Co<void> queue_reader(TestCluster& tc, std::vector<int>& got) {
+exec::Co<void> queue_reader(TestCluster& tc, std::vector<int>& got) {
   for (int i = 0; i < 3; ++i) {
     const dts::Data d = co_await tc.client->queue_get("q");
     got.push_back(d.as<int>());
@@ -346,7 +347,7 @@ TEST(Dts, QueuesDeliverInOrder) {
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2}));
 }
 
-sim::Co<void> heartbeat_workload(TestCluster& tc, sim::Event& stop) {
+exec::Co<void> heartbeat_workload(TestCluster& tc, exec::Event& stop) {
   co_await tc.eng.delay(10.0);
   stop.set();
   co_await tc.rt->shutdown();
@@ -356,7 +357,7 @@ TEST(Dts, BridgeHeartbeatsCounted) {
   dts::RuntimeParams params;
   params.worker.heartbeat_interval = 0.0;  // isolate bridge heartbeats
   TestCluster tc(1, params);
-  sim::Event stop(tc.eng);
+  exec::Event stop(tc.eng);
   tc.eng.spawn(tc.client->run_heartbeats(1.0, stop));
   tc.eng.spawn(heartbeat_workload(tc, stop));
   tc.eng.run();
@@ -370,7 +371,7 @@ TEST(Dts, InfiniteHeartbeatIntervalSendsNothing) {
   dts::RuntimeParams params;
   params.worker.heartbeat_interval = 0.0;
   TestCluster tc(1, params);
-  sim::Event stop(tc.eng);
+  exec::Event stop(tc.eng);
   tc.eng.spawn(tc.client->run_heartbeats(0.0, stop));  // DEISA3: infinity
   tc.eng.spawn(heartbeat_workload(tc, stop));
   tc.eng.run();
@@ -379,7 +380,7 @@ TEST(Dts, InfiniteHeartbeatIntervalSendsNothing) {
             0u);
 }
 
-sim::Co<void> synthetic_graph(TestCluster& tc, double& finished_at) {
+exec::Co<void> synthetic_graph(TestCluster& tc, double& finished_at) {
   // Synthetic tasks: no fn, explicit cost and output size.
   std::vector<dts::TaskSpec> tasks;
   tasks.push_back(dts::TaskSpec("a", no_keys(), nullptr, /*cost=*/2.0,
@@ -401,7 +402,7 @@ TEST(Dts, SyntheticModeChargesSimulatedCost) {
   EXPECT_LT(finished_at, 3.2);
 }
 
-sim::Co<void> many_tasks(TestCluster& tc, int n, int& done) {
+exec::Co<void> many_tasks(TestCluster& tc, int n, int& done) {
   std::vector<dts::TaskSpec> tasks;
   std::vector<dts::Key> wants;
   for (int i = 0; i < n; ++i) {
@@ -440,7 +441,7 @@ TEST(Dts, SchedulerCountsMessageKinds) {
   EXPECT_GT(s.total_service_time(), 0.0);
 }
 
-sim::Co<void> shared_dep_flow(TestCluster& tc) {
+exec::Co<void> shared_dep_flow(TestCluster& tc) {
   // A sizeable payload so the peer transfer spans simulated time and the
   // second task's fetch provably starts while the first is on the wire.
   co_await tc.client->scatter("shared", dts::Data::sized(1u << 20),
@@ -471,7 +472,7 @@ TEST(Dts, ConcurrentTasksSharingRemoteDepFetchOnce) {
   EXPECT_EQ(tc.rt->worker(0).peer_fetches(), 0u);
 }
 
-sim::Co<void> cached_dep_flow(TestCluster& tc) {
+exec::Co<void> cached_dep_flow(TestCluster& tc) {
   co_await tc.client->scatter("shared", dts::Data::sized(1u << 20),
                               /*worker=*/0);
   std::vector<dts::TaskSpec> first;
@@ -498,7 +499,7 @@ TEST(Dts, FetchedDepCachedForLaterTasks) {
   EXPECT_EQ(w1.peer_fetch_cache_hits(), 1u);
 }
 
-sim::Co<void> scatter_batch_flow(TestCluster& tc, std::vector<int>& acks) {
+exec::Co<void> scatter_batch_flow(TestCluster& tc, std::vector<int>& acks) {
   co_await tc.client->external_futures(keys("e1", "e2", "e3"),
                                        ints(0, 0, 0));
   // e2 is already in memory when the batch pushes it again: its slot of
@@ -515,6 +516,171 @@ sim::Co<void> scatter_batch_flow(TestCluster& tc, std::vector<int>& acks) {
   co_await tc.rt->shutdown();
 }
 
+// ---- the worker's fetch bound ----
+//
+// One real Worker (id 0) on the simulator. Its peers and the scheduler
+// are bare inboxes the test reads, so every request it sends is visible.
+
+struct LoneWorker {
+  using SchedInbox = exec::Channel<dts::SchedMsg>;
+  using WorkerInbox = exec::Channel<dts::WorkerMsg>;
+  static constexpr int kPeers = 2;
+
+  sim::Engine eng;
+  std::unique_ptr<net::Cluster> cluster;
+  SchedInbox sched{eng};
+  std::vector<std::unique_ptr<WorkerInbox>> peers;  // workers 1..kPeers
+  std::unique_ptr<dts::Worker> worker;
+  dts::TaskSpec spec{"sum", {}, dts::TaskFn{}};
+
+  LoneWorker() {
+    net::ClusterParams p;
+    p.physical_nodes = kPeers + 2;
+    p.jitter_sigma = 0.0;
+    cluster = std::make_unique<net::Cluster>(eng, p);
+    dts::WorkerParams wp;
+    wp.heartbeat_interval = 0.0;
+    worker = std::make_unique<dts::Worker>(eng, *cluster, 0, 1, wp);
+    std::vector<dts::WorkerRef> refs;
+    refs.emplace_back(0, 1, &worker->inbox());
+    for (int w = 1; w <= kPeers; ++w) {
+      peers.push_back(std::make_unique<WorkerInbox>(eng));
+      refs.emplace_back(w, 1 + w, peers.back().get());
+    }
+    worker->attach(0, std::vector<SchedInbox*>(1, &sched), refs);
+    eng.spawn(worker->run());
+  }
+  ~LoneWorker() {
+    worker->inbox().send(dts::WorkerMsg(dts::WorkerMsgKind::kShutdown));
+    eng.run();
+  }
+
+  void deliver(dts::WorkerMsg m) {
+    worker->inbox().send(std::move(m));
+    eng.run();
+  }
+  /// Assign task `key` over `deps`.
+  void compute(const std::string& key, std::vector<dts::DepLocation> deps) {
+    dts::WorkerMsg m(dts::WorkerMsgKind::kCompute);
+    m.spec = &spec;
+    m.key = key;
+    m.deps = std::move(deps);
+    deliver(std::move(m));
+  }
+  /// Assign task "sum" over `deps` remote keys d0, d1, ..., owned in turn
+  /// by peers 1, 2, 1, ...
+  void compute(int deps) {
+    std::vector<dts::DepLocation> locs;
+    for (int i = 0; i < deps; ++i)
+      locs.emplace_back("d" + std::to_string(i), 1 + i % kPeers, 8);
+    compute("sum", std::move(locs));
+  }
+  void peer_lost(int w) {
+    dts::WorkerMsg lost(dts::WorkerMsgKind::kPeerLost);
+    lost.peer = w;
+    deliver(std::move(lost));
+  }
+  /// The requests worker 0 sent peer `w` since the last call.
+  std::vector<dts::WorkerMsg> requests(int w) {
+    std::vector<dts::WorkerMsg> out;
+    while (auto m = peers[static_cast<std::size_t>(w - 1)]->try_recv())
+      out.push_back(std::move(*m));
+    return out;
+  }
+  std::vector<dts::WorkerMsg> requests() {
+    auto out = requests(1);
+    for (auto& m : requests(2)) out.push_back(std::move(m));
+    return out;
+  }
+  /// Answer each request and run until the worker is idle again.
+  void answer(std::vector<dts::WorkerMsg>& reqs) {
+    for (auto& r : reqs) r.reply_data->send(dts::Data::sized(8));
+    eng.run();
+  }
+};
+
+TEST(WorkerFetch, AtMostEightPeerFetchesInFlight) {
+  LoneWorker lw;
+  lw.compute(16);
+  auto sent = lw.requests();
+  ASSERT_EQ(sent.size(), 8u);
+  for (const auto& m : sent) EXPECT_EQ(m.kind, dts::WorkerMsgKind::kGetData);
+  // One answer frees one slot: exactly one more request goes out.
+  std::vector<dts::WorkerMsg> first;
+  first.push_back(std::move(sent[0]));
+  sent.erase(sent.begin());
+  lw.answer(first);
+  auto ninth = lw.requests();
+  ASSERT_EQ(ninth.size(), 1u);
+  EXPECT_EQ(ninth[0].key, "d8");
+  // Drain the rest; the task then reports once.
+  while (!sent.empty() || !ninth.empty()) {
+    lw.answer(sent);
+    lw.answer(ninth);
+    sent = lw.requests();
+    ninth.clear();
+  }
+  const auto done = lw.sched.try_recv();
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->kind, dts::SchedMsgKind::kTaskFinished);
+  EXPECT_EQ(lw.worker->peer_fetches(), 16u);
+}
+
+TEST(WorkerFetch, PeerLossFailsItsFetchesAndFreesTheirSlots) {
+  LoneWorker lw;
+  lw.compute(16);
+  ASSERT_EQ(lw.requests(1).size(), 4u);
+  auto to_peer2 = lw.requests(2);
+  ASSERT_EQ(to_peer2.size(), 4u);
+  // Peer 1 is declared dead: its four requests give their slots back
+  // unanswered, its four queued fetches fail without a request, and the
+  // four queued fetches from peer 2 go out.
+  lw.peer_lost(1);
+  EXPECT_TRUE(lw.requests(1).empty());
+  auto more = lw.requests(2);
+  EXPECT_EQ(more.size(), 4u);
+  lw.answer(to_peer2);
+  lw.answer(more);
+  // The failed attempt reports nothing: the scheduler re-runs the task.
+  EXPECT_FALSE(lw.sched.try_recv().has_value());
+  EXPECT_EQ(lw.worker->peer_fetches(), 8u);
+  // A later fetch naming the dead peer fails at once, without a request
+  // (d0 is peer 1's; d1 comes from the cache of peer 2's answer).
+  lw.compute(2);
+  EXPECT_TRUE(lw.requests().empty());
+  EXPECT_FALSE(lw.sched.try_recv().has_value());
+  EXPECT_EQ(lw.worker->peer_fetch_cache_hits(), 1u);
+}
+
+TEST(WorkerFetch, FailedFetchLeavesTheRerunsFlightInPlace) {
+  LoneWorker lw;
+  // Task a: eight fetches from peer 2 take every slot; d8's fetch from
+  // peer 1 queues for one.
+  std::vector<dts::DepLocation> a;
+  for (int i = 0; i < 8; ++i)
+    a.emplace_back("d" + std::to_string(i), 2, 8);
+  a.emplace_back("d8", 1, 8);
+  lw.compute("a", std::move(a));
+  auto first = lw.requests(2);
+  ASSERT_EQ(first.size(), 8u);
+  // Peer 1 dies, and d8's re-run b fetches it from peer 2, its new owner:
+  // b registers its own flight for d8 and queues behind the old one.
+  lw.peer_lost(1);
+  lw.compute("b", std::vector<dts::DepLocation>(1, {"d8", 2, 8}));
+  EXPECT_TRUE(lw.requests().empty());
+  // One answer frees a slot: the old flight takes it, fails and hands it
+  // on to b's flight, which asks peer 2.
+  first.erase(first.begin() + 1, first.end());
+  lw.answer(first);
+  const auto b_req = lw.requests(2);
+  ASSERT_EQ(b_req.size(), 1u);
+  EXPECT_EQ(b_req[0].key, "d8");
+  // The failed flight erased only itself: a third task joins b's flight.
+  lw.compute("c", std::vector<dts::DepLocation>(1, {"d8", 2, 8}));
+  EXPECT_TRUE(lw.requests().empty());
+  EXPECT_EQ(lw.worker->peer_fetches_shared(), 1u);
+}
+
 TEST(Dts, ScatterBatchReturnsPerKeyAcks) {
   TestCluster tc(2);
   std::vector<int> acks;
@@ -529,7 +695,7 @@ TEST(Dts, ScatterBatchReturnsPerKeyAcks) {
   EXPECT_EQ(tc.rt->scheduler().recovery().stale_update_data, 1u);
 }
 
-sim::Co<void> batch_one_rpc_flow(TestCluster& tc) {
+exec::Co<void> batch_one_rpc_flow(TestCluster& tc) {
   co_await tc.client->external_futures(keys("b0", "b1", "b2", "b3"),
                                        ints(1, 1, 1, 1));
   std::vector<std::pair<dts::Key, dts::Data>> items;
@@ -557,7 +723,7 @@ TEST(Dts, ScatterBatchIsOneRegistrationRpc) {
 
 namespace obs = deisa::obs;
 
-sim::Co<void> local_chain_flow(TestCluster& tc, std::uint64_t block) {
+exec::Co<void> local_chain_flow(TestCluster& tc, std::uint64_t block) {
   co_await tc.client->external_futures(keys("x"), ints(0));
   std::vector<dts::TaskSpec> tasks;
   tasks.push_back(dts::TaskSpec("y", keys("x"), [block](const auto&) {
@@ -586,7 +752,7 @@ TEST(Dts, ProxyPlaneLocalDepsMoveZeroExtraBytes) {
   EXPECT_EQ(registry.snapshot().counter(obs::kBytesMoved), 3 * kBlock);
 }
 
-sim::Co<void> gc_release_flow(TestCluster& tc) {
+exec::Co<void> gc_release_flow(TestCluster& tc) {
   co_await tc.client->external_futures(keys("a"), ints(0));
   std::vector<dts::TaskSpec> tasks;
   tasks.push_back(add_task("b", keys("a")));

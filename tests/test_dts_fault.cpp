@@ -13,6 +13,7 @@
 #include "deisa/harness/scenario.hpp"
 
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace fault = deisa::fault;
 namespace harness = deisa::harness;
 namespace net = deisa::net;
@@ -53,7 +54,7 @@ std::vector<dts::Key> keys(K... k) {
   return std::vector<dts::Key>{dts::Key(k)...};
 }
 
-sim::Co<void> push_onto_erred_flow(TestCluster& tc, int& ack) {
+exec::Co<void> push_onto_erred_flow(TestCluster& tc, int& ack) {
   std::vector<dts::TaskSpec> tasks;
   tasks.emplace_back("boom", no_keys(),
                      [](const std::vector<dts::Data>&) -> dts::Data {
@@ -82,8 +83,8 @@ TEST(Fault, PushOntoErredTaskIsDiscarded) {
   EXPECT_EQ(tc.rt->scheduler().recovery().stale_update_data, 1u);
 }
 
-sim::Co<void> poisoned_waiter_flow(TestCluster& tc, std::string& error,
-                                   bool& released) {
+exec::Co<void> poisoned_waiter_flow(TestCluster& tc, std::string& error,
+                                    bool& released) {
   std::vector<dts::TaskSpec> tasks;
   tasks.emplace_back("boom", no_keys(),
                      [](const std::vector<dts::Data>&) -> dts::Data {
@@ -116,7 +117,7 @@ TEST(Fault, ErredDependencyPoisonsBlockedWaiters) {
   EXPECT_EQ(tc.rt->scheduler().state_of("down"), dts::TaskState::kErred);
 }
 
-sim::Co<void> heartbeat_loss_flow(TestCluster& tc) {
+exec::Co<void> heartbeat_loss_flow(TestCluster& tc) {
   co_await tc.eng.delay(2.0);  // heartbeats flowing normally
   tc.rt->worker(0).crash();
   co_await tc.eng.delay(10.0);  // detector times the silence out
@@ -134,7 +135,7 @@ TEST(Fault, HeartbeatLossDetectsDeadWorker) {
   EXPECT_EQ(s.recovery().workers_lost, 1u);
 }
 
-sim::Co<void> lost_key_flow(TestCluster& tc, int& result) {
+exec::Co<void> lost_key_flow(TestCluster& tc, int& result) {
   std::vector<dts::TaskSpec> tasks;
   tasks.emplace_back("a", no_keys(),
                      [](const std::vector<dts::Data>&) { return int_data(20); },
@@ -166,8 +167,8 @@ TEST(Fault, LostKeysRecomputedViaLineage) {
   EXPECT_GT(tc.rt->worker(1).tasks_executed(), 0u);
 }
 
-sim::Co<void> rearm_repush_flow(TestCluster& tc, int& first_ack,
-                                dts::RepushList& assignments, int& value) {
+exec::Co<void> rearm_repush_flow(TestCluster& tc, int& first_ack,
+                                 dts::RepushList& assignments, int& value) {
   std::vector<int> pw;
   pw.push_back(0);
   co_await tc.client->external_futures(keys("blk"), std::move(pw));
@@ -204,10 +205,10 @@ TEST(Fault, LostExternalKeyRearmedAndRepushed) {
   EXPECT_EQ(s.state_of("blk"), dts::TaskState::kMemory);
 }
 
-sim::Co<void> replay_at_dead_target_flow(TestCluster& tc,
-                                         dts::RepushList& first,
-                                         int& stale_ack,
-                                         dts::RepushList& second, int& value) {
+exec::Co<void> replay_at_dead_target_flow(TestCluster& tc,
+                                          dts::RepushList& first,
+                                          int& stale_ack,
+                                          dts::RepushList& second, int& value) {
   std::vector<int> pw;
   pw.push_back(0);
   co_await tc.client->external_futures(keys("blk"), std::move(pw));
@@ -259,7 +260,7 @@ TEST(Fault, ReplayAtADeadTargetComesBackInAFreshList) {
   EXPECT_EQ(s.state_of("blk"), dts::TaskState::kMemory);
 }
 
-sim::Co<void> never_repushed_flow(TestCluster& tc, std::string& error) {
+exec::Co<void> never_repushed_flow(TestCluster& tc, std::string& error) {
   std::vector<int> pw;
   pw.push_back(0);
   co_await tc.client->external_futures(keys("gone"), std::move(pw));
@@ -288,7 +289,7 @@ TEST(Fault, UnreplayedExternalKeyExpiresInsteadOfHanging) {
   EXPECT_EQ(s.state_of("gone"), dts::TaskState::kErred);
 }
 
-sim::Co<void> duplicated_traffic_flow(TestCluster& tc, int& result) {
+exec::Co<void> duplicated_traffic_flow(TestCluster& tc, int& result) {
   std::vector<dts::TaskSpec> tasks;
   tasks.emplace_back("t", no_keys(),
                      [](const std::vector<dts::Data>&) { return int_data(6); },
@@ -317,7 +318,7 @@ TEST(Fault, DuplicatedTaskFinishedIsDropped) {
   EXPECT_GE(s.recovery().stale_task_finished, 1u);
 }
 
-sim::Co<void> memory_flow(TestCluster& tc) {
+exec::Co<void> memory_flow(TestCluster& tc) {
   co_await tc.client->scatter("a", dts::Data::sized(1000), 0);
   co_await tc.client->scatter("b", dts::Data::sized(500), 0);
   co_await tc.client->scatter("b", dts::Data::sized(700), 0);  // replace
@@ -404,6 +405,33 @@ TEST(ShardedFault, SeededWorkerKillMatchesFaultFreeResults) {
                             &clean.explained_variance[i], sizeof(double)),
                 0)
           << "shards " << shards << " ev[" << i << "]";
+  }
+}
+
+TEST(Fault, WorkerKillAtEightRanksCompletes) {
+  // CI's fault-matrix config at 8 ranks. Every fetch a live worker sent
+  // to the killed one, before the kill or before its detection, holds a
+  // fetch slot that no reply frees. Unless the death announcement fails
+  // those fetches, a worker that leaked all of its slots cannot fetch for
+  // its re-runs, and the run hangs until the simulated-time cap.
+  harness::ScenarioParams p;
+  p.ranks = 8;
+  p.workers = 3;
+  p.block_bytes = 64 << 10;
+  p.timesteps = 6;
+  p.real_data = true;
+  p.alloc_seed = 1000;
+  for (const auto pipeline :
+       {harness::Pipeline::kDeisa2, harness::Pipeline::kDeisa3}) {
+    const auto clean = harness::run_scenario(pipeline, p);
+    ASSERT_FALSE(clean.singular_values.empty());
+    auto pf = p;
+    pf.faults = fault::FaultPlan::parse("kill:1@0.2");
+    const auto faulty = harness::run_scenario(pipeline, pf);
+    EXPECT_EQ(faulty.recovery.workers_lost, 1u)
+        << harness::to_string(pipeline);
+    EXPECT_EQ(faulty.singular_values, clean.singular_values)
+        << harness::to_string(pipeline);
   }
 }
 

@@ -90,9 +90,9 @@ std::vector<std::int64_t> evaluate_sequentially(const RandomDag& dag) {
   return value;
 }
 
-sim::Co<void> run_dag(dts::Runtime& rt, dts::Client& client,
-                      const RandomDag& dag,
-                      std::vector<std::int64_t>& results) {
+exec::Co<void> run_dag(dts::Runtime& rt, dts::Client& client,
+                       const RandomDag& dag,
+                       std::vector<std::int64_t>& results) {
   // External leaves first (futures created before the graph).
   std::vector<dts::Key> ext_keys;
   std::vector<int> ext_workers;
@@ -414,9 +414,9 @@ struct FaultCluster {
 /// so the planned kill lands mid-stream, then plays the producer's part of
 /// the re-push protocol (what Bridge::run_replays does) until the cluster
 /// has been quiet past the kill's detection window.
-sim::Co<void> run_dag_under_faults(FaultCluster& fc, const RandomDag& dag,
-                                   double quiet_after,
-                                   std::vector<std::int64_t>& results) {
+exec::Co<void> run_dag_under_faults(FaultCluster& fc, const RandomDag& dag,
+                                    double quiet_after,
+                                    std::vector<std::int64_t>& results) {
   dts::Client& client = *fc.client;
   std::vector<dts::Key> ext_keys;
   std::vector<int> ext_workers;
@@ -575,8 +575,9 @@ bool brute_force_selected(const arr::Box& chunk_box, const arr::Box& sel) {
   return true;
 }
 
-sim::Co<void> contract_bridge(core::Bridge& bridge, const ContractCase& c,
-                              int rank, int& remaining, sim::Event& all_done) {
+exec::Co<void> contract_bridge(core::Bridge& bridge, const ContractCase& c,
+                               int rank, int& remaining,
+                               exec::Event& all_done) {
   if (rank == 0) {
     std::vector<core::VirtualArray> arrays;
     arrays.push_back(c.va);
@@ -592,9 +593,9 @@ sim::Co<void> contract_bridge(core::Bridge& bridge, const ContractCase& c,
   if (--remaining == 0) all_done.set();
 }
 
-sim::Co<void> contract_adaptor(dts::Runtime& rt, core::Adaptor& adaptor,
-                               const ContractCase& c,
-                               sim::Event& bridges_done) {
+exec::Co<void> contract_adaptor(dts::Runtime& rt, core::Adaptor& adaptor,
+                                const ContractCase& c,
+                                exec::Event& bridges_done) {
   const auto arrays = co_await adaptor.get_deisa_arrays();
   EXPECT_EQ(arrays.size(), 1u);
   adaptor.select(arrays[0].name, arr::Selection(c.sel));
@@ -623,7 +624,7 @@ TEST_P(ContractProperty, BridgesSendExactlyTheBruteForceBlockSet) {
     bridges.push_back(std::make_unique<core::Bridge>(
         rt.make_client(4 + r), core::Mode::kDeisa3, r, c.nranks));
   core::Adaptor adaptor(rt.make_client(1), core::Mode::kDeisa3);
-  sim::Event bridges_done(eng);
+  exec::Event bridges_done(eng);
   int remaining = c.nranks;
   eng.spawn(contract_adaptor(rt, adaptor, c, bridges_done));
   for (int r = 0; r < c.nranks; ++r)

@@ -16,6 +16,7 @@
 #include "deisa/util/rng.hpp"
 
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
 using deisa::util::Rng;
@@ -115,7 +116,7 @@ Graph make_graph(int n) {
 /// Ingest the whole graph up front (the paper's submit-ahead trick), then
 /// complete the external leaves in a seeded random order and drain to the
 /// sinks.
-sim::Co<void> ingest_and_drain(Fixture& fx, Graph g, std::uint64_t seed) {
+exec::Co<void> ingest_and_drain(Fixture& fx, Graph g, std::uint64_t seed) {
   const std::vector<dts::Key> leaves = g.leaves;
   const std::vector<int> targets = g.leaf_workers;
   co_await fx.client->external_futures(std::move(g.leaves),
@@ -182,8 +183,8 @@ TEST(SchedStress, HundredThousandTaskGraphDrainsWithoutLeaks) {
 /// is pushed and one consumer task reduces it. Without the refcount GC
 /// the worker's store accretes every step's block; with it, the block is
 /// released as soon as its consumer finishes.
-sim::Co<void> external_timestep_loop(Fixture& fx, int steps,
-                                     std::uint64_t block) {
+exec::Co<void> external_timestep_loop(Fixture& fx, int steps,
+                                      std::uint64_t block) {
   for (int t = 0; t < steps; ++t) {
     const std::string st = std::to_string(t);
     std::vector<dts::Key> ext;

@@ -16,6 +16,7 @@
 
 namespace apps = deisa::apps;
 namespace arr = deisa::array;
+namespace exec = deisa::exec;
 namespace harness = deisa::harness;
 namespace la = deisa::linalg;
 namespace ml = deisa::ml;
@@ -308,9 +309,9 @@ TEST(Harness, GeometryHelpers) {
 /// step's slab if the rank lies in column `col`. A slab holds the column
 /// with y as samples and x as features, as perfbench's heat2d-ipca feeds
 /// its IPCA.
-sim::Co<void> column_rank(apps::Heat2d& solver, mpix::Comm& comm,
-                          const apps::Heat2dConfig& cfg, int col,
-                          std::vector<la::Matrix>& slabs) {
+exec::Co<void> column_rank(apps::Heat2d& solver, mpix::Comm& comm,
+                           const apps::Heat2dConfig& cfg, int col,
+                           std::vector<la::Matrix>& slabs) {
   const auto nx = static_cast<std::size_t>(cfg.local_nx);
   const auto ny = static_cast<std::size_t>(cfg.local_ny);
   const std::size_t y0 = static_cast<std::size_t>(solver.py()) * ny;

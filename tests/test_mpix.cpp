@@ -6,6 +6,7 @@
 #include "deisa/sim/engine.hpp"
 #include "deisa/mpix/comm.hpp"
 
+namespace exec = deisa::exec;
 namespace mpix = deisa::mpix;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
@@ -30,63 +31,69 @@ struct World {
   }
 };
 
-sim::Co<void> ping(mpix::Comm& comm) {
-  co_await comm.send_value<int>(0, 1, /*tag=*/5, 99);
+/// A one-value message. Built by a function, not a braced list inside a
+/// coroutine body (GCC 12 miscompiles initializer_list temporaries there).
+mpix::Message value_msg(double v) {
+  return mpix::Message(0, 0, sizeof(double), std::vector<double>(1, v));
 }
 
-sim::Co<void> pong(mpix::Comm& comm, int& out) {
+exec::Co<void> ping(mpix::Comm& comm) {
+  co_await comm.send(0, 1, /*tag=*/5, value_msg(99));
+}
+
+exec::Co<void> pong(mpix::Comm& comm, double& out) {
   const mpix::Message m = co_await comm.recv(1, 0, 5);
-  out = m.as<int>();
+  out = m.payload.at(0);
 }
 
 TEST(Comm, PointToPointDeliversPayload) {
   World w(2);
-  int out = 0;
+  double out = 0;
   w.eng.spawn(ping(*w.comm));
   w.eng.spawn(pong(*w.comm, out));
   w.eng.run();
   EXPECT_EQ(out, 99);
 }
 
-sim::Co<void> send_two_tags(mpix::Comm& comm) {
-  co_await comm.send_value<int>(0, 1, 10, 100);
-  co_await comm.send_value<int>(0, 1, 20, 200);
+exec::Co<void> send_two_tags(mpix::Comm& comm) {
+  co_await comm.send(0, 1, 10, value_msg(100));
+  co_await comm.send(0, 1, 20, value_msg(200));
 }
 
-sim::Co<void> recv_tag20_first(mpix::Comm& comm, std::vector<int>& got) {
+exec::Co<void> recv_tag20_first(mpix::Comm& comm, std::vector<double>& got) {
   const auto m20 = co_await comm.recv(1, mpix::kAnySource, 20);
-  got.push_back(m20.as<int>());
+  got.push_back(m20.payload.at(0));
   const auto m10 = co_await comm.recv(1, mpix::kAnySource, 10);
-  got.push_back(m10.as<int>());
+  got.push_back(m10.payload.at(0));
 }
 
 TEST(Comm, TagMatchingOutOfOrder) {
   World w(2);
-  std::vector<int> got;
+  std::vector<double> got;
   w.eng.spawn(send_two_tags(*w.comm));
   w.eng.spawn(recv_tag20_first(*w.comm, got));
   w.eng.run();
-  EXPECT_EQ(got, (std::vector<int>{200, 100}));
+  EXPECT_EQ(got, (std::vector<double>{200, 100}));
 }
 
 TEST(Comm, SameTagPreservesFifoOrder) {
   World w(2);
-  std::vector<int> got;
-  w.eng.spawn([](mpix::Comm& c) -> sim::Co<void> {
-    for (int i = 0; i < 5; ++i) co_await c.send_value<int>(0, 1, 7, i);
+  std::vector<double> got;
+  w.eng.spawn([](mpix::Comm& c) -> exec::Co<void> {
+    for (int i = 0; i < 5; ++i) co_await c.send(0, 1, 7, value_msg(i));
   }(*w.comm));
-  w.eng.spawn([](mpix::Comm& c, std::vector<int>& out) -> sim::Co<void> {
+  w.eng.spawn([](mpix::Comm& c, std::vector<double>& out) -> exec::Co<void> {
     for (int i = 0; i < 5; ++i) {
       const auto m = co_await c.recv(1, 0, 7);
-      out.push_back(m.as<int>());
+      out.push_back(m.payload.at(0));
     }
   }(*w.comm, got));
   w.eng.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(got, (std::vector<double>{0, 1, 2, 3, 4}));
 }
 
-sim::Co<void> barrier_actor(mpix::Comm& comm, int rank, sim::Time work,
-                            std::vector<double>& after) {
+exec::Co<void> barrier_actor(mpix::Comm& comm, int rank, exec::Time work,
+                             std::vector<double>& after) {
   co_await comm.engine().delay(work);
   co_await comm.barrier(rank);
   after[static_cast<std::size_t>(rank)] = comm.engine().now();
@@ -106,7 +113,7 @@ TEST(Comm, RepeatedBarriersDoNotCrosstalk) {
   std::vector<int> phases(4, 0);
   for (int r = 0; r < 4; ++r) {
     w.eng.spawn([](mpix::Comm& c, int rank, std::vector<int>& ph)
-                    -> sim::Co<void> {
+                    -> exec::Co<void> {
       for (int i = 0; i < 3; ++i) {
         co_await c.barrier(rank);
         ++ph[static_cast<std::size_t>(rank)];
@@ -117,7 +124,7 @@ TEST(Comm, RepeatedBarriersDoNotCrosstalk) {
   EXPECT_EQ(phases, (std::vector<int>{3, 3, 3, 3}));
 }
 
-sim::Co<void> single_rank_barrier(mpix::Comm& c, double& after) {
+exec::Co<void> single_rank_barrier(mpix::Comm& c, double& after) {
   co_await c.barrier(0);
   co_await c.barrier(0);
   after = c.engine().now();

@@ -5,6 +5,7 @@
 #include "deisa/net/cluster.hpp"
 #include "deisa/util/units.hpp"
 
+namespace exec = deisa::exec;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
 using deisa::util::kMiB;
@@ -35,8 +36,8 @@ TEST(Cluster, LeafAndHops) {
   EXPECT_EQ(c.hops(0, 8), 4);
 }
 
-sim::Co<void> one_transfer(net::Cluster& c, int src, int dst,
-                           std::uint64_t bytes, double& finished_at) {
+exec::Co<void> one_transfer(net::Cluster& c, int src, int dst,
+                            std::uint64_t bytes, double& finished_at) {
   co_await c.transfer(src, dst, bytes);
   finished_at = c.engine().now();
 }
@@ -49,7 +50,6 @@ TEST(Cluster, UncontendedTransferMatchesIdealDuration) {
   eng.run();
   // 4 hops * 1us + 4us overhead + 1e6/1e9 s
   EXPECT_NEAR(t, 8e-6 + 1e-3, 1e-9);
-  EXPECT_NEAR(t, c.ideal_duration(0, 9, 1000000), 1e-12);
 }
 
 TEST(Cluster, IntraNodeUsesMemoryBandwidth) {

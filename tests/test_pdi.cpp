@@ -16,6 +16,7 @@ namespace arr = deisa::array;
 namespace cfg = deisa::config;
 namespace core = deisa::core;
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace net = deisa::net;
 namespace pdi = deisa::pdi;
 namespace sim = deisa::sim;
@@ -60,12 +61,12 @@ cfg::Value make_cfg(std::int64_t loc, std::int64_t px, std::int64_t py,
 
 class RecordingPlugin final : public pdi::Plugin {
 public:
-  sim::Co<void> on_event(pdi::DataStore&, const std::string& name) override {
+  exec::Co<void> on_event(pdi::DataStore&, const std::string& name) override {
     events.push_back(name);
     co_return;
   }
-  sim::Co<void> on_data(pdi::DataStore&, const std::string& name,
-                        const arr::NDArray& data) override {
+  exec::Co<void> on_data(pdi::DataStore&, const std::string& name,
+                         const arr::NDArray& data) override {
     data_names.push_back(name);
     last_size = data.size();
     co_return;
@@ -75,7 +76,7 @@ public:
   std::int64_t last_size = 0;
 };
 
-sim::Co<void> drive_store(pdi::DataStore& store) {
+exec::Co<void> drive_store(pdi::DataStore& store) {
   co_await store.event("init");
   arr::NDArray field(ix(2, 2), 1.0);
   co_await store.expose("temp", field);
@@ -111,9 +112,9 @@ struct World {
   }
 };
 
-sim::Co<void> plugin_rank(pdi::DataStore& store,
-                          std::shared_ptr<pdi::DeisaPlugin> plugin, int rank,
-                          std::int64_t steps, std::int64_t loc) {
+exec::Co<void> plugin_rank(pdi::DataStore& store,
+                           std::shared_ptr<pdi::DeisaPlugin> plugin, int rank,
+                           std::int64_t steps, std::int64_t loc) {
   (void)plugin;
   co_await store.event("init");
   for (std::int64_t t = 0; t < steps; ++t) {
@@ -123,8 +124,8 @@ sim::Co<void> plugin_rank(pdi::DataStore& store,
   }
 }
 
-sim::Co<void> plugin_adaptor(World& w, core::Adaptor& adaptor,
-                             arr::NDArray& out, const arr::Box& want) {
+exec::Co<void> plugin_adaptor(World& w, core::Adaptor& adaptor,
+                              arr::NDArray& out, const arr::Box& want) {
   const auto arrays = co_await adaptor.get_deisa_arrays();
   adaptor.select(arrays[0].name, arr::Selection(want));
   auto darrays = co_await adaptor.validate_contract();

@@ -16,6 +16,7 @@
 #include "deisa/sim/engine.hpp"
 
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
 
@@ -77,7 +78,7 @@ std::vector<dts::Key> keys(K... k) {
   return std::vector<dts::Key>{dts::Key(k)...};
 }
 
-sim::Co<void> dead_preferred_flow(TestCluster& tc, int& result) {
+exec::Co<void> dead_preferred_flow(TestCluster& tc, int& result) {
   co_await tc.eng.delay(2.0);
   tc.rt->worker(0).crash();
   co_await tc.eng.delay(10.0);  // failure detector marks worker 0 dead
@@ -103,7 +104,7 @@ TEST(PolicyFlow, DeadPreferredWorkerFallsThrough) {
   EXPECT_GE(tc.rt->worker(1).tasks_executed(), 1u);
 }
 
-sim::Co<void> locality_flow(TestCluster& tc, int& result) {
+exec::Co<void> locality_flow(TestCluster& tc, int& result) {
   // 1 MiB resident on worker 1, a few bytes on worker 0: the consumer
   // must land where the bytes are.
   (void)co_await tc.client->scatter("big", dts::Data::make<int>(3, 1 << 20), 1);
@@ -128,7 +129,7 @@ TEST(PolicyFlow, LocalityRunsTaskOnMaxByteOwner) {
   EXPECT_EQ(tc.rt->worker(0).tasks_executed(), 0u);
 }
 
-sim::Co<void> zero_byte_owner_flow(TestCluster& tc, int n_tasks) {
+exec::Co<void> zero_byte_owner_flow(TestCluster& tc, int n_tasks) {
   // Worker 1 owns the only input but holds zero bytes of it.
   (void)co_await tc.client->scatter("empty", dts::Data::make<int>(0, 0), 1);
   std::vector<dts::TaskSpec> tasks;
@@ -156,7 +157,7 @@ TEST(PolicyFlow, LocalityWithoutPositiveByteOwnerTakesSharedRotation) {
   EXPECT_EQ(tc.rt->worker(1).tasks_executed(), kTasks / 2);
 }
 
-sim::Co<void> fairness_flow(TestCluster& tc, int n_tasks) {
+exec::Co<void> fairness_flow(TestCluster& tc, int n_tasks) {
   co_await tc.eng.delay(2.0);
   tc.rt->worker(1).crash();
   tc.rt->worker(3).crash();

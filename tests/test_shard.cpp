@@ -39,6 +39,7 @@
 #include "deisa/util/rng.hpp"
 
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace harness = deisa::harness;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
@@ -308,7 +309,7 @@ struct ShardCluster {
     client = &rt->make_client(/*node=*/1);
   }
 
-  void run(sim::Co<void> workload) {
+  void run(exec::Co<void> workload) {
     eng.spawn(std::move(workload));
     eng.run();
   }
@@ -358,7 +359,7 @@ std::vector<std::string> spanning_keys(int shards, int count) {
   return out;
 }
 
-sim::Co<void> fan_in_across_shards(ShardCluster& tc, int leaves, int& result) {
+exec::Co<void> fan_in_across_shards(ShardCluster& tc, int leaves, int& result) {
   std::vector<std::string> leaf_keys =
       spanning_keys(tc.rt->num_shards(), leaves);
   std::vector<dts::TaskSpec> tasks;
@@ -406,7 +407,7 @@ TEST(ShardRuntime, RemoteEdgeCounterMatchesBruteForceOracle) {
   EXPECT_EQ(tc.rt->sharded().remote_edges(), expected);
 }
 
-sim::Co<void> erred_across_shards(ShardCluster& tc, std::string& error_text) {
+exec::Co<void> erred_across_shards(ShardCluster& tc, std::string& error_text) {
   // Pick a downstream key owned by a different shard than the erring
   // task so the poison must cross the shard boundary.
   const dts::ShardMapper mapper{tc.rt->num_shards()};
@@ -438,7 +439,7 @@ TEST(ShardRuntime, ErredTaskPoisonsDependentsOnOtherShards) {
   EXPECT_FALSE(err.empty());
 }
 
-sim::Co<void> external_across_shards(ShardCluster& tc, int& result) {
+exec::Co<void> external_across_shards(ShardCluster& tc, int& result) {
   // External keys spread over shards; a consumer on whichever shard owns
   // "ext-sum" waits for all of them via cross-shard subscriptions.
   std::vector<std::string> ext = spanning_keys(tc.rt->num_shards(), 6);
@@ -467,7 +468,7 @@ TEST(ShardRuntime, ExternalTasksCompleteAcrossShards) {
   EXPECT_EQ(result, 1 + 2 + 3 + 4 + 5 + 6);
 }
 
-sim::Co<void> batch_acks_in_order(ShardCluster& tc, std::vector<int>& acks) {
+exec::Co<void> batch_acks_in_order(ShardCluster& tc, std::vector<int>& acks) {
   std::vector<std::string> ks = spanning_keys(tc.rt->num_shards(), 10);
   std::vector<dts::Key> ext_keys(ks.begin(), ks.end());
   (void)co_await tc.client->external_futures(ext_keys);
@@ -488,7 +489,7 @@ TEST(ShardRuntime, ScatterBatchAcksReassembledInItemOrder) {
   for (int a : acks) EXPECT_EQ(a, 1);
 }
 
-sim::Co<void> variables_across_shards(ShardCluster& tc, int& got) {
+exec::Co<void> variables_across_shards(ShardCluster& tc, int& got) {
   co_await tc.client->variable_set("contract", int_data(123));
   const dts::Data d = co_await tc.client->variable_get("contract");
   got = d.as<int>();
@@ -549,8 +550,8 @@ int gc_dag_value(const GcDag& dag, int i, std::vector<int>& memo) {
   return m = s;
 }
 
-sim::Co<void> gc_dag_flow(ShardCluster& tc, const GcDag& dag,
-                          std::vector<int>& sink_values) {
+exec::Co<void> gc_dag_flow(ShardCluster& tc, const GcDag& dag,
+                           std::vector<int>& sink_values) {
   std::vector<dts::TaskSpec> tasks;
   std::vector<dts::Key> wants;
   for (std::size_t i = 0; i < dag.keyring.size(); ++i) {

@@ -5,15 +5,16 @@
 #include <memory>
 #include <vector>
 
+#include "deisa/exec/primitives.hpp"
 #include "deisa/sim/engine.hpp"
-#include "deisa/sim/primitives.hpp"
 
+namespace exec = deisa::exec;
 namespace sim = deisa::sim;
 
 namespace {
 
-sim::Co<void> record_at(sim::Engine& eng, sim::Time t, int id,
-                        std::vector<std::pair<double, int>>& log) {
+exec::Co<void> record_at(sim::Engine& eng, exec::Time t, int id,
+                         std::vector<std::pair<double, int>>& log) {
   co_await eng.delay(t);
   log.emplace_back(eng.now(), id);
 }
@@ -47,13 +48,13 @@ TEST(Engine, ZeroDelayStillGoesThroughQueue) {
   EXPECT_DOUBLE_EQ(log[0].first, 0.0);
 }
 
-sim::Co<void> nested_child(sim::Engine& eng, std::vector<int>& log) {
+exec::Co<void> nested_child(sim::Engine& eng, std::vector<int>& log) {
   log.push_back(1);
   co_await eng.delay(1.0);
   log.push_back(2);
 }
 
-sim::Co<void> nested_parent(sim::Engine& eng, std::vector<int>& log) {
+exec::Co<void> nested_parent(sim::Engine& eng, std::vector<int>& log) {
   log.push_back(0);
   co_await nested_child(eng, log);
   log.push_back(3);
@@ -70,12 +71,12 @@ TEST(Engine, NestedCoroutinesChainResults) {
   EXPECT_DOUBLE_EQ(eng.now(), 1.5);
 }
 
-sim::Co<int> answer(sim::Engine& eng) {
+exec::Co<int> answer(sim::Engine& eng) {
   co_await eng.delay(1.0);
   co_return 42;
 }
 
-sim::Co<void> use_answer(sim::Engine& eng, int& out) {
+exec::Co<void> use_answer(sim::Engine& eng, int& out) {
   out = co_await answer(eng);
 }
 
@@ -87,7 +88,7 @@ TEST(Engine, ValueReturningCoroutine) {
   EXPECT_EQ(out, 42);
 }
 
-sim::Co<void> thrower(sim::Engine& eng) {
+exec::Co<void> thrower(sim::Engine& eng) {
   co_await eng.delay(1.0);
   throw std::runtime_error("boom");
 }
@@ -98,7 +99,7 @@ TEST(Engine, RootExceptionPropagatesOutOfRun) {
   EXPECT_THROW(eng.run(), std::runtime_error);
 }
 
-sim::Co<void> catcher(sim::Engine& eng, bool& caught) {
+exec::Co<void> catcher(sim::Engine& eng, bool& caught) {
   try {
     co_await thrower(eng);
   } catch (const std::runtime_error&) {
@@ -127,20 +128,20 @@ TEST(Engine, RunUntilStopsAtDeadline) {
   EXPECT_EQ(log.size(), 2u);
 }
 
-sim::Co<void> waiter_task(sim::Engine& eng, sim::Event& ev,
-                          std::vector<double>& log) {
+exec::Co<void> waiter_task(sim::Engine& eng, exec::Event& ev,
+                           std::vector<double>& log) {
   co_await ev.wait();
   log.push_back(eng.now());
 }
 
-sim::Co<void> setter_task(sim::Engine& eng, sim::Event& ev) {
+exec::Co<void> setter_task(sim::Engine& eng, exec::Event& ev) {
   co_await eng.delay(3.0);
   ev.set();
 }
 
 TEST(Event, BroadcastWakesAllWaiters) {
   sim::Engine eng;
-  sim::Event ev(eng);
+  exec::Event ev(eng);
   std::vector<double> log;
   eng.spawn(waiter_task(eng, ev, log));
   eng.spawn(waiter_task(eng, ev, log));
@@ -153,7 +154,7 @@ TEST(Event, BroadcastWakesAllWaiters) {
 
 TEST(Event, WaitAfterSetDoesNotBlock) {
   sim::Engine eng;
-  sim::Event ev(eng);
+  exec::Event ev(eng);
   ev.set();
   std::vector<double> log;
   eng.spawn(waiter_task(eng, ev, log));
@@ -162,15 +163,15 @@ TEST(Event, WaitAfterSetDoesNotBlock) {
   EXPECT_DOUBLE_EQ(log[0], 0.0);
 }
 
-sim::Co<void> producer(sim::Engine& eng, sim::Channel<int>& ch, int n) {
+exec::Co<void> producer(sim::Engine& eng, exec::Channel<int>& ch, int n) {
   for (int i = 0; i < n; ++i) {
     co_await eng.delay(1.0);
     ch.send(i);
   }
 }
 
-sim::Co<void> consumer(sim::Engine& eng, sim::Channel<int>& ch, int n,
-                       std::vector<std::pair<double, int>>& log) {
+exec::Co<void> consumer(sim::Engine& eng, exec::Channel<int>& ch, int n,
+                        std::vector<std::pair<double, int>>& log) {
   for (int i = 0; i < n; ++i) {
     const int v = co_await ch.recv();
     log.emplace_back(eng.now(), v);
@@ -179,7 +180,7 @@ sim::Co<void> consumer(sim::Engine& eng, sim::Channel<int>& ch, int n,
 
 TEST(Channel, FifoDeliveryAcrossTime) {
   sim::Engine eng;
-  sim::Channel<int> ch(eng);
+  exec::Channel<int> ch(eng);
   std::vector<std::pair<double, int>> log;
   eng.spawn(producer(eng, ch, 3));
   eng.spawn(consumer(eng, ch, 3, log));
@@ -193,7 +194,7 @@ TEST(Channel, FifoDeliveryAcrossTime) {
 
 TEST(Channel, ManyConsumersEachGetOneItem) {
   sim::Engine eng;
-  sim::Channel<int> ch(eng);
+  exec::Channel<int> ch(eng);
   std::vector<std::pair<double, int>> log;
   for (int i = 0; i < 4; ++i) eng.spawn(consumer(eng, ch, 1, log));
   eng.spawn(producer(eng, ch, 4));
@@ -207,7 +208,7 @@ TEST(Channel, ManyConsumersEachGetOneItem) {
 
 TEST(Channel, TryRecvNonBlocking) {
   sim::Engine eng;
-  sim::Channel<int> ch(eng);
+  exec::Channel<int> ch(eng);
   EXPECT_FALSE(ch.try_recv().has_value());
   ch.send(9);
   auto v = ch.try_recv();
@@ -215,8 +216,9 @@ TEST(Channel, TryRecvNonBlocking) {
   EXPECT_EQ(*v, 9);
 }
 
-sim::Co<void> hold_resource(sim::Engine& eng, sim::Semaphore& sem,
-                            sim::Time hold, std::vector<double>& acquired_at) {
+exec::Co<void> hold_resource(sim::Engine& eng, exec::Semaphore& sem,
+                             exec::Time hold,
+                             std::vector<double>& acquired_at) {
   co_await sem.acquire();
   acquired_at.push_back(eng.now());
   co_await eng.delay(hold);
@@ -225,7 +227,7 @@ sim::Co<void> hold_resource(sim::Engine& eng, sim::Semaphore& sem,
 
 TEST(Semaphore, SerializesBeyondCapacity) {
   sim::Engine eng;
-  sim::Semaphore sem(eng, 2);
+  exec::Semaphore sem(eng, 2);
   std::vector<double> acquired_at;
   for (int i = 0; i < 4; ++i)
     eng.spawn(hold_resource(eng, sem, 10.0, acquired_at));
@@ -237,16 +239,16 @@ TEST(Semaphore, SerializesBeyondCapacity) {
   EXPECT_DOUBLE_EQ(acquired_at[3], 10.0);
 }
 
-sim::Co<void> client_of(sim::Engine& eng, sim::FifoServer& server,
-                        sim::Time service, int id,
-                        std::vector<std::pair<double, int>>& done) {
+exec::Co<void> client_of(sim::Engine& eng, exec::FifoServer& server,
+                         exec::Time service, int id,
+                         std::vector<std::pair<double, int>>& done) {
   co_await server.serve(service);
   done.emplace_back(eng.now(), id);
 }
 
 TEST(FifoServer, QueueingDelayAccumulates) {
   sim::Engine eng;
-  sim::FifoServer server(eng, 1);
+  exec::FifoServer server(eng, 1);
   std::vector<std::pair<double, int>> done;
   for (int i = 0; i < 3; ++i) eng.spawn(client_of(eng, server, 2.0, i, done));
   eng.run();
@@ -260,7 +262,7 @@ TEST(FifoServer, QueueingDelayAccumulates) {
 
 TEST(FifoServer, ZeroCostServiceWaitsItsFifoTurn) {
   sim::Engine eng;
-  sim::FifoServer server(eng, 1);
+  exec::FifoServer server(eng, 1);
   std::vector<std::pair<double, int>> done;
   // A 2 s job takes the one slot; the zero-cost jobs that arrive while it
   // holds the slot queue behind it, and a 1 s job behind them.
@@ -277,7 +279,7 @@ TEST(FifoServer, ZeroCostServiceWaitsItsFifoTurn) {
 
 TEST(FifoServer, ZeroCostServiceOnAFreeServerPostsNoEvent) {
   sim::Engine eng;
-  sim::FifoServer server(eng, 1);
+  exec::FifoServer server(eng, 1);
   std::vector<std::pair<double, int>> done;
   eng.spawn(client_of(eng, server, 0.0, 0, done));
   eng.run();
@@ -287,21 +289,21 @@ TEST(FifoServer, ZeroCostServiceOnAFreeServerPostsNoEvent) {
   EXPECT_DOUBLE_EQ(done[0].first, 0.0);
 }
 
-sim::Co<void> spawn_three(sim::Engine& eng, std::vector<int>& done) {
-  std::vector<sim::Co<void>> tasks;
-  tasks.push_back([](sim::Engine& e, std::vector<int>& d) -> sim::Co<void> {
+exec::Co<void> spawn_three(sim::Engine& eng, std::vector<int>& done) {
+  std::vector<exec::Co<void>> tasks;
+  tasks.push_back([](sim::Engine& e, std::vector<int>& d) -> exec::Co<void> {
     co_await e.delay(3.0);
     d.push_back(3);
   }(eng, done));
-  tasks.push_back([](sim::Engine& e, std::vector<int>& d) -> sim::Co<void> {
+  tasks.push_back([](sim::Engine& e, std::vector<int>& d) -> exec::Co<void> {
     co_await e.delay(1.0);
     d.push_back(1);
   }(eng, done));
-  tasks.push_back([](sim::Engine& e, std::vector<int>& d) -> sim::Co<void> {
+  tasks.push_back([](sim::Engine& e, std::vector<int>& d) -> exec::Co<void> {
     co_await e.delay(2.0);
     d.push_back(2);
   }(eng, done));
-  co_await sim::when_all(eng, std::move(tasks));
+  co_await exec::when_all(eng, std::move(tasks));
   done.push_back(99);
 }
 
@@ -316,7 +318,7 @@ TEST(WhenAll, WaitsForAllConcurrently) {
 
 TEST(Engine, TeardownWithSuspendedActorsDoesNotLeakOrCrash) {
   auto eng = std::make_unique<sim::Engine>();
-  auto ch = std::make_unique<sim::Channel<int>>(*eng);
+  auto ch = std::make_unique<exec::Channel<int>>(*eng);
   std::vector<std::pair<double, int>> log;
   eng->spawn(consumer(*eng, *ch, 1, log));  // blocks forever
   eng->run();
@@ -329,7 +331,7 @@ TEST(Engine, TeardownWithSuspendedActorsDoesNotLeakOrCrash) {
 TEST(Engine, DeterministicEventCount) {
   auto run_once = [] {
     sim::Engine eng;
-    sim::Channel<int> ch(eng);
+    exec::Channel<int> ch(eng);
     std::vector<std::pair<double, int>> log;
     eng.spawn(producer(eng, ch, 5));
     eng.spawn(consumer(eng, ch, 5, log));

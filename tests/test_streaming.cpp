@@ -17,6 +17,7 @@
 
 namespace arr = deisa::array;
 namespace dts = deisa::dts;
+namespace exec = deisa::exec;
 namespace ml = deisa::ml;
 namespace net = deisa::net;
 namespace sim = deisa::sim;
@@ -253,7 +254,7 @@ arr::NDArray block_of(std::int64_t t, std::int64_t i, const arr::Box& box) {
   return blk;
 }
 
-sim::Co<void> monitor_flow(TestCluster& tc, std::vector<ml::FieldStats>& out) {
+exec::Co<void> monitor_flow(TestCluster& tc, std::vector<ml::FieldStats>& out) {
   // 3 steps of 6x10 chunked (1,6,5): 2 chunks/step -> merge tree depth 1;
   // then a 5-chunk layout exercises the odd-carry path.
   arr::DArray da = co_await arr::DArray::from_external(
@@ -305,8 +306,8 @@ TEST(Monitor, DistributedStatsMatchLocalReference) {
   }
 }
 
-sim::Co<void> monitor_odd_chunks(TestCluster& tc,
-                                 std::vector<ml::FieldStats>& out) {
+exec::Co<void> monitor_odd_chunks(TestCluster& tc,
+                                  std::vector<ml::FieldStats>& out) {
   // 5 chunks per step: merge tree must handle the odd carry.
   arr::DArray da = co_await arr::DArray::from_external(
       *tc.client, "odd", ix(2, 4, 10), ix(1, 4, 2));

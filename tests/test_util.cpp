@@ -120,13 +120,6 @@ TEST(Rng, NormalMomentsApproximatelyCorrect) {
   EXPECT_NEAR(rs.stddev(), 2.0, 0.1);
 }
 
-TEST(Rng, ExponentialMean) {
-  util::Rng r(42);
-  util::RunningStats rs;
-  for (int i = 0; i < 20000; ++i) rs.add(r.exponential(3.0));
-  EXPECT_NEAR(rs.mean(), 3.0, 0.15);
-}
-
 TEST(Rng, LognormalMeanIsLinearSpaceMean) {
   util::Rng r(42);
   util::RunningStats rs;

@@ -136,3 +136,19 @@ if(NOT err MATCHES "release_consumed" OR NOT err MATCHES "heartbeat_timeout")
   message(FATAL_ERROR
     "gc with a fault plan: stderr lacks release_consumed/heartbeat_timeout:\n${err}")
 endif()
+
+# The faults key takes the --fault spec string only: a map is refused with
+# the spec syntax instead of being read field by field.
+file(WRITE ${WORK_DIR}/fault_map.yaml
+  "pipeline: DEISA3\nranks: 2\nworkers: 2\nfaults:\n  dup: 0.1\n  seed: 7\n")
+execute_process(
+  COMMAND ${SCENARIO_BIN} ${WORK_DIR}/fault_map.yaml
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "faults map: expected a non-zero exit")
+endif()
+if(NOT err MATCHES "faults: expected a spec string" OR NOT err MATCHES "kill:1@30")
+  message(FATAL_ERROR "faults map: stderr lacks the spec syntax:\n${err}")
+endif()

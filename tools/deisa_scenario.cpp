@@ -19,7 +19,7 @@
 //   arrays: 1                # optional: multi-array workflow (DEISA2/3)
 //   real_data: false         # optional: move real Heat2D data (small runs)
 //   n_components: 2          # optional: IPCA components (real_data runs)
-//   faults: "kill:1@30"      # optional: fault plan (spec string or map)
+//   faults: "kill:1@30"      # optional: fault plan (the --fault= spec)
 //   substrate: sim           # optional: sim (default) | threads
 //   substrate_threads: 0     # optional: threads backend worker count
 //   release_consumed: false  # optional: refcount-GC consumed keys
@@ -44,19 +44,10 @@
 // timing columns are wall-clock artifacts, not model predictions. Fault
 // plans require the sim substrate.
 //
-// The faults section accepts either the compact spec string used by
-// --fault, or a map:
-//
-//   faults:
-//     kills: [{worker: 1, time: 30.0}]
-//     drop: 0.01            # heartbeat drop probability
-//     dup: 0.02             # task_finished/update_data duplication
-//     delay_prob: 0.05      # extra-delay probability ...
-//     delay_seconds: 0.2    # ... and the delay applied
-//     seed: 7               # injection stream seed
-//
-// --fault=SPEC overrides the config, e.g. --fault="kill:0@25;seed:3".
-// Same plan + same seed reproduces the same failure trace bit for bit.
+// The faults key takes the compact spec string of --fault, e.g.
+// "kill:1@30;drop:0.01;dup:0.02;delay:0.05@0.2;seed:7" (see
+// fault::FaultPlan::parse). --fault=SPEC overrides the config. Same plan
+// + same seed reproduces the same failure trace bit for bit.
 //
 // --shards=N partitions the scheduler key space across N scheduler
 // actors (dts::ShardedScheduler). N=1 (the default) is bit-identical to
@@ -119,25 +110,13 @@ void check_writable(const std::string& path) {
     throw util::ConfigError("cannot open '" + path + "' for writing");
 }
 
-/// Parse the `faults:` config section: either the compact spec string
-/// used by --fault, or a structured map (see the header comment).
+/// Parse the `faults:` config key: the compact spec string of --fault.
 fault::FaultPlan faults_of(const cfg::Node& node) {
-  if (node.is_scalar()) return fault::FaultPlan::parse(node.as_string());
-  fault::FaultPlan plan;
-  if (const cfg::Node* kills = node.find("kills")) {
-    for (std::size_t i = 0; i < kills->size(); ++i) {
-      const cfg::Node& k = kills->at(i);
-      plan.kills.emplace_back(static_cast<int>(k.at("worker").as_int()),
-                              k.at("time").as_double());
-    }
-  }
-  plan.drop_prob = node.get_double("drop", 0.0);
-  plan.dup_prob = node.get_double("dup", 0.0);
-  plan.delay_prob = node.get_double("delay_prob", 0.0);
-  plan.delay_seconds = node.get_double("delay_seconds", 0.0);
-  plan.seed =
-      static_cast<std::uint64_t>(node.get_int("seed", 0xFA017));
-  return plan;
+  if (!node.is_scalar())
+    throw util::ConfigError(
+        "faults: expected a spec string such as "
+        "\"kill:1@30;drop:0.01;dup:0.02;delay:0.05@0.2;seed:7\"");
+  return fault::FaultPlan::parse(node.as_string());
 }
 
 harness::Substrate substrate_of(const std::string& name) {
