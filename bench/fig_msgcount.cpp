@@ -3,9 +3,10 @@
 // 2·timesteps·ranks (+ heartbeats every 5 s), while DEISA2/3 send only
 // 1 + ranks messages, once, at workflow start.
 //
-// Counts come from the run's metrics registry (scheduler.messages.* —
-// the same counters the trace exporter sees), not from bespoke fields:
-// the formulas are asserted against the observability layer itself.
+// Counts come from the run's metrics snapshot (scheduler.messages.*,
+// which run_scenario fills from the scheduler's per-kind arrival
+// counters): the formulas are asserted against the same dump that
+// `deisa_scenario --metrics-out` writes.
 #include "common.hpp"
 #include "deisa/core/contract.hpp"
 
@@ -34,12 +35,12 @@ int main() {
     };
     const auto r1 = harness::run_scenario(harness::Pipeline::kDeisa1, p);
     const auto r3 = harness::run_scenario(harness::Pipeline::kDeisa3, p);
-    // The registry and the scheduler's own arrival counters must agree —
-    // the metrics layer is the measurement, the fields are the check.
+    // The snapshot and RunResult's own total must agree: a mis-wired
+    // snapshot would break the formulas below silently.
     for (const auto* r : {&r1, &r3}) {
       DEISA_CHECK(r->metrics.counter("scheduler.messages.total") ==
                       r->scheduler_messages,
-                  "metrics registry disagrees with scheduler counters");
+                  "metrics snapshot disagrees with scheduler counters");
     }
     // DEISA1 heartbeats every 5 s from each bridge until the simulation
     // phase ends.

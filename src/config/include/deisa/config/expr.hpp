@@ -30,7 +30,6 @@ public:
   bool is_float() const { return std::holds_alternative<double>(v_); }
   bool is_number() const { return is_int() || is_float(); }
   bool is_string() const { return std::holds_alternative<std::string>(v_); }
-  bool is_seq() const { return std::holds_alternative<std::vector<Value>>(v_); }
   bool is_map() const {
     return std::holds_alternative<std::map<std::string, Value>>(v_);
   }

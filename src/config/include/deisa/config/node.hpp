@@ -34,7 +34,6 @@ public:
   Kind kind() const;
   bool is_null() const { return kind() == Kind::kNull; }
   bool is_map() const { return kind() == Kind::kMap; }
-  bool is_seq() const { return kind() == Kind::kSeq; }
   bool is_scalar() const;
 
   // Typed accessors; throw ConfigError on kind mismatch.

@@ -2,19 +2,16 @@
 
 #include <map>
 
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 
 namespace deisa::core {
 
-namespace {
-
-std::string bridge_lane(int rank) { return "rank-" + std::to_string(rank); }
-
-}  // namespace
-
 Bridge::Bridge(dts::Client& client, Mode mode, int rank, int nranks)
-    : client_(&client), mode_(mode), rank_(rank), nranks_(nranks) {
+    : client_(&client),
+      mode_(mode),
+      rank_(rank),
+      nranks_(nranks),
+      lane_("rank-" + std::to_string(rank)) {
   DEISA_CHECK(rank >= 0 && rank < nranks, "bridge rank out of range");
   if (uses_external_tasks(mode_) && client_->recovery_armed())
     client_->engine().spawn(run_replays());
@@ -23,8 +20,9 @@ Bridge::Bridge(dts::Client& client, Mode mode, int rank, int nranks)
 exec::Co<void> Bridge::run_replays() {
   while (true) {
     const dts::RepushList list = co_await client_->replays().recv();
-    obs::trace_instant("bridge", bridge_lane(rank_),
-                       "repush:" + std::to_string(list.size()));
+    if (obs::tracer() != nullptr)
+      obs::trace_instant("bridge", lane_,
+                         "repush:" + std::to_string(list.size()));
     // Group the replay by re-routed target and replay each group as one
     // coalesced scatter_batch — the same wire shape as the original push.
     // A replay that lands on a dead worker comes back in a fresh list.
@@ -34,14 +32,13 @@ exec::Co<void> Bridge::run_replays() {
       if (it == replay_.end()) {
         // Evicted from the replay buffer: unrecoverable from this rank;
         // the scheduler's re-push deadline will err the key out.
-        obs::count("bridge.repush_misses");
+        ++repush_misses_;
         continue;
       }
       by_worker[worker].emplace_back(key, it->second);
     }
     for (auto& [worker, items] : by_worker) {
       blocks_repushed_ += items.size();
-      obs::count("bridge.blocks_repushed", items.size());
       (void)co_await client_->scatter_batch(std::move(items), worker,
                                             /*external=*/true);
     }
@@ -58,8 +55,7 @@ exec::Co<void> Bridge::publish_arrays(std::vector<VirtualArray> arrays) {
 }
 
 exec::Co<void> Bridge::wait_contract() {
-  obs::Span span = obs::trace_span("bridge", bridge_lane(rank_),
-                                   "wait_contract");
+  obs::Span span = obs::trace_span("bridge", lane_, "wait_contract");
   const dts::Data d = co_await client_->variable_get(kContractVariable);
   contract_ = d.as<Contract>();
   has_contract_ = true;
@@ -105,8 +101,8 @@ exec::Co<std::size_t> Bridge::send_blocks(
   for (auto& [coord, data] : blocks) {
     if (!contract_.includes(va.name, arr.grid, coord)) {
       ++blocks_filtered_;
-      obs::count("bridge.blocks_filtered");
-      obs::trace_instant("bridge", bridge_lane(rank_), "filtered:" + va.name);
+      if (obs::tracer() != nullptr)
+        obs::trace_instant("bridge", lane_, "filtered:" + va.name);
       continue;
     }
     // Copy the rendered key: the builder's buffer is reused per render.
@@ -120,9 +116,10 @@ exec::Co<std::size_t> Bridge::send_blocks(
     const std::size_t n = items.size();
     std::uint64_t bytes = 0;
     for (const auto& [key, data] : items) bytes += data.bytes;
-    obs::Span span = obs::trace_span("bridge", bridge_lane(rank_),
-                                     "batch->w" + std::to_string(worker));
-    if (span.active()) {
+    obs::Span span;
+    if (obs::tracer() != nullptr) {
+      span = obs::trace_span("bridge", lane_,
+                             "batch->w" + std::to_string(worker));
       span.add_arg(obs::arg("blocks", static_cast<std::uint64_t>(n)));
       span.add_arg(obs::arg("bytes", bytes));
     }
@@ -131,17 +128,10 @@ exec::Co<std::size_t> Bridge::send_blocks(
     span.finish();
     sent += n;
     blocks_sent_ += n;
-    if (auto* m = obs::metrics()) {
-      m->counter("bridge.blocks_sent").add(n);
-      m->counter("bridge.bytes_sent").add(bytes);
-      m->counter("bridge.batched_pushes").add();
-    }
-    for (const int ack : acks) {
-      if (ack == dts::kAckDiscarded) {
-        ++blocks_discarded_;
-        obs::count("bridge.blocks_discarded");
-      }
-    }
+    bytes_sent_ += bytes;
+    ++batched_pushes_;
+    for (const int ack : acks)
+      if (ack == dts::kAckDiscarded) ++blocks_discarded_;
   }
   co_return sent;
 }
@@ -161,8 +151,8 @@ exec::Co<void> Bridge::run_heartbeats(exec::Event& stop) {
 }
 
 exec::Co<void> Bridge::deisa1_fetch_selection() {
-  obs::Span span = obs::trace_span("bridge", bridge_lane(rank_),
-                                   "deisa1_fetch_selection");
+  obs::Span span =
+      obs::trace_span("bridge", lane_, "deisa1_fetch_selection");
   const dts::Data d = co_await client_->queue_get(deisa1_selection_queue(rank_));
   contract_ = d.as<Contract>();
   has_contract_ = true;
@@ -179,8 +169,11 @@ exec::Co<bool> Bridge::deisa1_send_block(const VirtualArray& va,
   if (contract_.includes(va.name, arr.grid, coord)) {
     const dts::Key& key = arr.keys.render(coord);
     const std::uint64_t bytes = data.bytes;
-    obs::Span span = obs::trace_span("bridge", bridge_lane(rank_), key);
-    if (span.active()) span.add_arg(obs::arg("bytes", bytes));
+    obs::Span span;
+    if (obs::tracer() != nullptr) {
+      span = obs::trace_span("bridge", lane_, key);
+      span.add_arg(obs::arg("bytes", bytes));
+    }
     // DEISA1's scatter is a synchronous RPC: this step's push could not
     // start until the previous step's registration ack came back. Chain
     // onto it so the ack-gated serialization shows up on the critical
@@ -192,15 +185,12 @@ exec::Co<bool> Bridge::deisa1_send_block(const VirtualArray& va,
                               /*external=*/false, span.id());
     span.finish();
     ++blocks_sent_;
-    if (auto* m = obs::metrics()) {
-      m->counter("bridge.blocks_sent").add();
-      m->counter("bridge.bytes_sent").add(bytes);
-    }
+    bytes_sent_ += bytes;
     sent = true;
   } else {
     ++blocks_filtered_;
-    obs::count("bridge.blocks_filtered");
-    obs::trace_instant("bridge", bridge_lane(rank_), "filtered:" + va.name);
+    if (obs::tracer() != nullptr)
+      obs::trace_instant("bridge", lane_, "filtered:" + va.name);
   }
   // Notify the adaptor that this rank finished the step (whether or not
   // the block passed the filter) so it can submit the step's graph. The

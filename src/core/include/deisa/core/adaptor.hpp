@@ -46,6 +46,8 @@ public:
   exec::Co<void> deisa1_wait_step(int nranks);
 
   const Contract& contract() const { return contract_; }
+  /// External tasks created by validate_contract().
+  std::uint64_t external_futures() const { return external_futures_; }
 
 private:
   dts::Client* client_;
@@ -54,6 +56,7 @@ private:
   bool got_arrays_ = false;
   Contract contract_;
   bool signed_ = false;
+  std::uint64_t external_futures_ = 0;
 };
 
 }  // namespace deisa::core

@@ -63,6 +63,12 @@ public:
   std::uint64_t blocks_filtered() const { return blocks_filtered_; }
   std::uint64_t blocks_repushed() const { return blocks_repushed_; }
   std::uint64_t blocks_discarded() const { return blocks_discarded_; }
+  /// Payload bytes of the blocks sent.
+  std::uint64_t bytes_sent() const { return bytes_sent_; }
+  /// Coalesced pushes (one scatter_batch per target worker and step).
+  std::uint64_t batched_pushes() const { return batched_pushes_; }
+  /// Replay-list keys no longer in the replay buffer.
+  std::uint64_t repush_misses() const { return repush_misses_; }
   /// Blocks held in the replay buffer now.
   std::size_t blocks_retained() const { return replay_.size(); }
 
@@ -91,12 +97,16 @@ private:
   Mode mode_;
   int rank_;
   int nranks_;
+  std::string lane_;  // trace lane, "rank-<rank>"
   Contract contract_;
   bool has_contract_ = false;
   std::uint64_t blocks_sent_ = 0;
   std::uint64_t blocks_filtered_ = 0;
   std::uint64_t blocks_repushed_ = 0;
   std::uint64_t blocks_discarded_ = 0;
+  std::uint64_t bytes_sent_ = 0;
+  std::uint64_t batched_pushes_ = 0;
+  std::uint64_t repush_misses_ = 0;
 
   // Replay buffer: the last `replay_capacity_` blocks this rank pushed,
   // kept only when the scheduler arms its failure detector (empty

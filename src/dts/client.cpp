@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "deisa/obs/dataplane.hpp"
-
 namespace deisa::dts {
 
 Client::Client(exec::Executor& engine, exec::Transport& cluster, int id, int node,
@@ -54,11 +52,8 @@ exec::Co<void> Client::submit(std::vector<TaskSpec> tasks,
                                shard);
 }
 
-exec::Co<std::vector<Future>> Client::external_futures(
-    std::vector<Key> keys, std::vector<int> preferred_workers) {
-  std::vector<Future> futures;
-  futures.reserve(keys.size());
-  for (const Key& k : keys) futures.emplace_back(k, this);
+exec::Co<void> Client::external_futures(std::vector<Key> keys,
+                                        std::vector<int> preferred_workers) {
   SchedMsg msg(SchedMsgKind::kCreateExternal);
   msg.keys = std::move(keys);
   msg.preferred_workers = std::move(preferred_workers);
@@ -66,7 +61,6 @@ exec::Co<std::vector<Future>> Client::external_futures(
   for (auto& [shard, slice] : slices)
     co_await send_to_scheduler(std::move(slice), exec::Delivery::kReliable,
                                shard);
-  co_return futures;
 }
 
 exec::Co<int> Client::scatter(Key key, Data data, int worker, bool external,
@@ -78,7 +72,7 @@ exec::Co<int> Client::scatter(Key key, Data data, int worker, bool external,
   // 1) Bulk payload straight to the worker ...
   co_await cluster_->transfer(node_, ref.node,
                               std::max(payload_bytes, kMinTransferBytes));
-  obs::count_moved(payload_bytes);
+  bytes_moved_ += payload_bytes;
   WorkerMsg push(WorkerMsgKind::kReceiveDataBatch);
   push.cause = cause;
   push.batch.emplace_back(key, std::move(data));
@@ -125,7 +119,7 @@ exec::Co<std::vector<int>> Client::scatter_batch(
   // single wire frame instead of paying the per-message floor each.
   co_await cluster_->transfer(node_, ref.node,
                               std::max(total, kMinTransferBytes));
-  obs::count_moved(total);
+  bytes_moved_ += total;
   WorkerMsg push(WorkerMsgKind::kReceiveDataBatch);
   push.cause = cause;
   push.batch = std::move(items);

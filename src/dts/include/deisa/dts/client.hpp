@@ -17,19 +17,6 @@
 
 namespace deisa::dts {
 
-/// Client-side mirror of a scheduler task (a lightweight future).
-class Future {
-public:
-  Future() = default;
-  Future(Key key, class Client* client) : key_(std::move(key)), client_(client) {}
-  const Key& key() const { return key_; }
-  bool valid() const { return client_ != nullptr; }
-
-private:
-  Key key_;
-  Client* client_ = nullptr;
-};
-
 class Client {
 public:
   /// `scheduler_inboxes` is the routing table: the scheduler shards'
@@ -67,8 +54,8 @@ public:
 
   /// Create external tasks (paper §2.2): keyed, unschedulable, completed
   /// later by an external environment. One batched RPC.
-  exec::Co<std::vector<Future>> external_futures(
-      std::vector<Key> keys, std::vector<int> preferred_workers = {});
+  exec::Co<void> external_futures(std::vector<Key> keys,
+                                  std::vector<int> preferred_workers = {});
 
   /// Scatter one payload to a worker. With `external=true` this completes
   /// a task previously created by external_futures (scheduler transitions
@@ -124,6 +111,10 @@ public:
   /// — shows up as an edge in the causal DAG instead of a fresh root.
   std::uint64_t last_cause() const { return last_cause_; }
 
+  /// Payload bytes this client pushed to workers (scatter and
+  /// scatter_batch).
+  std::uint64_t bytes_moved() const { return bytes_moved_; }
+
 private:
   exec::Co<void> send_to_scheduler(
       SchedMsg msg, exec::Delivery delivery = exec::Delivery::kReliable,
@@ -142,6 +133,7 @@ private:
   bool recovery_armed_;
   std::shared_ptr<exec::Channel<RepushList>> replays_;  // null when disarmed
   std::uint64_t last_cause_ = 0;
+  std::uint64_t bytes_moved_ = 0;
 };
 
 }  // namespace deisa::dts

@@ -52,6 +52,8 @@ public:
   /// learns whether the scheduler arms its failure detector (every shard
   /// shares heartbeat_timeout), see Client::recovery_armed().
   Client& make_client(int node);
+  Client& client(int i) { return *clients_.at(static_cast<std::size_t>(i)); }
+  int num_clients() const { return static_cast<int>(clients_.size()); }
 
 private:
   exec::Executor* engine_;

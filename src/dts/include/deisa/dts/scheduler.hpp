@@ -78,9 +78,10 @@ struct SchedulerParams {
 /// dropped by the handlers before ever reaching an illegal edge.
 bool transition_valid(TaskState from, TaskState to);
 
-/// Plain-counter mirror of the scheduler.recovery.* / scheduler.stale.*
-/// metrics, readable without a metrics registry installed (tests).
+/// The scheduler's recovery and stale-message counts (reported as the
+/// scheduler.recovery.* / scheduler.stale.* metrics).
 struct RecoveryCounters {
+  std::uint64_t suspected = 0;           // missed-deadline reports sent
   std::uint64_t workers_lost = 0;        // workers declared dead
   std::uint64_t tasks_rerun = 0;         // in-flight tasks re-assigned
   std::uint64_t keys_recomputed = 0;     // lost computed keys re-executed
@@ -96,6 +97,7 @@ struct RecoveryCounters {
   std::uint64_t stale_heartbeats = 0;    // heartbeats from dead workers
 
   RecoveryCounters& operator+=(const RecoveryCounters& o) {
+    suspected += o.suspected;
     workers_lost += o.workers_lost;
     tasks_rerun += o.tasks_rerun;
     keys_recomputed += o.keys_recomputed;
@@ -149,6 +151,15 @@ public:
   std::size_t count_in_state(TaskState s) const {
     return state_counts_[static_cast<std::size_t>(s)];
   }
+  /// Records that entered the state machine in state `s`.
+  std::uint64_t created_in(TaskState s) const {
+    return created_[static_cast<std::size_t>(s)];
+  }
+  /// State changes `from` -> `to` so far.
+  std::uint64_t transitions(TaskState from, TaskState to) const {
+    return transitions_[static_cast<std::size_t>(from)]
+                       [static_cast<std::size_t>(to)];
+  }
   const RecoveryCounters& recovery() const { return recovery_; }
 
   // ---- refcount-GC introspection (property/stress tests) ----
@@ -157,8 +168,9 @@ public:
   /// Whether the GC released `key`'s data (kMemory records only; the
   /// record itself is never erased).
   bool is_released(const Key& key) const;
-  /// Keys whose data the GC has released so far.
+  /// Keys whose data the GC has released so far, and their bytes.
   std::uint64_t keys_released() const { return lifetime_.keys_released(); }
+  std::uint64_t bytes_released() const { return bytes_released_; }
 
   bool worker_is_dead(int worker) const {
     return worker >= 0 && static_cast<std::size_t>(worker) < dead_.size() &&
@@ -167,9 +179,6 @@ public:
   std::size_t live_workers() const { return workers_.size() - dead_count_; }
 
   // ---- leak / drain introspection (stress tests) ----
-  /// Interned keys == task records ever created (records are never
-  /// erased; a leak shows up as records stuck in a non-terminal state).
-  std::size_t interned_keys() const { return keys_.size(); }
   /// Tasks currently chained in the ready queue (must be 0 between
   /// messages: every handler drains the queue before returning).
   std::size_t ready_queue_size() const { return ready_size_; }
@@ -402,6 +411,10 @@ private:
   KeyId ready_tail_ = kNoKeyId;
   std::size_t ready_size_ = 0;
   std::array<std::size_t, kNumTaskStates> state_counts_{};
+  std::array<std::uint64_t, kNumTaskStates> created_{};
+  std::array<std::array<std::uint64_t, kNumTaskStates>, kNumTaskStates>
+      transitions_{};
+  std::uint64_t bytes_released_ = 0;  // GC'd bytes (keys: lifetime_)
   // Handler-local scratch, reused across messages to stay allocation-free
   // on the hot path (handlers are fully serialized by run()).
   std::vector<KeyId> scratch_dependents_;

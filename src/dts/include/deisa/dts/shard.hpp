@@ -93,6 +93,7 @@ struct ShardLink {
   std::uint64_t remote_edges = 0;  // dependency edges wired to a mirror
   std::uint64_t notify_msgs = 0;   // kShardKeyDone sent to subscribers
   std::uint64_t release_acks = 0;  // kShardKeyReleased sent to owners
+  std::uint64_t deaths_accepted = 0;  // liveness broadcasts acted on
 
   /// True when the key hashed `h` is owned by another shard (an unknown
   /// dependency on it is interned as a mirror). Never at one shard.
@@ -116,6 +117,7 @@ struct ShardLink {
   bool accept_death(std::uint64_t epoch, bool already_dead) {
     if (epoch <= last_death_epoch || already_dead) return false;
     last_death_epoch = epoch;
+    ++deaths_accepted;
     return true;
   }
 };
@@ -151,7 +153,6 @@ public:
   // ---- aggregated observability (sums over shards) ----
   std::uint64_t total_messages() const;
   std::uint64_t messages_received(SchedMsgKind kind) const;
-  double total_service_time() const;
   std::uint64_t keys_released() const;
   std::uint64_t remote_edges() const;
   std::uint64_t notify_msgs() const;

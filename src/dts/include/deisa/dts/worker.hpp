@@ -48,7 +48,9 @@ public:
   bool alive() const { return alive_; }
 
   // ---- observability ----
+  /// Tasks that ran to a stored result (erred ones: tasks_erred()).
   std::uint64_t tasks_executed() const { return tasks_executed_; }
+  std::uint64_t tasks_erred() const { return tasks_erred_; }
   /// Cumulative bytes ever stored (throughput measure). Excludes cached
   /// copies of peer-fetched dependencies — see peer_fetch_cached_bytes().
   std::uint64_t bytes_stored() const { return bytes_stored_; }
@@ -67,18 +69,29 @@ public:
   std::uint64_t peer_fetch_cache_hits() const {
     return peer_fetch_cache_hits_;
   }
+  /// Payload bytes of the peer fetches sent on the wire.
+  std::uint64_t peer_fetch_bytes() const { return peer_fetch_bytes_; }
+  /// Fetches failed because their owner was declared dead.
+  std::uint64_t fetches_aborted() const { return fetches_aborted_; }
+  /// Dependency bytes handed to tasks: local reads (dask's per-read
+  /// serialization), cache hits and peer fetches.
+  std::uint64_t bytes_moved() const { return bytes_moved_; }
+  /// Messages that reached the worker after it crashed.
+  std::uint64_t messages_dropped_dead() const {
+    return messages_dropped_dead_;
+  }
   /// Bytes currently resident in the worker's store.
   std::uint64_t memory_bytes() const { return memory_bytes_; }
   /// High-water mark of memory_bytes() over the worker's lifetime. The
   /// refcount-GC stress test asserts this stays bounded as timesteps grow.
   std::uint64_t peak_memory_bytes() const { return peak_memory_bytes_; }
   std::size_t keys_in_memory() const { return store_.size(); }
-  /// Keys dropped by scheduler-directed GC releases.
+  /// Keys dropped by scheduler-directed GC releases, and their bytes.
   std::uint64_t keys_released() const { return keys_released_; }
+  std::uint64_t bytes_released() const { return bytes_released_; }
   /// Drop a key from local memory (scheduler-directed release).
   bool release_key(const Key& key);
   bool has_local(const Key& key) const { return store_.count(key) != 0; }
-  double busy_time() const { return cpu_.total_busy_time(); }
 
   /// Local blocking lookup: waits until `key` is locally readable and
   /// returns a non-owning reference into the store (stable until the key
@@ -119,7 +132,7 @@ private:
   exec::Co<void> notify_scheduler(
       SchedMsg msg, exec::Delivery delivery = exec::Delivery::kReliable);
 
-  /// Update the memory gauge + counter track after a store change.
+  /// Update the peak and the memory counter track after a store change.
   void record_memory();
 
   exec::Executor* engine_;
@@ -145,14 +158,20 @@ private:
   /// Bounds the number of concurrent outbound peer fetches (NIC model).
   exec::Semaphore fetch_slots_;
   std::uint64_t tasks_executed_ = 0;
+  std::uint64_t tasks_erred_ = 0;
   std::uint64_t bytes_stored_ = 0;
   std::uint64_t peer_fetch_cached_bytes_ = 0;
   std::uint64_t peer_fetches_ = 0;
   std::uint64_t peer_fetches_shared_ = 0;
   std::uint64_t peer_fetch_cache_hits_ = 0;
+  std::uint64_t peer_fetch_bytes_ = 0;
+  std::uint64_t fetches_aborted_ = 0;
+  std::uint64_t bytes_moved_ = 0;
+  std::uint64_t messages_dropped_dead_ = 0;
   std::uint64_t memory_bytes_ = 0;
   std::uint64_t peak_memory_bytes_ = 0;
   std::uint64_t keys_released_ = 0;
+  std::uint64_t bytes_released_ = 0;
   bool stopping_ = false;
   bool alive_ = true;
 };

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "deisa/dts/scheduler.hpp"
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 #include "deisa/util/log.hpp"
 
@@ -18,7 +17,6 @@ void Scheduler::handle_heartbeat(const SchedMsg& msg) {
     return;
   if (worker_is_dead(msg.worker)) {
     ++recovery_.stale_heartbeats;
-    obs::count("scheduler.stale.heartbeats");
   } else {
     last_heartbeat_[static_cast<std::size_t>(msg.worker)] = engine_->now();
   }
@@ -48,7 +46,7 @@ exec::Co<void> Scheduler::run_failure_detector() {
       // Report through the scheduler's own inbox so recovery serializes
       // with every other handler instead of mutating records mid-flight.
       suspected_[w] = 1;
-      obs::count("scheduler.recovery.suspected");
+      ++recovery_.suspected;
       obs::trace_instant(actor_, "recovery",
                          "suspect:worker-" + std::to_string(ref.id));
       SchedMsg m(SchedMsgKind::kWorkerLost);
@@ -75,7 +73,6 @@ exec::Co<void> Scheduler::handle_worker_lost(SchedMsg& msg) {
   dead_[static_cast<std::size_t>(w)] = 1;
   ++dead_count_;
   ++recovery_.workers_lost;
-  obs::count("scheduler.recovery.workers_lost");
   obs::trace_instant(actor_, "recovery",
                      "worker_lost:worker-" + std::to_string(w));
   DEISA_TRACE("scheduler", "worker " << w << " declared lost; recovering");
@@ -122,7 +119,6 @@ exec::Co<void> Scheduler::recover_worker(int w) {
       to_poison.emplace_back(
           id, "scattered data lost with worker " + std::to_string(w));
       ++recovery_.keys_lost;
-      obs::count("scheduler.recovery.keys_lost");
       continue;
     }
     // Park the record until its data exists again: a computed key waits
@@ -136,13 +132,11 @@ exec::Co<void> Scheduler::recover_worker(int w) {
     rec.nwaiting = 0;
     if (rec.origin == Origin::kComputed) {
       ++recovery_.keys_recomputed;
-      obs::count("scheduler.recovery.keys_recomputed");
     } else if (rec.origin == Origin::kExternal) {
       rearm_external(id, rec);
       rearmed.push_back(id);
     } else {
       ++recovery_.mirrors_rearmed;
-      obs::count("scheduler.recovery.mirrors_rearmed");
     }
   }
   // Phase 2: rebuild consumer edges and restart derailed in-flight work.
@@ -159,7 +153,6 @@ exec::Co<void> Scheduler::recover_worker(int w) {
       // catches never-pushed preselections.)
       rec.preferred_worker = pick_live_worker();
       ++recovery_.external_rerouted;
-      obs::count("scheduler.recovery.external_rerouted");
       continue;
     }
     // A processing task is derailed when it ran on the dead worker or is
@@ -176,7 +169,6 @@ exec::Co<void> Scheduler::recover_worker(int w) {
       rec.worker = -1;
       rec.nwaiting = 0;
       ++recovery_.tasks_rerun;
-      obs::count("scheduler.recovery.tasks_rerun");
     } else if (rec.state != TaskState::kWaiting) {
       continue;
     }
@@ -219,7 +211,6 @@ void Scheduler::rearm_external(KeyId id, TaskRecord& rec) {
     rec.preferred_worker = pick_live_worker();
   engine_->spawn(repush_deadline(keys_.name(id), rec.rearm_epoch));
   ++recovery_.external_rearmed;
-  obs::count("scheduler.recovery.external_rearmed");
 }
 
 exec::Co<void> Scheduler::send_replays(const std::vector<KeyId>& ids,
@@ -275,8 +266,8 @@ exec::Co<void> Scheduler::handle_repush_expired(SchedMsg& msg) {
   if (rec.state != TaskState::kExternal || rec.rearm_epoch != msg.bytes)
     co_return;
   ++recovery_.repush_expired;
-  obs::count("scheduler.recovery.repush_expired");
-  obs::trace_instant(actor_, "recovery", "repush_expired:" + msg.key);
+  if (obs::tracer() != nullptr)
+    obs::trace_instant(actor_, "recovery", "repush_expired:" + msg.key);
   co_await poison_task(id, "external re-push timed out");
 }
 

@@ -4,7 +4,6 @@
 #include <span>
 
 #include "deisa/dts/policy.hpp"
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 #include "deisa/util/log.hpp"
 
@@ -161,11 +160,7 @@ Scheduler::TaskRecord& Scheduler::create_record(KeyId id) {
 void Scheduler::record_created(KeyId id, TaskRecord& rec) {
   rec.state_since = engine_->now();
   ++state_counts_[static_cast<std::size_t>(rec.state)];
-  if (auto* m = obs::metrics()) {
-    m->counter("scheduler.tasks.created").add();
-    m->counter(std::string("scheduler.created.") + to_string(rec.state))
-        .add();
-  }
+  ++created_[static_cast<std::size_t>(rec.state)];
   if (auto* r = obs::tracer())
     r->instant(r->track(actor_, "lifecycle"), "create:" + keys_.name(id),
                {obs::arg("state", to_string(rec.state))});
@@ -180,10 +175,8 @@ void Scheduler::transition(KeyId id, TaskRecord& rec, TaskState to) {
                                      << keys_.name(id));
   DEISA_TRACE("scheduler", keys_.name(id) << ": " << to_string(from) << " -> "
                                           << to_string(to));
-  if (auto* m = obs::metrics())
-    m->counter(std::string("scheduler.transitions.") + to_string(from) +
-               "->" + to_string(to))
-        .add();
+  ++transitions_[static_cast<std::size_t>(from)]
+                 [static_cast<std::size_t>(to)];
   if (auto* r = obs::tracer()) {
     // Time spent in the state being left, as a span on that state's lane;
     // terminal states (memory/erred) show up as lifecycle instants.
@@ -249,11 +242,6 @@ exec::Co<void> Scheduler::run() {
     SchedMsg msg = co_await inbox_.recv();
     ++total_messages_;
     ++arrivals_[static_cast<std::size_t>(msg.kind)];
-    if (auto* m = obs::metrics()) {
-      m->counter("scheduler.messages.total").add();
-      m->counter(std::string("scheduler.messages.") + to_string(msg.kind))
-          .add();
-    }
     // Guarded so the disabled path never builds the name string: this
     // loop is the scheduler-throughput hot path.
     obs::Span span;
@@ -389,10 +377,7 @@ exec::Co<void> Scheduler::handle_update_graph(SchedMsg& msg) {
       // Edge-ingested hook: the GC charges the dep one consumer, and an
       // edge to a mirror counts as a cross-shard edge.
       lifetime_.charge(d, dep);
-      if (drec.origin == Origin::kRemote) {
-        ++shard_.remote_edges;
-        obs::count("scheduler.shard.remote_edges");
-      }
+      if (drec.origin == Origin::kRemote) ++shard_.remote_edges;
       deps_pool_.push_back(d);
       ++records_[id].dep_count;
       if (drec.state != TaskState::kMemory) {
@@ -465,11 +450,9 @@ exec::Co<void> Scheduler::release(KeyId id, Release r) {
     co_return;
   }
   const TaskRecord& rec = records_[id];
-  if (auto* m = obs::metrics()) {
-    m->counter("scheduler.gc.keys_released").add();
-    m->counter("scheduler.gc.bytes_released").add(rec.bytes);
-  }
-  obs::trace_instant(actor_, "gc", "release:" + keys_.name(id));
+  bytes_released_ += rec.bytes;
+  if (obs::tracer() != nullptr)
+    obs::trace_instant(actor_, "gc", "release:" + keys_.name(id));
   // Tell the owner to drop its store copy. State stays kMemory: the
   // release is a storage fact, and the record keeps answering metadata
   // queries.
@@ -635,7 +618,6 @@ exec::Co<void> Scheduler::handle_task_finished(SchedMsg& msg) {
   const KeyId id = keys_.find(msg.key);
   if (id == kNoKeyId) {
     ++recovery_.stale_task_finished;
-    obs::count("scheduler.stale.task_finished");
     co_return;
   }
   TaskRecord& rec = records_[id];
@@ -647,8 +629,8 @@ exec::Co<void> Scheduler::handle_task_finished(SchedMsg& msg) {
   // illegal transition.
   if (rec.state != TaskState::kProcessing || rec.worker != msg.worker) {
     ++recovery_.stale_task_finished;
-    obs::count("scheduler.stale.task_finished");
-    obs::trace_instant(actor_, "recovery", "stale_finish:" + msg.key);
+    if (obs::tracer() != nullptr)
+      obs::trace_instant(actor_, "recovery", "stale_finish:" + msg.key);
     co_return;
   }
   rec.origin = Origin::kComputed;
@@ -672,7 +654,6 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
       rec.state = TaskState::kErred;
       errors_[id] = "scattered to lost worker " + std::to_string(worker);
       ++recovery_.keys_lost;
-      obs::count("scheduler.recovery.keys_lost");
       ack = kAckErred;
     } else {
       // Plain scatter of a fresh key: register it directly in memory.
@@ -688,8 +669,8 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
         // Push to a poisoned key (the old DEISA_CHECK abort): acknowledge
         // and discard so the producer keeps stepping.
         ++recovery_.stale_update_data;
-        obs::count("scheduler.stale.update_data");
-        obs::trace_instant(actor_, "recovery", "stale_push:" + key);
+        if (obs::tracer() != nullptr)
+          obs::trace_instant(actor_, "recovery", "stale_push:" + key);
         ack = kAckDiscarded;
         break;
       case TaskState::kExternal: {
@@ -716,7 +697,6 @@ exec::Co<int> Scheduler::update_data_one(Key key, int worker,
           // Duplicate delivery of a push that already completed the key
           // (fault duplication, or a replay racing the original).
           ++recovery_.stale_update_data;
-          obs::count("scheduler.stale.update_data");
           ack = kAckDiscarded;
         } else {
           // Re-scatter of an existing key: refresh location. Fresh bytes
@@ -791,7 +771,6 @@ void Scheduler::handle_create_external(SchedMsg& msg) {
             // corpse.
             pw = pick_live_worker();
             ++recovery_.external_rerouted;
-            obs::count("scheduler.recovery.external_rerouted");
           }
           rec.preferred_worker = pw;
         }

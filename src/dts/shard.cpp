@@ -6,7 +6,6 @@
 #include <type_traits>
 
 #include "deisa/dts/scheduler.hpp"
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 
 namespace deisa::dts {
@@ -205,7 +204,6 @@ exec::Co<void> Scheduler::notify_shard(int shard, KeyId id) {
   if (const auto it = errors_.find(id); m.erred && it != errors_.end())
     m.error = it->second;
   ++shard_.notify_msgs;
-  obs::count("scheduler.shard.notify_msgs");
   co_await send_shard(shard, std::move(m));
 }
 
@@ -228,7 +226,6 @@ exec::Co<void> Scheduler::drain_to_owner(KeyId id, int count) {
   DEISA_ASSERT(owner != shard_.index,
                "remote mirror " << m.key << " owned by this shard");
   ++shard_.release_acks;
-  obs::count("scheduler.shard.release_acks");
   // Enqueue before paying the control cost (the reverse of send_shard):
   // the client may observe the consumer's completion and enqueue
   // kShutdown in this very tick — landing the ack in the owner's FIFO
@@ -286,11 +283,11 @@ exec::Co<void> Scheduler::handle_shard_worker_dead(SchedMsg& msg) {
   if (!shard_.accept_death(msg.bytes, worker_is_dead(w))) co_return;
   dead_[static_cast<std::size_t>(w)] = 1;
   ++dead_count_;
-  obs::count("scheduler.shard.worker_dead");
   // recovery_.workers_lost stays untouched here: shard 0 counted the
   // death once; per-shard sums must equal the single-scheduler count.
-  obs::trace_instant(actor_, "recovery",
-                     "shard_worker_dead:worker-" + std::to_string(w));
+  if (obs::tracer() != nullptr)
+    obs::trace_instant(actor_, "recovery",
+                       "shard_worker_dead:worker-" + std::to_string(w));
   co_await recover_worker(w);
 }
 
@@ -361,9 +358,6 @@ std::uint64_t ShardedScheduler::total_messages() const {
 }
 std::uint64_t ShardedScheduler::messages_received(SchedMsgKind kind) const {
   return sum([kind](const Scheduler& s) { return s.messages_received(kind); });
-}
-double ShardedScheduler::total_service_time() const {
-  return sum(&Scheduler::total_service_time);
 }
 std::uint64_t ShardedScheduler::keys_released() const {
   return sum(&Scheduler::keys_released);

@@ -1,7 +1,6 @@
 #include "deisa/dts/worker.hpp"
 
 #include "deisa/dts/shard.hpp"
-#include "deisa/obs/dataplane.hpp"
 #include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 
@@ -28,9 +27,6 @@ Worker::Worker(exec::Executor& engine, exec::Transport& cluster, int id, int nod
 
 void Worker::record_memory() {
   if (memory_bytes_ > peak_memory_bytes_) peak_memory_bytes_ = memory_bytes_;
-  if (auto* m = obs::metrics())
-    m->gauge(actor_ + ".memory_bytes")
-        .set(static_cast<double>(memory_bytes_));
   if (auto* r = obs::tracer())
     r->counter(r->track(actor_, "memory"), "memory_bytes",
                static_cast<double>(memory_bytes_));
@@ -52,7 +48,7 @@ exec::Co<void> Worker::run() {
       // Crashed worker: every message disappears into the void. Senders
       // that expected a reply stay blocked and are reaped at teardown;
       // the scheduler learns of the death from the missed heartbeats.
-      obs::count("worker.messages_dropped_dead");
+      ++messages_dropped_dead_;
       continue;
     }
     switch (msg.kind) {
@@ -74,15 +70,10 @@ exec::Co<void> Worker::run() {
       case WorkerMsgKind::kReleaseKey: {
         // Refcount GC: the scheduler proved every consumer of this key
         // has finished, so its store copy can go.
-        std::uint64_t freed = 0;
         if (const auto it = store_.find(msg.key); it != store_.end())
-          freed = it->second.bytes;
+          bytes_released_ += it->second.bytes;
         release_key(msg.key);
         ++keys_released_;
-        if (auto* m = obs::metrics()) {
-          m->counter("worker.keys_released").add();
-          m->counter("worker.bytes_released").add(freed);
-        }
         break;
       }
       case WorkerMsgKind::kPeerLost:
@@ -113,7 +104,6 @@ void Worker::crash() {
   store_.clear();
   memory_bytes_ = 0;
   record_memory();
-  obs::count("worker.crashes");
   obs::trace_instant(actor_, "lifecycle", "crash");
 }
 
@@ -132,8 +122,6 @@ void Worker::store_put(Key key, Data data, bool cached) {
     // new data produced or received by this worker: account it on its
     // own counter so bytes_stored() keeps measuring store throughput.
     peer_fetch_cached_bytes_ += data.bytes;
-    if (auto* m = obs::metrics())
-      m->counter("worker.peer_fetch_cached_bytes").add(data.bytes);
   } else {
     bytes_stored_ += data.bytes;
   }
@@ -176,7 +164,7 @@ exec::Co<void> Worker::fetch(const DepLocation& dep, Data& out,
     // shared alias. The byte accounting models dask's per-read
     // serialization: every local dependency read duplicates the payload.
     const Data* d = co_await local_ref(dep.key);
-    obs::count_moved(d->bytes);
+    bytes_moved_ += d->bytes;
     out = *d;
     co_return;
   }
@@ -186,15 +174,14 @@ exec::Co<void> Worker::fetch(const DepLocation& dep, Data& out,
   // Already cached from an earlier fetch: no network round trip.
   if (const auto hit = store_.find(dep.key); hit != store_.end()) {
     ++peer_fetch_cache_hits_;
-    obs::count("worker.peer_fetch_cache_hits");
-    obs::count_moved(hit->second.bytes);
+    bytes_moved_ += hit->second.bytes;
     out = hit->second;
     co_return;
   }
   // A peer declared dead never answers: fail at once, holding no slot.
   if (dead_peers_[owner] != 0) {
     aborted = true;
-    obs::count("worker.fetches_aborted");
+    ++fetches_aborted_;
     co_return;
   }
   // The same key is already on the wire from the same peer for another
@@ -205,7 +192,6 @@ exec::Co<void> Worker::fetch(const DepLocation& dep, Data& out,
       it != inflight_.end() && it->second->owner == dep.owner) {
     auto flight = it->second;  // keep alive across the await
     ++peer_fetches_shared_;
-    obs::count("worker.peer_fetch_shared");
     co_await flight->done.wait();
     if (flight->aborted)
       aborted = true;
@@ -242,18 +228,15 @@ exec::Co<void> Worker::fetch(const DepLocation& dep, Data& out,
     // back and fail this fetch and every fetch that joined it.
     fetch_slots_.release();
     flight->aborted = true;
-    obs::count("worker.fetches_aborted");
+    ++fetches_aborted_;
   } else {
     const Data& d = flight->data;
-    obs::count_moved(d.bytes);
+    bytes_moved_ += d.bytes;
     fetch_slots_.release();
     if (span.active()) span.add_arg(obs::arg("bytes", d.bytes));
     span.finish();
     ++peer_fetches_;
-    if (auto* m = obs::metrics()) {
-      m->counter("worker.peer_fetches").add();
-      m->counter("worker.peer_fetch_bytes").add(d.bytes);
-    }
+    peer_fetch_bytes_ += d.bytes;
     // Cache locally, as dask workers do (skip if we crashed mid-fetch:
     // the store of a dead worker stays empty).
     if (alive_) store_put(dep.key, d, /*cached=*/true);
@@ -356,11 +339,9 @@ exec::Co<void> Worker::handle_compute(const TaskSpec* spec, Key key,
   }
   span.finish();
   if (!alive_) co_return;  // crashed mid-execution: the result dies here
-  if (auto* m = obs::metrics()) {
-    m->counter("worker.tasks_executed").add();
+  if (done.erred) ++tasks_erred_;
+  if (auto* m = obs::metrics())
     m->histogram("worker.execute_seconds").observe(engine_->now() - exec_start);
-    if (done.erred) m->counter("worker.tasks_erred").add();
-  }
   co_await notify_scheduler(std::move(done), exec::Delivery::kIdempotent);
 }
 

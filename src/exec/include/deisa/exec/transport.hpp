@@ -61,10 +61,15 @@ struct SendResult {
   int copies = 1;
 };
 
-/// Statistics over all completed sends (observability and tests).
+/// Statistics over all sends (observability and tests).
 struct TransferStats {
-  std::uint64_t count = 0;
+  std::uint64_t count = 0;    // bulk transfers + control messages
   std::uint64_t bytes = 0;
+  std::uint64_t control = 0;  // the control messages among `count`
+  // Fault-hook decisions the transport carried out.
+  std::uint64_t dropped = 0;     // control messages not delivered
+  std::uint64_t duplicated = 0;  // control messages delivered twice
+  std::uint64_t delayed = 0;     // bulk transfers stretched
 };
 
 class Transport {

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "deisa/dts/runtime.hpp"
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 #include "deisa/util/log.hpp"
 #include "deisa/util/strings.hpp"
@@ -145,7 +144,6 @@ exec::Co<void> FaultInjector::kill_at(dts::Runtime& runtime, int worker,
   if (!w.alive()) co_return;
   w.crash();
   ++kills_performed_;
-  obs::count("fault.workers_killed");
   obs::trace_instant("fault", "inject",
                      "kill:worker-" + std::to_string(worker));
   DEISA_TRACE("fault", "killed worker " << worker << " at t=" << time);

@@ -177,10 +177,6 @@ struct RunResult {
   /// Blocks the bridges pushed again from their replay buffers.
   std::uint64_t bridge_blocks_repushed = 0;
   std::uint64_t network_bytes = 0;
-  /// Per-worker CPU busy seconds (observability/calibration).
-  std::vector<double> worker_busy_seconds;
-  std::vector<std::uint64_t> worker_tasks;
-  double scheduler_busy_seconds = 0.0;
   std::uint64_t pfs_bytes_written = 0;
   std::uint64_t pfs_bytes_read = 0;
 
@@ -199,7 +195,8 @@ struct RunResult {
   /// Worker crashes actually performed by the fault injector.
   std::uint64_t workers_killed = 0;
 
-  /// Snapshot of every counter/gauge/histogram the run produced.
+  /// Every counter, gauge and histogram of the run (counters and gauges
+  /// read from the actors' typed counts once the run is over).
   obs::MetricsSnapshot metrics;
   /// Event trace of the run (only set when ScenarioParams::trace).
   std::shared_ptr<obs::Recorder> trace;

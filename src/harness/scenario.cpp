@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
 
 #include "deisa/apps/heat2d.hpp"
 #include "deisa/core/adaptor.hpp"
@@ -330,6 +331,35 @@ dts::Data block_payload(const ScenarioParams& p, const apps::Heat2d* solver,
   return dts::Data::make<arr::NDArray>(std::move(block), b);
 }
 
+/// The rank's real Heat2d solver, initialized (functional mode only;
+/// null otherwise).
+std::unique_ptr<apps::Heat2d> make_solver(const ScenarioParams& p, int rank) {
+  if (!p.real_data) return nullptr;
+  const auto [px, py] = p.proc_grid();
+  apps::Heat2dConfig hc;
+  hc.local_nx = p.local_edge();
+  hc.local_ny = p.local_edge();
+  hc.proc_x = px;
+  hc.proc_y = py;
+  hc.timesteps = p.timesteps;
+  auto solver = std::make_unique<apps::Heat2d>(hc, rank);
+  solver->initialize();
+  return solver;
+}
+
+/// Gather a fit's singular values and explained variance and append them
+/// to the run's outputs (functional mode).
+exec::Co<void> collect_fit(ml::InSituIncrementalPca& ipca,
+                           const ml::IpcaFit& fit, RunResult& res) {
+  const std::vector<double> sv =
+      co_await ipca.collect_vector(fit.singular_values_key);
+  const std::vector<double> ev =
+      co_await ipca.collect_vector(fit.explained_variance_key);
+  res.singular_values.insert(res.singular_values.end(), sv.begin(), sv.end());
+  res.explained_variance.insert(res.explained_variance.end(), ev.begin(),
+                                ev.end());
+}
+
 /// One simulation rank of an in-transit (DEISA*) run.
 exec::Co<void> deisa_rank_actor(World& w, SharedState& st, Pipeline pipeline,
                                int rank, RunResult& res) {
@@ -338,18 +368,7 @@ exec::Co<void> deisa_rank_actor(World& w, SharedState& st, Pipeline pipeline,
   const core::VirtualArray& va = vas.front();
   const auto [px, py] = p.proc_grid();
   core::Bridge& bridge = *st.bridges[static_cast<std::size_t>(rank)];
-
-  std::unique_ptr<apps::Heat2d> solver;
-  if (p.real_data) {
-    apps::Heat2dConfig hc;
-    hc.local_nx = p.local_edge();
-    hc.local_ny = p.local_edge();
-    hc.proc_x = px;
-    hc.proc_y = py;
-    hc.timesteps = p.timesteps;
-    solver = std::make_unique<apps::Heat2d>(hc, rank);
-    solver->initialize();
-  }
+  const std::unique_ptr<apps::Heat2d> solver = make_solver(p, rank);
 
   if (rank == 0) {
     std::vector<core::VirtualArray> arrays = vas;
@@ -440,18 +459,9 @@ exec::Co<void> deisa23_adaptor_actor(World& w, SharedState& st,
   for (const ml::IpcaFit& fit : fits)
     co_await adaptor.client().wait_key(fit.singular_values_key);
   res.analytics_seconds = w.engine.now() - t0;
-  if (p.real_data) {
-    for (std::size_t i = 0; i < fits.size(); ++i) {
-      const auto sv =
-          co_await ipcas[i]->collect_vector(fits[i].singular_values_key);
-      const auto ev =
-          co_await ipcas[i]->collect_vector(fits[i].explained_variance_key);
-      res.singular_values.insert(res.singular_values.end(), sv.begin(),
-                                 sv.end());
-      res.explained_variance.insert(res.explained_variance.end(), ev.begin(),
-                                    ev.end());
-    }
-  }
+  if (p.real_data)
+    for (std::size_t i = 0; i < fits.size(); ++i)
+      co_await collect_fit(*ipcas[i], fits[i], res);
   st.analytics_done.set();
 }
 
@@ -469,29 +479,16 @@ exec::Co<void> deisa1_adaptor_actor(World& w, SharedState& st, RunResult& res) {
 
   const double t0 = w.engine.now();
   st.providers.push_back(std::make_unique<SelectedArrayProvider>(da, box));
-  // DEISA1 pairs with the OLD IPCA throughout the evaluation.
+  // DEISA1 pairs with the OLD IPCA throughout the evaluation, and submits
+  // each step's graph once every rank reported the step.
   ml::InSituIncrementalPca ipca(adaptor.client(),
                                 ipca_options(p, "ipca-d1", true));
-  for (int t = 0; t < p.timesteps; ++t) {
-    co_await adaptor.deisa1_wait_step(p.ranks);
-    std::vector<dts::TaskSpec> tasks;
-    ipca.build_step(*st.providers.back(), /*submission=*/t, t, tasks);
-    std::vector<dts::Key> wants;
-    wants.push_back(ipca.state_key(t));
-    co_await adaptor.client().submit(std::move(tasks), std::move(wants));
-    co_await adaptor.client().wait_key(ipca.state_key(t));
-  }
-  std::vector<dts::TaskSpec> tasks;
-  ipca.build_outputs(tasks, p.timesteps);
-  co_await adaptor.client().submit(std::move(tasks), {});
-  const ml::IpcaFit fit = ipca.fit_info(p.timesteps, p.timesteps + 1);
+  const ml::IpcaFit fit = co_await ipca.fit_per_step(
+      *st.providers.back(),
+      [&adaptor, ranks = p.ranks] { return adaptor.deisa1_wait_step(ranks); });
   co_await adaptor.client().wait_key(fit.singular_values_key);
   res.analytics_seconds = w.engine.now() - t0;
-  if (p.real_data) {
-    res.singular_values = co_await ipca.collect_vector(fit.singular_values_key);
-    res.explained_variance =
-        co_await ipca.collect_vector(fit.explained_variance_key);
-  }
+  if (p.real_data) co_await collect_fit(ipca, fit, res);
   st.analytics_done.set();
 }
 
@@ -503,18 +500,7 @@ exec::Co<void> posthoc_rank_actor(World& w, SharedState& st,
   const ScenarioParams& p = w.params;
   const core::VirtualArray va = p.virtual_array();
   const auto [px, py] = p.proc_grid();
-
-  std::unique_ptr<apps::Heat2d> solver;
-  if (p.real_data) {
-    apps::Heat2dConfig hc;
-    hc.local_nx = p.local_edge();
-    hc.local_ny = p.local_edge();
-    hc.proc_x = px;
-    hc.proc_y = py;
-    hc.timesteps = p.timesteps;
-    solver = std::make_unique<apps::Heat2d>(hc, rank);
-    solver->initialize();
-  }
+  const std::unique_ptr<apps::Heat2d> solver = make_solver(p, rank);
   co_await w.comm->barrier(rank);
   const double step_cost = apps::Heat2d::step_cost(
       p.local_edge() * p.local_edge(), p.sim_cell_rate);
@@ -567,11 +553,7 @@ exec::Co<void> posthoc_analytics_actor(World& w, SharedState& st,
   }
   co_await client.wait_key(fit.singular_values_key);
   res.analytics_seconds = w.engine.now() - t0;
-  if (p.real_data) {
-    res.singular_values = co_await ipca.collect_vector(fit.singular_values_key);
-    res.explained_variance =
-        co_await ipca.collect_vector(fit.explained_variance_key);
-  }
+  if (p.real_data) co_await collect_fit(ipca, fit, res);
   st.analytics_done.set();
 }
 
@@ -581,6 +563,159 @@ exec::Co<void> orchestrator(World& w, SharedState& st, RunResult& res) {
   co_await st.analytics_done.wait();
   res.total_seconds = w.engine.now();
   co_await w.runtime->shutdown();
+}
+
+/// Fill `snap`'s counters and gauges from the typed counts of every actor
+/// of the finished run, summed over shards, workers, bridges and clients.
+/// Every counter and gauge name of a run lives here; a counter appears
+/// once it is non-zero.
+void add_counts(World& w, const SharedState& st, const obs::Recorder* recorder,
+                obs::MetricsSnapshot& snap) {
+  const auto count = [&snap](const std::string& name, std::uint64_t n) {
+    if (n != 0) snap.counters[name] = n;
+  };
+  // One count summed over actors 0..n-1: `at(i)` is actor i, and `get`
+  // reads the count off it.
+  const auto sum = [](int n, auto at, auto get) {
+    std::uint64_t total = 0;
+    for (int i = 0; i < n; ++i) total += std::invoke(get, at(i));
+    return total;
+  };
+  dts::ShardedScheduler& sched = w.runtime->sharded();
+  const auto shards = [&](auto get) {
+    const auto at = [&](int i) -> auto& { return sched.shard(i); };
+    return sum(sched.num_shards(), at, get);
+  };
+  dts::Runtime& rt = *w.runtime;
+  const auto workers = [&](auto get) {
+    const auto at = [&](int i) -> auto& { return rt.worker(i); };
+    return sum(rt.num_workers(), at, get);
+  };
+  const auto bridges = [&](auto get) {
+    const auto at = [&](int i) -> auto& {
+      return *st.bridges[static_cast<std::size_t>(i)];
+    };
+    return sum(static_cast<int>(st.bridges.size()), at, get);
+  };
+
+  count("scheduler.messages.total", sched.total_messages());
+  for (std::size_t k = 0; k < dts::kSchedMsgKindCount; ++k) {
+    const auto kind = static_cast<dts::SchedMsgKind>(k);
+    count(std::string("scheduler.messages.") + dts::to_string(kind),
+          sched.messages_received(kind));
+  }
+  std::uint64_t created = 0;
+  for (std::size_t i = 0; i < dts::kNumTaskStates; ++i) {
+    const auto from = static_cast<dts::TaskState>(i);
+    const std::uint64_t n =
+        shards([from](const dts::Scheduler& s) { return s.created_in(from); });
+    count(std::string("scheduler.created.") + dts::to_string(from), n);
+    created += n;
+    for (std::size_t j = 0; j < dts::kNumTaskStates; ++j) {
+      const auto to = static_cast<dts::TaskState>(j);
+      count(std::string("scheduler.transitions.") + dts::to_string(from) +
+                "->" + dts::to_string(to),
+            shards([from, to](const dts::Scheduler& s) {
+              return s.transitions(from, to);
+            }));
+    }
+  }
+  count("scheduler.tasks.created", created);
+  count("scheduler.gc.keys_released", sched.keys_released());
+  count("scheduler.gc.bytes_released", shards(&dts::Scheduler::bytes_released));
+  count("scheduler.shard.remote_edges", sched.remote_edges());
+  count("scheduler.shard.notify_msgs", sched.notify_msgs());
+  count("scheduler.shard.release_acks", sched.release_acks());
+  count("scheduler.shard.worker_dead", shards([](const dts::Scheduler& s) {
+          return s.shard_link().deaths_accepted;
+        }));
+  const dts::RecoveryCounters rc = sched.recovery();
+  count("scheduler.recovery.suspected", rc.suspected);
+  count("scheduler.recovery.workers_lost", rc.workers_lost);
+  count("scheduler.recovery.tasks_rerun", rc.tasks_rerun);
+  count("scheduler.recovery.keys_recomputed", rc.keys_recomputed);
+  count("scheduler.recovery.external_rearmed", rc.external_rearmed);
+  count("scheduler.recovery.external_rerouted", rc.external_rerouted);
+  count("scheduler.recovery.mirrors_rearmed", rc.mirrors_rearmed);
+  count("scheduler.recovery.keys_lost", rc.keys_lost);
+  count("scheduler.recovery.repush_expired", rc.repush_expired);
+  count("scheduler.stale.task_finished", rc.stale_task_finished);
+  count("scheduler.stale.update_data", rc.stale_update_data);
+  count("scheduler.stale.heartbeats", rc.stale_heartbeats);
+
+  // The dump counts erred executions with the ones that stored a result.
+  count("worker.tasks_executed", workers([](const dts::Worker& k) {
+          return k.tasks_executed() + k.tasks_erred();
+        }));
+  count("worker.tasks_erred", workers(&dts::Worker::tasks_erred));
+  count("worker.crashes", workers([](const dts::Worker& k) {
+          return std::uint64_t{k.alive() ? 0u : 1u};
+        }));
+  count("worker.messages_dropped_dead",
+        workers(&dts::Worker::messages_dropped_dead));
+  count("worker.keys_released", workers(&dts::Worker::keys_released));
+  count("worker.bytes_released", workers(&dts::Worker::bytes_released));
+  count("worker.peer_fetches", workers(&dts::Worker::peer_fetches));
+  count("worker.peer_fetch_bytes", workers(&dts::Worker::peer_fetch_bytes));
+  count("worker.peer_fetch_shared", workers(&dts::Worker::peer_fetches_shared));
+  count("worker.peer_fetch_cache_hits",
+        workers(&dts::Worker::peer_fetch_cache_hits));
+  count("worker.peer_fetch_cached_bytes",
+        workers(&dts::Worker::peer_fetch_cached_bytes));
+  count("worker.fetches_aborted", workers(&dts::Worker::fetches_aborted));
+  const auto client = [&](int i) -> auto& { return rt.client(i); };
+  count("dataplane.bytes_moved",
+        workers(&dts::Worker::bytes_moved) +
+            sum(rt.num_clients(), client, &dts::Client::bytes_moved));
+  for (int i = 0; i < rt.num_workers(); ++i) {
+    // Present once the worker's store has changed (a crash empties it).
+    const dts::Worker& k = rt.worker(i);
+    if (k.peak_memory_bytes() > 0 || !k.alive())
+      snap.gauges["worker-" + std::to_string(i) + ".memory_bytes"] =
+          static_cast<double>(k.memory_bytes());
+  }
+
+  count("bridge.blocks_sent", bridges(&core::Bridge::blocks_sent));
+  count("bridge.bytes_sent", bridges(&core::Bridge::bytes_sent));
+  count("bridge.batched_pushes", bridges(&core::Bridge::batched_pushes));
+  count("bridge.blocks_filtered", bridges(&core::Bridge::blocks_filtered));
+  count("bridge.blocks_discarded", bridges(&core::Bridge::blocks_discarded));
+  count("bridge.blocks_repushed", bridges(&core::Bridge::blocks_repushed));
+  count("bridge.repush_misses", bridges(&core::Bridge::repush_misses));
+  if (st.adaptor)
+    count("adaptor.external_futures", st.adaptor->external_futures());
+
+  count("pfs.ops", w.pfs.ops());
+  count("pfs.bytes_written", w.pfs.bytes_written());
+  count("pfs.bytes_read", w.pfs.bytes_read());
+  const exec::TransferStats net = w.cluster.stats();
+  count("net.transfers", net.count - net.control);
+  count("net.control_messages", net.control);
+  count("net.bytes", net.bytes);
+  count("net.faults.dropped", net.dropped);
+  count("net.faults.duplicated", net.duplicated);
+  count("net.faults.delayed", net.delayed);
+  if (w.injector) count("fault.workers_killed", w.injector->kills_performed());
+
+  snap.gauges["scenario.seed"] = static_cast<double>(w.params.scenario_seed);
+  if (recorder) {
+    count("trace.dropped_events", recorder->dropped());
+    snap.gauges["trace.dropped_events_final"] =
+        static_cast<double>(recorder->dropped());
+  }
+  if (w.thr_engine) {
+    count("rt.nic.local_bypass", w.thr_cluster->local_bypasses());
+    const rt::RuntimeStats s = w.thr_engine->stats();
+    snap.gauges["rt.exec.posts"] = static_cast<double>(s.posts);
+    snap.gauges["rt.exec.timer_fires"] = static_cast<double>(s.timer_fires);
+    snap.gauges["rt.exec.resumes"] = static_cast<double>(s.resumes);
+    snap.gauges["rt.exec.strands"] = static_cast<double>(s.strands);
+    snap.gauges["rt.exec.max_queue_depth"] =
+        static_cast<double>(s.max_queue_depth);
+    snap.gauges["rt.exec.post_run_latency_mean_s"] =
+        s.post_run_latency_mean_s();
+    snap.gauges["rt.exec.post_run_latency_max_s"] = s.post_run_latency_max_s;
+  }
 }
 
 }  // namespace
@@ -594,10 +729,11 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
                   << to_string(pipeline) << " with " << params.arrays
                   << " arrays");
   World w(params);
-  // Attach the observability layer for the duration of the run: a metrics
-  // registry always, a trace recorder only when asked for, both stamped
-  // with the engine's simulated time. Previous installations (e.g. an
-  // outer test harness) are restored on return.
+  // Attach the observability layer for the duration of the run: the
+  // duration histograms always, a trace recorder only when asked for,
+  // both stamped with the engine's simulated time. Previous installations
+  // (e.g. an outer test harness) are restored on return. Counts need no
+  // installation: add_counts() reads them from the actors afterwards.
   std::shared_ptr<obs::Recorder> recorder;
   if (params.trace)
     recorder = std::make_shared<obs::Recorder>(params.trace_capacity);
@@ -611,8 +747,6 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
   // metrics snapshot, and (when tracing) the trace itself, so a corpus
   // failure names its own reproduction command.
   res.scenario_seed = params.scenario_seed;
-  obs::gauge_set("scenario.seed",
-                 static_cast<double>(params.scenario_seed));
   if (recorder)
     recorder->instant(recorder->track("harness", "scenario"),
                       "scenario:seed=" + std::to_string(params.scenario_seed),
@@ -727,14 +861,10 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
     res.bridge_blocks_repushed += b->blocks_repushed();
   }
   res.network_bytes = w.cluster.stats().bytes;
-  res.scheduler_busy_seconds = sched.total_service_time();
   res.keys_released = sched.keys_released();
-  for (int i = 0; i < w.runtime->num_workers(); ++i) {
-    res.worker_busy_seconds.push_back(w.runtime->worker(i).busy_time());
-    res.worker_tasks.push_back(w.runtime->worker(i).tasks_executed());
+  for (int i = 0; i < w.runtime->num_workers(); ++i)
     res.worker_peak_bytes =
         std::max(res.worker_peak_bytes, w.runtime->worker(i).peak_memory_bytes());
-  }
   res.pfs_bytes_written = w.pfs.bytes_written();
   res.pfs_bytes_read = w.pfs.bytes_read();
   // Every shard runs lineage recovery over its own records: the totals
@@ -743,12 +873,8 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
   for (int s = 0; s < sched.num_shards(); ++s)
     res.shard_recovery.push_back(sched.shard(s).recovery());
   res.workers_killed = w.injector ? w.injector->kills_performed() : 0;
-  // Threaded backend: fold the executor's contention counters (strand
-  // queue depths, post->run latency) into the run's metrics.
-  if (w.thr_engine) w.thr_engine->publish_metrics();
-  if (recorder) obs::gauge_set("trace.dropped_events_final",
-                               static_cast<double>(recorder->dropped()));
   res.metrics = registry.snapshot();
+  add_counts(w, st, recorder.get(), res.metrics);
   res.trace = std::move(recorder);
   return res;
 }

@@ -33,10 +33,8 @@ exec::Co<void> Pfs::io_op(const char* op, std::uint64_t bytes,
   co_await engine_->delay(duration);
   streams_.release();
   span.finish();
-  if (auto* m = obs::metrics()) {
-    m->counter("pfs.ops").add();
+  if (auto* m = obs::metrics())
     m->histogram("pfs.op_seconds").observe(engine_->now() - start);
-  }
 }
 
 exec::Co<void> Pfs::write(const std::string& path, std::uint64_t bytes) {
@@ -46,13 +44,11 @@ exec::Co<void> Pfs::write(const std::string& path, std::uint64_t bytes) {
     if (created_.insert(path).second) extra = params_.file_create_cost;
   }
   bytes_written_ += bytes;
-  obs::count("pfs.bytes_written", bytes);
   co_await io_op("write", bytes, extra);
 }
 
 exec::Co<void> Pfs::read(const std::string& /*path*/, std::uint64_t bytes) {
   bytes_read_ += bytes;
-  obs::count("pfs.bytes_read", bytes);
   co_await io_op("read", bytes, 0.0);
 }
 

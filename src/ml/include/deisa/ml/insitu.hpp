@@ -14,6 +14,7 @@
 //     reproducing the duplicated-read effect described in §3.3.1.
 #pragma once
 
+#include <functional>
 #include <string>
 
 #include "deisa/array/darray.hpp"
@@ -130,16 +131,20 @@ public:
   exec::Co<IpcaFit> fit_ahead_of_time(ChunkProvider& provider);
 
   /// Submit one graph per timestep, waiting for each partial_fit to
-  /// finish before submitting the next (old IPCA).
-  exec::Co<IpcaFit> fit_per_step(ChunkProvider& provider);
+  /// finish before submitting the next (old IPCA). `before_step`, when
+  /// set, is awaited before each step's graph is built (DEISA1 waits
+  /// there for every rank's ready token).
+  exec::Co<IpcaFit> fit_per_step(
+      ChunkProvider& provider,
+      std::function<exec::Co<void>()> before_step = {});
 
   /// Gather the fitted IncrementalPca state (functional mode).
   exec::Co<IncrementalPca> collect_state(const IpcaFit& fit);
   /// Gather a result vector (functional mode).
   exec::Co<std::vector<double>> collect_vector(const dts::Key& key);
 
-  // ---- low-level graph building (used by the DEISA1 adaptor, which
-  // interleaves per-step submission with per-step data arrival) ----
+  // ---- low-level graph building (for callers that submit the graphs
+  // themselves) ----
   /// Append the slab-assembly and partial_fit tasks of timestep t.
   void build_step(ChunkProvider& provider, int submission, std::int64_t t,
                   std::vector<dts::TaskSpec>& tasks);

@@ -284,11 +284,13 @@ exec::Co<IpcaFit> InSituIncrementalPca::fit_ahead_of_time(
   co_return fit;
 }
 
-exec::Co<IpcaFit> InSituIncrementalPca::fit_per_step(ChunkProvider& provider) {
+exec::Co<IpcaFit> InSituIncrementalPca::fit_per_step(
+    ChunkProvider& provider, std::function<exec::Co<void>()> before_step) {
   const std::int64_t steps = provider.grid().chunks_in(0);
   DEISA_CHECK(steps >= 1, "need at least one timestep");
   IpcaFit fit;
   for (std::int64_t t = 0; t < steps; ++t) {
+    if (before_step) co_await before_step();
     std::vector<dts::TaskSpec> tasks;
     build_step(provider, /*submission=*/static_cast<int>(t), t, tasks);
     std::vector<dts::Key> wants;

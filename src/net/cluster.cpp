@@ -74,10 +74,6 @@ exec::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes) {
         "n" + std::to_string(src) + "->n" + std::to_string(dst));
     span.add_arg(obs::arg("bytes", bytes));
   }
-  if (auto* m = obs::metrics()) {
-    m->counter("net.transfers").add();
-    m->counter("net.bytes").add(bytes);
-  }
   struct TransferDone {
     sim::Engine* engine;
     double start;
@@ -91,10 +87,9 @@ exec::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes) {
     const FaultDecision fd = fault_hook_(src, dst, bytes, Delivery::kBulk);
     if (fd.extra_delay > 0.0) {
       lat += fd.extra_delay;
-      if (auto* m = obs::metrics()) {
-        m->counter("net.faults.delayed").add();
+      ++stats_.delayed;
+      if (auto* m = obs::metrics())
         m->histogram("net.faults.delay_seconds").observe(fd.extra_delay);
-      }
     }
   }
   if (src == dst) {
@@ -132,11 +127,8 @@ exec::Co<SendResult> Cluster::send_control(int src, int dst,
                                            std::uint64_t bytes,
                                            Delivery delivery) {
   ++stats_.count;
+  ++stats_.control;
   stats_.bytes += bytes;
-  if (auto* m = obs::metrics()) {
-    m->counter("net.control_messages").add();
-    m->counter("net.bytes").add(bytes);
-  }
   SendResult result;
   double extra = 0.0;
   if (fault_hook_ && delivery != Delivery::kReliable) {
@@ -144,10 +136,10 @@ exec::Co<SendResult> Cluster::send_control(int src, int dst,
     if (fd.drop && exec::may_drop(delivery)) {
       result.delivered = false;
       result.copies = 0;
-      obs::count("net.faults.dropped");
+      ++stats_.dropped;
     } else if (fd.duplicate && exec::may_duplicate(delivery)) {
       result.copies = 2;
-      obs::count("net.faults.duplicated");
+      ++stats_.duplicated;
     }
     extra = fd.extra_delay;
   }

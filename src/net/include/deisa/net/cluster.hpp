@@ -98,7 +98,6 @@ public:
     return static_cast<bool>(fault_hook_);
   }
 
-  /// Ideal (contention-free) duration of a transfer; used by tests.
   /// Bulk-transfer bandwidth between two nodes (software cap applied).
   double effective_bandwidth(int src, int dst) const;
 

@@ -1,8 +1,11 @@
-// Metrics registry: named counters, gauges and histograms with a
-// snapshot() API, used by the scheduler/worker/bridge/PFS/net
-// instrumentation and read back by the figure benches (fig_msgcount
-// asserts the paper's message formulas from these counters instead of
-// bespoke per-class fields).
+// Metrics: duration histograms recorded live, and the MetricsSnapshot a
+// run reports.
+//
+// Counts are not recorded here. Every count is an always-on typed field
+// on the object that observes it (Scheduler, Worker, Bridge, transport,
+// ...), and the harness builds the snapshot's counters and gauges from
+// those fields once, after the run (harness/scenario.cpp). Only
+// durations, which need a distribution, go through the registry.
 //
 // Histograms reuse util::RunningStats for streaming moments and keep a
 // bounded sample buffer for percentile export (memory stays bounded on
@@ -11,10 +14,9 @@
 // Like the trace recorder, sites reach the registry through
 // MetricsRegistry::current() — a null check when observability is off.
 //
-// Thread-safe: counters and gauges are atomics, histograms take a
-// per-histogram mutex, and the registry's name lookups are serialized
-// (std::map keeps references stable, so the returned instruments stay
-// valid while other threads insert).
+// Thread-safe: histograms take a per-histogram mutex, and the registry's
+// name lookups are serialized (std::map keeps references stable, so the
+// returned histograms stay valid while other threads insert).
 #pragma once
 
 #include <atomic>
@@ -22,33 +24,11 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "deisa/util/stats.hpp"
 
 namespace deisa::obs {
-
-class Counter {
-public:
-  void add(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-class Gauge {
-public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double d) { value_.fetch_add(d, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<double> value_{0.0};
-};
 
 class Histogram {
 public:
@@ -96,7 +76,8 @@ struct HistogramSummary {
   double p99 = 0.0;
 };
 
-/// Immutable copy of a registry at one point in time; cheap to carry in
+/// The metrics of one run: counters and gauges read from the typed
+/// fields, histograms copied from the registry. Cheap to carry in
 /// RunResult and to compare across runs.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
@@ -108,19 +89,12 @@ struct MetricsSnapshot {
     const auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second;
   }
-  double gauge(const std::string& name) const {
-    const auto it = gauges.find(name);
-    return it == gauges.end() ? 0.0 : it->second;
-  }
-  bool empty() const {
-    return counters.empty() && gauges.empty() && histograms.empty();
-  }
 };
 
 class MetricsRegistry {
 public:
   /// The process-wide registry instrumentation writes to; nullptr (the
-  /// default) disables metrics everywhere.
+  /// default) disables the histograms everywhere.
   static MetricsRegistry* current() {
     return current_.load(std::memory_order_acquire);
   }
@@ -128,29 +102,19 @@ public:
     current_.store(registry, std::memory_order_release);
   }
 
-  Counter& counter(const std::string& name) {
-    std::lock_guard lk(mu_);
-    return counters_[name];
-  }
-  Gauge& gauge(const std::string& name) {
-    std::lock_guard lk(mu_);
-    return gauges_[name];
-  }
   Histogram& histogram(const std::string& name) {
     std::lock_guard lk(mu_);
     return histograms_[name];
   }
 
+  /// A snapshot holding the histograms only.
   MetricsSnapshot snapshot() const;
-  void clear();
 
 private:
-  /// Guards the name->instrument maps (not the instruments themselves,
+  /// Guards the name->histogram map (not the histograms themselves,
   /// which synchronize their own mutation).
   mutable std::mutex mu_;
   // std::map: deterministic dump order, stable references on insert.
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
 
   static std::atomic<MetricsRegistry*> current_;
@@ -158,22 +122,5 @@ private:
 
 /// The installed registry, or nullptr when metrics are disabled.
 inline MetricsRegistry* metrics() { return MetricsRegistry::current(); }
-
-// The three helpers take a view, so an instrumentation site passing a
-// literal builds no std::string unless a registry is installed.
-inline void count(std::string_view name, std::uint64_t n = 1) {
-  if (MetricsRegistry* m = MetricsRegistry::current())
-    m->counter(std::string(name)).add(n);
-}
-
-inline void gauge_set(std::string_view name, double value) {
-  if (MetricsRegistry* m = MetricsRegistry::current())
-    m->gauge(std::string(name)).set(value);
-}
-
-inline void observe(std::string_view name, double value) {
-  if (MetricsRegistry* m = MetricsRegistry::current())
-    m->histogram(std::string(name)).observe(value);
-}
 
 }  // namespace deisa::obs

@@ -7,8 +7,6 @@ std::atomic<MetricsRegistry*> MetricsRegistry::current_{nullptr};
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard lk(mu_);
   MetricsSnapshot snap;
-  for (const auto& [name, c] : counters_) snap.counters.emplace(name, c.value());
-  for (const auto& [name, g] : gauges_) snap.gauges.emplace(name, g.value());
   for (const auto& [name, h] : histograms_) {
     const util::RunningStats rs = h.stats();
     HistogramSummary s;
@@ -23,13 +21,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.histograms.emplace(name, s);
   }
   return snap;
-}
-
-void MetricsRegistry::clear() {
-  std::lock_guard lk(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
 }
 
 }  // namespace deisa::obs

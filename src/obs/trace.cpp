@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "deisa/obs/metrics.hpp"
 #include "deisa/util/error.hpp"
 
 namespace deisa::obs {
@@ -150,20 +149,16 @@ void Recorder::counter(TrackId track, std::string name, double value) {
 }
 
 void Recorder::push(TraceEvent ev) {
-  {
-    std::lock_guard lk(mu_);
-    DEISA_ASSERT(ev.track < tracks_.size(), "trace event on unknown track");
-    if (ring_.size() < capacity_) {
-      ring_.push_back(std::move(ev));
-      return;
-    }
-    // Ring full: overwrite the oldest event.
-    ++dropped_;
-    ring_[next_] = std::move(ev);
-    next_ = (next_ + 1) % ring_.size();
+  std::lock_guard lk(mu_);
+  DEISA_ASSERT(ev.track < tracks_.size(), "trace event on unknown track");
+  if (ring_.size() < capacity_) {
+    ring_.push_back(std::move(ev));
+    return;
   }
-  // Outside the recorder lock: the registry has its own synchronization.
-  count("trace.dropped_events");
+  // Ring full: overwrite the oldest event.
+  ++dropped_;
+  ring_[next_] = std::move(ev);
+  next_ = (next_ + 1) % ring_.size();
 }
 
 void Recorder::clear() {

@@ -93,10 +93,6 @@ public:
 
   /// Snapshot of the contention counters (consistent under load).
   RuntimeStats stats() const;
-  /// Export stats() into the installed MetricsRegistry as rt.exec.*
-  /// gauges (no-op when metrics are off). Idempotent: gauges are set,
-  /// not accumulated, so calling again just refreshes them.
-  void publish_metrics() const;
 
 protected:
   void report_error(std::exception_ptr e) override;

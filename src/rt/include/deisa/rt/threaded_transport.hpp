@@ -54,18 +54,15 @@ public:
     return static_cast<bool>(fault_hook_);
   }
 
-  exec::TransferStats stats() const override {
-    return exec::TransferStats{count_.load(std::memory_order_relaxed),
-                               bytes_.load(std::memory_order_relaxed)};
-  }
+  exec::TransferStats stats() const override;
 
-  /// NIC lock contention: how many transfers waited for the egress +
-  /// ingress locks, and the total wall seconds spent waiting. Also
-  /// exported live as the rt.nic.lock_wait_s histogram when metrics are
-  /// installed.
-  std::uint64_t nic_lock_waits() const {
-    return nic_lock_waits_.load(std::memory_order_relaxed);
+  /// Same-node transfers, which skip the NICs and the copy.
+  std::uint64_t local_bypasses() const {
+    return local_bypasses_.load(std::memory_order_relaxed);
   }
+  /// NIC lock contention: the total wall seconds transfers spent waiting
+  /// for the egress + ingress locks. Also exported live as the
+  /// rt.nic.lock_wait_s histogram when metrics are installed.
   double nic_lock_wait_seconds() const {
     return static_cast<double>(
                nic_lock_wait_ns_.load(std::memory_order_relaxed)) /
@@ -85,9 +82,13 @@ private:
   ThreadedTransportParams params_;
   std::vector<std::unique_ptr<Nic>> egress_;
   std::vector<std::unique_ptr<Nic>> ingress_;
-  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> transfers_{0};
+  std::atomic<std::uint64_t> control_{0};
   std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> nic_lock_waits_{0};
+  std::atomic<std::uint64_t> dropped_{0};
+  std::atomic<std::uint64_t> duplicated_{0};
+  std::atomic<std::uint64_t> delayed_{0};
+  std::atomic<std::uint64_t> local_bypasses_{0};
   std::atomic<std::uint64_t> nic_lock_wait_ns_{0};
   mutable std::mutex hook_mu_;
   exec::FaultHook fault_hook_;

@@ -220,20 +220,6 @@ RuntimeStats ThreadedExecutor::stats() const {
   return s;
 }
 
-void ThreadedExecutor::publish_metrics() const {
-  auto* m = obs::metrics();
-  if (m == nullptr) return;
-  const RuntimeStats s = stats();
-  m->gauge("rt.exec.posts").set(static_cast<double>(s.posts));
-  m->gauge("rt.exec.timer_fires").set(static_cast<double>(s.timer_fires));
-  m->gauge("rt.exec.resumes").set(static_cast<double>(s.resumes));
-  m->gauge("rt.exec.strands").set(static_cast<double>(s.strands));
-  m->gauge("rt.exec.max_queue_depth")
-      .set(static_cast<double>(s.max_queue_depth));
-  m->gauge("rt.exec.post_run_latency_mean_s").set(s.post_run_latency_mean_s());
-  m->gauge("rt.exec.post_run_latency_max_s").set(s.post_run_latency_max_s);
-}
-
 void ThreadedExecutor::stop() {
   std::lock_guard lk(mu_);
   stop_requested_ = true;

@@ -36,26 +36,36 @@ exec::FaultDecision ThreadedTransport::consult_hook(int src, int dst,
   return hook(src, dst, bytes, delivery);
 }
 
+exec::TransferStats ThreadedTransport::stats() const {
+  exec::TransferStats s;
+  s.control = control_.load(std::memory_order_relaxed);
+  s.count = transfers_.load(std::memory_order_relaxed) + s.control;
+  s.bytes = bytes_.load(std::memory_order_relaxed);
+  s.dropped = dropped_.load(std::memory_order_relaxed);
+  s.duplicated = duplicated_.load(std::memory_order_relaxed);
+  s.delayed = delayed_.load(std::memory_order_relaxed);
+  return s;
+}
+
 exec::Co<void> ThreadedTransport::transfer(int src, int dst,
                                            std::uint64_t bytes) {
   DEISA_CHECK(src >= 0 && src < params_.nodes,
               "src node " << src << " out of range");
   DEISA_CHECK(dst >= 0 && dst < params_.nodes,
               "dst node " << dst << " out of range");
-  count_.fetch_add(1, std::memory_order_relaxed);
+  transfers_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  if (auto* m = obs::metrics()) {
-    m->counter("net.transfers").add();
-    m->counter("net.bytes").add(bytes);
-  }
   const exec::FaultDecision fd =
       consult_hook(src, dst, bytes, exec::Delivery::kBulk);
-  if (fd.extra_delay > 0.0) co_await ex_->delay(fd.extra_delay);
+  if (fd.extra_delay > 0.0) {
+    delayed_.fetch_add(1, std::memory_order_relaxed);
+    co_await ex_->delay(fd.extra_delay);
+  }
   if (src == dst) {
     // Same-node hand-off: the payload already lives in this address
     // space, so there is no NIC to contend for and nothing to copy
     // through scratch.
-    obs::count("rt.nic.local_bypass");
+    local_bypasses_.fetch_add(1, std::memory_order_relaxed);
     co_return;
   }
   {
@@ -70,7 +80,6 @@ exec::Co<void> ThreadedTransport::transfer(int src, int dst,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       lock_t0)
             .count();
-    nic_lock_waits_.fetch_add(1, std::memory_order_relaxed);
     nic_lock_wait_ns_.fetch_add(
         static_cast<std::uint64_t>(lock_wait_s * 1e9),
         std::memory_order_relaxed);
@@ -93,12 +102,8 @@ exec::Co<void> ThreadedTransport::transfer(int src, int dst,
 
 exec::Co<exec::SendResult> ThreadedTransport::send_control(
     int src, int dst, std::uint64_t bytes, exec::Delivery delivery) {
-  count_.fetch_add(1, std::memory_order_relaxed);
+  control_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  if (auto* m = obs::metrics()) {
-    m->counter("net.control_messages").add();
-    m->counter("net.bytes").add(bytes);
-  }
   exec::SendResult result;
   double extra = 0.0;
   if (delivery != exec::Delivery::kReliable) {
@@ -106,10 +111,10 @@ exec::Co<exec::SendResult> ThreadedTransport::send_control(
     if (fd.drop && exec::may_drop(delivery)) {
       result.delivered = false;
       result.copies = 0;
-      obs::count("net.faults.dropped");
+      dropped_.fetch_add(1, std::memory_order_relaxed);
     } else if (fd.duplicate && exec::may_duplicate(delivery)) {
       result.copies = 2;
-      obs::count("net.faults.duplicated");
+      duplicated_.fetch_add(1, std::memory_order_relaxed);
     }
     extra = fd.extra_delay;
   }

@@ -1,7 +1,7 @@
-// Minimal leveled logger. Thread-safe: the level is an atomic read on the
-// hot path (the common case is "disabled"), and a single mutex serializes
-// sink/time-source changes and line emission, so actors on the threaded
-// executor never interleave half-written lines.
+// Minimal leveled logger writing to stderr. Thread-safe: the level is an
+// atomic read on the hot path (the common case is "disabled"), and a
+// single mutex serializes time-source changes and line emission, so
+// actors on the threaded executor never interleave half-written lines.
 //
 // The default level is kWarn; set the DEISA_LOG_LEVEL environment variable
 // (trace|debug|info|warn|error|off) to override it without recompiling.
@@ -24,14 +24,6 @@ enum class LogLevel : int { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 class Log {
 public:
   static LogLevel level() { return level_.load(std::memory_order_relaxed); }
-  static void set_level(LogLevel lvl) {
-    level_.store(lvl, std::memory_order_relaxed);
-  }
-
-  /// Redirect output (used by tests to capture messages). The sink
-  /// receives fully-formatted lines without a trailing newline.
-  static void set_sink(std::function<void(LogLevel, const std::string&)> sink);
-  static void reset_sink();
 
   /// Install a time source whose value (seconds) prefixes every line as
   /// `[t=...s]`. Used to stamp simulated time while a scenario runs.
@@ -47,9 +39,8 @@ public:
 
 private:
   static std::atomic<LogLevel> level_;
-  /// Guards sink_/time_source_ and serializes line emission.
+  /// Guards time_source_ and serializes line emission.
   static std::mutex mu_;
-  static std::function<void(LogLevel, const std::string&)> sink_;
   static std::function<double()> time_source_;
 };
 

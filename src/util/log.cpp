@@ -22,7 +22,6 @@ LogLevel initial_level() {
 
 std::atomic<LogLevel> Log::level_{initial_level()};
 std::mutex Log::mu_;
-std::function<void(LogLevel, const std::string&)> Log::sink_;
 std::function<double()> Log::time_source_;
 
 const char* to_string(LogLevel lvl) {
@@ -49,16 +48,6 @@ LogLevel log_level_from_name(const std::string& name, LogLevel fallback) {
   if (low == "error") return LogLevel::kError;
   if (low == "off" || low == "none") return LogLevel::kOff;
   return fallback;
-}
-
-void Log::set_sink(std::function<void(LogLevel, const std::string&)> sink) {
-  std::lock_guard lk(mu_);
-  sink_ = std::move(sink);
-}
-
-void Log::reset_sink() {
-  std::lock_guard lk(mu_);
-  sink_ = nullptr;
 }
 
 void Log::set_time_source(std::function<double()> source) {
@@ -88,11 +77,7 @@ void Log::write(LogLevel lvl, const std::string& component,
   }
   line += std::string("[") + to_string(lvl) + "] " + component + ": " +
           message;
-  if (sink_) {
-    sink_(lvl, line);
-  } else {
-    std::cerr << line << '\n';
-  }
+  std::cerr << line << '\n';
 }
 
 }  // namespace deisa::util

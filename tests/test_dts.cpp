@@ -9,7 +9,6 @@
 #include "deisa/net/cluster.hpp"
 #include "deisa/sim/engine.hpp"
 #include "deisa/dts/runtime.hpp"
-#include "deisa/obs/dataplane.hpp"
 #include "deisa/obs/observation.hpp"
 
 namespace dts = deisa::dts;
@@ -173,22 +172,27 @@ exec::Co<void> one_external_task(TestCluster& tc) {
 TEST(Dts, OneExternalTaskEmitsExactlyItsLifecycleEvents) {
   TestCluster tc(1);
   deisa::obs::Recorder recorder;
-  deisa::obs::MetricsRegistry registry;
   {
     deisa::obs::ObservationScope scope(
-        &recorder, &registry, [&eng = tc.eng] { return eng.now(); });
+        &recorder, nullptr, [&eng = tc.eng] { return eng.now(); });
     tc.run(one_external_task(tc));
   }
   // Exactly one external→memory transition, and no other transition for
   // this task: it is born external and finishes in memory.
-  const auto snap = registry.snapshot();
-  EXPECT_EQ(snap.counter("scheduler.transitions.external->memory"), 1u);
-  EXPECT_EQ(snap.counter("scheduler.created.external"), 1u);
-  std::uint64_t ext_transitions = 0;
-  for (const auto& [name, value] : snap.counters)
-    if (name.rfind("scheduler.transitions.external->", 0) == 0)
-      ext_transitions += value;
-  EXPECT_EQ(ext_transitions, 1u);
+  const dts::Scheduler& sched = tc.rt->scheduler();
+  EXPECT_EQ(sched.transitions(dts::TaskState::kExternal,
+                              dts::TaskState::kMemory),
+            1u);
+  EXPECT_EQ(sched.created_in(dts::TaskState::kExternal), 1u);
+  std::uint64_t records = 0, changes = 0;
+  for (std::size_t i = 0; i < dts::kNumTaskStates; ++i) {
+    const auto from = static_cast<dts::TaskState>(i);
+    records += sched.created_in(from);
+    for (std::size_t j = 0; j < dts::kNumTaskStates; ++j)
+      changes += sched.transitions(from, static_cast<dts::TaskState>(j));
+  }
+  EXPECT_EQ(records, 1u);
+  EXPECT_EQ(changes, 1u);
 
   // The trace carries the same story: one creation instant, one span on
   // the "external" lane covering [creation, scatter] with to=memory, one
@@ -746,10 +750,9 @@ TEST(Dts, ProxyPlaneLocalDepsMoveZeroExtraBytes) {
   // the removal of the proxy plane, which read local deps by reference.)
   constexpr std::uint64_t kBlock = 4096;
   TestCluster tc(1);
-  obs::MetricsRegistry registry;
-  obs::ObservationScope scope(nullptr, &registry);
   tc.run(local_chain_flow(tc, kBlock));
-  EXPECT_EQ(registry.snapshot().counter(obs::kBytesMoved), 3 * kBlock);
+  EXPECT_EQ(tc.client->bytes_moved() + tc.rt->worker(0).bytes_moved(),
+            3 * kBlock);
 }
 
 exec::Co<void> gc_release_flow(TestCluster& tc) {

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "deisa/apps/heat2d.hpp"
 #include "deisa/harness/scenario.hpp"
@@ -278,6 +280,114 @@ TEST(HarnessFault, EmptyPlanLeavesRunsUntouched) {
   EXPECT_DOUBLE_EQ(a.total_seconds, b.total_seconds);
   EXPECT_EQ(b.workers_killed, 0u);
   EXPECT_EQ(b.recovery.workers_lost, 0u);
+}
+
+// CI's fault config (`deisa_scenario` on ranks 4, workers 3, block_mib 1,
+// timesteps 6, real_data, default seed 1000), sim substrate.
+harness::ScenarioParams ci_fault_config() {
+  harness::ScenarioParams p;
+  p.ranks = 4;
+  p.workers = 3;
+  p.block_bytes = 1024 * 1024;
+  p.timesteps = 6;
+  p.real_data = true;
+  p.alloc_seed = 1000;
+  return p;
+}
+
+template <typename Map>
+std::set<std::string> names_of(const Map& m) {
+  std::set<std::string> out;
+  for (const auto& [name, value] : m) out.insert(name);
+  return out;
+}
+
+TEST(HarnessMetrics, DumpNamesArePinned) {
+  // The metrics dump's names and headline values, pinned to the output of
+  // the registry-based instrumentation that preceded the typed counters
+  // (`deisa_scenario --metrics-out`). A count read from the wrong field,
+  // or published under a changed name, fails here.
+  const std::set<std::string> gauges = {
+      "scenario.seed", "worker-0.memory_bytes", "worker-1.memory_bytes",
+      "worker-2.memory_bytes"};
+  const std::set<std::string> histograms = {"net.transfer_seconds",
+                                            "worker.execute_seconds"};
+  const std::set<std::string> common = {
+      "adaptor.external_futures",
+      "bridge.batched_pushes",
+      "bridge.blocks_sent",
+      "bridge.bytes_sent",
+      "dataplane.bytes_moved",
+      "net.bytes",
+      "net.control_messages",
+      "net.transfers",
+      "scheduler.created.external",
+      "scheduler.created.waiting",
+      "scheduler.messages.create_external",
+      "scheduler.messages.shutdown",
+      "scheduler.messages.task_finished",
+      "scheduler.messages.total",
+      "scheduler.messages.update_data",
+      "scheduler.messages.update_graph",
+      "scheduler.messages.variable_get",
+      "scheduler.messages.variable_set",
+      "scheduler.messages.wait_key",
+      "scheduler.tasks.created",
+      "scheduler.transitions.external->memory",
+      "scheduler.transitions.processing->memory",
+      "scheduler.transitions.ready->processing",
+      "scheduler.transitions.waiting->ready",
+      "worker.peer_fetch_bytes",
+      "worker.peer_fetch_cached_bytes",
+      "worker.peer_fetches",
+      "worker.tasks_executed"};
+
+  auto fault = ci_fault_config();
+  fault.faults = deisa::fault::FaultPlan::parse("kill:1@0.2;dup:0.3;seed:7");
+  const auto f = harness::run_scenario(harness::Pipeline::kDeisa3, fault);
+  std::set<std::string> counters = common;
+  for (const char* n :
+       {"bridge.blocks_repushed", "fault.workers_killed",
+        "net.faults.duplicated", "scheduler.messages.heartbeat_worker",
+        "scheduler.messages.worker_lost",
+        "scheduler.recovery.external_rearmed", "scheduler.recovery.suspected",
+        "scheduler.recovery.tasks_rerun", "scheduler.recovery.workers_lost",
+        "scheduler.stale.task_finished",
+        "scheduler.transitions.memory->external",
+        "scheduler.transitions.processing->waiting", "worker.crashes",
+        "worker.fetches_aborted", "worker.messages_dropped_dead",
+        "worker.peer_fetch_cache_hits"})
+    counters.insert(n);
+  EXPECT_EQ(names_of(f.metrics.counters), counters);
+  EXPECT_EQ(names_of(f.metrics.gauges), gauges);
+  EXPECT_EQ(names_of(f.metrics.histograms), histograms);
+  EXPECT_EQ(f.metrics.counter("scheduler.messages.total"), 68u);
+  EXPECT_EQ(f.metrics.counter("worker.tasks_executed"), 14u);
+  EXPECT_EQ(f.metrics.counter("net.transfers"), 146u);
+  EXPECT_EQ(f.metrics.counter("net.control_messages"), 140u);
+  EXPECT_EQ(f.metrics.counter("dataplane.bytes_moved"), 93466176u);
+
+  auto gc = ci_fault_config();
+  gc.shards = 4;
+  gc.release_consumed = true;
+  const auto g = harness::run_scenario(harness::Pipeline::kDeisa3, gc);
+  counters = common;
+  for (const char* n :
+       {"scheduler.gc.bytes_released", "scheduler.gc.keys_released",
+        "scheduler.messages.shard_key_done",
+        "scheduler.messages.shard_key_released",
+        "scheduler.shard.notify_msgs", "scheduler.shard.release_acks",
+        "scheduler.shard.remote_edges", "worker.bytes_released",
+        "worker.keys_released"})
+    counters.insert(n);
+  EXPECT_EQ(names_of(g.metrics.counters), counters);
+  EXPECT_EQ(names_of(g.metrics.gauges), gauges);
+  EXPECT_EQ(names_of(g.metrics.histograms), histograms);
+  EXPECT_EQ(g.metrics.counter("scheduler.messages.total"), 120u);
+  EXPECT_EQ(g.metrics.counter("worker.tasks_executed"), 14u);
+  EXPECT_EQ(g.metrics.counter("net.transfers"), 147u);
+  EXPECT_EQ(g.metrics.counter("net.control_messages"), 217u);
+  EXPECT_EQ(g.metrics.counter("dataplane.bytes_moved"), 75644192u);
 }
 
 TEST(Harness, IterationSummarySkipsFirstIterations) {
