@@ -28,7 +28,7 @@ int main() {
       const auto s = iteration_stats(runs, &harness::RunResult::sim_io);
       std::uint64_t hb = 0;
       for (const auto& r : runs)
-        hb += r.scheduler_messages_by_kind.at("heartbeat_bridge");
+        hb += r.metrics.counter("scheduler.messages.heartbeat_bridge");
       t.add_row({label, util::Table::num(s.mean, 2),
                  util::Table::num(s.stddev, 2),
                  std::to_string(hb / runs.size())});
@@ -52,7 +52,7 @@ int main() {
       const auto s = analytics_stats(runs);
       std::uint64_t g = 0;
       for (const auto& r : runs)
-        g += r.scheduler_messages_by_kind.at("update_graph");
+        g += r.metrics.counter("scheduler.messages.update_graph");
       t.add_row({per_step ? "per-step (old style)" : "single AOT graph",
                  ms(s), std::to_string(g / runs.size())});
     }
@@ -72,9 +72,13 @@ int main() {
     for (double f : {1.0, 0.5, 0.25, 0.125}) {
       p.contract_fraction = f;
       const auto r = harness::run_scenario(harness::Pipeline::kDeisa3, p);
-      t.add_row({util::Table::num(f, 3), std::to_string(r.bridge_blocks_sent),
-                 std::to_string(r.bridge_blocks_filtered),
-                 util::Table::num(static_cast<double>(r.network_bytes) /
+      const auto count = [&r](const char* name) {
+        return r.metrics.counter(name);
+      };
+      t.add_row({util::Table::num(f, 3),
+                 std::to_string(count("bridge.blocks_sent")),
+                 std::to_string(count("bridge.blocks_filtered")),
+                 util::Table::num(static_cast<double>(count("net.bytes")) /
                                       (1024.0 * 1024.0 * 1024.0),
                                   2),
                  util::Table::num(r.analytics_seconds, 2)});

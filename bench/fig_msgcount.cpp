@@ -35,12 +35,17 @@ int main() {
     };
     const auto r1 = harness::run_scenario(harness::Pipeline::kDeisa1, p);
     const auto r3 = harness::run_scenario(harness::Pipeline::kDeisa3, p);
-    // The snapshot and RunResult's own total must agree: a mis-wired
-    // snapshot would break the formulas below silently.
+    // The per-kind counts the formulas read must add up to the total: a
+    // mis-wired snapshot would break the formulas below silently.
     for (const auto* r : {&r1, &r3}) {
-      DEISA_CHECK(r->metrics.counter("scheduler.messages.total") ==
-                      r->scheduler_messages,
-                  "metrics snapshot disagrees with scheduler counters");
+      std::uint64_t kinds = 0;
+      for (const auto& [name, n] : r->metrics.counters)
+        if (name.rfind("scheduler.messages.", 0) == 0 &&
+            name != "scheduler.messages.total")
+          kinds += n;
+      DEISA_CHECK(kinds == msg(*r, "total"),
+                  "metrics snapshot's per-kind messages disagree with its "
+                  "total");
     }
     // DEISA1 heartbeats every 5 s from each bridge until the simulation
     // phase ends.

@@ -362,7 +362,7 @@ void BM_SchedulerTaskChain(benchmark::State& state) {
 BENCHMARK(BM_SchedulerTaskChain)->Arg(500);
 
 // Same pipeline with the full observability layer attached (trace
-// recorder + metrics registry + sim clock). The delta against
+// recorder + sim clock). The delta against
 // BM_SchedulerTaskChain is the cost of tracing; BM_SchedulerTaskChain
 // itself measures the disabled path (null-pointer checks only).
 void BM_SchedulerTaskChainTraced(benchmark::State& state) {
@@ -370,8 +370,7 @@ void BM_SchedulerTaskChainTraced(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine eng;
     deisa::obs::Recorder recorder;
-    deisa::obs::MetricsRegistry registry;
-    deisa::obs::ObservationScope scope(&recorder, &registry,
+    deisa::obs::ObservationScope scope(&recorder,
                                        [&eng] { return eng.now(); });
     net::ClusterParams cp;
     cp.physical_nodes = 8;

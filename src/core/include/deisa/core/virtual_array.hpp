@@ -32,8 +32,6 @@ struct VirtualArray {
   /// The implied chunk grid (time-major: dimension 0 is time).
   array::ChunkGrid grid() const;
 
-  /// Total bytes of one timestep.
-  std::uint64_t step_bytes() const;
   /// Bytes of one block.
   std::uint64_t block_bytes() const;
 

@@ -35,12 +35,6 @@ std::uint64_t VirtualArray::block_bytes() const {
   return static_cast<std::uint64_t>(v) * sizeof(double);
 }
 
-std::uint64_t VirtualArray::step_bytes() const {
-  std::int64_t v = 1;
-  for (std::size_t d = 1; d < shape.size(); ++d) v *= shape[d];
-  return static_cast<std::uint64_t>(v) * sizeof(double);
-}
-
 VirtualArray VirtualArray::from_config(const std::string& name,
                                        const config::Node& node,
                                        const config::Env& env) {

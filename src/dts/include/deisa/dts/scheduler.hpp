@@ -144,7 +144,6 @@ public:
     return arrivals_[static_cast<std::size_t>(kind)];
   }
   std::uint64_t total_messages() const { return total_messages_; }
-  double total_service_time() const { return server_.total_busy_time(); }
   TaskState state_of(const Key& key) const;
   bool knows(const Key& key) const { return keys_.find(key) != kNoKeyId; }
   std::size_t task_count() const { return records_.size(); }

@@ -10,6 +10,7 @@
 #include "deisa/dts/task.hpp"
 #include "deisa/exec/transport.hpp"
 #include "deisa/exec/primitives.hpp"
+#include "deisa/obs/metrics.hpp"
 
 namespace deisa::dts {
 
@@ -51,12 +52,10 @@ public:
   /// Tasks that ran to a stored result (erred ones: tasks_erred()).
   std::uint64_t tasks_executed() const { return tasks_executed_; }
   std::uint64_t tasks_erred() const { return tasks_erred_; }
-  /// Cumulative bytes ever stored (throughput measure). Excludes cached
-  /// copies of peer-fetched dependencies — see peer_fetch_cached_bytes().
-  std::uint64_t bytes_stored() const { return bytes_stored_; }
-  /// Cumulative bytes cached locally from peer fetches. Kept separate
-  /// from bytes_stored() so dependency traffic does not inflate the
-  /// worker's apparent store throughput.
+  /// Model seconds from the start of each execution (stored or erred) to
+  /// its completion report.
+  const obs::Histogram& execute_seconds() const { return execute_seconds_; }
+  /// Cumulative bytes cached locally from peer fetches.
   std::uint64_t peer_fetch_cached_bytes() const {
     return peer_fetch_cached_bytes_;
   }
@@ -127,7 +126,7 @@ private:
   void peer_lost(int peer);
   exec::Co<void> handle_get_data(WorkerMsg msg);
   /// Store `data` and wake local readers. A `cached` peer copy counts
-  /// in peer_fetch_cached_bytes_ instead of bytes_stored_.
+  /// in peer_fetch_cached_bytes_.
   void store_put(Key key, Data data, bool cached = false);
   exec::Co<void> notify_scheduler(
       SchedMsg msg, exec::Delivery delivery = exec::Delivery::kReliable);
@@ -159,7 +158,7 @@ private:
   exec::Semaphore fetch_slots_;
   std::uint64_t tasks_executed_ = 0;
   std::uint64_t tasks_erred_ = 0;
-  std::uint64_t bytes_stored_ = 0;
+  obs::Histogram execute_seconds_;
   std::uint64_t peer_fetch_cached_bytes_ = 0;
   std::uint64_t peer_fetches_ = 0;
   std::uint64_t peer_fetches_shared_ = 0;

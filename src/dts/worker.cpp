@@ -1,7 +1,6 @@
 #include "deisa/dts/worker.hpp"
 
 #include "deisa/dts/shard.hpp"
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 
 namespace deisa::dts {
@@ -117,14 +116,9 @@ bool Worker::release_key(const Key& key) {
 }
 
 void Worker::store_put(Key key, Data data, bool cached) {
-  if (cached) {
-    // A cached copy of a peer's data is resident memory, but it is not
-    // new data produced or received by this worker: account it on its
-    // own counter so bytes_stored() keeps measuring store throughput.
-    peer_fetch_cached_bytes_ += data.bytes;
-  } else {
-    bytes_stored_ += data.bytes;
-  }
+  // A cached copy of a peer's data is resident memory, but it is not new
+  // data produced or received by this worker: it has its own counter.
+  if (cached) peer_fetch_cached_bytes_ += data.bytes;
   memory_bytes_ += data.bytes;
   // Single probe: try_emplace finds-or-inserts in one hash, and the key
   // string moves into the store instead of being copied.
@@ -340,8 +334,7 @@ exec::Co<void> Worker::handle_compute(const TaskSpec* spec, Key key,
   span.finish();
   if (!alive_) co_return;  // crashed mid-execution: the result dies here
   if (done.erred) ++tasks_erred_;
-  if (auto* m = obs::metrics())
-    m->histogram("worker.execute_seconds").observe(engine_->now() - exec_start);
+  execute_seconds_.observe(engine_->now() - exec_start);
   co_await notify_scheduler(std::move(done), exec::Delivery::kIdempotent);
 }
 

@@ -17,7 +17,6 @@
 //     order.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -189,8 +188,7 @@ private:
 /// FIFO queueing station: `serve(d)` waits for a free server slot, holds
 /// it for `d` model seconds, then releases it. A zero-length service
 /// takes and releases its slot without a trip through the executor, after
-/// waiting its FIFO turn like any other job. Tracks busy time for
-/// utilization reporting.
+/// waiting its FIFO turn like any other job.
 class FifoServer {
 public:
   FifoServer(Executor& ex, std::size_t servers = 1)
@@ -199,21 +197,13 @@ public:
   Co<void> serve(Time duration) {
     DEISA_CHECK(duration >= 0.0, "negative service time " << duration);
     co_await sem_.acquire();
-    if (duration > 0.0) {
-      busy_time_.fetch_add(duration, std::memory_order_relaxed);
-      co_await ex_->delay(duration);
-    }
+    if (duration > 0.0) co_await ex_->delay(duration);
     sem_.release();
-  }
-
-  Time total_busy_time() const {
-    return busy_time_.load(std::memory_order_relaxed);
   }
 
 private:
   Executor* ex_;
   Semaphore sem_;
-  std::atomic<Time> busy_time_{0.0};
 };
 
 }  // namespace deisa::exec

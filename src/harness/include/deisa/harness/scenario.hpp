@@ -5,7 +5,7 @@
 // as §3.3.2 describes (scheduler on the first allocation node, client on
 // the second, workers next, simulation ranks last, two ranks per node),
 // drives the workflow to completion, and returns per-rank per-iteration
-// timings plus scheduler counters.
+// timings plus the run's metrics snapshot.
 #pragma once
 
 #include <map>
@@ -159,44 +159,19 @@ struct RunResult {
   double sim_end = 0.0;
   double total_seconds = 0.0;
 
-  std::uint64_t scheduler_messages = 0;
-  std::map<std::string, std::uint64_t> scheduler_messages_by_kind;
   /// Scheduler shards the run used (1 = the single-scheduler layout).
   int shards = 1;
-  /// Messages handled by each shard (size == shards; [0] equals
-  /// scheduler_messages at shards == 1).
+  /// Messages handled by each shard (size == shards; [0] equals the
+  /// `scheduler.messages.total` counter at shards == 1).
   std::vector<std::uint64_t> shard_messages;
-  /// Dependency edges whose producer lives on another shard.
-  std::uint64_t shard_remote_edges = 0;
-  /// kShardKeyDone notifications forwarded between shards.
-  std::uint64_t shard_notify_msgs = 0;
-  /// kShardKeyReleased consumer-drain acks forwarded between shards.
-  std::uint64_t shard_release_acks = 0;
-  std::uint64_t bridge_blocks_sent = 0;
-  std::uint64_t bridge_blocks_filtered = 0;
-  /// Blocks the bridges pushed again from their replay buffers.
-  std::uint64_t bridge_blocks_repushed = 0;
-  std::uint64_t network_bytes = 0;
-  std::uint64_t pfs_bytes_written = 0;
-  std::uint64_t pfs_bytes_read = 0;
-
-  // ---- data-plane accounting ----
+  /// Per-shard recovery breakdown (size == shards); the sums over shards
+  /// are the `scheduler.recovery.*` and `scheduler.stale.*` counters.
+  std::vector<dts::RecoveryCounters> shard_recovery;
   /// Highest per-worker store residency over the run.
   std::uint64_t worker_peak_bytes = 0;
-  /// Keys dropped by the scheduler's refcount GC.
-  std::uint64_t keys_released = 0;
 
-  /// Scheduler-side recovery counters, summed over all shards (all zero
-  /// on fault-free runs).
-  dts::RecoveryCounters recovery;
-  /// Per-shard recovery breakdown (size == shards; [0] equals `recovery`
-  /// at shards == 1).
-  std::vector<dts::RecoveryCounters> shard_recovery;
-  /// Worker crashes actually performed by the fault injector.
-  std::uint64_t workers_killed = 0;
-
-  /// Every counter, gauge and histogram of the run (counters and gauges
-  /// read from the actors' typed counts once the run is over).
+  /// Every counter, gauge and histogram of the run, read from the actors'
+  /// typed fields once the run is over.
   obs::MetricsSnapshot metrics;
   /// Event trace of the run (only set when ScenarioParams::trace).
   std::shared_ptr<obs::Recorder> trace;

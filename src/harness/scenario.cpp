@@ -267,7 +267,7 @@ arr::Box contract_box(const core::VirtualArray& va, double fraction) {
 class SelectedArrayProvider final : public ml::ChunkProvider {
 public:
   SelectedArrayProvider(const arr::DArray& da, const arr::Box& box)
-      : darray_(&da), box_(box) {
+      : darray_(&da) {
     arr::Index sub_shape(box.ndim());
     for (std::size_t d = 0; d < box.ndim(); ++d) sub_shape[d] = box.extent(d);
     sub_grid_ = arr::ChunkGrid(sub_shape, da.grid().chunk_shape());
@@ -300,7 +300,6 @@ public:
 
 private:
   const arr::DArray* darray_;
-  arr::Box box_;
   arr::ChunkGrid sub_grid_;
   std::vector<std::int64_t> chunk_offset_;
 };
@@ -360,24 +359,30 @@ exec::Co<void> collect_fit(ml::InSituIncrementalPca& ipca,
                                 ev.end());
 }
 
-/// One simulation rank of an in-transit (DEISA*) run.
-exec::Co<void> deisa_rank_actor(World& w, SharedState& st, Pipeline pipeline,
-                               int rank, RunResult& res) {
+/// One simulation rank: the in-transit handshake (DEISA* runs), then per
+/// step compute, a skew, and the step's block shipped through the bridge
+/// or, post hoc (`writer` set), written to the PFS.
+exec::Co<void> rank_actor(World& w, SharedState& st, Pipeline pipeline,
+                          io::PosthocWriter* writer, int rank,
+                          RunResult& res) {
   const ScenarioParams& p = w.params;
   const std::vector<core::VirtualArray> vas = p.virtual_arrays();
   const core::VirtualArray& va = vas.front();
   const auto [px, py] = p.proc_grid();
-  core::Bridge& bridge = *st.bridges[static_cast<std::size_t>(rank)];
   const std::unique_ptr<apps::Heat2d> solver = make_solver(p, rank);
+  core::Bridge* bridge =
+      writer ? nullptr : st.bridges[static_cast<std::size_t>(rank)].get();
 
-  if (rank == 0) {
-    std::vector<core::VirtualArray> arrays = vas;
-    co_await bridge.publish_arrays(std::move(arrays));
-  }
-  if (pipeline == Pipeline::kDeisa1) {
-    co_await bridge.deisa1_fetch_selection();
-  } else {
-    co_await bridge.wait_contract();
+  if (bridge != nullptr) {
+    if (rank == 0) {
+      std::vector<core::VirtualArray> arrays = vas;
+      co_await bridge->publish_arrays(std::move(arrays));
+    }
+    if (pipeline == Pipeline::kDeisa1) {
+      co_await bridge->deisa1_fetch_selection();
+    } else {
+      co_await bridge->wait_contract();
+    }
   }
   co_await w.comm->barrier(rank);
 
@@ -396,9 +401,16 @@ exec::Co<void> deisa_rank_actor(World& w, SharedState& st, Pipeline pipeline,
     // way — per-rank comm times become repeatable, as observed on Irene.
     co_await w.engine.delay(2e-3 * static_cast<double>(rank + 1));
     t0 = w.engine.now();
-    if (pipeline == Pipeline::kDeisa1) {
-      const arr::Index coord = core::block_coord(va, {px, py}, rank, t);
-      (void)co_await bridge.deisa1_send_block(
+    const arr::Index coord = core::block_coord(va, {px, py}, rank, t);
+    if (writer != nullptr && solver) {
+      arr::NDArray block(va.subsize);
+      const auto& field = solver->field().flat();
+      std::copy(field.begin(), field.end(), block.flat().begin());
+      co_await writer->write_block(coord, &block);
+    } else if (writer != nullptr) {
+      co_await writer->write_block(coord, nullptr);
+    } else if (pipeline == Pipeline::kDeisa1) {
+      (void)co_await bridge->deisa1_send_block(
           va, coord, block_payload(p, solver.get(), va));
     } else {
       // Coalesced push path: one batch per array per step (a batch of
@@ -407,10 +419,10 @@ exec::Co<void> deisa_rank_actor(World& w, SharedState& st, Pipeline pipeline,
       // exercise). Multi-array runs push the same solver field under
       // each array's key space.
       for (const core::VirtualArray& a : vas) {
-        const arr::Index coord = core::block_coord(a, {px, py}, rank, t);
         std::vector<std::pair<arr::Index, dts::Data>> blocks;
-        blocks.emplace_back(coord, block_payload(p, solver.get(), a));
-        (void)co_await bridge.send_blocks(a, std::move(blocks));
+        blocks.emplace_back(core::block_coord(a, {px, py}, rank, t),
+                            block_payload(p, solver.get(), a));
+        (void)co_await bridge->send_blocks(a, std::move(blocks));
       }
     }
     res.sim_io[static_cast<std::size_t>(rank)][static_cast<std::size_t>(t)] =
@@ -492,48 +504,6 @@ exec::Co<void> deisa1_adaptor_actor(World& w, SharedState& st, RunResult& res) {
   st.analytics_done.set();
 }
 
-/// One simulation rank of a post-hoc run: compute + PFS write.
-exec::Co<void> posthoc_rank_actor(World& w, SharedState& st,
-                                 io::PosthocDataset& ds,
-                                 io::PosthocWriter& writer, int rank,
-                                 RunResult& res) {
-  const ScenarioParams& p = w.params;
-  const core::VirtualArray va = p.virtual_array();
-  const auto [px, py] = p.proc_grid();
-  const std::unique_ptr<apps::Heat2d> solver = make_solver(p, rank);
-  co_await w.comm->barrier(rank);
-  const double step_cost = apps::Heat2d::step_cost(
-      p.local_edge() * p.local_edge(), p.sim_cell_rate);
-  for (int t = 0; t < p.timesteps; ++t) {
-    double t0 = w.engine.now();
-    co_await w.engine.delay(step_cost);
-    if (solver) co_await solver->step(*w.comm);
-    res.sim_compute[static_cast<std::size_t>(rank)]
-        [static_cast<std::size_t>(t)] = w.engine.now() - t0;
-
-    co_await w.engine.delay(2e-3 * static_cast<double>(rank + 1));
-    t0 = w.engine.now();
-    const arr::Index coord = core::block_coord(va, {px, py}, rank, t);
-    if (p.real_data && solver) {
-      arr::NDArray block(va.subsize);
-      const auto& field = solver->field().flat();
-      std::copy(field.begin(), field.end(), block.flat().begin());
-      co_await writer.write_block(coord, &block);
-    } else {
-      co_await writer.write_block(coord, nullptr);
-    }
-    res.sim_io[static_cast<std::size_t>(rank)][static_cast<std::size_t>(t)] =
-        w.engine.now() - t0;
-    co_await w.comm->barrier(rank);
-  }
-  (void)ds;
-  if (++st.ranks_finished == p.ranks) {
-    res.sim_end = w.engine.now();
-    st.sim_done.set();
-    st.stop_heartbeats.set();
-  }
-}
-
 /// The analytics phase of a post-hoc run, started after the simulation.
 exec::Co<void> posthoc_analytics_actor(World& w, SharedState& st,
                                       io::PosthocDataset& ds, bool old_ipca,
@@ -565,14 +535,18 @@ exec::Co<void> orchestrator(World& w, SharedState& st, RunResult& res) {
   co_await w.runtime->shutdown();
 }
 
-/// Fill `snap`'s counters and gauges from the typed counts of every actor
-/// of the finished run, summed over shards, workers, bridges and clients.
-/// Every counter and gauge name of a run lives here; a counter appears
-/// once it is non-zero.
+/// Fill `snap` from the typed counts and durations of every actor of the
+/// finished run, summed over shards, workers, bridges and clients. Every
+/// metric name of a run lives here; a counter appears once it is
+/// non-zero, a histogram once it has a sample.
 void add_counts(World& w, const SharedState& st, const obs::Recorder* recorder,
                 obs::MetricsSnapshot& snap) {
   const auto count = [&snap](const std::string& name, std::uint64_t n) {
     if (n != 0) snap.counters[name] = n;
+  };
+  const auto histogram = [&snap](const std::string& name,
+                                 const obs::Histogram& h) {
+    if (h.count() != 0) snap.histograms[name] = h.summary();
   };
   // One count summed over actors 0..n-1: `at(i)` is actor i, and `get`
   // reads the count off it.
@@ -663,6 +637,10 @@ void add_counts(World& w, const SharedState& st, const obs::Recorder* recorder,
   count("worker.peer_fetch_cached_bytes",
         workers(&dts::Worker::peer_fetch_cached_bytes));
   count("worker.fetches_aborted", workers(&dts::Worker::fetches_aborted));
+  obs::Histogram execute;
+  for (int i = 0; i < rt.num_workers(); ++i)
+    execute.merge(rt.worker(i).execute_seconds());
+  histogram("worker.execute_seconds", execute);
   const auto client = [&](int i) -> auto& { return rt.client(i); };
   count("dataplane.bytes_moved",
         workers(&dts::Worker::bytes_moved) +
@@ -688,6 +666,7 @@ void add_counts(World& w, const SharedState& st, const obs::Recorder* recorder,
   count("pfs.ops", w.pfs.ops());
   count("pfs.bytes_written", w.pfs.bytes_written());
   count("pfs.bytes_read", w.pfs.bytes_read());
+  histogram("pfs.op_seconds", w.pfs.op_seconds());
   const exec::TransferStats net = w.cluster.stats();
   count("net.transfers", net.count - net.control);
   count("net.control_messages", net.control);
@@ -695,6 +674,10 @@ void add_counts(World& w, const SharedState& st, const obs::Recorder* recorder,
   count("net.faults.dropped", net.dropped);
   count("net.faults.duplicated", net.duplicated);
   count("net.faults.delayed", net.delayed);
+  if (w.sim_cluster) {
+    histogram("net.transfer_seconds", w.sim_cluster->transfer_seconds());
+    histogram("net.faults.delay_seconds", w.sim_cluster->delay_seconds());
+  }
   if (w.injector) count("fault.workers_killed", w.injector->kills_performed());
 
   snap.gauges["scenario.seed"] = static_cast<double>(w.params.scenario_seed);
@@ -705,6 +688,8 @@ void add_counts(World& w, const SharedState& st, const obs::Recorder* recorder,
   }
   if (w.thr_engine) {
     count("rt.nic.local_bypass", w.thr_cluster->local_bypasses());
+    snap.gauges["rt.nic.lock_wait_total_s"] =
+        w.thr_cluster->nic_lock_wait_seconds();
     const rt::RuntimeStats s = w.thr_engine->stats();
     snap.gauges["rt.exec.posts"] = static_cast<double>(s.posts);
     snap.gauges["rt.exec.timer_fires"] = static_cast<double>(s.timer_fires);
@@ -729,16 +714,15 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
                   << to_string(pipeline) << " with " << params.arrays
                   << " arrays");
   World w(params);
-  // Attach the observability layer for the duration of the run: the
-  // duration histograms always, a trace recorder only when asked for,
-  // both stamped with the engine's simulated time. Previous installations
-  // (e.g. an outer test harness) are restored on return. Counts need no
-  // installation: add_counts() reads them from the actors afterwards.
+  // Attach a trace recorder for the duration of the run when asked for,
+  // stamped with the engine's simulated time. A previous installation
+  // (e.g. an outer test harness) is restored on return. Counts and
+  // durations need no installation: add_counts() reads them from the
+  // actors afterwards.
   std::shared_ptr<obs::Recorder> recorder;
   if (params.trace)
     recorder = std::make_shared<obs::Recorder>(params.trace_capacity);
-  obs::MetricsRegistry registry;
-  obs::ObservationScope scope(recorder.get(), &registry,
+  obs::ObservationScope scope(recorder.get(),
                               [&engine = w.engine] { return engine.now(); });
   SharedState st(w.engine);
   RunResult res;
@@ -784,7 +768,7 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
       void* io_strand = w.engine.new_strand();
       for (int r = 0; r < params.ranks; ++r)
         w.engine.spawn_on(io_strand,
-                          posthoc_rank_actor(w, st, dataset, *writer, r, res));
+                          rank_actor(w, st, pipeline, writer.get(), r, res));
       w.engine.spawn_on(
           io_strand,
           posthoc_analytics_actor(
@@ -810,7 +794,7 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
           w.runtime->make_client(w.client_node), mode_of(pipeline));
       for (int r = 0; r < params.ranks; ++r) {
         void* s = rank_strands[static_cast<std::size_t>(r)];
-        w.engine.spawn_on(s, deisa_rank_actor(w, st, pipeline, r, res));
+        w.engine.spawn_on(s, rank_actor(w, st, pipeline, nullptr, r, res));
         w.engine.spawn_on(
             s, st.bridges[static_cast<std::size_t>(r)]->run_heartbeats(
                    st.stop_heartbeats));
@@ -836,44 +820,15 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
                   << to_string(pipeline) << ", " << params.ranks
                   << " ranks): the configuration diverges");
 
-  // Aggregated over shards (at shards == 1 these read the exact counters
-  // of the single scheduler, as before).
   const dts::ShardedScheduler& sched = w.runtime->sharded();
-  res.scheduler_messages = sched.total_messages();
-  for (auto kind :
-       {dts::SchedMsgKind::kUpdateGraph, dts::SchedMsgKind::kTaskFinished,
-        dts::SchedMsgKind::kUpdateData, dts::SchedMsgKind::kCreateExternal,
-        dts::SchedMsgKind::kWaitKey, dts::SchedMsgKind::kHeartbeatWorker,
-        dts::SchedMsgKind::kHeartbeatBridge, dts::SchedMsgKind::kVariableSet,
-        dts::SchedMsgKind::kVariableGet, dts::SchedMsgKind::kQueuePut,
-        dts::SchedMsgKind::kQueueGet})
-    res.scheduler_messages_by_kind[dts::to_string(kind)] =
-        sched.messages_received(kind);
   res.shards = sched.num_shards();
-  for (int s = 0; s < sched.num_shards(); ++s)
+  for (int s = 0; s < sched.num_shards(); ++s) {
     res.shard_messages.push_back(sched.shard(s).total_messages());
-  res.shard_remote_edges = sched.remote_edges();
-  res.shard_notify_msgs = sched.notify_msgs();
-  res.shard_release_acks = sched.release_acks();
-  for (const auto& b : st.bridges) {
-    res.bridge_blocks_sent += b->blocks_sent();
-    res.bridge_blocks_filtered += b->blocks_filtered();
-    res.bridge_blocks_repushed += b->blocks_repushed();
+    res.shard_recovery.push_back(sched.shard(s).recovery());
   }
-  res.network_bytes = w.cluster.stats().bytes;
-  res.keys_released = sched.keys_released();
   for (int i = 0; i < w.runtime->num_workers(); ++i)
     res.worker_peak_bytes =
         std::max(res.worker_peak_bytes, w.runtime->worker(i).peak_memory_bytes());
-  res.pfs_bytes_written = w.pfs.bytes_written();
-  res.pfs_bytes_read = w.pfs.bytes_read();
-  // Every shard runs lineage recovery over its own records: the totals
-  // are field-wise sums, with the per-shard breakdown kept for reporting.
-  res.recovery = sched.recovery();
-  for (int s = 0; s < sched.num_shards(); ++s)
-    res.shard_recovery.push_back(sched.shard(s).recovery());
-  res.workers_killed = w.injector ? w.injector->kills_performed() : 0;
-  res.metrics = registry.snapshot();
   add_counts(w, st, recorder.get(), res.metrics);
   res.trace = std::move(recorder);
   return res;

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "deisa/exec/primitives.hpp"
+#include "deisa/obs/metrics.hpp"
 #include "deisa/util/rng.hpp"
 
 namespace deisa::io {
@@ -49,6 +50,9 @@ public:
   std::uint64_t bytes_written() const { return bytes_written_.load(); }
   std::uint64_t bytes_read() const { return bytes_read_.load(); }
   std::uint64_t ops() const { return ops_.load(); }
+  /// Model seconds of each read or write, queueing included. Read it once
+  /// no op is in flight.
+  const obs::Histogram& op_seconds() const { return op_seconds_; }
 
 private:
   exec::Co<void> io_op(const char* op, std::uint64_t bytes,
@@ -58,11 +62,12 @@ private:
   exec::Executor* engine_;
   PfsParams params_;
   exec::Semaphore streams_;
-  // Guards created_ and the jitter rng (writers may sit on different
-  // strands under the threaded substrate).
+  // Guards created_, the jitter rng and op_seconds_ (writers may sit on
+  // different strands under the threaded substrate).
   std::mutex mu_;
   std::set<std::string> created_;
   util::Rng rng_;
+  obs::Histogram op_seconds_;
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<std::uint64_t> bytes_read_{0};
   std::atomic<std::uint64_t> ops_{0};

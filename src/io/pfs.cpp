@@ -1,6 +1,5 @@
 #include "deisa/io/pfs.hpp"
 
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 
 namespace deisa::io {
@@ -33,8 +32,9 @@ exec::Co<void> Pfs::io_op(const char* op, std::uint64_t bytes,
   co_await engine_->delay(duration);
   streams_.release();
   span.finish();
-  if (auto* m = obs::metrics())
-    m->histogram("pfs.op_seconds").observe(engine_->now() - start);
+  const double seconds = engine_->now() - start;
+  std::lock_guard lk(mu_);
+  op_seconds_.observe(seconds);
 }
 
 exec::Co<void> Pfs::write(const std::string& path, std::uint64_t bytes) {

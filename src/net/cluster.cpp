@@ -5,7 +5,6 @@
 #include <memory>
 #include <numeric>
 
-#include "deisa/obs/metrics.hpp"
 #include "deisa/obs/trace.hpp"
 
 namespace deisa::net {
@@ -74,22 +73,13 @@ exec::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes) {
         "n" + std::to_string(src) + "->n" + std::to_string(dst));
     span.add_arg(obs::arg("bytes", bytes));
   }
-  struct TransferDone {
-    sim::Engine* engine;
-    double start;
-    ~TransferDone() {
-      if (auto* m = obs::metrics())
-        m->histogram("net.transfer_seconds").observe(engine->now() - start);
-    }
-  } done_guard{engine_, start};
   double lat = base_latency(src, dst);
   if (fault_hook_) {
     const FaultDecision fd = fault_hook_(src, dst, bytes, Delivery::kBulk);
     if (fd.extra_delay > 0.0) {
       lat += fd.extra_delay;
       ++stats_.delayed;
-      if (auto* m = obs::metrics())
-        m->histogram("net.faults.delay_seconds").observe(fd.extra_delay);
+      delay_seconds_.observe(fd.extra_delay);
     }
   }
   if (src == dst) {
@@ -100,6 +90,7 @@ exec::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes) {
         (lat + static_cast<double>(bytes) / effective_bandwidth(src, src)) *
         jitter());
     mem.release();
+    transfer_seconds_.observe(engine_->now() - start);
     co_return;
   }
   const int src_leaf = leaf_of(src);
@@ -121,6 +112,7 @@ exec::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes) {
   in.release();
   if (up != nullptr) up->release();
   eg.release();
+  transfer_seconds_.observe(engine_->now() - start);
 }
 
 exec::Co<SendResult> Cluster::send_control(int src, int dst,

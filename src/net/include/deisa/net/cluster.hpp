@@ -21,6 +21,7 @@
 
 #include "deisa/exec/primitives.hpp"
 #include "deisa/exec/transport.hpp"
+#include "deisa/obs/metrics.hpp"
 #include "deisa/sim/engine.hpp"
 #include "deisa/util/rng.hpp"
 
@@ -102,6 +103,11 @@ public:
   double effective_bandwidth(int src, int dst) const;
 
   TransferStats stats() const override { return stats_; }
+  /// Model seconds of each bulk transfer that completed, queueing
+  /// included.
+  const obs::Histogram& transfer_seconds() const { return transfer_seconds_; }
+  /// The extra delay of each bulk transfer the fault hook stretched.
+  const obs::Histogram& delay_seconds() const { return delay_seconds_; }
 
 private:
   double base_latency(int src, int dst) const;
@@ -117,6 +123,8 @@ private:
   std::vector<std::unique_ptr<exec::Semaphore>> uplinks_;
   util::Rng rng_;
   TransferStats stats_;
+  obs::Histogram transfer_seconds_;
+  obs::Histogram delay_seconds_;
   FaultHook fault_hook_;
 };
 

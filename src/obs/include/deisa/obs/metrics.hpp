@@ -1,69 +1,20 @@
-// Metrics: duration histograms recorded live, and the MetricsSnapshot a
-// run reports.
+// Metrics: the duration Histogram the actors keep, and the MetricsSnapshot
+// a run reports.
 //
-// Counts are not recorded here. Every count is an always-on typed field
-// on the object that observes it (Scheduler, Worker, Bridge, transport,
-// ...), and the harness builds the snapshot's counters and gauges from
-// those fields once, after the run (harness/scenario.cpp). Only
-// durations, which need a distribution, go through the registry.
-//
-// Histograms reuse util::RunningStats for streaming moments and keep a
-// bounded sample buffer for percentile export (memory stays bounded on
-// arbitrarily long runs; beyond the cap only the moments keep updating).
-//
-// Like the trace recorder, sites reach the registry through
-// MetricsRegistry::current() — a null check when observability is off.
-//
-// Thread-safe: histograms take a per-histogram mutex, and the registry's
-// name lookups are serialized (std::map keeps references stable, so the
-// returned histograms stay valid while other threads insert).
+// Every count and every duration is an always-on typed field on the
+// object that observes it (Scheduler, Worker, Bridge, transport, PFS,
+// ...), and the harness names them all once, after the run, when it
+// builds the snapshot (harness/scenario.cpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "deisa/util/stats.hpp"
 
 namespace deisa::obs {
-
-class Histogram {
-public:
-  static constexpr std::size_t kDefaultMaxSamples = 1u << 16;
-
-  explicit Histogram(std::size_t max_samples = kDefaultMaxSamples)
-      : max_samples_(max_samples) {}
-
-  void observe(double x) {
-    std::lock_guard lk(mu_);
-    stats_.add(x);
-    if (samples_.size() < max_samples_) samples_.push_back(x);
-  }
-
-  /// Copy of the streaming moments (consistent under concurrent observe).
-  util::RunningStats stats() const {
-    std::lock_guard lk(mu_);
-    return stats_;
-  }
-  std::size_t count() const {
-    std::lock_guard lk(mu_);
-    return stats_.count();
-  }
-  /// Percentile over the retained samples (all of them until the cap).
-  double percentile(double q) const {
-    std::lock_guard lk(mu_);
-    return util::percentile(samples_, q);
-  }
-
-private:
-  mutable std::mutex mu_;
-  std::size_t max_samples_;
-  util::RunningStats stats_;
-  std::vector<double> samples_;
-};
 
 struct HistogramSummary {
   std::size_t count = 0;
@@ -76,9 +27,44 @@ struct HistogramSummary {
   double p99 = 0.0;
 };
 
-/// The metrics of one run: counters and gauges read from the typed
-/// fields, histograms copied from the registry. Cheap to carry in
-/// RunResult and to compare across runs.
+/// A distribution of observed values: streaming moments over every
+/// sample, and the first `max_samples` samples for percentile export
+/// (memory stays bounded on arbitrarily long runs; beyond the cap only
+/// the moments keep updating). A plain value with no lock: its owner
+/// observes it from one strand, or under a lock it already holds.
+class Histogram {
+public:
+  static constexpr std::size_t kDefaultMaxSamples = 1u << 16;
+
+  explicit Histogram(std::size_t max_samples = kDefaultMaxSamples)
+      : max_samples_(max_samples) {}
+
+  void observe(double x) {
+    stats_.add(x);
+    if (samples_.size() < max_samples_) {
+      // The first sample reserves the whole buffer, so no later one
+      // allocates (pages the samples never reach are never touched).
+      if (samples_.empty()) samples_.reserve(max_samples_);
+      samples_.push_back(x);
+    }
+  }
+  /// Fold `other` in as if its samples had been observed after this
+  /// one's.
+  void merge(const Histogram& other);
+
+  std::size_t count() const { return stats_.count(); }
+  /// Moments over every sample; percentiles over the retained ones.
+  HistogramSummary summary() const;
+
+private:
+  std::size_t max_samples_;
+  util::RunningStats stats_;
+  std::vector<double> samples_;
+};
+
+/// The metrics of one run, named and read from the actors' typed fields
+/// once the run is over. Cheap to carry in RunResult and to compare
+/// across runs.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
@@ -90,37 +76,5 @@ struct MetricsSnapshot {
     return it == counters.end() ? 0 : it->second;
   }
 };
-
-class MetricsRegistry {
-public:
-  /// The process-wide registry instrumentation writes to; nullptr (the
-  /// default) disables the histograms everywhere.
-  static MetricsRegistry* current() {
-    return current_.load(std::memory_order_acquire);
-  }
-  static void install(MetricsRegistry* registry) {
-    current_.store(registry, std::memory_order_release);
-  }
-
-  Histogram& histogram(const std::string& name) {
-    std::lock_guard lk(mu_);
-    return histograms_[name];
-  }
-
-  /// A snapshot holding the histograms only.
-  MetricsSnapshot snapshot() const;
-
-private:
-  /// Guards the name->histogram map (not the histograms themselves,
-  /// which synchronize their own mutation).
-  mutable std::mutex mu_;
-  // std::map: deterministic dump order, stable references on insert.
-  std::map<std::string, Histogram> histograms_;
-
-  static std::atomic<MetricsRegistry*> current_;
-};
-
-/// The installed registry, or nullptr when metrics are disabled.
-inline MetricsRegistry* metrics() { return MetricsRegistry::current(); }
 
 }  // namespace deisa::obs

@@ -1,26 +1,28 @@
 #include "deisa/obs/metrics.hpp"
 
+#include <algorithm>
+
 namespace deisa::obs {
 
-std::atomic<MetricsRegistry*> MetricsRegistry::current_{nullptr};
+void Histogram::merge(const Histogram& other) {
+  stats_.merge(other.stats_);
+  const std::size_t n =
+      std::min(max_samples_ - samples_.size(), other.samples_.size());
+  samples_.insert(samples_.end(), other.samples_.begin(),
+                  other.samples_.begin() + static_cast<std::ptrdiff_t>(n));
+}
 
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  std::lock_guard lk(mu_);
-  MetricsSnapshot snap;
-  for (const auto& [name, h] : histograms_) {
-    const util::RunningStats rs = h.stats();
-    HistogramSummary s;
-    s.count = rs.count();
-    s.mean = rs.mean();
-    s.stddev = rs.stddev();
-    s.min = rs.min();
-    s.max = rs.max();
-    s.p50 = h.percentile(0.50);
-    s.p95 = h.percentile(0.95);
-    s.p99 = h.percentile(0.99);
-    snap.histograms.emplace(name, s);
-  }
-  return snap;
+HistogramSummary Histogram::summary() const {
+  HistogramSummary s;
+  s.count = stats_.count();
+  s.mean = stats_.mean();
+  s.stddev = stats_.stddev();
+  s.min = stats_.min();
+  s.max = stats_.max();
+  s.p50 = util::percentile(samples_, 0.50);
+  s.p95 = util::percentile(samples_, 0.95);
+  s.p99 = util::percentile(samples_, 0.99);
+  return s;
 }
 
 }  // namespace deisa::obs

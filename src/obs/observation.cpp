@@ -2,13 +2,9 @@
 
 namespace deisa::obs {
 
-ObservationScope::ObservationScope(Recorder* recorder,
-                                   MetricsRegistry* registry,
-                                   SimClock::Source clock)
-    : previous_recorder_(Recorder::current()),
-      previous_registry_(MetricsRegistry::current()) {
+ObservationScope::ObservationScope(Recorder* recorder, SimClock::Source clock)
+    : previous_recorder_(Recorder::current()) {
   Recorder::install(recorder);
-  MetricsRegistry::install(registry);
   if (clock) {
     SimClock::set_source(std::move(clock));
     clock_bound_ = true;
@@ -17,7 +13,6 @@ ObservationScope::ObservationScope(Recorder* recorder,
 
 ObservationScope::~ObservationScope() {
   if (clock_bound_) SimClock::clear_source();
-  MetricsRegistry::install(previous_registry_);
   Recorder::install(previous_recorder_);
 }
 

@@ -54,8 +54,7 @@ struct RuntimeStats {
   double post_run_latency_total_s = 0.0;
   double post_run_latency_max_s = 0.0;
   std::size_t strands = 0;
-  std::size_t max_queue_depth = 0;            // peak over all strands
-  std::vector<std::size_t> strand_max_depth;  // per-strand peak depth
+  std::size_t max_queue_depth = 0;  // peak over all strands
 
   double post_run_latency_mean_s() const {
     return resumes > 0 ? post_run_latency_total_s /

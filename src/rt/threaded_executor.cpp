@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "deisa/obs/metrics.hpp"
 
 namespace deisa::rt {
 
@@ -131,8 +130,6 @@ void ThreadedExecutor::worker_loop() {
     latency_total_s_ += wait_s;
     latency_max_s_ = std::max(latency_max_s_, wait_s);
     lk.unlock();
-    if (auto* m = obs::metrics())
-      m->histogram("rt.exec.post_run_latency_s").observe(wait_s);
     tls_current_strand = s;
     entry.handle.resume();
     tls_current_strand = nullptr;
@@ -212,11 +209,8 @@ RuntimeStats ThreadedExecutor::stats() const {
   s.post_run_latency_total_s = latency_total_s_;
   s.post_run_latency_max_s = latency_max_s_;
   s.strands = strands_.size();
-  s.strand_max_depth.reserve(strands_.size());
-  for (const auto& st : strands_) {
-    s.strand_max_depth.push_back(st->max_depth);
+  for (const auto& st : strands_)
     s.max_queue_depth = std::max(s.max_queue_depth, st->max_depth);
-  }
   return s;
 }
 

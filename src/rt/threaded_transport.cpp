@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "deisa/obs/metrics.hpp"
 
 namespace deisa::rt {
 
@@ -83,8 +82,6 @@ exec::Co<void> ThreadedTransport::transfer(int src, int dst,
     nic_lock_wait_ns_.fetch_add(
         static_cast<std::uint64_t>(lock_wait_s * 1e9),
         std::memory_order_relaxed);
-    if (auto* m = obs::metrics())
-      m->histogram("rt.nic.lock_wait_s").observe(lock_wait_s);
     const std::size_t want = static_cast<std::size_t>(
         std::min<std::uint64_t>(bytes, params_.chunk_bytes));
     if (eg.scratch.size() < want) eg.scratch.resize(params_.chunk_bytes);

@@ -38,7 +38,6 @@ TEST(VirtualArray, GridAndSizes) {
   const auto va = temp_array();
   EXPECT_EQ(va.grid().num_chunks(), 4 * 2 * 4);
   EXPECT_EQ(va.block_bytes(), 4u * 4u * 8u);
-  EXPECT_EQ(va.step_bytes(), 8u * 16u * 8u);
 }
 
 TEST(VirtualArray, ValidationRejectsBadShapes) {

@@ -174,7 +174,7 @@ TEST(Dts, OneExternalTaskEmitsExactlyItsLifecycleEvents) {
   deisa::obs::Recorder recorder;
   {
     deisa::obs::ObservationScope scope(
-        &recorder, nullptr, [&eng = tc.eng] { return eng.now(); });
+        &recorder, [&eng = tc.eng] { return eng.now(); });
     tc.run(one_external_task(tc));
   }
   // Exactly one external→memory transition, and no other transition for
@@ -442,7 +442,6 @@ TEST(Dts, SchedulerCountsMessageKinds) {
   EXPECT_EQ(s.messages_received(dts::SchedMsgKind::kUpdateData), 1u);
   EXPECT_EQ(s.messages_received(dts::SchedMsgKind::kUpdateGraph), 1u);
   EXPECT_GE(s.messages_received(dts::SchedMsgKind::kTaskFinished), 1u);
-  EXPECT_GT(s.total_service_time(), 0.0);
 }
 
 exec::Co<void> shared_dep_flow(TestCluster& tc) {

@@ -332,7 +332,6 @@ TEST(Fault, WorkerMemoryAccounting) {
   auto& w = tc.rt->worker(0);
   EXPECT_EQ(w.keys_in_memory(), 2u);
   EXPECT_EQ(w.memory_bytes(), 1700u);       // replacement, not addition
-  EXPECT_EQ(w.bytes_stored(), 2200u);       // cumulative throughput
   EXPECT_TRUE(w.release_key("a"));
   EXPECT_EQ(w.memory_bytes(), 700u);
   EXPECT_FALSE(w.release_key("a"));
@@ -363,19 +362,24 @@ TEST(ShardedFault, SeededWorkerKillMatchesFaultFreeResults) {
     const auto p = sharded_fault_params(shards);
     const auto clean = harness::run_scenario(harness::Pipeline::kDeisa3, p);
     ASSERT_FALSE(clean.singular_values.empty()) << "shards " << shards;
-    EXPECT_EQ(clean.workers_killed, 0u);
-    EXPECT_EQ(clean.recovery.workers_lost, 0u);
+    EXPECT_EQ(clean.metrics.counter("fault.workers_killed"), 0u);
+    EXPECT_EQ(clean.metrics.counter("scheduler.recovery.workers_lost"), 0u);
 
     auto pf = p;
     pf.faults.kills.emplace_back(1, clean.sim_end * 0.5);
     pf.faults.seed = 0xF0 + static_cast<std::uint64_t>(shards);
     const auto faulty = harness::run_scenario(harness::Pipeline::kDeisa3, pf);
-    EXPECT_EQ(faulty.workers_killed, 1u) << "shards " << shards;
+    const auto count = [&faulty](const char* name) {
+      return faulty.metrics.counter(name);
+    };
+    EXPECT_EQ(count("fault.workers_killed"), 1u) << "shards " << shards;
     // Exactly one death, counted once (by shard 0) across all shards.
-    EXPECT_EQ(faulty.recovery.workers_lost, 1u) << "shards " << shards;
-    EXPECT_GT(faulty.recovery.external_rearmed + faulty.recovery.tasks_rerun +
-                  faulty.recovery.keys_recomputed +
-                  faulty.recovery.external_rerouted,
+    EXPECT_EQ(count("scheduler.recovery.workers_lost"), 1u)
+        << "shards " << shards;
+    EXPECT_GT(count("scheduler.recovery.external_rearmed") +
+                  count("scheduler.recovery.tasks_rerun") +
+                  count("scheduler.recovery.keys_recomputed") +
+                  count("scheduler.recovery.external_rerouted"),
               0u)
         << "shards " << shards;
     ASSERT_EQ(faulty.shard_recovery.size(),
@@ -386,8 +390,8 @@ TEST(ShardedFault, SeededWorkerKillMatchesFaultFreeResults) {
       lost += sr.workers_lost;
       rerun += sr.tasks_rerun;
     }
-    EXPECT_EQ(lost, faulty.recovery.workers_lost);
-    EXPECT_EQ(rerun, faulty.recovery.tasks_rerun);
+    EXPECT_EQ(lost, count("scheduler.recovery.workers_lost"));
+    EXPECT_EQ(rerun, count("scheduler.recovery.tasks_rerun"));
 
     ASSERT_EQ(faulty.singular_values.size(), clean.singular_values.size());
     for (std::size_t i = 0; i < clean.singular_values.size(); ++i) {
@@ -428,7 +432,7 @@ TEST(Fault, WorkerKillAtEightRanksCompletes) {
     auto pf = p;
     pf.faults = fault::FaultPlan::parse("kill:1@0.2");
     const auto faulty = harness::run_scenario(pipeline, pf);
-    EXPECT_EQ(faulty.recovery.workers_lost, 1u)
+    EXPECT_EQ(faulty.metrics.counter("scheduler.recovery.workers_lost"), 1u)
         << harness::to_string(pipeline);
     EXPECT_EQ(faulty.singular_values, clean.singular_values)
         << harness::to_string(pipeline);
@@ -451,8 +455,8 @@ TEST(ShardedFault, RerunTaskNeverJoinsAFetchFromTheDeadWorker) {
   auto pf = p;
   pf.faults.kills.emplace_back(1, 0.1);
   const auto faulty = harness::run_scenario(harness::Pipeline::kDeisa3, pf);
-  EXPECT_EQ(faulty.recovery.workers_lost, 1u);
-  EXPECT_GT(faulty.recovery.mirrors_rearmed, 0u);
+  EXPECT_EQ(faulty.metrics.counter("scheduler.recovery.workers_lost"), 1u);
+  EXPECT_GT(faulty.metrics.counter("scheduler.recovery.mirrors_rearmed"), 0u);
   EXPECT_EQ(faulty.singular_values, clean.singular_values);
 }
 

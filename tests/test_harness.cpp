@@ -11,6 +11,7 @@
 #include <string>
 
 #include "deisa/apps/heat2d.hpp"
+#include "deisa/dts/messages.hpp"
 #include "deisa/harness/scenario.hpp"
 #include "deisa/ml/pca.hpp"
 #include "deisa/net/cluster.hpp"
@@ -18,6 +19,7 @@
 
 namespace apps = deisa::apps;
 namespace arr = deisa::array;
+namespace dts = deisa::dts;
 namespace exec = deisa::exec;
 namespace harness = deisa::harness;
 namespace la = deisa::linalg;
@@ -51,6 +53,16 @@ harness::ScenarioParams small_real() {
   return p;
 }
 
+/// Messages of one kind the scheduler received. `kind` must name a
+/// SchedMsgKind, so a misspelled kind fails instead of reading 0.
+std::uint64_t msgs(const harness::RunResult& r, const std::string& kind) {
+  bool known = false;
+  for (std::size_t k = 0; k < dts::kSchedMsgKindCount; ++k)
+    known = known || kind == dts::to_string(static_cast<dts::SchedMsgKind>(k));
+  EXPECT_TRUE(known) << "no message kind " << kind;
+  return r.metrics.counter("scheduler.messages." + kind);
+}
+
 class AllPipelines : public ::testing::TestWithParam<harness::Pipeline> {};
 
 TEST_P(AllPipelines, SyntheticRunCompletesWithSaneTimings) {
@@ -72,13 +84,15 @@ TEST_P(AllPipelines, SyntheticRunCompletesWithSaneTimings) {
   EXPECT_GT(res.analytics_seconds, 0.0);
   EXPECT_GT(res.sim_end, 0.0);
   EXPECT_GE(res.total_seconds, res.sim_end);
-  EXPECT_GT(res.scheduler_messages, 0u);
+  const auto count = [&res](const char* name) {
+    return res.metrics.counter(name);
+  };
+  EXPECT_GT(count("scheduler.messages.total"), 0u);
   if (!harness::is_posthoc(pipeline)) {
-    EXPECT_EQ(res.bridge_blocks_sent, 4u * 5u);  // full contract
-    EXPECT_EQ(res.bridge_blocks_filtered, 0u);
+    EXPECT_EQ(count("bridge.blocks_sent"), 4u * 5u);  // full contract
   } else {
-    EXPECT_EQ(res.pfs_bytes_written, 4u * 5u * p.block_bytes);
-    EXPECT_EQ(res.pfs_bytes_read, res.pfs_bytes_written);
+    EXPECT_EQ(count("pfs.bytes_written"), 4u * 5u * p.block_bytes);
+    EXPECT_EQ(count("pfs.bytes_read"), count("pfs.bytes_written"));
   }
 }
 
@@ -98,30 +112,28 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Harness, Deisa3SendsNoBridgeHeartbeats) {
   const auto res =
       harness::run_scenario(harness::Pipeline::kDeisa3, small_synthetic());
-  EXPECT_EQ(res.scheduler_messages_by_kind.at("heartbeat_bridge"), 0u);
+  EXPECT_EQ(msgs(res, "heartbeat_bridge"), 0u);
   // Startup protocol: 1 arrays variable_set + 1 contract variable_set.
-  EXPECT_EQ(res.scheduler_messages_by_kind.at("variable_set"), 2u);
+  EXPECT_EQ(msgs(res, "variable_set"), 2u);
   // One contract variable_get per bridge.
-  EXPECT_EQ(res.scheduler_messages_by_kind.at("variable_get"),
+  EXPECT_EQ(msgs(res, "variable_get"),
             1u + 4u);  // adaptor's arrays get + 4 bridges' contract gets
-  EXPECT_EQ(res.scheduler_messages_by_kind.at("queue_put"), 0u);
+  EXPECT_EQ(msgs(res, "queue_put"), 0u);
 }
 
 TEST(Harness, Deisa1UsesQueuesAndHeartbeats) {
   auto p = small_synthetic();
   p.sim_cell_rate = 5e4;  // slow the steps so 5 s heartbeats fire
   const auto res = harness::run_scenario(harness::Pipeline::kDeisa1, p);
-  EXPECT_GT(res.scheduler_messages_by_kind.at("heartbeat_bridge"), 0u);
+  EXPECT_GT(msgs(res, "heartbeat_bridge"), 0u);
   // Selection queues: one put per rank; ready queue: one put per rank
   // per timestep.
-  EXPECT_EQ(res.scheduler_messages_by_kind.at("queue_put"),
-            4u + 4u * 5u);
-  EXPECT_EQ(res.scheduler_messages_by_kind.at("queue_get"), 4u + 4u * 5u);
+  EXPECT_EQ(msgs(res, "queue_put"), 4u + 4u * 5u);
+  EXPECT_EQ(msgs(res, "queue_get"), 4u + 4u * 5u);
   // Per-step scatter: update_data per rank per step.
-  EXPECT_EQ(res.scheduler_messages_by_kind.at("update_data"), 4u * 5u);
+  EXPECT_EQ(msgs(res, "update_data"), 4u * 5u);
   // Per-step graph submission (+1 for the outputs graph).
-  EXPECT_EQ(res.scheduler_messages_by_kind.at("update_graph"),
-            5u + 1u);
+  EXPECT_EQ(msgs(res, "update_graph"), 5u + 1u);
 }
 
 TEST(Harness, MetadataMessagesDropFromDeisa1ToDeisa3) {
@@ -133,11 +145,9 @@ TEST(Harness, MetadataMessagesDropFromDeisa1ToDeisa3) {
   const auto coordination = [](const harness::RunResult& r) {
     // Everything except data registrations, task traffic and worker
     // heartbeats: the bridge-side coordination metadata.
-    return r.scheduler_messages_by_kind.at("queue_put") +
-           r.scheduler_messages_by_kind.at("queue_get") +
-           r.scheduler_messages_by_kind.at("heartbeat_bridge") +
-           r.scheduler_messages_by_kind.at("variable_set") +
-           r.scheduler_messages_by_kind.at("variable_get");
+    return msgs(r, "queue_put") + msgs(r, "queue_get") +
+           msgs(r, "heartbeat_bridge") + msgs(r, "variable_set") +
+           msgs(r, "variable_get");
   };
   EXPECT_GT(coordination(r1), 2u * 4u * 5u);  // ≥ 2·T·R
   EXPECT_LE(coordination(r3), 2u + 2u * 4u);  // O(1 + R)
@@ -148,12 +158,13 @@ TEST(Harness, ContractFilteringReducesDataMoved) {
   p.ranks = 4;
   p.contract_fraction = 0.5;  // keep half the Y block-rows
   const auto res = harness::run_scenario(harness::Pipeline::kDeisa3, p);
-  EXPECT_EQ(res.bridge_blocks_sent, 2u * 5u);
-  EXPECT_EQ(res.bridge_blocks_filtered, 2u * 5u);
+  EXPECT_EQ(res.metrics.counter("bridge.blocks_sent"), 2u * 5u);
+  EXPECT_EQ(res.metrics.counter("bridge.blocks_filtered"), 2u * 5u);
 
   auto full = small_synthetic();
   const auto res_full = harness::run_scenario(harness::Pipeline::kDeisa3, full);
-  EXPECT_LT(res.network_bytes, res_full.network_bytes);
+  EXPECT_LT(res.metrics.counter("net.bytes"),
+            res_full.metrics.counter("net.bytes"));
 }
 
 TEST(Harness, FunctionalDeisa3MatchesLocalIpca) {
@@ -217,21 +228,22 @@ TEST(HarnessFault, WorkerKillRecoversWithIdenticalResults) {
   const auto p = small_real();
   const auto clean = harness::run_scenario(harness::Pipeline::kDeisa3, p);
   ASSERT_EQ(clean.singular_values.size(), 2u);
-  EXPECT_EQ(clean.workers_killed, 0u);
-  EXPECT_EQ(clean.recovery.workers_lost, 0u);
+  EXPECT_EQ(clean.metrics.counter("fault.workers_killed"), 0u);
+  EXPECT_EQ(clean.metrics.counter("scheduler.recovery.workers_lost"), 0u);
 
   auto pf = p;
   pf.faults.kills.emplace_back(1, clean.sim_end * 0.5);
   const auto faulty = harness::run_scenario(harness::Pipeline::kDeisa3, pf);
-  EXPECT_EQ(faulty.workers_killed, 1u);
-  EXPECT_EQ(faulty.recovery.workers_lost, 1u);
-  EXPECT_GT(faulty.recovery.external_rearmed + faulty.recovery.tasks_rerun +
-                faulty.recovery.keys_recomputed +
-                faulty.recovery.external_rerouted,
+  const auto count = [&faulty](const char* name) {
+    return faulty.metrics.counter(name);
+  };
+  EXPECT_EQ(count("fault.workers_killed"), 1u);
+  EXPECT_EQ(count("scheduler.recovery.workers_lost"), 1u);
+  EXPECT_GT(count("scheduler.recovery.external_rearmed") +
+                count("scheduler.recovery.tasks_rerun") +
+                count("scheduler.recovery.keys_recomputed") +
+                count("scheduler.recovery.external_rerouted"),
             0u);
-  // Recovery is visible in the metrics layer, not just the counters.
-  EXPECT_EQ(faulty.metrics.counter("scheduler.recovery.workers_lost"), 1u);
-  EXPECT_EQ(faulty.metrics.counter("fault.workers_killed"), 1u);
   ASSERT_EQ(faulty.singular_values.size(), clean.singular_values.size());
   for (std::size_t i = 0; i < clean.singular_values.size(); ++i)
     EXPECT_EQ(faulty.singular_values[i], clean.singular_values[i]);
@@ -248,17 +260,12 @@ TEST(HarnessFault, SameFaultSeedReplaysIdentically) {
       "kill:0@0.4;dup:0.4;delay:0.2@0.01;seed:11");
   const auto a = harness::run_scenario(harness::Pipeline::kDeisa3, p);
   const auto b = harness::run_scenario(harness::Pipeline::kDeisa3, p);
-  EXPECT_EQ(a.workers_killed, 1u);
-  EXPECT_EQ(a.workers_killed, b.workers_killed);
-  EXPECT_EQ(a.scheduler_messages, b.scheduler_messages);
+  EXPECT_EQ(a.metrics.counter("fault.workers_killed"), 1u);
+  // Every count agrees: messages, kills, recovery and stale arrivals.
+  EXPECT_EQ(a.metrics.counters, b.metrics.counters);
   EXPECT_EQ(a.sim_io, b.sim_io);
   EXPECT_DOUBLE_EQ(a.analytics_seconds, b.analytics_seconds);
   EXPECT_DOUBLE_EQ(a.total_seconds, b.total_seconds);
-  EXPECT_EQ(a.recovery.workers_lost, b.recovery.workers_lost);
-  EXPECT_EQ(a.recovery.tasks_rerun, b.recovery.tasks_rerun);
-  EXPECT_EQ(a.recovery.external_rearmed, b.recovery.external_rearmed);
-  EXPECT_EQ(a.recovery.stale_task_finished, b.recovery.stale_task_finished);
-  EXPECT_EQ(a.recovery.stale_update_data, b.recovery.stale_update_data);
 
   // A different seed perturbs a different set of messages.
   auto p2 = p;
@@ -275,11 +282,11 @@ TEST(HarnessFault, EmptyPlanLeavesRunsUntouched) {
   pf.faults = deisa::fault::FaultPlan();
   const auto a = harness::run_scenario(harness::Pipeline::kDeisa2, p);
   const auto b = harness::run_scenario(harness::Pipeline::kDeisa2, pf);
-  EXPECT_EQ(a.scheduler_messages, b.scheduler_messages);
+  EXPECT_EQ(a.metrics.counters, b.metrics.counters);
   EXPECT_EQ(a.sim_io, b.sim_io);
   EXPECT_DOUBLE_EQ(a.total_seconds, b.total_seconds);
-  EXPECT_EQ(b.workers_killed, 0u);
-  EXPECT_EQ(b.recovery.workers_lost, 0u);
+  EXPECT_EQ(b.metrics.counter("fault.workers_killed"), 0u);
+  EXPECT_EQ(b.metrics.counter("scheduler.recovery.workers_lost"), 0u);
 }
 
 // CI's fault config (`deisa_scenario` on ranks 4, workers 3, block_mib 1,
@@ -302,16 +309,21 @@ std::set<std::string> names_of(const Map& m) {
   return out;
 }
 
+std::size_t samples(const harness::RunResult& r, const std::string& name) {
+  const auto it = r.metrics.histograms.find(name);
+  return it == r.metrics.histograms.end() ? 0 : it->second.count;
+}
+
 TEST(HarnessMetrics, DumpNamesArePinned) {
   // The metrics dump's names and headline values, pinned to the output of
-  // the registry-based instrumentation that preceded the typed counters
-  // (`deisa_scenario --metrics-out`). A count read from the wrong field,
-  // or published under a changed name, fails here.
+  // the registry-based instrumentation that preceded the typed fields
+  // (`deisa_scenario --metrics-out`). A count or duration read from the
+  // wrong field, or published under a changed name, fails here.
   const std::set<std::string> gauges = {
       "scenario.seed", "worker-0.memory_bytes", "worker-1.memory_bytes",
       "worker-2.memory_bytes"};
-  const std::set<std::string> histograms = {"net.transfer_seconds",
-                                            "worker.execute_seconds"};
+  std::set<std::string> histograms = {"net.transfer_seconds",
+                                      "worker.execute_seconds"};
   const std::set<std::string> common = {
       "adaptor.external_futures",
       "bridge.batched_pushes",
@@ -366,6 +378,8 @@ TEST(HarnessMetrics, DumpNamesArePinned) {
   EXPECT_EQ(f.metrics.counter("net.transfers"), 146u);
   EXPECT_EQ(f.metrics.counter("net.control_messages"), 140u);
   EXPECT_EQ(f.metrics.counter("dataplane.bytes_moved"), 93466176u);
+  EXPECT_EQ(samples(f, "worker.execute_seconds"), 14u);
+  EXPECT_EQ(samples(f, "net.transfer_seconds"), 146u);
 
   auto gc = ci_fault_config();
   gc.shards = 4;
@@ -388,6 +402,85 @@ TEST(HarnessMetrics, DumpNamesArePinned) {
   EXPECT_EQ(g.metrics.counter("net.transfers"), 147u);
   EXPECT_EQ(g.metrics.counter("net.control_messages"), 217u);
   EXPECT_EQ(g.metrics.counter("dataplane.bytes_moved"), 75644192u);
+  EXPECT_EQ(samples(g, "worker.execute_seconds"), 14u);
+  EXPECT_EQ(samples(g, "net.transfer_seconds"), 147u);
+
+  // A delay fault adds its own histogram, one sample per delayed flow.
+  auto delay = ci_fault_config();
+  delay.faults = deisa::fault::FaultPlan::parse("delay:0.3@0.05;seed:7");
+  const auto d = harness::run_scenario(harness::Pipeline::kDeisa3, delay);
+  counters = common;
+  counters.insert("net.faults.delayed");
+  counters.insert("scheduler.messages.heartbeat_worker");
+  histograms.insert("net.faults.delay_seconds");
+  EXPECT_EQ(names_of(d.metrics.counters), counters);
+  EXPECT_EQ(names_of(d.metrics.gauges), gauges);
+  EXPECT_EQ(names_of(d.metrics.histograms), histograms);
+  EXPECT_EQ(samples(d, "net.faults.delay_seconds"), 41u);
+  EXPECT_EQ(d.metrics.counter("net.faults.delayed"), 41u);
+
+  // Post hoc: the PFS ops get a histogram; no bridge, no external task.
+  const auto ph = harness::run_scenario(harness::Pipeline::kPosthocNewIpca,
+                                        ci_fault_config());
+  EXPECT_EQ(names_of(ph.metrics.counters),
+            (std::set<std::string>{
+                "dataplane.bytes_moved",
+                "net.bytes",
+                "net.control_messages",
+                "net.transfers",
+                "pfs.bytes_read",
+                "pfs.bytes_written",
+                "pfs.ops",
+                "scheduler.created.waiting",
+                "scheduler.messages.heartbeat_worker",
+                "scheduler.messages.shutdown",
+                "scheduler.messages.task_finished",
+                "scheduler.messages.total",
+                "scheduler.messages.update_graph",
+                "scheduler.messages.wait_key",
+                "scheduler.tasks.created",
+                "scheduler.transitions.processing->memory",
+                "scheduler.transitions.ready->processing",
+                "scheduler.transitions.waiting->ready",
+                "worker.peer_fetch_bytes",
+                "worker.peer_fetch_cached_bytes",
+                "worker.peer_fetches",
+                "worker.tasks_executed"}));
+  EXPECT_EQ(names_of(ph.metrics.gauges), gauges);
+  EXPECT_EQ(names_of(ph.metrics.histograms),
+            (std::set<std::string>{"net.transfer_seconds", "pfs.op_seconds",
+                                   "worker.execute_seconds"}));
+  EXPECT_EQ(samples(ph, "pfs.op_seconds"), 48u);
+  EXPECT_EQ(samples(ph, "worker.execute_seconds"), 38u);
+  EXPECT_EQ(samples(ph, "net.transfer_seconds"), 123u);
+
+  // CI's threads-substrate config. Only the worker's execute durations
+  // are a distribution there; the executor's latency and the NIC lock
+  // wait are gauges (their totals and extremes), and the model-time
+  // transfer histograms belong to the simulated network. Counts and
+  // durations vary with the thread interleaving, names do not.
+  harness::ScenarioParams p;
+  p.ranks = 4;
+  p.workers = 2;
+  p.block_bytes = 1024 * 1024;
+  p.timesteps = 5;
+  p.real_data = true;
+  p.alloc_seed = 1000;
+  p.substrate = harness::Substrate::kThreads;
+  p.time_scale = 0.005;
+  const auto r = harness::run_scenario(harness::Pipeline::kDeisa3, p);
+  EXPECT_EQ(names_of(r.metrics.histograms),
+            std::set<std::string>{"worker.execute_seconds"});
+  EXPECT_EQ(samples(r, "worker.execute_seconds"),
+            r.metrics.counter("worker.tasks_executed"));
+  EXPECT_GT(samples(r, "worker.execute_seconds"), 0u);
+  EXPECT_EQ(names_of(r.metrics.gauges),
+            (std::set<std::string>{
+                "rt.exec.max_queue_depth", "rt.exec.post_run_latency_max_s",
+                "rt.exec.post_run_latency_mean_s", "rt.exec.posts",
+                "rt.exec.resumes", "rt.exec.strands", "rt.exec.timer_fires",
+                "rt.nic.lock_wait_total_s", "scenario.seed",
+                "worker-0.memory_bytes", "worker-1.memory_bytes"}));
 }
 
 TEST(Harness, IterationSummarySkipsFirstIterations) {

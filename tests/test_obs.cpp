@@ -1,6 +1,6 @@
 // Tests for the observability layer: trace recorder (spans, ring
-// eviction, disabled no-op), metrics registry, SimClock/log integration
-// and the Chrome trace-event exporter.
+// eviction, disabled no-op), histograms and the metrics snapshot,
+// SimClock/log integration and the Chrome trace-event exporter.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -246,7 +246,6 @@ TEST(Recorder, TrackIdsAreStableAndDeduplicated) {
 
 TEST(Recorder, DisabledHelpersAreNoOps) {
   ASSERT_EQ(obs::tracer(), nullptr);
-  ASSERT_EQ(obs::metrics(), nullptr);
   {
     obs::Span s = obs::trace_span("a", "b", "c");
     EXPECT_FALSE(s.active());
@@ -254,56 +253,91 @@ TEST(Recorder, DisabledHelpersAreNoOps) {
   obs::trace_instant("a", "b", "c");
   // Still disabled, and nothing crashed.
   EXPECT_EQ(obs::tracer(), nullptr);
-  EXPECT_EQ(obs::metrics(), nullptr);
 }
 
 TEST(ObservationScope, InstallsAndRestores) {
   obs::Recorder rec;
-  obs::MetricsRegistry reg;
   EXPECT_EQ(obs::tracer(), nullptr);
   {
-    obs::ObservationScope scope(&rec, &reg, [] { return 2.0; });
+    obs::ObservationScope scope(&rec, [] { return 2.0; });
     EXPECT_EQ(obs::tracer(), &rec);
-    EXPECT_EQ(obs::metrics(), &reg);
     EXPECT_DOUBLE_EQ(obs::SimClock::now(), 2.0);
-    obs::metrics()->histogram("seen").observe(1.0);
     obs::trace_instant("actor", "lane", "hello");
   }
   EXPECT_EQ(obs::tracer(), nullptr);
-  EXPECT_EQ(obs::metrics(), nullptr);
-  EXPECT_EQ(reg.snapshot().histograms.at("seen").count, 1u);
   ASSERT_EQ(rec.size(), 1u);
   EXPECT_DOUBLE_EQ(rec.events()[0].ts, 2.0);
 }
 
 TEST(Metrics, CountersGaugesHistograms) {
-  obs::MetricsRegistry reg;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) reg.histogram("h").observe(v);
+  obs::Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  for (double v : {1.0, 2.0, 3.0, 4.0}) h.observe(v);
 
-  // The registry snapshots histograms only; counters and gauges are
-  // filled in by whoever owns the counts (the harness, after a run).
-  auto snap = reg.snapshot();
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.gauges.empty());
+  // A snapshot holds what its owner put in it (the harness, after a
+  // run); an absent counter reads 0 rather than throwing.
+  obs::MetricsSnapshot snap;
+  snap.histograms["h"] = h.summary();
   snap.counters["c"] = 5;
   EXPECT_EQ(snap.counter("c"), 5u);
-  const auto& h = snap.histograms.at("h");
-  EXPECT_EQ(h.count, 4u);
-  EXPECT_DOUBLE_EQ(h.mean, 2.5);
-  EXPECT_DOUBLE_EQ(h.min, 1.0);
-  EXPECT_DOUBLE_EQ(h.max, 4.0);
-  EXPECT_DOUBLE_EQ(h.p50, 2.5);
-  // An absent counter reads 0 rather than throwing.
   EXPECT_EQ(snap.counter("absent"), 0u);
+  const auto& s = snap.histograms.at("h");
+  EXPECT_EQ(s.count, 4u);
+  EXPECT_DOUBLE_EQ(s.mean, 2.5);
+  EXPECT_DOUBLE_EQ(s.min, 1.0);
+  EXPECT_DOUBLE_EQ(s.max, 4.0);
+  EXPECT_DOUBLE_EQ(s.p50, 2.5);
 }
 
 TEST(Metrics, HistogramSampleCapKeepsMomentsStreaming) {
   obs::Histogram h(/*max_samples=*/8);
   for (int i = 0; i < 100; ++i) h.observe(static_cast<double>(i));
   EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.stats().max(), 99.0);
+  const obs::HistogramSummary s = h.summary();
+  EXPECT_DOUBLE_EQ(s.max, 99.0);
+  EXPECT_DOUBLE_EQ(s.mean, 49.5);
   // Percentiles come from the retained prefix only — bounded memory.
-  EXPECT_LE(h.percentile(1.0), 7.0);
+  EXPECT_LE(s.p99, 7.0);
+}
+
+TEST(Metrics, HistogramMergeEqualsConcatenatedSamples) {
+  // Per-worker histograms merged in worker order summarize like one
+  // histogram that saw every sample in that order.
+  const std::vector<std::vector<double>> parts = {
+      {0.5, 3.0, 1.25}, {}, {7.0, 0.125, 2.0, 2.0, 9.5}};
+  obs::Histogram merged;
+  obs::Histogram concatenated;
+  for (const auto& part : parts) {
+    obs::Histogram h;
+    for (double v : part) {
+      h.observe(v);
+      concatenated.observe(v);
+    }
+    merged.merge(h);
+  }
+  const obs::HistogramSummary m = merged.summary();
+  const obs::HistogramSummary c = concatenated.summary();
+  EXPECT_EQ(m.count, 8u);
+  EXPECT_EQ(m.count, c.count);
+  EXPECT_EQ(m.min, c.min);
+  EXPECT_EQ(m.max, c.max);
+  EXPECT_EQ(m.p50, c.p50);
+  EXPECT_EQ(m.p95, c.p95);
+  EXPECT_EQ(m.p99, c.p99);
+  EXPECT_NEAR(m.mean, c.mean, 1e-12);
+  EXPECT_NEAR(m.stddev, c.stddev, 1e-12);
+
+  // The merge keeps the sample cap: percentiles cover the first
+  // `max_samples` samples in merge order, the moments cover all of them.
+  obs::Histogram capped(/*max_samples=*/4);
+  obs::Histogram late;
+  for (double v : {1.0, 2.0, 3.0}) capped.observe(v);
+  for (double v : {4.0, 100.0, 200.0}) late.observe(v);
+  capped.merge(late);
+  const obs::HistogramSummary k = capped.summary();
+  EXPECT_EQ(k.count, 6u);
+  EXPECT_DOUBLE_EQ(k.max, 200.0);
+  EXPECT_DOUBLE_EQ(k.p99, 3.97);  // over {1, 2, 3, 4} only
 }
 
 TEST(Export, ChromeTraceIsWellFormedJson) {
@@ -365,9 +399,10 @@ TEST(Export, CsvRowCountEqualsRetainedEvents) {
 }
 
 TEST(Export, MetricsJsonIsWellFormed) {
-  obs::MetricsRegistry reg;
-  reg.histogram("pfs.op_seconds").observe(0.25);
-  obs::MetricsSnapshot snap = reg.snapshot();
+  obs::Histogram h;
+  h.observe(0.25);
+  obs::MetricsSnapshot snap;
+  snap.histograms["pfs.op_seconds"] = h.summary();
   snap.counters["scheduler.messages.total"] = 7;
   snap.gauges["worker-0.memory_bytes"] = 1.5e8;
   std::ostringstream out;
@@ -390,7 +425,7 @@ TEST(Export, JsonEscapeHandlesControlChars) {
 TEST(Recorder, DropOldestCountsDroppedMetric) {
   // The harness reports dropped() as the trace.dropped_events counter.
   obs::Recorder rec(2);
-  obs::ObservationScope scope(&rec, nullptr, [] { return 0.0; });
+  obs::ObservationScope scope(&rec, [] { return 0.0; });
   const auto track = rec.track("x", "y");
   for (int i = 0; i < 5; ++i) rec.instant(track, "e" + std::to_string(i));
   EXPECT_EQ(rec.dropped(), 3u);

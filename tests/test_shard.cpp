@@ -247,8 +247,8 @@ TEST_P(ShardEquivalence, SingularValuesIdenticalAcrossShardCounts) {
   const auto base = harness::run_scenario(
       pipeline, shard_params(1, harness::Substrate::kSim));
   EXPECT_EQ(base.shards, 1);
-  EXPECT_EQ(base.shard_remote_edges, 0u);
-  EXPECT_EQ(base.shard_notify_msgs, 0u);
+  EXPECT_EQ(base.metrics.counter("scheduler.shard.remote_edges"), 0u);
+  EXPECT_EQ(base.metrics.counter("scheduler.shard.notify_msgs"), 0u);
   for (int shards : {2, 4}) {
     const auto r = harness::run_scenario(
         pipeline, shard_params(shards, harness::Substrate::kSim));
@@ -258,7 +258,8 @@ TEST_P(ShardEquivalence, SingularValuesIdenticalAcrossShardCounts) {
                          "singular_values");
     expect_bitwise_equal(base.explained_variance, r.explained_variance,
                          "explained_variance");
-    EXPECT_EQ(base.bridge_blocks_sent, r.bridge_blocks_sent);
+    EXPECT_EQ(base.metrics.counter("bridge.blocks_sent"),
+              r.metrics.counter("bridge.blocks_sent"));
   }
 }
 
@@ -641,9 +642,11 @@ TEST(ShardGc, ReleaseConsumedKeepsResultsIdenticalOnBothSubstrates) {
     auto pg = p;
     pg.release_consumed = true;
     const auto on = harness::run_scenario(harness::Pipeline::kDeisa3, pg);
-    EXPECT_EQ(on.keys_released, 24u) << harness::to_string(sub);
-    EXPECT_EQ(on.shard_release_acks, 18u) << harness::to_string(sub);
-    EXPECT_EQ(off.keys_released, 0u);
+    EXPECT_EQ(on.metrics.counter("scheduler.gc.keys_released"), 24u)
+        << harness::to_string(sub);
+    EXPECT_EQ(on.metrics.counter("scheduler.shard.release_acks"), 18u)
+        << harness::to_string(sub);
+    EXPECT_EQ(off.metrics.counter("scheduler.gc.keys_released"), 0u);
     EXPECT_LE(on.worker_peak_bytes, off.worker_peak_bytes);
     expect_bitwise_equal(off.singular_values, on.singular_values,
                          "singular_values");

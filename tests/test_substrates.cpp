@@ -331,9 +331,9 @@ TEST_P(SubstrateEquivalence, AnalyticsOutputsMatchBitForBit) {
   expect_bitwise_equal(r_sim.explained_variance, r_thr.explained_variance,
                        "explained_variance");
   // Functional invariants that do not depend on timing.
-  EXPECT_EQ(r_sim.bridge_blocks_sent, r_thr.bridge_blocks_sent);
-  EXPECT_EQ(r_sim.bridge_blocks_filtered, r_thr.bridge_blocks_filtered);
-  EXPECT_EQ(r_thr.workers_killed, 0u);
+  EXPECT_EQ(r_sim.metrics.counter("bridge.blocks_sent"),
+            r_thr.metrics.counter("bridge.blocks_sent"));
+  EXPECT_EQ(r_thr.metrics.counter("fault.workers_killed"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Pipelines, SubstrateEquivalence,

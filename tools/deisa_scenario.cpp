@@ -293,6 +293,9 @@ int run(const Flags& flags) {
     // to look at, and run 1 is as representative as any.
     p.trace = i == 0 && !trace_out.empty();
     const auto r = harness::run_scenario(pipeline, p);
+    const auto count = [&r](const std::string& name) {
+      return r.metrics.counter(name);
+    };
     if (p.trace && r.trace != nullptr) {
       auto out = open_out(trace_out);
       if (ends_with(trace_out, ".csv")) {
@@ -323,7 +326,7 @@ int run(const Flags& flags) {
                    util::Table::num(io.stddev, 2),
                util::Table::num(r.analytics_seconds, 2),
                util::Table::num(r.total_seconds, 2),
-               std::to_string(r.scheduler_messages)});
+               std::to_string(count("scheduler.messages.total"))});
     if (p.real_data && !r.singular_values.empty()) {
       std::cout << "  fitted singular values:";
       for (double s : r.singular_values) std::cout << " " << s;
@@ -332,24 +335,24 @@ int run(const Flags& flags) {
     if (p.shards > 1) {
       std::cout << "  shard msgs:";
       for (std::uint64_t m : r.shard_messages) std::cout << " " << m;
-      std::cout << " (remote edges " << r.shard_remote_edges
-                << ", notify msgs " << r.shard_notify_msgs
-                << ", release acks " << r.shard_release_acks << ")\n";
+      std::cout << " (remote edges " << count("scheduler.shard.remote_edges")
+                << ", notify msgs " << count("scheduler.shard.notify_msgs")
+                << ", release acks " << count("scheduler.shard.release_acks")
+                << ")\n";
     }
     if (!p.faults.empty()) {
-      const auto& rec = r.recovery;
-      std::cout << "  recovery: killed " << r.workers_killed
-                << ", workers_lost " << rec.workers_lost << ", tasks_rerun "
-                << rec.tasks_rerun << ", keys_recomputed "
-                << rec.keys_recomputed << ", external_rearmed "
-                << rec.external_rearmed << ", external_rerouted "
-                << rec.external_rerouted << ", mirrors_rearmed "
-                << rec.mirrors_rearmed << ", keys_lost " << rec.keys_lost
-                << ", repush_expired " << rec.repush_expired
-                << ", blocks_repushed " << r.bridge_blocks_repushed << "\n"
-                << "  stale: task_finished " << rec.stale_task_finished
-                << ", update_data " << rec.stale_update_data
-                << ", heartbeats " << rec.stale_heartbeats << "\n";
+      std::cout << "  recovery: killed " << count("fault.workers_killed");
+      for (const char* n :
+           {"workers_lost", "tasks_rerun", "keys_recomputed",
+            "external_rearmed", "external_rerouted", "mirrors_rearmed",
+            "keys_lost", "repush_expired"})
+        std::cout << ", " << n << " "
+                  << count(std::string("scheduler.recovery.") + n);
+      std::cout << ", blocks_repushed " << count("bridge.blocks_repushed")
+                << "\n  stale: task_finished "
+                << count("scheduler.stale.task_finished") << ", update_data "
+                << count("scheduler.stale.update_data") << ", heartbeats "
+                << count("scheduler.stale.heartbeats") << "\n";
       if (p.shards > 1) {
         for (std::size_t s = 0; s < r.shard_recovery.size(); ++s) {
           const auto& sr = r.shard_recovery[s];
