@@ -64,15 +64,13 @@ plugins:
   return oss.str();
 }
 
-cfg::Value sim_cfg_value() {
-  std::map<std::string, cfg::Value> c;
-  c.emplace("loc", cfg::Value{std::vector<cfg::Value>{
-                       cfg::Value{kLocal}, cfg::Value{kLocal}}});
-  c.emplace("proc", cfg::Value{std::vector<cfg::Value>{
-                        cfg::Value{std::int64_t{kProcX}},
-                        cfg::Value{std::int64_t{kProcY}}}});
-  c.emplace("maxTimeStep", cfg::Value{std::int64_t{kSteps}});
-  return cfg::Value{std::move(c)};
+/// The simulation's own settings, the `$cfg` of the Listing-1 expressions.
+std::string sim_cfg_yaml() {
+  std::ostringstream oss;
+  oss << "loc: [" << kLocal << ", " << kLocal << "]\n"
+      << "proc: [" << kProcX << ", " << kProcY << "]\n"
+      << "maxTimeStep: " << kSteps << "\n";
+  return oss.str();
 }
 
 /// One MPI rank: solve, expose through PDI each step. The deisa plugin
@@ -80,9 +78,9 @@ cfg::Value sim_cfg_value() {
 exec::Co<void> rank_main(mpix::Comm& comm, int rank, dts::Client& client) {
   const cfg::Node spec = cfg::parse_yaml(yaml_config());
   pdi::DataStore store(spec);
-  store.set_meta("cfg", sim_cfg_value());
-  store.set_meta("rank", cfg::Value{std::int64_t{rank}});
-  store.set_meta("step", cfg::Value{std::int64_t{0}});
+  store.set_meta("cfg", cfg::parse_yaml(sim_cfg_yaml()));
+  store.set_meta("rank", cfg::Node{std::int64_t{rank}});
+  store.set_meta("step", cfg::Node{std::int64_t{0}});
   auto plugin = std::make_shared<pdi::DeisaPlugin>(
       spec.at("plugins").at("PdiPluginDeisa"), client, core::Mode::kDeisa3,
       rank, kRanks);
@@ -100,7 +98,7 @@ exec::Co<void> rank_main(mpix::Comm& comm, int rank, dts::Client& client) {
   co_await store.event("init");  // connects, publishes arrays, waits for
                                  // the contract
   for (int t = 0; t < kSteps; ++t) {
-    store.set_meta("step", cfg::Value{std::int64_t{t}});
+    store.set_meta("step", cfg::Node{std::int64_t{t}});
     co_await store.expose("temp", solver.field());
     co_await solver.step(comm);
   }

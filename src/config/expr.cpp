@@ -9,51 +9,7 @@ namespace deisa::config {
 
 using util::ConfigError;
 
-std::int64_t Value::as_int() const {
-  if (const auto* i = std::get_if<std::int64_t>(&v_)) return *i;
-  if (const auto* d = std::get_if<double>(&v_))
-    return static_cast<std::int64_t>(*d);
-  throw ConfigError("expression value is not a number");
-}
-
-double Value::as_double() const {
-  if (const auto* d = std::get_if<double>(&v_)) return *d;
-  if (const auto* i = std::get_if<std::int64_t>(&v_))
-    return static_cast<double>(*i);
-  throw ConfigError("expression value is not a number");
-}
-
-const std::string& Value::as_string() const {
-  if (const auto* s = std::get_if<std::string>(&v_)) return *s;
-  throw ConfigError("expression value is not a string");
-}
-
-const std::vector<Value>& Value::as_seq() const {
-  if (const auto* s = std::get_if<std::vector<Value>>(&v_)) return *s;
-  throw ConfigError("expression value is not a sequence");
-}
-
-const std::map<std::string, Value>& Value::as_map() const {
-  if (const auto* m = std::get_if<std::map<std::string, Value>>(&v_)) return *m;
-  throw ConfigError("expression value is not a map");
-}
-
-const Value& Value::field(const std::string& name) const {
-  const auto& m = as_map();
-  const auto it = m.find(name);
-  if (it == m.end()) throw ConfigError("no field '" + name + "' in value");
-  return it->second;
-}
-
-const Value& Value::index(std::int64_t i) const {
-  const auto& s = as_seq();
-  if (i < 0 || static_cast<std::size_t>(i) >= s.size())
-    throw ConfigError("sequence index " + std::to_string(i) +
-                      " out of range (size " + std::to_string(s.size()) + ")");
-  return s[static_cast<std::size_t>(i)];
-}
-
-const Value& Env::get(const std::string& name) const {
+const Node& Env::get(const std::string& name) const {
   const auto it = vars_.find(name);
   if (it == vars_.end())
     throw ConfigError("undefined expression variable: $" + name);
@@ -62,12 +18,19 @@ const Value& Env::get(const std::string& name) const {
 
 namespace {
 
+/// Integer value of a number node; floats truncate toward zero as PDI does.
+std::int64_t truncate(const Node& v) {
+  return v.kind() == Node::Kind::kFloat
+             ? static_cast<std::int64_t>(v.as_double())
+             : v.as_int();
+}
+
 class ExprParser {
 public:
   ExprParser(std::string_view s, const Env& env) : s_(s), env_(env) {}
 
-  Value parse() {
-    Value v = parse_sum();
+  Node parse() {
+    Node v = parse_sum();
     skip_ws();
     if (pos_ != s_.size())
       throw ConfigError("trailing characters in expression: '" +
@@ -84,39 +47,39 @@ private:
     return pos_ < s_.size() ? s_[pos_] : '\0';
   }
 
-  static Value arith(char op, const Value& a, const Value& b) {
-    if (a.is_int() && b.is_int()) {
+  static Node arith(char op, const Node& a, const Node& b) {
+    if (a.kind() == Node::Kind::kInt && b.kind() == Node::Kind::kInt) {
       const std::int64_t x = a.as_int();
       const std::int64_t y = b.as_int();
       switch (op) {
-        case '+': return Value{x + y};
-        case '-': return Value{x - y};
-        case '*': return Value{x * y};
+        case '+': return Node{x + y};
+        case '-': return Node{x - y};
+        case '*': return Node{x * y};
         case '/':
           if (y == 0) throw ConfigError("division by zero in expression");
-          return Value{x / y};
+          return Node{x / y};
         case '%':
           if (y == 0) throw ConfigError("modulo by zero in expression");
-          return Value{x % y};
+          return Node{x % y};
         default: break;
       }
     }
     const double x = a.as_double();
     const double y = b.as_double();
     switch (op) {
-      case '+': return Value{x + y};
-      case '-': return Value{x - y};
-      case '*': return Value{x * y};
+      case '+': return Node{x + y};
+      case '-': return Node{x - y};
+      case '*': return Node{x * y};
       case '/':
         if (y == 0.0) throw ConfigError("division by zero in expression");
-        return Value{x / y};
+        return Node{x / y};
       case '%': throw ConfigError("modulo of non-integer values");
       default: throw ConfigError("unknown operator");
     }
   }
 
-  Value parse_sum() {
-    Value v = parse_term();
+  Node parse_sum() {
+    Node v = parse_term();
     while (true) {
       const char c = peek();
       if (c != '+' && c != '-') return v;
@@ -125,8 +88,8 @@ private:
     }
   }
 
-  Value parse_term() {
-    Value v = parse_factor();
+  Node parse_term() {
+    Node v = parse_factor();
     while (true) {
       const char c = peek();
       if (c != '*' && c != '/' && c != '%') return v;
@@ -135,26 +98,26 @@ private:
     }
   }
 
-  Value parse_factor() {
+  Node parse_factor() {
     const char c = peek();
     if (c == '(') {
       ++pos_;
-      Value v = parse_sum();
+      Node v = parse_sum();
       if (peek() != ')') throw ConfigError("missing ')' in expression");
       ++pos_;
       return v;
     }
     if (c == '-') {
       ++pos_;
-      const Value v = parse_factor();
-      if (v.is_int()) return Value{-v.as_int()};
-      return Value{-v.as_double()};
+      const Node v = parse_factor();
+      if (v.kind() == Node::Kind::kInt) return Node{-v.as_int()};
+      return Node{-v.as_double()};
     }
     if (c == '$') return parse_reference();
     return parse_number();
   }
 
-  Value parse_number() {
+  Node parse_number() {
     skip_ws();
     const std::size_t start = pos_;
     while (pos_ < s_.size() &&
@@ -170,13 +133,13 @@ private:
       auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
       if (ec != std::errc() || ptr != tok.data() + tok.size())
         throw ConfigError("bad integer literal: " + std::string(tok));
-      return Value{v};
+      return Node{v};
     }
     double v = 0.0;
     auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
     if (ec != std::errc() || ptr != tok.data() + tok.size())
       throw ConfigError("bad float literal: " + std::string(tok));
-    return Value{v};
+    return Node{v};
   }
 
   std::string parse_ident() {
@@ -190,7 +153,7 @@ private:
     return std::string(s_.substr(start, pos_ - start));
   }
 
-  Value parse_reference() {
+  Node parse_reference() {
     ++pos_;  // '$'
     // PDI allows ${name}; accept and strip braces.
     bool braced = false;
@@ -198,17 +161,20 @@ private:
       braced = true;
       ++pos_;
     }
-    const Value* v = &env_.get(parse_ident());
+    const Node* v = &env_.get(parse_ident());
     while (pos_ < s_.size()) {
       if (s_[pos_] == '.') {
         ++pos_;
-        v = &v->field(parse_ident());
+        v = &v->at(parse_ident());
       } else if (s_[pos_] == '[') {
         ++pos_;
-        const Value idx = parse_sum();
+        const std::int64_t i = truncate(parse_sum());
         if (peek() != ']') throw ConfigError("missing ']' in expression");
         ++pos_;
-        v = &v->index(idx.as_int());
+        if (i < 0)
+          throw ConfigError("negative index " + std::to_string(i) +
+                            " in expression");
+        v = &v->at(static_cast<std::size_t>(i));
       } else {
         break;
       }
@@ -232,7 +198,7 @@ bool looks_like_expression(std::string_view s) {
 
 }  // namespace
 
-Value eval_expr(std::string_view expr, const Env& env) {
+Node eval_expr(std::string_view expr, const Env& env) {
   if (!looks_like_expression(expr)) {
     // Literal-only strings still go through the parser when they contain
     // arithmetic; otherwise they are plain strings.
@@ -245,50 +211,24 @@ Value eval_expr(std::string_view expr, const Env& env) {
         break;
       }
     }
-    if (!numeric) return Value{std::string(expr)};
+    if (!numeric) return Node{std::string(expr)};
   }
   return ExprParser(expr, env).parse();
 }
 
 std::int64_t eval_int(std::string_view expr, const Env& env) {
-  const Value v = eval_expr(expr, env);
+  const Node v = eval_expr(expr, env);
   if (!v.is_number())
     throw ConfigError("expression is not numeric: '" + std::string(expr) + "'");
-  return v.as_int();
+  return truncate(v);
 }
 
 std::int64_t eval_node_int(const Node& node, const Env& env) {
-  switch (node.kind()) {
-    case Node::Kind::kInt: return node.as_int();
-    case Node::Kind::kFloat: return static_cast<std::int64_t>(node.as_double());
-    case Node::Kind::kString:
-      return eval_int(std::string_view(node.as_string()), env);
-    default:
-      throw ConfigError("config node is not an integer or expression: " +
-                        node.to_string());
-  }
-}
-
-Value to_value(const Node& node) {
-  switch (node.kind()) {
-    case Node::Kind::kNull: return Value{std::int64_t{0}};
-    case Node::Kind::kBool: return Value{std::int64_t{node.as_bool() ? 1 : 0}};
-    case Node::Kind::kInt: return Value{node.as_int()};
-    case Node::Kind::kFloat: return Value{node.as_double()};
-    case Node::Kind::kString: return Value{node.as_string()};
-    case Node::Kind::kSeq: {
-      std::vector<Value> seq;
-      seq.reserve(node.as_seq().size());
-      for (const auto& e : node.as_seq()) seq.push_back(to_value(e));
-      return Value{std::move(seq)};
-    }
-    case Node::Kind::kMap: {
-      std::map<std::string, Value> m;
-      for (const auto& [k, v] : node.as_map()) m.emplace(k, to_value(v));
-      return Value{std::move(m)};
-    }
-  }
-  throw ConfigError("unreachable node kind");
+  if (node.is_number()) return truncate(node);
+  if (node.kind() == Node::Kind::kString)
+    return eval_int(std::string_view(node.as_string()), env);
+  throw ConfigError("config node is not an integer or expression: " +
+                    node.to_string());
 }
 
 }  // namespace deisa::config

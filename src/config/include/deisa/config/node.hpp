@@ -1,5 +1,7 @@
-// Configuration tree: the document model produced by the mini-YAML
-// parser and consumed by the PDI layer and the DEISA plugin.
+// Document tree: the one dynamic tree of the codebase. The mini-YAML
+// parser produces it (for YAML configs and JSON documents such as Chrome
+// traces); the PDI layer, the DEISA plugin and the $-expression
+// evaluator consume it.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +36,10 @@ public:
   Kind kind() const;
   bool is_null() const { return kind() == Kind::kNull; }
   bool is_map() const { return kind() == Kind::kMap; }
+  /// kInt or kFloat: what as_double() accepts.
+  bool is_number() const {
+    return kind() == Kind::kInt || kind() == Kind::kFloat;
+  }
   bool is_scalar() const;
 
   // Typed accessors; throw ConfigError on kind mismatch.

@@ -147,9 +147,8 @@ public:
   TaskState state_of(const Key& key) const;
   bool knows(const Key& key) const { return keys_.find(key) != kNoKeyId; }
   std::size_t task_count() const { return records_.size(); }
-  std::size_t count_in_state(TaskState s) const {
-    return state_counts_[static_cast<std::size_t>(s)];
-  }
+  /// Records now in state `s`: created in it, plus entered, minus left.
+  std::size_t count_in_state(TaskState s) const;
   /// Records that entered the state machine in state `s`.
   std::uint64_t created_in(TaskState s) const {
     return created_[static_cast<std::size_t>(s)];
@@ -409,7 +408,6 @@ private:
   KeyId ready_head_ = kNoKeyId;   // intrusive FIFO of kReady tasks
   KeyId ready_tail_ = kNoKeyId;
   std::size_t ready_size_ = 0;
-  std::array<std::size_t, kNumTaskStates> state_counts_{};
   std::array<std::uint64_t, kNumTaskStates> created_{};
   std::array<std::array<std::uint64_t, kNumTaskStates>, kNumTaskStates>
       transitions_{};

@@ -159,7 +159,6 @@ Scheduler::TaskRecord& Scheduler::create_record(KeyId id) {
 
 void Scheduler::record_created(KeyId id, TaskRecord& rec) {
   rec.state_since = engine_->now();
-  ++state_counts_[static_cast<std::size_t>(rec.state)];
   ++created_[static_cast<std::size_t>(rec.state)];
   if (auto* r = obs::tracer())
     r->instant(r->track(actor_, "lifecycle"), "create:" + keys_.name(id),
@@ -188,10 +187,16 @@ void Scheduler::transition(KeyId id, TaskRecord& rec, TaskState to) {
                {obs::arg("from", to_string(from)),
                 obs::arg("to", to_string(to))});
   }
-  --state_counts_[static_cast<std::size_t>(from)];
-  ++state_counts_[static_cast<std::size_t>(to)];
   rec.state = to;
   rec.state_since = engine_->now();
+}
+
+std::size_t Scheduler::count_in_state(TaskState s) const {
+  const auto i = static_cast<std::size_t>(s);
+  std::uint64_t n = created_[i];
+  for (std::size_t f = 0; f < kNumTaskStates; ++f)
+    n += transitions_[f][i] - transitions_[i][f];
+  return static_cast<std::size_t>(n);
 }
 
 void Scheduler::add_dependent(TaskRecord& rec, KeyId dependent) {
@@ -531,7 +536,8 @@ exec::Co<void> Scheduler::assign(KeyId id) {
                         drec.done_cause);
   }
   const WorkerRef& ref = workers_[static_cast<std::size_t>(w)];
-  co_await cluster_->send_control(node_, ref.node, 512 + m.deps.size() * 48);
+  co_await cluster_->send_control(
+      node_, ref.node, kWireEnvelopeBytes + m.deps.size() * kWirePerDepBytes);
   ref.inbox->send(std::move(m));
 }
 

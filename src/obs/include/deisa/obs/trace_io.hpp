@@ -1,10 +1,10 @@
 // Trace import: parse the Chrome trace-event JSON written by
 // write_chrome_trace() back into a track table + event list, so the
 // trace-analysis tooling (deisa_trace, the critical-path engine) can work
-// on files from past runs instead of a live Recorder. The parser is a
-// small self-contained JSON reader — no external dependency — that
-// accepts any standard JSON, not just our own output, so traces that
-// round-tripped through other tools (python -m json.tool, jq) still load.
+// on files from past runs instead of a live Recorder. The text is parsed
+// by config::parse_yaml, which reads any standard JSON document (not just
+// our own output) into a config::Node tree, so traces that round-tripped
+// through other tools (python -m json.tool, jq) still load.
 #pragma once
 
 #include <iosfwd>

@@ -1,6 +1,5 @@
 #include "deisa/obs/trace_io.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <istream>
@@ -8,234 +7,28 @@
 #include <sstream>
 #include <utility>
 
+#include "deisa/config/yaml.hpp"
 #include "deisa/util/error.hpp"
 
 namespace deisa::obs {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Minimal recursive-descent JSON parser. Values are kept in a small
-// variant-like struct; objects preserve insertion order.
+using config::Node;
 
-struct Json {
-  enum class Kind : std::uint8_t {
-    kNull, kBool, kNumber, kString, kArray, kObject
-  };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<Json> arr;
-  std::vector<std::pair<std::string, Json>> obj;
+/// obj[key] when it is a number (JSON ints and floats alike), else fallback.
+double number(const Node* obj, const std::string& key, double fallback) {
+  const Node* v = obj != nullptr ? obj->find(key) : nullptr;
+  return v != nullptr && v->is_number() ? v->as_double() : fallback;
+}
 
-  const Json* find(const std::string& key) const {
-    for (const auto& [k, v] : obj)
-      if (k == key) return &v;
-    return nullptr;
-  }
-  double get_number(const std::string& key, double fallback) const {
-    const Json* v = find(key);
-    return v != nullptr && v->kind == Kind::kNumber ? v->number : fallback;
-  }
-  std::string get_string(const std::string& key,
-                         const std::string& fallback) const {
-    const Json* v = find(key);
-    return v != nullptr && v->kind == Kind::kString ? v->str : fallback;
-  }
-};
-
-class JsonParser {
-public:
-  explicit JsonParser(std::string text) : text_(std::move(text)) {}
-
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after JSON value");
-    return v;
-  }
-
-private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw util::ConfigError("JSON parse error at byte " +
-                            std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    std::size_t n = 0;
-    while (lit[n] != '\0') ++n;
-    if (text_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  void append_utf8(std::string& out, unsigned cp) {
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  unsigned hex4() {
-    unsigned v = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = peek();
-      ++pos_;
-      v <<= 4;
-      if (c >= '0' && c <= '9') v |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f') v |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') v |= static_cast<unsigned>(c - 'A' + 10);
-      else fail("bad \\u escape");
-    }
-    return v;
-  }
-
-  std::string string_body() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      c = text_[pos_++];
-      switch (c) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          unsigned cp = hex4();
-          // Surrogate pair -> one astral code point.
-          if (cp >= 0xD800 && cp <= 0xDBFF && pos_ + 1 < text_.size() &&
-              text_[pos_] == '\\' && text_[pos_ + 1] == 'u') {
-            pos_ += 2;
-            const unsigned lo = hex4();
-            if (lo >= 0xDC00 && lo <= 0xDFFF)
-              cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-            else
-              fail("unpaired surrogate");
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  Json value() {
-    skip_ws();
-    const char c = peek();
-    Json v;
-    if (c == '{') {
-      v.kind = Json::Kind::kObject;
-      ++pos_;
-      skip_ws();
-      if (peek() == '}') { ++pos_; return v; }
-      while (true) {
-        skip_ws();
-        std::string key = string_body();
-        skip_ws();
-        expect(':');
-        v.obj.emplace_back(std::move(key), value());
-        skip_ws();
-        if (peek() == ',') { ++pos_; continue; }
-        expect('}');
-        return v;
-      }
-    }
-    if (c == '[') {
-      v.kind = Json::Kind::kArray;
-      ++pos_;
-      skip_ws();
-      if (peek() == ']') { ++pos_; return v; }
-      while (true) {
-        v.arr.push_back(value());
-        skip_ws();
-        if (peek() == ',') { ++pos_; continue; }
-        expect(']');
-        return v;
-      }
-    }
-    if (c == '"') {
-      v.kind = Json::Kind::kString;
-      v.str = string_body();
-      return v;
-    }
-    if (c == 't') {
-      if (!consume_literal("true")) fail("bad literal");
-      v.kind = Json::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (c == 'f') {
-      if (!consume_literal("false")) fail("bad literal");
-      v.kind = Json::Kind::kBool;
-      return v;
-    }
-    if (c == 'n') {
-      if (!consume_literal("null")) fail("bad literal");
-      return v;
-    }
-    // Number.
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) fail("unexpected character");
-    try {
-      v.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
-    v.kind = Json::Kind::kNumber;
-    return v;
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-};
+/// obj[key] when it is a string, else "".
+const std::string& text(const Node* obj, const std::string& key) {
+  static const std::string kNone;
+  const Node* v = obj != nullptr ? obj->find(key) : nullptr;
+  return v != nullptr && v->kind() == Node::Kind::kString ? v->as_string()
+                                                          : kNone;
+}
 
 EdgeKind edge_kind_of(const std::string& name) {
   if (name == "message") return EdgeKind::kMessage;
@@ -257,12 +50,10 @@ std::string format_number(double v) {
 TraceData load_chrome_trace(std::istream& in) {
   std::ostringstream buf;
   buf << in.rdbuf();
-  const Json doc = JsonParser(buf.str()).parse();
-  DEISA_CHECK(doc.kind == Json::Kind::kObject,
-              "trace file is not a JSON object");
-  const Json* events = doc.find("traceEvents");
-  DEISA_CHECK(events != nullptr && events->kind == Json::Kind::kArray,
-              "trace file has no traceEvents array");
+  const Node doc = config::parse_yaml(std::move(buf).str());
+  const Node* events = doc.find("traceEvents");
+  DEISA_CHECK(events != nullptr && events->kind() == Node::Kind::kSeq,
+              "trace file is not a JSON object with a traceEvents array");
 
   TraceData data;
   std::map<int, std::string> actor_of_pid;
@@ -287,16 +78,14 @@ TraceData load_chrome_trace(std::istream& in) {
     return id;
   };
 
-  for (const Json& e : events->arr) {
-    if (e.kind != Json::Kind::kObject) continue;
-    const std::string ph = e.get_string("ph", "");
-    const int pid = static_cast<int>(e.get_number("pid", 0));
-    const int tid = static_cast<int>(e.get_number("tid", 0));
-    const std::string name = e.get_string("name", "");
+  for (const Node& e : events->as_seq()) {
+    if (!e.is_map()) continue;
+    const std::string& ph = text(&e, "ph");
+    const int pid = static_cast<int>(number(&e, "pid", 0));
+    const int tid = static_cast<int>(number(&e, "tid", 0));
+    const std::string& name = text(&e, "name");
     if (ph == "M") {
-      const Json* args = e.find("args");
-      const std::string meta =
-          args != nullptr ? args->get_string("name", "") : "";
+      const std::string& meta = text(e.find("args"), "name");
       if (name == "process_name") {
         actor_of_pid[pid] = meta;
       } else if (name == "thread_name") {
@@ -307,31 +96,30 @@ TraceData load_chrome_trace(std::istream& in) {
     TraceEvent ev;
     ev.track = resolve_track(pid, tid, "");
     ev.name = name;
-    ev.ts = e.get_number("ts", 0.0) / 1e6;
-    ev.self_id = static_cast<CauseId>(e.get_number("cid", 0.0));
-    ev.cause_id = static_cast<CauseId>(e.get_number("cause", 0.0));
-    ev.edge = edge_kind_of(e.get_string("ek", ""));
+    ev.ts = number(&e, "ts", 0.0) / 1e6;
+    ev.self_id = static_cast<CauseId>(number(&e, "cid", 0.0));
+    ev.cause_id = static_cast<CauseId>(number(&e, "cause", 0.0));
+    ev.edge = edge_kind_of(text(&e, "ek"));
     if (ph == "X") {
       ev.type = EventType::kSpan;
-      ev.dur = e.get_number("dur", 0.0) / 1e6;
+      ev.dur = number(&e, "dur", 0.0) / 1e6;
     } else if (ph == "i" || ph == "I") {
-      ev.type = e.get_string("cat", "") == "edge" ? EventType::kEdge
-                                                  : EventType::kInstant;
+      ev.type = text(&e, "cat") == "edge" ? EventType::kEdge
+                                          : EventType::kInstant;
     } else if (ph == "C") {
       ev.type = EventType::kCounter;
-      const Json* args = e.find("args");
-      if (args != nullptr) ev.value = args->get_number("value", 0.0);
+      ev.value = number(e.find("args"), "value", 0.0);
     } else {
       continue;  // unknown phase (B/E/s/f/...): not produced by us
     }
     if (ev.type != EventType::kCounter) {
-      if (const Json* args = e.find("args");
-          args != nullptr && args->kind == Json::Kind::kObject) {
-        for (const auto& [k, v] : args->obj) {
-          if (v.kind == Json::Kind::kNumber)
-            ev.args.push_back(TraceArg{k, format_number(v.number), true});
-          else if (v.kind == Json::Kind::kString)
-            ev.args.push_back(TraceArg{k, v.str, false});
+      if (const Node* args = e.find("args");
+          args != nullptr && args->is_map()) {
+        for (const auto& [k, v] : args->as_map()) {
+          if (v.is_number())
+            ev.args.push_back(TraceArg{k, format_number(v.as_double()), true});
+          else if (v.kind() == Node::Kind::kString)
+            ev.args.push_back(TraceArg{k, v.as_string(), false});
         }
       }
     }

@@ -6,7 +6,7 @@ namespace deisa::pdi {
 
 DataStore::DataStore(config::Node spec) : spec_(std::move(spec)) {}
 
-void DataStore::set_meta(const std::string& name, config::Value value) {
+void DataStore::set_meta(const std::string& name, config::Node value) {
   env_.set(name, std::move(value));
 }
 

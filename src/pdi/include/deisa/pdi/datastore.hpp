@@ -36,8 +36,8 @@ public:
   const config::Node& spec() const { return spec_; }
 
   /// Set a metadata value referenced by $-expressions ($step, $rank,
-  /// $cfg...).
-  void set_meta(const std::string& name, config::Value value);
+  /// $cfg...): a scalar node or a whole parsed subtree.
+  void set_meta(const std::string& name, config::Node value);
   const config::Env& env() const { return env_; }
 
   void add_plugin(std::shared_ptr<Plugin> plugin);

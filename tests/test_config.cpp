@@ -162,19 +162,103 @@ TEST(Yaml, DefaultsHelpers) {
   EXPECT_TRUE(n.get_bool("zzz", true));
 }
 
+TEST(Yaml, JsonDocumentParses) {
+  const auto n = cfg::parse_yaml(R"(
+{
+  "empty_map": {},
+  "empty_seq": [ ],
+  "nested": {"a": [1, {"b": [[], {}]}],
+             "c": {"d": "e"}},
+  "literals": [true, false, null],
+  "numbers": [-12, 3.5e2, -1.25E-3, 0],
+  "escapes": "q\" b\\ s\/ \b\f\n\r\t \u00e9 \ud83d\ude00",
+  "not a comment": "a # b"
+}
+)");
+  EXPECT_TRUE(n.at("empty_map").is_map());
+  EXPECT_EQ(n.at("empty_map").size(), 0u);
+  EXPECT_EQ(n.at("empty_seq").kind(), cfg::Node::Kind::kSeq);
+  EXPECT_EQ(n.at("empty_seq").size(), 0u);
+  const auto& b = n.at("nested").at("a").at(1).at("b");
+  EXPECT_EQ(n.at("nested").at("a").at(0).as_int(), 1);
+  EXPECT_EQ(b.at(0).kind(), cfg::Node::Kind::kSeq);
+  EXPECT_TRUE(b.at(1).is_map());
+  EXPECT_EQ(n.at("nested").at("c").at("d").as_string(), "e");
+  EXPECT_TRUE(n.at("literals").at(0).as_bool());
+  EXPECT_FALSE(n.at("literals").at(1).as_bool());
+  EXPECT_TRUE(n.at("literals").at(2).is_null());
+  const auto& nums = n.at("numbers");
+  EXPECT_EQ(nums.at(0).kind(), cfg::Node::Kind::kInt);
+  EXPECT_EQ(nums.at(0).as_int(), -12);
+  EXPECT_EQ(nums.at(1).kind(), cfg::Node::Kind::kFloat);
+  EXPECT_DOUBLE_EQ(nums.at(1).as_double(), 350.0);
+  EXPECT_DOUBLE_EQ(nums.at(2).as_double(), -1.25e-3);
+  EXPECT_EQ(nums.at(3).as_int(), 0);
+  EXPECT_EQ(n.at("escapes").as_string(),
+            "q\" b\\ s/ \b\f\n\r\t \xc3\xa9 \xf0\x9f\x98\x80");
+  EXPECT_EQ(n.at("not a comment").as_string(), "a # b");
+
+  const auto top = cfg::parse_yaml("\n  [1, [2, 3],\n   {\"k\": \"v\"}\n]\n");
+  ASSERT_EQ(top.kind(), cfg::Node::Kind::kSeq);
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_EQ(top.at(1).at(1).as_int(), 3);
+  EXPECT_EQ(top.at(2).at("k").as_string(), "v");
+}
+
+TEST(Yaml, DoubleQuotedScalarsDecodeEscapes) {
+  const auto n = cfg::parse_yaml(R"(
+"tab\tkey \"q\"": "a\nb \\ \/ \u00e9 # kept"  # stripped
+single: 'no \n escape'
+list:
+  - "\ud83d\ude00"
+)");
+  EXPECT_EQ(n.at("tab\tkey \"q\"").as_string(), "a\nb \\ / \xc3\xa9 # kept");
+  EXPECT_EQ(n.at("single").as_string(), "no \\n escape");
+  EXPECT_EQ(n.at("list").at(0).as_string(), "\xf0\x9f\x98\x80");
+}
+
+TEST(Yaml, SingleQuotesFoldDoubledQuote) {
+  const auto n = cfg::parse_yaml(R"(
+a: 'it''s'
+'k''ey': 'x # y'''  # comment
+flow: ['don''t', b]
+)");
+  EXPECT_EQ(n.at("a").as_string(), "it's");
+  EXPECT_EQ(n.at("k'ey").as_string(), "x # y'");
+  EXPECT_EQ(n.at("flow").at(0).as_string(), "don't");
+  EXPECT_EQ(n.at("flow").at(1).as_string(), "b");
+}
+
+TEST(Yaml, MalformedInputNamesItsLine) {
+  const auto error_of = [](const std::string& text) -> std::string {
+    try {
+      (void)cfg::parse_yaml(text);
+    } catch (const ConfigError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of("{\n\"a\": \"open\n}\n"),
+            "yaml line 2: unterminated quoted string");
+  EXPECT_EQ(error_of("{\"a\": 1,\n\n \"b\": \"\\u12G4\"}"),
+            "yaml line 3: bad \\u escape");
+  EXPECT_EQ(error_of("[\n\"\\ud83d x\"]"), "yaml line 2: unpaired surrogate");
+  EXPECT_EQ(error_of("[\"\\ude00\"]"), "yaml line 1: unpaired surrogate");
+  EXPECT_EQ(error_of("{\"a\": [1, 2\n}"),
+            "yaml line 2: expected ',' or ']' in flow sequence");
+  EXPECT_EQ(error_of("a: 1\nb: \"open\n"),
+            "yaml line 2: unterminated quoted string");
+}
+
+cfg::Node i64(std::int64_t v) { return cfg::Node{v}; }
+
 cfg::Env listing1_env(std::int64_t rank) {
   cfg::Env env;
-  std::map<std::string, cfg::Value> c;
-  c.emplace("loc", cfg::Value{std::vector<cfg::Value>{
-                       cfg::Value{std::int64_t{100}},
-                       cfg::Value{std::int64_t{200}}}});
-  c.emplace("proc", cfg::Value{std::vector<cfg::Value>{
-                        cfg::Value{std::int64_t{4}},
-                        cfg::Value{std::int64_t{2}}}});
-  c.emplace("maxTimeStep", cfg::Value{std::int64_t{10}});
-  env.set("cfg", cfg::Value{std::move(c)});
-  env.set("rank", cfg::Value{rank});
-  env.set("step", cfg::Value{std::int64_t{3}});
+  env.set("cfg", cfg::Map{{"loc", cfg::Seq{i64(100), i64(200)}},
+                          {"proc", cfg::Seq{i64(4), i64(2)}},
+                          {"maxTimeStep", i64(10)}});
+  env.set("rank", i64(rank));
+  env.set("step", i64(3));
   return env;
 }
 
@@ -205,7 +289,7 @@ TEST(Expr, BracedReference) {
 TEST(Expr, PlainStringsPassThrough) {
   cfg::Env env;
   const auto v = cfg::eval_expr("hello", env);
-  EXPECT_TRUE(v.is_string());
+  EXPECT_EQ(v.kind(), cfg::Node::Kind::kString);
   EXPECT_EQ(v.as_string(), "hello");
 }
 
@@ -228,20 +312,45 @@ TEST(Expr, DivisionByZeroThrows) {
 TEST(Expr, FloatArithmetic) {
   cfg::Env env;
   const auto v = cfg::eval_expr("1.5 * 4", env);
-  EXPECT_TRUE(v.is_float());
+  EXPECT_EQ(v.kind(), cfg::Node::Kind::kFloat);
   EXPECT_DOUBLE_EQ(v.as_double(), 6.0);
 }
 
-TEST(Expr, ToValueRoundTripsNodeTree) {
+TEST(Expr, ParsedSubtreeIsAnEnvironmentValue) {
   const auto n = cfg::parse_yaml(R"(
-loc: [100, 200]
-proc: [4, 2]
-maxTimeStep: 10
+cfg:
+  loc: [100, 200]
+  proc: [4, 2]
+  maxTimeStep: 10
 )");
-  const auto v = cfg::to_value(n);
   cfg::Env env;
-  env.set("cfg", v);
+  env.set("cfg", n.at("cfg"));
   EXPECT_EQ(cfg::eval_int("$cfg.loc[1] + $cfg.proc[0]", env), 204);
+  // A bare reference evaluates to the node it names.
+  EXPECT_EQ(cfg::eval_expr("$cfg.proc", env), n.at("cfg").at("proc"));
+}
+
+TEST(Expr, NegativeIndexThrows) {
+  const auto env = listing1_env(0);
+  EXPECT_THROW(cfg::eval_int("$cfg.loc[-1]", env), ConfigError);
+  EXPECT_THROW(cfg::eval_int("$cfg.loc[0 - 2]", env), ConfigError);
+}
+
+TEST(Expr, BoolOrNullInArithmeticThrows) {
+  cfg::Env env;
+  env.set("flag", cfg::Node{true});
+  env.set("none", cfg::Node{});
+  EXPECT_THROW(cfg::eval_int("$flag + 1", env), ConfigError);
+  EXPECT_THROW(cfg::eval_int("2 * $none", env), ConfigError);
+  EXPECT_THROW(cfg::eval_int("-$flag", env), ConfigError);
+  EXPECT_THROW(cfg::eval_int("$none", env), ConfigError);
+}
+
+TEST(Expr, EvalIntTruncatesFloats) {
+  const auto env = listing1_env(0);
+  EXPECT_EQ(cfg::eval_int("7 / 2.0", env), 3);
+  EXPECT_EQ(cfg::eval_int("-7 / 2.0", env), -3);
+  EXPECT_EQ(cfg::eval_int("$cfg.loc[1.9]", env), 200);
 }
 
 TEST(Expr, EvalIntOnNodes) {

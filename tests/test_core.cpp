@@ -56,15 +56,8 @@ subsize: [1, '$cfg.loc[0]', '$cfg.loc[1]']
 timedim: 0
 )");
   cfg::Env env;
-  std::map<std::string, cfg::Value> c;
-  c.emplace("loc", cfg::Value{std::vector<cfg::Value>{
-                       cfg::Value{std::int64_t{4}},
-                       cfg::Value{std::int64_t{4}}}});
-  c.emplace("proc", cfg::Value{std::vector<cfg::Value>{
-                        cfg::Value{std::int64_t{2}},
-                        cfg::Value{std::int64_t{4}}}});
-  c.emplace("maxTimeStep", cfg::Value{std::int64_t{4}});
-  env.set("cfg", cfg::Value{std::move(c)});
+  env.set("cfg",
+          cfg::parse_yaml("loc: [4, 4]\nproc: [2, 4]\nmaxTimeStep: 4\n"));
   const auto va = core::VirtualArray::from_config("G_temp", node, env);
   EXPECT_EQ(va, temp_array());
 }

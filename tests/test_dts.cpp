@@ -300,6 +300,12 @@ TEST(Dts, TaskErrorsPropagateToDependents) {
   EXPECT_EQ(tc.rt->scheduler().state_of("bad"), dts::TaskState::kErred);
   EXPECT_EQ(tc.rt->scheduler().state_of("downstream"),
             dts::TaskState::kErred);
+  const dts::Scheduler& sched = tc.rt->scheduler();
+  EXPECT_EQ(sched.count_in_state(dts::TaskState::kErred), 2u);
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < dts::kNumTaskStates; ++s)
+    total += sched.count_in_state(static_cast<dts::TaskState>(s));
+  EXPECT_EQ(total, sched.task_count());
 }
 
 exec::Co<void> variables_flow(TestCluster& tc, int& got) {

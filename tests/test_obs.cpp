@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "deisa/config/yaml.hpp"
 #include "deisa/obs/clock.hpp"
 #include "deisa/obs/export.hpp"
 #include "deisa/obs/metrics.hpp"
@@ -19,6 +20,7 @@
 #include "deisa/util/error.hpp"
 #include "deisa/util/log.hpp"
 
+namespace cfg = deisa::config;
 namespace obs = deisa::obs;
 namespace util = deisa::util;
 
@@ -461,8 +463,9 @@ TEST(Recorder, SpansCarryCausalIdsAndEdges) {
   EXPECT_EQ(events[2].edge, obs::EdgeKind::kDep);
 }
 
-TEST(Export, ChromeTraceRoundTripsThroughLoader) {
-  obs::Recorder rec;
+/// The round-trip tests' trace: a span with args, a caused span, an
+/// instant whose name needs escaping, a counter sample and a causal edge.
+void record_sample_trace(obs::Recorder& rec) {
   double t = 0.25;
   obs::ScopedSimClock clock([&t] { return t; });
   obs::CauseId sched_id = 0;
@@ -483,7 +486,11 @@ TEST(Export, ChromeTraceRoundTripsThroughLoader) {
   rec.counter(rec.track("worker-0", "memory"), "memory_bytes", 2.5e6);
   rec.edge(sched_id, sched_id + 1, obs::EdgeKind::kDep,
            rec.track("worker-0", "fetch"));
+}
 
+TEST(Export, ChromeTraceRoundTripsThroughLoader) {
+  obs::Recorder rec;
+  record_sample_trace(rec);
   std::ostringstream out;
   obs::write_chrome_trace(rec, out);
   std::istringstream in(out.str());
@@ -512,6 +519,116 @@ TEST(Export, ChromeTraceRoundTripsThroughLoader) {
   const obs::TraceEvent& counter = loaded.events[3];
   ASSERT_EQ(counter.type, obs::EventType::kCounter);
   EXPECT_NEAR(counter.value, 2.5e6, 1e-3);
+}
+
+/// Re-indent JSON one member or element per line, as `python3 -m
+/// json.tool` writes it: 4-space indent, ": " after keys, empty
+/// containers kept as {} and [].
+std::string json_tool_indent(const std::string& json) {
+  std::string out;
+  int depth = 0;
+  const auto newline = [&] { out += '\n' + std::string(4 * depth, ' '); };
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '"') {  // copy the string, escapes included
+      const std::size_t start = i++;
+      while (json[i] != '"') i += json[i] == '\\' ? 2 : 1;
+      out.append(json, start, i - start + 1);
+    } else if (c == '{' || c == '[') {
+      out += c;
+      const std::size_t next = json.find_first_not_of(" \n", i + 1);
+      if (json[next] == (c == '{' ? '}' : ']')) {
+        out += json[next];  // an empty container stays on its line
+        i = next;
+      } else {
+        ++depth;
+        newline();
+      }
+    } else if (c == '}' || c == ']') {
+      --depth;
+      newline();
+      out += c;
+    } else if (c == ',') {
+      out += c;
+      newline();
+    } else if (c == ':') {
+      out += ": ";
+    } else if (c != ' ' && c != '\n') {
+      out += c;
+    }
+  }
+  return out + '\n';
+}
+
+TEST(Export, IndentedTraceLoadsLikeCompact) {
+  obs::Recorder rec;
+  record_sample_trace(rec);
+  std::ostringstream out;
+  obs::write_chrome_trace(rec, out);
+  const std::string indented = json_tool_indent(out.str());
+  ASSERT_EQ(indented.rfind("{\n    \"displayTimeUnit\": \"ms\",\n", 0), 0u)
+      << indented;
+  std::istringstream compact_in(out.str());
+  std::istringstream indented_in(indented);
+  const obs::TraceData a = obs::load_chrome_trace(compact_in);
+  const obs::TraceData b = obs::load_chrome_trace(indented_in);
+
+  ASSERT_EQ(a.events.size(), rec.size());
+  ASSERT_EQ(b.events.size(), a.events.size());
+  ASSERT_EQ(b.tracks.size(), a.tracks.size());
+  for (std::size_t i = 0; i < a.tracks.size(); ++i) {
+    EXPECT_EQ(b.tracks[i].actor, a.tracks[i].actor) << i;
+    EXPECT_EQ(b.tracks[i].lane, a.tracks[i].lane) << i;
+  }
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    const obs::TraceEvent& x = a.events[i];
+    const obs::TraceEvent& y = b.events[i];
+    EXPECT_EQ(y.type, x.type) << i;
+    EXPECT_EQ(y.name, x.name) << i;
+    EXPECT_EQ(y.track, x.track) << i;
+    EXPECT_EQ(y.ts, x.ts) << i;
+    EXPECT_EQ(y.dur, x.dur) << i;
+    EXPECT_EQ(y.value, x.value) << i;
+    EXPECT_EQ(y.self_id, x.self_id) << i;
+    EXPECT_EQ(y.cause_id, x.cause_id) << i;
+    EXPECT_EQ(y.edge, x.edge) << i;
+    ASSERT_EQ(y.args.size(), x.args.size()) << i;
+    for (std::size_t j = 0; j < x.args.size(); ++j) {
+      EXPECT_EQ(y.args[j].key, x.args[j].key) << i << "/" << j;
+      EXPECT_EQ(y.args[j].value, x.args[j].value) << i << "/" << j;
+      EXPECT_EQ(y.args[j].numeric, x.args[j].numeric) << i << "/" << j;
+    }
+  }
+  EXPECT_EQ(a.events[2].name, "sent:G_temp\n");
+}
+
+TEST(Export, MetricsJsonReadsBackThroughYaml) {
+  obs::Histogram h;
+  h.observe(0.25);
+  h.observe(0.5);
+  obs::MetricsSnapshot snap;
+  snap.counters["scheduler.messages.total"] = 7;
+  snap.counters["net.bytes \"moved\""] = 123456789012ULL;
+  snap.gauges["worker-0.memory_bytes"] = 1.5e8;  // written as an integer
+  snap.gauges["rt.exec.post_run_latency_s"] = 2.5e-6;
+  snap.gauges["scenario.delta"] = -0.125;
+  snap.histograms["pfs.op_seconds"] = h.summary();
+  std::ostringstream out;
+  obs::write_metrics_json(snap, out);
+  const cfg::Node doc = cfg::parse_yaml(out.str());
+
+  const cfg::Node& counters = doc.at("counters");
+  ASSERT_EQ(counters.size(), snap.counters.size());
+  for (const auto& [name, v] : snap.counters)
+    EXPECT_EQ(counters.at(name).as_int(), static_cast<std::int64_t>(v))
+        << name;
+  const cfg::Node& gauges = doc.at("gauges");
+  ASSERT_EQ(gauges.size(), snap.gauges.size());
+  for (const auto& [name, v] : snap.gauges)
+    EXPECT_DOUBLE_EQ(gauges.at(name).as_double(), v) << name;
+  const cfg::Node& hist = doc.at("histograms").at("pfs.op_seconds");
+  EXPECT_EQ(hist.at("count").as_int(), 2);
+  EXPECT_DOUBLE_EQ(hist.at("max").as_double(), 0.5);
 }
 
 TEST(Export, LoaderRejectsMalformedJson) {

@@ -48,15 +48,11 @@ plugins:
       temp: G_temp
 )";
 
-cfg::Value make_cfg(std::int64_t loc, std::int64_t px, std::int64_t py,
-                    std::int64_t steps) {
-  std::map<std::string, cfg::Value> c;
-  c.emplace("loc", cfg::Value{std::vector<cfg::Value>{cfg::Value{loc},
-                                                      cfg::Value{loc}}});
-  c.emplace("proc", cfg::Value{std::vector<cfg::Value>{cfg::Value{px},
-                                                       cfg::Value{py}}});
-  c.emplace("maxTimeStep", cfg::Value{steps});
-  return cfg::Value{std::move(c)};
+cfg::Node make_cfg(std::int64_t loc, std::int64_t px, std::int64_t py,
+                   std::int64_t steps) {
+  return cfg::Map{{"loc", cfg::Seq{cfg::Node{loc}, cfg::Node{loc}}},
+                  {"proc", cfg::Seq{cfg::Node{px}, cfg::Node{py}}},
+                  {"maxTimeStep", cfg::Node{steps}}};
 }
 
 class RecordingPlugin final : public pdi::Plugin {
@@ -118,7 +114,7 @@ exec::Co<void> plugin_rank(pdi::DataStore& store,
   (void)plugin;
   co_await store.event("init");
   for (std::int64_t t = 0; t < steps; ++t) {
-    store.set_meta("step", cfg::Value{t});
+    store.set_meta("step", cfg::Node{t});
     arr::NDArray field(ix(loc, loc), static_cast<double>(rank * 100 + t));
     co_await store.expose("temp", field);
   }
@@ -144,8 +140,8 @@ TEST(DeisaPlugin, EndToEndListing1Coupling) {
   for (int rank = 0; rank < 4; ++rank) {
     auto store = std::make_unique<pdi::DataStore>(spec);
     store->set_meta("cfg", make_cfg(kLoc, 2, 2, kSteps));
-    store->set_meta("rank", cfg::Value{std::int64_t{rank}});
-    store->set_meta("step", cfg::Value{std::int64_t{0}});
+    store->set_meta("rank", cfg::Node{std::int64_t{rank}});
+    store->set_meta("step", cfg::Node{std::int64_t{0}});
     auto plugin = std::make_shared<pdi::DeisaPlugin>(
         spec.at("plugins").at("PdiPluginDeisa"),
         w.rt->make_client(4 + rank / 2), core::Mode::kDeisa3, rank, 4);
@@ -180,8 +176,8 @@ TEST(DeisaPlugin, ExposeBeforeInitThrows) {
   const cfg::Node spec = cfg::parse_yaml(kConfig);
   pdi::DataStore store(spec);
   store.set_meta("cfg", make_cfg(4, 1, 1, 2));
-  store.set_meta("rank", cfg::Value{std::int64_t{0}});
-  store.set_meta("step", cfg::Value{std::int64_t{0}});
+  store.set_meta("rank", cfg::Node{std::int64_t{0}});
+  store.set_meta("step", cfg::Node{std::int64_t{0}});
   store.add_plugin(std::make_shared<pdi::DeisaPlugin>(
       spec.at("plugins").at("PdiPluginDeisa"), w.rt->make_client(4),
       core::Mode::kDeisa3, 0, 1));
@@ -198,8 +194,8 @@ TEST(DeisaPlugin, UnmappedDataIsIgnored) {
   const cfg::Node spec = cfg::parse_yaml(kConfig);
   pdi::DataStore store(spec);
   store.set_meta("cfg", make_cfg(4, 1, 1, 2));
-  store.set_meta("rank", cfg::Value{std::int64_t{0}});
-  store.set_meta("step", cfg::Value{std::int64_t{0}});
+  store.set_meta("rank", cfg::Node{std::int64_t{0}});
+  store.set_meta("step", cfg::Node{std::int64_t{0}});
   store.add_plugin(std::make_shared<pdi::DeisaPlugin>(
       spec.at("plugins").at("PdiPluginDeisa"), w.rt->make_client(4),
       core::Mode::kDeisa3, 0, 1));
