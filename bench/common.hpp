@@ -16,13 +16,12 @@ namespace bench {
 namespace harness = deisa::harness;
 namespace util = deisa::util;
 
-/// The paper's fixed experiment settings (§3.3): 10 timesteps, two
-/// processes per node, three runs per configuration.
+/// The paper's fixed experiment settings (§3.3): 10 timesteps and three
+/// runs per configuration (two processes per node is
+/// harness::kRanksPerNode).
 inline harness::ScenarioParams paper_defaults() {
   harness::ScenarioParams p;
   p.timesteps = 10;
-  p.ranks_per_node = 2;
-  p.workers_per_node = 1;
   return p;
 }
 

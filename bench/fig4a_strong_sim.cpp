@@ -19,7 +19,7 @@ int main() {
     p.ranks = procs;
     p.workers = std::max(2, procs / 2);
     p.block_bytes = total_bytes / static_cast<std::uint64_t>(procs);
-    const int sim_nodes = procs / p.ranks_per_node;
+    const int sim_nodes = procs / harness::kRanksPerNode;
 
     const auto ph = run_many(harness::Pipeline::kPosthocNewIpca, p);
     const auto d1 = run_many(harness::Pipeline::kDeisa1, p);

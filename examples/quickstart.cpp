@@ -44,8 +44,7 @@ exec::Co<void> workflow(dts::Runtime& rt, dts::Client& client) {
   std::vector<dts::Key> sum_keys;
   for (std::int64_t t = 0; t < kSteps; ++t) {
     std::vector<dts::Key> deps;
-    arr::Box slab(shape3(t, 0, 0), shape3(t + 1, 8, 8));
-    for (const arr::Index& c : field.grid().chunks_overlapping(slab))
+    for (const arr::Index& c : field.grid().step_chunks(t))
       deps.push_back(field.key_of(c));
     dts::Key key = "sum/t" + std::to_string(t);
     tasks.emplace_back(key, std::move(deps),

@@ -15,9 +15,9 @@ constexpr int kTagSouth = 104;
 }  // namespace
 
 double Heat2dConfig::stable_dt() const {
-  const double dx2 = dx * dx;
-  const double dy2 = dy * dy;
-  return 0.9 * dx2 * dy2 / (2.0 * alpha * (dx2 + dy2));
+  const double dx2 = kHeatDx * kHeatDx;
+  const double dy2 = kHeatDy * kHeatDy;
+  return 0.9 * dx2 * dy2 / (2.0 * kHeatAlpha * (dx2 + dy2));
 }
 
 Heat2d::Heat2d(const Heat2dConfig& cfg, int rank)
@@ -114,8 +114,8 @@ exec::Co<void> Heat2d::step(mpix::Comm& comm) {
   // global domain edge: a missing neighbour reads this rank's own edge
   // cell. Interior cells read the field directly; only the first and last
   // row and column consult a halo.
-  const double cdx = cfg_.alpha * dt_ / (cfg_.dx * cfg_.dx);
-  const double cdy = cfg_.alpha * dt_ / (cfg_.dy * cfg_.dy);
+  const double cdx = kHeatAlpha * dt_ / (kHeatDx * kHeatDx);
+  const double cdy = kHeatAlpha * dt_ / (kHeatDy * kHeatDy);
   const double* west_edge = west >= 0 ? halo_w.data() : row(0);
   const double* east_edge = east >= 0 ? halo_e.data() : row(nx - 1);
   double* out = next_.data();

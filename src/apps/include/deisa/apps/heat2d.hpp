@@ -9,15 +9,17 @@
 
 namespace deisa::apps {
 
+/// The physics of every run: diffusivity and grid spacing.
+inline constexpr double kHeatAlpha = 0.1;
+inline constexpr double kHeatDx = 1.0;
+inline constexpr double kHeatDy = 1.0;
+
 struct Heat2dConfig {
   std::int64_t local_nx = 16;  // per-rank block extent in x
   std::int64_t local_ny = 16;  // per-rank block extent in y
   int proc_x = 1;              // process grid (x fastest, Listing 1)
   int proc_y = 1;
   int timesteps = 10;
-  double alpha = 0.1;  // diffusivity
-  double dx = 1.0;
-  double dy = 1.0;
   /// dt of 0 selects the largest stable explicit step.
   double dt = 0.0;
 

@@ -96,6 +96,17 @@ std::vector<Index> ChunkGrid::chunks_overlapping(const Box& box) const {
   return out;
 }
 
+std::vector<Index> ChunkGrid::step_chunks(std::int64_t t) const {
+  DEISA_CHECK(ndim() > 0 && chunk_[0] == 1,
+              "time dimension must be chunked per timestep");
+  Box slab;
+  slab.lo.assign(ndim(), 0);
+  slab.hi = shape_;
+  slab.lo[0] = t;
+  slab.hi[0] = t + 1;
+  return chunks_overlapping(slab);
+}
+
 std::string chunk_key(const std::string& prefix, const std::string& name,
                       const Index& coord) {
   ChunkKeyBuilder builder(prefix, name);

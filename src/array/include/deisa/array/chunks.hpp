@@ -36,6 +36,10 @@ public:
 
   /// Grid coordinates of every chunk intersecting `box` (row-major order).
   std::vector<Index> chunks_overlapping(const Box& box) const;
+  /// The chunks of timestep `t` (row-major order): dimension 0 is time,
+  /// chunked one step per chunk (checked), so a step is the slab
+  /// [t, t + 1) along it. Every analytics graph walks its input this way.
+  std::vector<Index> step_chunks(std::int64_t t) const;
 
   bool operator==(const ChunkGrid& other) const = default;
 

@@ -147,10 +147,19 @@ private:
     return plain_scalar(plain_token());
   }
 
+  /// At a ':' that ends a plain scalar: whitespace, ',', ']', '}' or the
+  /// end of the input follows it. So `http://x` is one scalar, as is `a:1`.
+  bool at_value_colon() const {
+    return peek() == ':' &&
+           (pos_ + 1 == s_.size() ||
+            std::string_view(" \t\n\r,]}").find(s_[pos_ + 1]) !=
+                std::string_view::npos);
+  }
+
   std::string_view plain_token() {
     const std::size_t start = pos_;
     while (pos_ < s_.size() && s_[pos_] != ',' && s_[pos_] != '}' &&
-           s_[pos_] != ']' && s_[pos_] != ':')
+           s_[pos_] != ']' && !at_value_colon())
       ++pos_;
     return util::trim(s_.substr(start, pos_ - start));
   }

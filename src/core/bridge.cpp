@@ -45,6 +45,24 @@ exec::Co<void> Bridge::run_replays() {
   }
 }
 
+exec::Co<void> Bridge::couple(std::vector<VirtualArray> arrays) {
+  if (rank_ == 0) co_await publish_arrays(std::move(arrays));
+  if (uses_external_tasks(mode_)) {
+    co_await wait_contract();
+  } else {
+    co_await deisa1_fetch_selection();
+  }
+}
+
+exec::Co<bool> Bridge::push(const VirtualArray& va, const array::Index& coord,
+                            dts::Data data) {
+  if (!uses_external_tasks(mode_))
+    co_return co_await deisa1_send_block(va, coord, std::move(data));
+  std::vector<std::pair<array::Index, dts::Data>> blocks;
+  blocks.emplace_back(coord, std::move(data));
+  co_return co_await send_blocks(va, std::move(blocks)) > 0;
+}
+
 exec::Co<void> Bridge::publish_arrays(std::vector<VirtualArray> arrays) {
   DEISA_CHECK(rank_ == 0, "only the rank-0 bridge publishes the arrays");
   std::uint64_t bytes = 256;
@@ -92,8 +110,8 @@ exec::Co<std::size_t> Bridge::send_blocks(
     std::vector<std::pair<array::Index, dts::Data>> blocks) {
   DEISA_CHECK(has_contract_, "bridges must wait for the contract first");
   DEISA_CHECK(uses_external_tasks(mode_),
-              "send_blocks is the DEISA2/3 path; DEISA1 uses "
-              "deisa1_send_block");
+              "send_blocks is the DEISA2/3 path; DEISA1 blocks go "
+              "through push");
   // Filter against the contract and group the survivors by preselected
   // worker (ordered map: deterministic push order across runs).
   std::map<int, std::vector<std::pair<dts::Key, dts::Data>>> by_worker;

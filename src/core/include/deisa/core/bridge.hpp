@@ -24,6 +24,16 @@ public:
   Mode mode() const { return mode_; }
   dts::Client& client() { return *client_; }
 
+  /// The coupling handshake in the bridge's mode: rank 0 publishes
+  /// `arrays`, then every rank waits for the contract (DEISA2/3) or
+  /// fetches its selection from its own queue (DEISA1).
+  exec::Co<void> couple(std::vector<VirtualArray> arrays);
+  /// Push one block in the bridge's mode: send_blocks with one block
+  /// (DEISA2/3), or DEISA1's plain scatter and ready token. Returns
+  /// whether the block passed the contract's filter.
+  exec::Co<bool> push(const VirtualArray& va, const array::Index& coord,
+                      dts::Data data);
+
   /// Rank 0: make the deisa virtual arrays available to the adaptor
   /// (step 1 of Figure 1, first half). One message.
   exec::Co<void> publish_arrays(std::vector<VirtualArray> arrays);
@@ -51,14 +61,6 @@ public:
   /// Heartbeat loop at the mode's interval (DEISA3: returns immediately).
   exec::Co<void> run_heartbeats(exec::Event& stop);
 
-  // ---- DEISA1 legacy path ----
-  /// Fetch this rank's selection from its dedicated distributed queue.
-  exec::Co<void> deisa1_fetch_selection();
-  /// Plain scatter of a block (no external state), then notify the
-  /// adaptor through the shared ready-queue. Returns whether sent.
-  exec::Co<bool> deisa1_send_block(const VirtualArray& va,
-                                  const array::Index& coord, dts::Data data);
-
   std::uint64_t blocks_sent() const { return blocks_sent_; }
   std::uint64_t blocks_filtered() const { return blocks_filtered_; }
   std::uint64_t blocks_repushed() const { return blocks_repushed_; }
@@ -73,6 +75,14 @@ public:
   std::size_t blocks_retained() const { return replay_.size(); }
 
 private:
+  // ---- DEISA1 legacy path (couple() and push() choose it) ----
+  /// Fetch this rank's selection from its dedicated distributed queue.
+  exec::Co<void> deisa1_fetch_selection();
+  /// Plain scatter of a block (no external state), then notify the
+  /// adaptor through the shared ready-queue. Returns whether sent.
+  exec::Co<bool> deisa1_send_block(const VirtualArray& va,
+                                  const array::Index& coord, dts::Data data);
+
   /// A virtual array's chunk grid and key builder, cached per array name
   /// so a bridge pushing B blocks/step derives each array's grid and key
   /// stem once, not B times. `keys.render()`'s reference is valid until

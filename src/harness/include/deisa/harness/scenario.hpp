@@ -44,12 +44,15 @@ enum class Substrate {
 
 const char* to_string(Substrate s);
 
+/// Node layout of the paper's experiments: two simulation ranks per node
+/// and one Dask worker per node.
+inline constexpr int kRanksPerNode = 2;
+inline constexpr int kWorkersPerNode = 1;
+
 struct ScenarioParams {
   // ---- workload geometry ----
   int ranks = 4;
-  int ranks_per_node = 2;  // fixed to two in the paper's experiments
   int workers = 2;
-  int workers_per_node = 1;
   std::uint64_t block_bytes = 128ull * 1024 * 1024;  // per process
   int timesteps = 10;
   std::size_t n_components = 2;

@@ -1,8 +1,12 @@
 #include "deisa/harness/scenario.hpp"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <functional>
+#include <optional>
 
 #include "deisa/apps/heat2d.hpp"
 #include "deisa/core/adaptor.hpp"
@@ -100,8 +104,8 @@ std::vector<core::VirtualArray> ScenarioParams::virtual_arrays() const {
 }
 
 int ScenarioParams::nodes_needed() const {
-  const int worker_nodes = (workers + workers_per_node - 1) / workers_per_node;
-  const int sim_nodes = (ranks + ranks_per_node - 1) / ranks_per_node;
+  const int worker_nodes = (workers + kWorkersPerNode - 1) / kWorkersPerNode;
+  const int sim_nodes = (ranks + kRanksPerNode - 1) / kRanksPerNode;
   return 2 + worker_nodes + sim_nodes;
 }
 
@@ -170,14 +174,13 @@ struct World {
     scheduler_node = nodes[0];
     client_node = nodes[1];
     const int worker_node_count =
-        (p.workers + p.workers_per_node - 1) / p.workers_per_node;
+        (p.workers + kWorkersPerNode - 1) / kWorkersPerNode;
     std::vector<int> worker_nodes;
     for (int w = 0; w < p.workers; ++w)
-      worker_nodes.push_back(nodes[2 + w / p.workers_per_node]);
+      worker_nodes.push_back(nodes[2 + w / kWorkersPerNode]);
     std::vector<int> rank_nodes;
     for (int r = 0; r < p.ranks; ++r)
-      rank_nodes.push_back(
-          nodes[2 + worker_node_count + r / p.ranks_per_node]);
+      rank_nodes.push_back(nodes[2 + worker_node_count + r / kRanksPerNode]);
 
     dts::RuntimeParams rp;
     rp.scheduler = p.sched;
@@ -262,46 +265,27 @@ arr::Box contract_box(const core::VirtualArray& va, double fraction) {
   return box;
 }
 
-/// ChunkProvider over a contiguous sub-box of a DArray (contract-filtered
-/// analytics: the graph only references the selected chunks).
-class SelectedArrayProvider final : public ml::ChunkProvider {
+/// The directory of a real-data post-hoc run's dataset. Its name is unique
+/// per process and run, so concurrent runs never share one, and it goes
+/// with its chunks when the run ends, by a throw too.
+class ScratchDir {
 public:
-  SelectedArrayProvider(const arr::DArray& da, const arr::Box& box)
-      : darray_(&da) {
-    arr::Index sub_shape(box.ndim());
-    for (std::size_t d = 0; d < box.ndim(); ++d) sub_shape[d] = box.extent(d);
-    sub_grid_ = arr::ChunkGrid(sub_shape, da.grid().chunk_shape());
-    for (std::size_t d = 0; d < box.ndim(); ++d) {
-      DEISA_CHECK(box.lo[d] % da.grid().chunk_shape()[d] == 0 &&
-                      box.extent(d) % da.grid().chunk_shape()[d] == 0,
-                  "contract selection must align to block boundaries");
-      chunk_offset_.push_back(box.lo[d] / da.grid().chunk_shape()[d]);
-    }
+  ScratchDir() {
+    static std::atomic<std::uint64_t> runs{0};
+    path_ = std::filesystem::temp_directory_path() /
+            ("deisa-posthoc-" + std::to_string(::getpid()) + "-" +
+             std::to_string(runs++));
   }
-
-  const arr::ChunkGrid& grid() const override { return sub_grid_; }
-
-  std::vector<dts::Key> chunks(int /*submission*/, std::int64_t t,
-                               std::vector<dts::TaskSpec>& /*tasks*/) override {
-    arr::Box slab;
-    slab.lo.assign(sub_grid_.ndim(), 0);
-    slab.hi = sub_grid_.shape();
-    slab.lo[0] = t;
-    slab.hi[0] = t + 1;
-    std::vector<dts::Key> keys;
-    for (const arr::Index& c : sub_grid_.chunks_overlapping(slab)) {
-      arr::Index global = c;
-      for (std::size_t d = 0; d < global.size(); ++d)
-        global[d] += chunk_offset_[d];
-      keys.push_back(darray_->key_of(global));
-    }
-    return keys;
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
   }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  const std::filesystem::path& path() const { return path_; }
 
 private:
-  const arr::DArray* darray_;
-  arr::ChunkGrid sub_grid_;
-  std::vector<std::int64_t> chunk_offset_;
+  std::filesystem::path path_;
 };
 
 struct SharedState {
@@ -362,9 +346,8 @@ exec::Co<void> collect_fit(ml::InSituIncrementalPca& ipca,
 /// One simulation rank: the in-transit handshake (DEISA* runs), then per
 /// step compute, a skew, and the step's block shipped through the bridge
 /// or, post hoc (`writer` set), written to the PFS.
-exec::Co<void> rank_actor(World& w, SharedState& st, Pipeline pipeline,
-                          io::PosthocWriter* writer, int rank,
-                          RunResult& res) {
+exec::Co<void> rank_actor(World& w, SharedState& st, io::PosthocWriter* writer,
+                          int rank, RunResult& res) {
   const ScenarioParams& p = w.params;
   const std::vector<core::VirtualArray> vas = p.virtual_arrays();
   const core::VirtualArray& va = vas.front();
@@ -373,17 +356,7 @@ exec::Co<void> rank_actor(World& w, SharedState& st, Pipeline pipeline,
   core::Bridge* bridge =
       writer ? nullptr : st.bridges[static_cast<std::size_t>(rank)].get();
 
-  if (bridge != nullptr) {
-    if (rank == 0) {
-      std::vector<core::VirtualArray> arrays = vas;
-      co_await bridge->publish_arrays(std::move(arrays));
-    }
-    if (pipeline == Pipeline::kDeisa1) {
-      co_await bridge->deisa1_fetch_selection();
-    } else {
-      co_await bridge->wait_contract();
-    }
-  }
+  if (bridge != nullptr) co_await bridge->couple(vas);
   co_await w.comm->barrier(rank);
 
   const double step_cost =
@@ -409,21 +382,13 @@ exec::Co<void> rank_actor(World& w, SharedState& st, Pipeline pipeline,
       co_await writer->write_block(coord, &block);
     } else if (writer != nullptr) {
       co_await writer->write_block(coord, nullptr);
-    } else if (pipeline == Pipeline::kDeisa1) {
-      (void)co_await bridge->deisa1_send_block(
-          va, coord, block_payload(p, solver.get(), va));
     } else {
-      // Coalesced push path: one batch per array per step (a batch of
-      // one block for single-array runs, but it keeps the heat2d
-      // scenario on the same bridge code the multi-block producers
-      // exercise). Multi-array runs push the same solver field under
-      // each array's key space.
-      for (const core::VirtualArray& a : vas) {
-        std::vector<std::pair<arr::Index, dts::Data>> blocks;
-        blocks.emplace_back(core::block_coord(a, {px, py}, rank, t),
-                            block_payload(p, solver.get(), a));
-        (void)co_await bridge->send_blocks(a, std::move(blocks));
-      }
+      // One push per array per step. Multi-array runs push the same
+      // solver field under each array's key space; the arrays share one
+      // geometry, so the block has one coordinate in all of them.
+      for (const core::VirtualArray& a : vas)
+        (void)co_await bridge->push(a, coord,
+                                    block_payload(p, solver.get(), a));
     }
     res.sim_io[static_cast<std::size_t>(rank)][static_cast<std::size_t>(t)] =
         w.engine.now() - t0;
@@ -456,7 +421,8 @@ exec::Co<void> deisa23_adaptor_actor(World& w, SharedState& st,
   std::vector<ml::IpcaFit> fits;
   for (std::size_t i = 0; i < arrays.size(); ++i) {
     const arr::DArray& da = st.darrays.at(arrays[i].name);
-    st.providers.push_back(std::make_unique<SelectedArrayProvider>(da, box));
+    st.providers.push_back(
+        std::make_unique<ml::ExternalArrayProvider>(da, box));
     const std::string name = i == 0 ? "ipca" : "ipca-a" + std::to_string(i);
     ipcas.push_back(std::make_unique<ml::InSituIncrementalPca>(
         adaptor.client(), ipca_options(p, name, false)));
@@ -490,7 +456,7 @@ exec::Co<void> deisa1_adaptor_actor(World& w, SharedState& st, RunResult& res) {
   const arr::DArray& da = st.darrays.at(va.name);
 
   const double t0 = w.engine.now();
-  st.providers.push_back(std::make_unique<SelectedArrayProvider>(da, box));
+  st.providers.push_back(std::make_unique<ml::ExternalArrayProvider>(da, box));
   // DEISA1 pairs with the OLD IPCA throughout the evaluation, and submits
   // each step's graph once every rank reported the step.
   ml::InSituIncrementalPca ipca(adaptor.client(),
@@ -741,6 +707,7 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
   res.sim_io = res.sim_compute;
 
   io::PosthocDataset dataset;
+  std::optional<ScratchDir> scratch;  // holds dataset.file, if any
   std::unique_ptr<io::PosthocWriter> writer;
   bool drained = false;
 
@@ -756,9 +723,8 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
       dataset =
           io::PosthocDataset("/pfs/heat2d", params.virtual_array().grid());
       if (params.real_data) {
-        const auto dir = std::filesystem::temp_directory_path() /
-                         ("deisa-posthoc-" + std::to_string(params.alloc_seed));
-        dataset.file = io::H5Mini::create(dir, dataset.grid.shape(),
+        dataset.file = io::H5Mini::create(scratch.emplace().path(),
+                                          dataset.grid.shape(),
                                           dataset.grid.chunk_shape());
       }
       writer = std::make_unique<io::PosthocWriter>(w.pfs, &dataset);
@@ -768,7 +734,7 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
       void* io_strand = w.engine.new_strand();
       for (int r = 0; r < params.ranks; ++r)
         w.engine.spawn_on(io_strand,
-                          rank_actor(w, st, pipeline, writer.get(), r, res));
+                          rank_actor(w, st, writer.get(), r, res));
       w.engine.spawn_on(
           io_strand,
           posthoc_analytics_actor(
@@ -794,7 +760,7 @@ RunResult run_scenario(Pipeline pipeline, const ScenarioParams& params) {
           w.runtime->make_client(w.client_node), mode_of(pipeline));
       for (int r = 0; r < params.ranks; ++r) {
         void* s = rank_strands[static_cast<std::size_t>(r)];
-        w.engine.spawn_on(s, rank_actor(w, st, pipeline, nullptr, r, res));
+        w.engine.spawn_on(s, rank_actor(w, st, nullptr, r, res));
         w.engine.spawn_on(
             s, st.bridges[static_cast<std::size_t>(r)]->run_heartbeats(
                    st.stop_heartbeats));

@@ -23,8 +23,6 @@ struct PosthocDataset {
   array::ChunkGrid grid;  // spatiotemporal grid (dim 0 = time)
   std::optional<H5Mini> file;  // real storage (functional mode)
 
-  /// Spatial chunk coordinates of timestep t, in row-major order.
-  std::vector<array::Index> spatial_chunks(std::int64_t t) const;
   /// Bytes of the chunk at `coord`.
   std::uint64_t chunk_bytes(const array::Index& coord) const;
   /// Logical PFS path of the file holding timestep t.

@@ -4,15 +4,6 @@ namespace deisa::io {
 
 namespace arr = array;
 
-std::vector<arr::Index> PosthocDataset::spatial_chunks(std::int64_t t) const {
-  arr::Box slab;
-  slab.lo.assign(grid.ndim(), 0);
-  slab.hi = grid.shape();
-  slab.lo[0] = t;
-  slab.hi[0] = t + 1;
-  return grid.chunks_overlapping(slab);
-}
-
 std::uint64_t PosthocDataset::chunk_bytes(const arr::Index& coord) const {
   return static_cast<std::uint64_t>(grid.box_of(coord).volume()) *
          sizeof(double);
@@ -33,7 +24,7 @@ exec::Co<void> PosthocWriter::write_block(const arr::Index& coord,
 std::vector<dts::Key> PosthocReadProvider::chunks(
     int submission, std::int64_t t, std::vector<dts::TaskSpec>& tasks) {
   std::vector<dts::Key> keys;
-  for (const arr::Index& coord : ds_->spatial_chunks(t)) {
+  for (const arr::Index& coord : ds_->grid.step_chunks(t)) {
     const std::uint64_t bytes = ds_->chunk_bytes(coord);
     dts::Key key = "ph-read/s" + std::to_string(submission) + "/" +
                    arr::chunk_key("", "c", coord);

@@ -22,17 +22,20 @@
 
 namespace deisa::ml {
 
+/// The randomized solver as the cost model prices it: effective compute
+/// rate of the stacked SVD (flop/s), sketch width (n_components +
+/// oversampling) and power iterations (Listing 2 selects
+/// svd_solver='randomized'). The model prices 2 power iterations, not the
+/// solver's kSketchPowerIters (DESIGN.md §5 item 5).
+inline constexpr double kModelFlopsRate = 2.0e9;
+inline constexpr std::size_t kModelSketchWidth = 12;
+inline constexpr std::size_t kModelPowerIters = 2;
+
 /// Cost model for synthetic (paper-scale) runs: converts task work into
 /// simulated seconds charged on the executing worker.
 struct AnalyticsCostModel {
-  /// Effective compute rate for the stacked SVD of partial_fit (flop/s).
-  double flops_rate = 2.0e9;
   /// Per-byte cost of assembling a timestep slab from chunks.
   double assemble_bytes_rate = 4.0e9;
-  /// Randomized-SVD sketch width (n_components + oversampling) and power
-  /// iterations (Listing 2 selects svd_solver='randomized').
-  std::size_t sketch_width = 12;
-  std::size_t power_iters = 2;
   /// Multiplier on all update costs. 1.0 = the new IPCA's randomized
   /// solver; the old dask-ml IPCA's exact solver is ≈ 2.5x dearer.
   double cost_multiplier = 1.0;
@@ -46,34 +49,36 @@ struct AnalyticsCostModel {
                           std::size_t k) const {
     const double rows = static_cast<double>(k + samples + 1);
     const double f = static_cast<double>(features);
-    const double l = static_cast<double>(sketch_width);
-    const double passes = 2.0 * static_cast<double>(power_iters) + 2.0;
-    return cost_multiplier * 2.0 * rows * f * l * passes / flops_rate;
+    const double l = static_cast<double>(kModelSketchWidth);
+    const double passes = 2.0 * static_cast<double>(kModelPowerIters) + 2.0;
+    return cost_multiplier * 2.0 * rows * f * l * passes / kModelFlopsRate;
   }
   /// Per-chunk share of the randomized sketch (distributed update).
   double sketch_cost(std::uint64_t chunk_elems) const {
-    const double passes = 2.0 * static_cast<double>(power_iters) + 2.0;
+    const double passes = 2.0 * static_cast<double>(kModelPowerIters) + 2.0;
     return cost_multiplier * 2.0 * static_cast<double>(chunk_elems) *
-           static_cast<double>(sketch_width) * passes / flops_rate;
+           static_cast<double>(kModelSketchWidth) * passes / kModelFlopsRate;
   }
   /// Combine sketches + small SVD + state update.
   double merge_cost(std::size_t features, std::size_t nchunks) const {
     const double f = static_cast<double>(features);
-    const double l = static_cast<double>(sketch_width);
+    const double l = static_cast<double>(kModelSketchWidth);
     return cost_multiplier *
            (2.0 * f * l * l + static_cast<double>(nchunks) * l * l) /
-           flops_rate;
+           kModelFlopsRate;
   }
 };
 
-/// Source of per-timestep input chunks for the IPCA graphs. Implemented
-/// over external arrays (in transit) and over file readers (post hoc).
+/// Source of per-timestep input chunks for the analytics graphs (IPCA and
+/// monitor). Implemented over external arrays (in transit) and over file
+/// readers (post hoc).
 class ChunkProvider {
 public:
   virtual ~ChunkProvider() = default;
   /// Spatiotemporal grid; dimension 0 is time (the deisa timedim tag).
   virtual const array::ChunkGrid& grid() const = 0;
-  /// Keys of the chunks of timestep `t` in row-major spatial order.
+  /// Keys of the chunks of timestep `t`, in the order of
+  /// grid().step_chunks(t).
   /// `submission` distinguishes separate graph submissions: providers
   /// whose chunks must be re-materialized per submission (file reads)
   /// return fresh keys/tasks for each submission; external providers
@@ -82,17 +87,24 @@ public:
                                        std::vector<dts::TaskSpec>& tasks) = 0;
 };
 
-/// ChunkProvider over an external-task DArray (the in-transit case).
+/// ChunkProvider over an external-task DArray (the in-transit case), or
+/// over the chunks of a block-aligned box of it (a contract's selection):
+/// the box's chunks form a grid of their own, whose chunk c is the
+/// array's chunk c + the box's first chunk.
 class ExternalArrayProvider final : public ChunkProvider {
 public:
-  explicit ExternalArrayProvider(const array::DArray& darray)
-      : darray_(&darray) {}
-  const array::ChunkGrid& grid() const override { return darray_->grid(); }
+  explicit ExternalArrayProvider(const array::DArray& darray);
+  /// `box` starts on a chunk boundary and ends on one or at the array's
+  /// edge in every dimension (throws otherwise).
+  ExternalArrayProvider(const array::DArray& darray, const array::Box& box);
+  const array::ChunkGrid& grid() const override { return grid_; }
   std::vector<dts::Key> chunks(int submission, std::int64_t t,
                                std::vector<dts::TaskSpec>& tasks) override;
 
 private:
   const array::DArray* darray_;
+  array::ChunkGrid grid_;
+  array::Index first_chunk_;  // the box's first chunk in the array's grid
 };
 
 struct InSituIpcaOptions {
@@ -145,7 +157,9 @@ public:
 
   // ---- low-level graph building (for callers that submit the graphs
   // themselves) ----
-  /// Append the slab-assembly and partial_fit tasks of timestep t.
+  /// Append the tasks of timestep t: the slab-assembly and partial_fit
+  /// tasks, or with `distributed_update` the per-chunk sketches and their
+  /// merge.
   void build_step(ChunkProvider& provider, int submission, std::int64_t t,
                   std::vector<dts::TaskSpec>& tasks);
   /// Append the result-extraction tasks after the last timestep.
@@ -155,9 +169,6 @@ public:
   IpcaFit fit_info(std::int64_t steps, int submissions) const;
 
 private:
-  void build_step_distributed(ChunkProvider& provider, int submission,
-                              std::int64_t t,
-                              std::vector<dts::TaskSpec>& tasks);
   dts::Key slab_key(int submission, std::int64_t t) const;
 
   std::size_t samples_per_step() const;

@@ -14,16 +14,18 @@
 
 namespace deisa::ml {
 
+/// The randomized solver's sketch: n_components + kSketchOversample
+/// columns wide, with kSketchPowerIters power iterations.
+inline constexpr std::size_t kSketchOversample = 10;
+inline constexpr std::size_t kSketchPowerIters = 4;
+
 struct PcaOptions {
   std::size_t n_components = 2;
   /// Use the randomized SVD solver (Listing 2: svd_solver='randomized'):
-  /// a rank-n_components sketch, n_components + oversample columns wide
-  /// with power_iters power iterations, like dask's svd_compressed. It
-  /// returns only the leading n_components singular values; matrices no
-  /// wider than the sketch fall back to the exact SVD.
+  /// a rank-n_components sketch (see kSketchOversample), like dask's
+  /// svd_compressed. It returns only the leading n_components singular
+  /// values; matrices no wider than the sketch fall back to the exact SVD.
   bool randomized = false;
-  std::size_t oversample = 10;
-  std::size_t power_iters = 4;
   std::uint64_t seed = 0x9cada;
 };
 

@@ -8,18 +8,40 @@ namespace deisa::ml {
 
 namespace arr = array;
 
+ExternalArrayProvider::ExternalArrayProvider(const arr::DArray& darray)
+    : ExternalArrayProvider(darray, arr::Selection::all(darray.shape()).box) {}
+
+ExternalArrayProvider::ExternalArrayProvider(const arr::DArray& darray,
+                                             const arr::Box& box)
+    : darray_(&darray) {
+  const arr::ChunkGrid& g = darray.grid();
+  DEISA_CHECK(box.ndim() == g.ndim(), "box rank mismatch");
+  arr::Index shape(box.ndim());
+  arr::Index chunk(box.ndim());
+  for (std::size_t d = 0; d < box.ndim(); ++d) {
+    const std::int64_t c = g.chunk_shape()[d];
+    DEISA_CHECK(box.lo[d] >= 0 && box.lo[d] % c == 0 &&
+                    box.hi[d] <= g.shape()[d] &&
+                    (box.hi[d] % c == 0 || box.hi[d] == g.shape()[d]),
+                "contract selection must align to block boundaries");
+    shape[d] = box.extent(d);
+    // A box ending at a ragged edge may hold one short chunk only.
+    chunk[d] = std::min(c, shape[d]);
+    first_chunk_.push_back(box.lo[d] / c);
+  }
+  grid_ = arr::ChunkGrid(std::move(shape), std::move(chunk));
+}
+
 std::vector<dts::Key> ExternalArrayProvider::chunks(
     int /*submission*/, std::int64_t t, std::vector<dts::TaskSpec>& /*tasks*/) {
   // External chunks exist independently of submissions: same keys always.
-  const arr::ChunkGrid& g = darray_->grid();
+  std::vector<arr::Index> coords = grid_.step_chunks(t);
   std::vector<dts::Key> keys;
-  arr::Box slab_box;
-  slab_box.lo.assign(g.ndim(), 0);
-  slab_box.hi = g.shape();
-  slab_box.lo[0] = t;
-  slab_box.hi[0] = t + 1;
-  for (const arr::Index& c : g.chunks_overlapping(slab_box))
+  keys.reserve(coords.size());
+  for (arr::Index& c : coords) {
+    for (std::size_t d = 0; d < c.size(); ++d) c[d] += first_chunk_[d];
     keys.push_back(darray_->key_of(c));
+  }
   return keys;
 }
 
@@ -71,10 +93,9 @@ namespace {
 /// Assemble the chunk payloads of one timestep into a slab NDArray.
 /// Synthetic inputs (no value) yield a size-only output: the same graph
 /// runs at paper scale without allocating data.
-dts::TaskFn make_slab_fn(arr::ChunkGrid grid, std::int64_t t,
-                         std::vector<arr::Index> coords,
+dts::TaskFn make_slab_fn(arr::ChunkGrid grid, std::vector<arr::Index> coords,
                          std::uint64_t slab_bytes) {
-  return [grid = std::move(grid), t, coords = std::move(coords),
+  return [grid = std::move(grid), coords = std::move(coords),
           slab_bytes](const std::vector<dts::Data>& in) -> dts::Data {
     bool real = !in.empty() && in[0].has_value();
     if (!real) return dts::Data::sized(slab_bytes);
@@ -135,17 +156,11 @@ dts::TaskFn make_vector_extract_fn(
 void InSituIncrementalPca::build_step(ChunkProvider& provider, int submission,
                                       std::int64_t t,
                                       std::vector<dts::TaskSpec>& tasks) {
-  if (opts_.distributed_update) {
-    build_step_distributed(provider, submission, t, tasks);
-    return;
-  }
   const arr::ChunkGrid& grid = provider.grid();
   if (slab_shape_.empty()) {
     DEISA_CHECK(grid.ndim() == opts_.labels.size(),
                 "labels rank mismatch: " << opts_.labels.size() << " labels, "
                                          << grid.ndim() << " dims");
-    DEISA_CHECK(grid.chunk_shape()[0] == 1,
-                "time dimension must be chunked per timestep");
     slab_shape_ = grid.shape();
     slab_shape_[0] = 1;
     // Row dims of the 2D stack: time (extent 1) plus the sample labels.
@@ -156,39 +171,52 @@ void InSituIncrementalPca::build_step(ChunkProvider& provider, int submission,
       sample_dims_.push_back(d);
     }
   }
-
-  // Slab assembly.
   std::vector<dts::Key> chunk_keys = provider.chunks(submission, t, tasks);
-  arr::Box slab_box;
-  slab_box.lo.assign(grid.ndim(), 0);
-  slab_box.hi = grid.shape();
-  slab_box.lo[0] = t;
-  slab_box.hi[0] = t + 1;
-  std::vector<arr::Index> coords = grid.chunks_overlapping(slab_box);
+  std::vector<arr::Index> coords = grid.step_chunks(t);
   DEISA_CHECK(coords.size() == chunk_keys.size(),
               "provider returned " << chunk_keys.size() << " chunks for "
                                    << coords.size() << " grid cells");
+  const std::size_t k = opts_.pca.n_components;
+  const std::size_t f = features();
+  // The state update depends on the previous state first.
+  std::vector<dts::Key> deps;
+  if (t != 0) deps.push_back(state_key(t - 1));
+
+  if (opts_.distributed_update) {
+    // One sketch task per chunk, run where the chunk lives, then a merge
+    // that updates the state.
+    const std::uint64_t factor_bytes =
+        static_cast<std::uint64_t>(kModelSketchWidth * kModelSketchWidth) *
+        sizeof(double);
+    for (std::size_t i = 0; i < coords.size(); ++i) {
+      const std::uint64_t elems =
+          static_cast<std::uint64_t>(grid.box_of(coords[i]).volume());
+      dts::Key skey = opts_.name + "/sketch/s" + std::to_string(submission) +
+                      "/t" + std::to_string(t) + "/c" + std::to_string(i);
+      tasks.emplace_back(skey, std::vector<dts::Key>{chunk_keys[i]}, nullptr,
+                         opts_.cost.sketch_cost(elems), factor_bytes);
+      deps.push_back(std::move(skey));
+    }
+    tasks.emplace_back(state_key(t), std::move(deps), nullptr,
+                       opts_.cost.merge_cost(f, coords.size()),
+                       (k * f / 64 + 1024) * sizeof(double));
+    return;
+  }
+
+  // Slab assembly, then partial_fit.
   std::int64_t slab_volume = 1;
   for (std::size_t d = 1; d < grid.ndim(); ++d) slab_volume *= grid.shape()[d];
   const std::uint64_t slab_bytes =
       static_cast<std::uint64_t>(slab_volume) * sizeof(double);
-  tasks.emplace_back(slab_key(submission, t), chunk_keys,
-                     make_slab_fn(grid, t, coords, slab_bytes),
+  tasks.emplace_back(slab_key(submission, t), std::move(chunk_keys),
+                     make_slab_fn(grid, std::move(coords), slab_bytes),
                      opts_.cost.assemble_cost(slab_bytes), slab_bytes);
-
-  // partial_fit chain.
-  const std::size_t m = samples_per_step();
-  const std::size_t f = features();
-  const std::uint64_t state_bytes =
-      (opts_.pca.n_components * f + 4 * f + 16) * sizeof(double);
-  std::vector<dts::Key> deps;
-  const bool first = t == 0;
-  if (!first) deps.push_back(state_key(t - 1));
+  const std::uint64_t state_bytes = (k * f + 4 * f + 16) * sizeof(double);
   deps.push_back(slab_key(submission, t));
   tasks.emplace_back(
       state_key(t), std::move(deps),
-      make_fit_fn(opts_.pca, sample_dims_, first, state_bytes),
-      opts_.cost.partial_fit_cost(m, f, opts_.pca.n_components), state_bytes);
+      make_fit_fn(opts_.pca, sample_dims_, t == 0, state_bytes),
+      opts_.cost.partial_fit_cost(samples_per_step(), f, k), state_bytes);
 }
 
 void InSituIncrementalPca::build_outputs(std::vector<dts::TaskSpec>& tasks,
@@ -217,52 +245,6 @@ IpcaFit InSituIncrementalPca::fit_info(std::int64_t steps,
   return fit;
 }
 
-void InSituIncrementalPca::build_step_distributed(
-    ChunkProvider& provider, int submission, std::int64_t t,
-    std::vector<dts::TaskSpec>& tasks) {
-  const arr::ChunkGrid& grid = provider.grid();
-  if (slab_shape_.empty()) {
-    DEISA_CHECK(grid.ndim() == opts_.labels.size(),
-                "labels rank mismatch: " << opts_.labels.size() << " labels, "
-                                         << grid.ndim() << " dims");
-    DEISA_CHECK(grid.chunk_shape()[0] == 1,
-                "time dimension must be chunked per timestep");
-    slab_shape_ = grid.shape();
-    slab_shape_[0] = 1;
-  }
-  std::vector<dts::Key> chunk_keys = provider.chunks(submission, t, tasks);
-  arr::Box slab_box;
-  slab_box.lo.assign(grid.ndim(), 0);
-  slab_box.hi = grid.shape();
-  slab_box.lo[0] = t;
-  slab_box.hi[0] = t + 1;
-  const std::vector<arr::Index> coords = grid.chunks_overlapping(slab_box);
-  DEISA_CHECK(coords.size() == chunk_keys.size(),
-              "provider chunk count mismatch");
-  const std::size_t l = opts_.cost.sketch_width;
-  const std::uint64_t factor_bytes =
-      static_cast<std::uint64_t>(l * l) * sizeof(double);
-  std::vector<dts::Key> sketch_keys;
-  for (std::size_t i = 0; i < coords.size(); ++i) {
-    const std::uint64_t elems =
-        static_cast<std::uint64_t>(grid.box_of(coords[i]).volume());
-    dts::Key skey = opts_.name + "/sketch/s" + std::to_string(submission) +
-                    "/t" + std::to_string(t) + "/c" + std::to_string(i);
-    tasks.emplace_back(skey, std::vector<dts::Key>{chunk_keys[i]}, nullptr,
-                       opts_.cost.sketch_cost(elems), factor_bytes);
-    sketch_keys.push_back(std::move(skey));
-  }
-  const std::size_t f = features();
-  // Merge + state update depends on the previous state and all sketches.
-  const std::uint64_t state_bytes =
-      (opts_.pca.n_components * f / 64 + 1024) * sizeof(double);
-  std::vector<dts::Key> deps;
-  if (t != 0) deps.push_back(state_key(t - 1));
-  for (auto& k : sketch_keys) deps.push_back(std::move(k));
-  tasks.emplace_back(state_key(t), std::move(deps), nullptr,
-                     opts_.cost.merge_cost(f, coords.size()), state_bytes);
-}
-
 exec::Co<IpcaFit> InSituIncrementalPca::fit_ahead_of_time(
     ChunkProvider& provider) {
   const std::int64_t steps = provider.grid().chunks_in(0);
@@ -272,11 +254,7 @@ exec::Co<IpcaFit> InSituIncrementalPca::fit_ahead_of_time(
     build_step(provider, /*submission=*/0, t, tasks);
   build_outputs(tasks, steps);
 
-  IpcaFit fit;
-  fit.state_key = state_key(steps - 1);
-  fit.explained_variance_key = opts_.name + "/explained_variance";
-  fit.singular_values_key = opts_.name + "/singular_values";
-  fit.submissions = 1;
+  IpcaFit fit = fit_info(steps, 1);
   std::vector<dts::Key> wants;
   wants.push_back(fit.explained_variance_key);
   wants.push_back(fit.singular_values_key);
@@ -288,7 +266,6 @@ exec::Co<IpcaFit> InSituIncrementalPca::fit_per_step(
     ChunkProvider& provider, std::function<exec::Co<void>()> before_step) {
   const std::int64_t steps = provider.grid().chunks_in(0);
   DEISA_CHECK(steps >= 1, "need at least one timestep");
-  IpcaFit fit;
   for (std::int64_t t = 0; t < steps; ++t) {
     if (before_step) co_await before_step();
     std::vector<dts::TaskSpec> tasks;
@@ -299,16 +276,12 @@ exec::Co<IpcaFit> InSituIncrementalPca::fit_per_step(
     // The old IPCA drives each partial_fit to completion before building
     // the next: time dependencies are managed manually by the caller.
     co_await client_->wait_key(state_key(t));
-    ++fit.submissions;
   }
   std::vector<dts::TaskSpec> tasks;
   build_outputs(tasks, steps);
   co_await client_->submit(std::move(tasks), {});
-  ++fit.submissions;
-  fit.state_key = state_key(steps - 1);
-  fit.explained_variance_key = opts_.name + "/explained_variance";
-  fit.singular_values_key = opts_.name + "/singular_values";
-  co_return fit;
+  // One graph per step plus the outputs'.
+  co_return fit_info(steps, static_cast<int>(steps) + 1);
 }
 
 exec::Co<IncrementalPca> InSituIncrementalPca::collect_state(

@@ -33,9 +33,9 @@ namespace {
 
 la::SvdResult solve_svd(const la::Matrix& a, const PcaOptions& opts) {
   if (opts.randomized &&
-      opts.n_components + opts.oversample < std::min(a.rows(), a.cols()))
-    return la::randomized_svd(a, opts.n_components, opts.oversample,
-                              opts.power_iters, opts.seed);
+      opts.n_components + kSketchOversample < std::min(a.rows(), a.cols()))
+    return la::randomized_svd(a, opts.n_components, kSketchOversample,
+                              kSketchPowerIters, opts.seed);
   return la::svd(a);
 }
 

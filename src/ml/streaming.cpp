@@ -189,8 +189,6 @@ dts::TaskFn make_merge_fn(std::uint64_t out_bytes_hint) {
 
 exec::Co<MonitorFit> InSituFieldMonitor::submit(ChunkProvider& provider) {
   const arr::ChunkGrid& grid = provider.grid();
-  DEISA_CHECK(grid.chunk_shape()[0] == 1,
-              "time dimension must be chunked per timestep");
   const std::int64_t steps = grid.chunks_in(0);
   const std::uint64_t stats_bytes =
       sizeof(FieldStats) + opts_.bins * sizeof(std::uint64_t);
@@ -199,12 +197,7 @@ exec::Co<MonitorFit> InSituFieldMonitor::submit(ChunkProvider& provider) {
   std::vector<dts::TaskSpec> tasks;
   for (std::int64_t t = 0; t < steps; ++t) {
     std::vector<dts::Key> chunk_keys = provider.chunks(0, t, tasks);
-    arr::Box slab;
-    slab.lo.assign(grid.ndim(), 0);
-    slab.hi = grid.shape();
-    slab.lo[0] = t;
-    slab.hi[0] = t + 1;
-    const auto coords = grid.chunks_overlapping(slab);
+    const std::vector<arr::Index> coords = grid.step_chunks(t);
 
     // Leaf level: one data-local stats task per chunk.
     std::vector<dts::Key> level;

@@ -29,12 +29,7 @@ exec::Co<void> DeisaPlugin::on_event(DataStore& store,
               "deisa plugin config lacks a deisa_arrays map");
   for (const auto& [aname, anode] : arrays_spec->as_map())
     arrays_.push_back(parse_array(aname, anode, store.env()));
-  if (bridge_.rank() == 0) co_await bridge_.publish_arrays(arrays_);
-  if (core::uses_external_tasks(bridge_.mode())) {
-    co_await bridge_.wait_contract();
-  } else {
-    co_await bridge_.deisa1_fetch_selection();
-  }
+  co_await bridge_.couple(arrays_);
 }
 
 array::Index DeisaPlugin::block_coord_of(const core::VirtualArray& va,
@@ -79,13 +74,7 @@ exec::Co<void> DeisaPlugin::on_data(DataStore& store, const std::string& name,
   std::copy(data.flat().begin(), data.flat().end(), block.flat().begin());
   const std::uint64_t bytes = block.bytes();
   dts::Data payload = dts::Data::make<array::NDArray>(std::move(block), bytes);
-  if (core::uses_external_tasks(bridge_.mode())) {
-    std::vector<std::pair<array::Index, dts::Data>> blocks;
-    blocks.emplace_back(coord, std::move(payload));
-    (void)co_await bridge_.send_blocks(*va, std::move(blocks));
-  } else {
-    (void)co_await bridge_.deisa1_send_block(*va, coord, std::move(payload));
-  }
+  (void)co_await bridge_.push(*va, coord, std::move(payload));
 }
 
 }  // namespace deisa::pdi

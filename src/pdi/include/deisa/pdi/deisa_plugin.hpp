@@ -1,10 +1,10 @@
 // The PDI deisa plugin (§2.3): reads the Listing-1 configuration, owns
 // this rank's Bridge, and drives the coupling:
 //   * on the `init_on` event: rank 0 publishes the virtual arrays; every
-//     rank then blocks until the contract is signed;
+//     rank then blocks until the contract is signed (Bridge::couple);
 //   * on each exposed data named in `map_in`: evaluates the block's
 //     spatiotemporal coordinate from the `start` expressions and sends it
-//     (contract-filtered) to the preselected worker.
+//     (contract-filtered) to the preselected worker (Bridge::push).
 #pragma once
 
 #include <map>

@@ -24,12 +24,13 @@
 
 namespace deisa::rt {
 
+/// Copy granularity through the per-node scratch buffers; also the
+/// scratch size, so memory stays bounded for huge transfers.
+inline constexpr std::size_t kCopyChunkBytes = 1 << 20;
+
 struct ThreadedTransportParams {
   /// Addressable node ids [0, nodes).
   int nodes = 256;
-  /// Copy granularity through the per-node scratch buffers; also the
-  /// scratch size, so memory stays bounded for huge transfers.
-  std::size_t chunk_bytes = 1 << 20;
 };
 
 class ThreadedTransport final : public exec::Transport {

@@ -11,13 +11,12 @@ ThreadedTransport::ThreadedTransport(exec::Executor& ex,
                                      ThreadedTransportParams params)
     : ex_(&ex), params_(params) {
   DEISA_CHECK(params_.nodes > 0, "transport needs nodes");
-  DEISA_CHECK(params_.chunk_bytes > 0, "chunk_bytes must be positive");
   egress_.reserve(static_cast<std::size_t>(params_.nodes));
   ingress_.reserve(static_cast<std::size_t>(params_.nodes));
   for (int i = 0; i < params_.nodes; ++i) {
     // Scratch is grown lazily on a NIC's first transfer: harness clusters
     // model thousands of nodes of which a handful move data, and zeroing
-    // nodes * 2 * chunk_bytes up front costs seconds and gigabytes.
+    // nodes * 2 * kCopyChunkBytes up front costs seconds and gigabytes.
     egress_.push_back(std::make_unique<Nic>());
     ingress_.push_back(std::make_unique<Nic>());
   }
@@ -83,13 +82,13 @@ exec::Co<void> ThreadedTransport::transfer(int src, int dst,
         static_cast<std::uint64_t>(lock_wait_s * 1e9),
         std::memory_order_relaxed);
     const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(bytes, params_.chunk_bytes));
-    if (eg.scratch.size() < want) eg.scratch.resize(params_.chunk_bytes);
-    if (in.scratch.size() < want) in.scratch.resize(params_.chunk_bytes);
+        std::min<std::uint64_t>(bytes, kCopyChunkBytes));
+    if (eg.scratch.size() < want) eg.scratch.resize(kCopyChunkBytes);
+    if (in.scratch.size() < want) in.scratch.resize(kCopyChunkBytes);
     std::uint64_t left = bytes;
     while (left > 0) {
       const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(left, params_.chunk_bytes));
+          std::min<std::uint64_t>(left, kCopyChunkBytes));
       std::memcpy(in.scratch.data(), eg.scratch.data(), n);
       left -= n;
     }

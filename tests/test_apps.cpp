@@ -150,8 +150,8 @@ TEST(Heat2d, StepMatchesPerCellOracleBitForBit) {
   const arr::NDArray initial = assemble();
   std::vector<double> oracle(initial.flat().begin(), initial.flat().end());
   const double dt = cfg.stable_dt();
-  const double cdx = cfg.alpha * dt / (cfg.dx * cfg.dx);
-  const double cdy = cfg.alpha * dt / (cfg.dy * cfg.dy);
+  const double cdx = apps::kHeatAlpha * dt / (apps::kHeatDx * apps::kHeatDx);
+  const double cdy = apps::kHeatAlpha * dt / (apps::kHeatDy * apps::kHeatDy);
   std::vector<double> next(oracle.size());
   const auto at = [&](std::int64_t i, std::int64_t j) {
     i = std::clamp<std::int64_t>(i, 0, gnx - 1);

@@ -281,6 +281,27 @@ TEST(ChunkGrid, ChunksOverlapping) {
   EXPECT_TRUE(g.chunks_overlapping(arr::Box(idx({8, 8}), idx({9, 9}))).empty());
 }
 
+TEST(ChunkGrid, StepChunksAreTheStepSlab) {
+  // A step is the slab [t, t + 1) along dimension 0, on a ragged grid
+  // (10 x 7 in chunks of 4 x 3) too.
+  const arr::ChunkGrid even(idx({3, 8, 8}), idx({1, 4, 4}));
+  const arr::ChunkGrid ragged(idx({4, 10, 7}), idx({1, 4, 3}));
+  for (const arr::ChunkGrid* g : {&even, &ragged}) {
+    for (std::int64_t t = 0; t < g->shape()[0]; ++t) {
+      arr::Box slab(idx({t, 0, 0}), g->shape());
+      slab.hi[0] = t + 1;
+      EXPECT_EQ(g->step_chunks(t), g->chunks_overlapping(slab)) << t;
+    }
+  }
+  const auto step = ragged.step_chunks(2);
+  ASSERT_EQ(step.size(), 9u);
+  EXPECT_EQ(step.front(), idx({2, 0, 0}));
+  EXPECT_EQ(step.back(), idx({2, 2, 2}));
+  // A time chunk longer than one step has no per-step walk.
+  const arr::ChunkGrid coarse(idx({4, 8}), idx({2, 4}));
+  EXPECT_THROW((void)coarse.step_chunks(0), deisa::util::Error);
+}
+
 TEST(Naming, ChunkKeyRendersStemAndCoords) {
   EXPECT_EQ(arr::chunk_key("deisa-", "temp", idx({1, 3, 5})),
             "deisa-temp|1,3,5");

@@ -69,6 +69,28 @@ TEST(Yaml, FlowCollections) {
   EXPECT_EQ(dims[2].as_int(), 8);
 }
 
+TEST(Yaml, ColonInsideFlowPlainScalar) {
+  // In a flow collection a plain scalar ends at ':' only when whitespace,
+  // ',', ']', '}' or the end of the input follows.
+  const auto n = cfg::parse_yaml(
+      "x: [http://x, 2]\n"
+      "y: {url: http://x, at: [a:b]}\n"
+      "metadata: { step: int, cfg: config_t, rank: int }\n");
+  EXPECT_EQ(n.at("x").at(0).as_string(), "http://x");
+  EXPECT_EQ(n.at("x").at(1).as_int(), 2);
+  EXPECT_EQ(n.at("y").at("url").as_string(), "http://x");
+  EXPECT_EQ(n.at("y").at("at").at(0).as_string(), "a:b");
+  EXPECT_EQ(n.at("metadata").at("cfg").as_string(), "config_t");
+  EXPECT_EQ(n.at("metadata").size(), 3u);
+  // Keys end at ": ", at ':' before a flow indicator, and at JSON's ':'
+  // after a quoted key.
+  EXPECT_EQ(cfg::parse_yaml("{\"a\":1}").at("a").as_int(), 1);
+  EXPECT_EQ(cfg::parse_yaml("{k: v}").at("k").as_string(), "v");
+  EXPECT_TRUE(cfg::parse_yaml("{k:}").at("k").is_null());
+  // As in YAML, a plain key glued to its value is one scalar, `a:1`.
+  EXPECT_THROW((void)cfg::parse_yaml("{a:1}"), ConfigError);
+}
+
 TEST(Yaml, CommentsStripped) {
   const auto n = cfg::parse_yaml(R"(
 a: 1  # trailing comment

@@ -561,7 +561,7 @@ TEST(IpcaSolver, SketchMatchesExactOnHeat2dSlabs) {
   sketch_opts.randomized = true;
   // Every stacked matrix (192 or 2 + 192 + 1 rows) is 48 wide, wider
   // than the sketch, so the randomized branch runs on every step.
-  ASSERT_LT(sketch_opts.n_components + sketch_opts.oversample,
+  ASSERT_LT(sketch_opts.n_components + ml::kSketchOversample,
             std::min(slabs[0].rows(), slabs[0].cols()));
   ml::IncrementalPca exact(exact_opts);
   ml::IncrementalPca sketch(sketch_opts);

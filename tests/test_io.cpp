@@ -104,7 +104,7 @@ TEST(H5Mini, ShapeMismatchAndMissingChunkThrow) {
 
 TEST(PosthocDataset, GeometryHelpers) {
   io::PosthocDataset ds("/pfs/x", arr::ChunkGrid(ix(3, 4, 8), ix(1, 4, 4)));
-  const auto chunks = ds.spatial_chunks(1);
+  const auto chunks = ds.grid.step_chunks(1);
   ASSERT_EQ(chunks.size(), 2u);
   EXPECT_EQ(chunks[0], ix(1, 0, 0));
   EXPECT_EQ(chunks[1], ix(1, 0, 1));

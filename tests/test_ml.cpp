@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -77,7 +78,7 @@ TEST(Pca, RandomizedRatioMatchesExact) {
   exact_opts.n_components = 2;
   ml::PcaOptions rand_opts = exact_opts;
   rand_opts.randomized = true;
-  ASSERT_LT(rand_opts.n_components + rand_opts.oversample, x.cols());
+  ASSERT_LT(rand_opts.n_components + ml::kSketchOversample, x.cols());
   ml::Pca exact(exact_opts);
   ml::Pca sketch(rand_opts);
   exact.fit(x);
@@ -444,6 +445,161 @@ TEST(InSituIpca, SyntheticModeRunsSameGraphWithoutPayloads) {
   tc.eng.spawn(synthetic_aot_flow(tc, done_at));
   tc.eng.run();
   EXPECT_GT(done_at, 0.0);
+}
+
+
+// ---- ExternalArrayProvider over a box ----
+
+/// Drain a TestCluster whose runtime started but whose engine never ran.
+void shut_down(TestCluster& tc) {
+  tc.eng.spawn(tc.rt->shutdown());
+  tc.eng.run();
+}
+
+/// By brute force: the keys of step t's chunks of `da` that lie within
+/// `box`, in row-major order.
+std::vector<dts::Key> keys_in_box(const arr::DArray& da, const arr::Box& box,
+                                  std::int64_t t) {
+  std::vector<dts::Key> keys;
+  for (std::int64_t i = 0; i < da.grid().num_chunks(); ++i) {
+    const arr::Index c = da.grid().coord_of(i);
+    const arr::Box cb = da.grid().box_of(c);
+    bool inside = c[0] == t;
+    for (std::size_t d = 0; d < c.size(); ++d)
+      inside = inside && cb.lo[d] >= box.lo[d] && cb.hi[d] <= box.hi[d];
+    if (inside) keys.push_back(da.key_of(c));
+  }
+  return keys;
+}
+
+TEST(ExternalArrayProvider, AlignedBoxKeysMatchBruteForce) {
+  TestCluster tc(2);
+  // 3 steps of 8 x 9 chunked (1, 2, 3): 4 x 3 chunks per step; the box
+  // holds 2 x 2 of them, away from the origin.
+  const arr::DArray da =
+      arr::DArray::descriptor(*tc.client, "temp", ix(3, 8, 9), ix(1, 2, 3));
+  const arr::Box box(ix(0, 2, 3), ix(3, 6, 9));
+  ml::ExternalArrayProvider provider(da, box);
+  EXPECT_EQ(provider.grid(), arr::ChunkGrid(ix(3, 4, 6), ix(1, 2, 3)));
+  std::vector<dts::TaskSpec> tasks;
+  for (std::int64_t t = 0; t < 3; ++t) {
+    const std::vector<dts::Key> keys = provider.chunks(0, t, tasks);
+    EXPECT_EQ(keys.size(), 4u);
+    EXPECT_EQ(keys, keys_in_box(da, box, t)) << t;
+  }
+  EXPECT_TRUE(tasks.empty());  // external chunks need no tasks
+  shut_down(tc);
+}
+
+TEST(ExternalArrayProvider, UnalignedBoxThrows) {
+  TestCluster tc(2);
+  const arr::DArray da =
+      arr::DArray::descriptor(*tc.client, "temp", ix(3, 8, 9), ix(1, 2, 3));
+  // Start off a chunk boundary, end off one, end past the array.
+  const arr::Box off_start(ix(0, 1, 0), ix(3, 4, 9));
+  const arr::Box off_end(ix(0, 0, 0), ix(3, 8, 8));
+  const arr::Box past_edge(ix(0, 0, 0), ix(3, 10, 9));
+  for (const arr::Box* box : {&off_start, &off_end, &past_edge})
+    EXPECT_THROW(ml::ExternalArrayProvider(da, *box), deisa::util::Error);
+  shut_down(tc);
+}
+
+TEST(ExternalArrayProvider, RaggedArrayWalksStepChunks) {
+  TestCluster tc(2);
+  // 2 steps of 7 x 5 chunked (1, 3, 2): the last chunk of both spatial
+  // dimensions is short.
+  const arr::DArray da =
+      arr::DArray::descriptor(*tc.client, "temp", ix(2, 7, 5), ix(1, 3, 2));
+  ml::ExternalArrayProvider whole(da);
+  EXPECT_EQ(whole.grid(), da.grid());
+  // A box may end at the array's ragged edge, even inside one chunk.
+  const arr::Box edge(ix(0, 3, 4), ix(2, 7, 5));
+  ml::ExternalArrayProvider corner(da, edge);
+  std::vector<dts::TaskSpec> tasks;
+  for (std::int64_t t = 0; t < 2; ++t) {
+    std::vector<dts::Key> expected;
+    for (const arr::Index& c :
+         da.grid().chunks_overlapping(arr::Box(ix(t, 0, 0), ix(t + 1, 7, 5))))
+      expected.push_back(da.key_of(c));
+    EXPECT_EQ(expected.size(), 9u);
+    EXPECT_EQ(whole.chunks(0, t, tasks), expected) << t;
+    const std::vector<dts::Key> keys = corner.chunks(0, t, tasks);
+    EXPECT_EQ(keys.size(), 2u);
+    EXPECT_EQ(keys, keys_in_box(da, edge, t)) << t;
+  }
+  shut_down(tc);
+}
+
+// ---- recorded graph of the step builders ----
+
+/// One line per task: key, deps, cost as a hex float, out_bytes, and
+/// whether the task carries a callable.
+std::string graph_listing(const std::vector<dts::TaskSpec>& tasks) {
+  std::string out;
+  for (const dts::TaskSpec& s : tasks) {
+    char cost[32];
+    std::snprintf(cost, sizeof cost, "%a", s.cost);
+    out += s.key + " <-";
+    for (const dts::Key& d : s.deps) out += " " + d;
+    out += " | " + std::string(cost) + " | " + std::to_string(s.out_bytes) +
+           (s.fn ? " | fn\n" : " | -\n");
+  }
+  return out;
+}
+
+/// The graph of 3 steps of a (3, 4, 6) array chunked (1, 2, 3), so 2 x 2
+/// chunks per step, plus the outputs. The distributed update builds each
+/// step as its own submission, as fit_per_step does, and prices the old
+/// IPCA's exact solver (cost_multiplier 2.5), as the harness does.
+std::string pinned_graph(bool distributed) {
+  TestCluster tc(2);
+  const arr::DArray da =
+      arr::DArray::descriptor(*tc.client, "temp", ix(3, 4, 6), ix(1, 2, 3));
+  ml::InSituIpcaOptions o = listing2_options(2);
+  o.distributed_update = distributed;
+  if (distributed) o.cost.cost_multiplier = 2.5;
+  ml::InSituIncrementalPca ipca(*tc.client, o);
+  ml::ExternalArrayProvider provider(da);
+  std::vector<dts::TaskSpec> tasks;
+  for (std::int64_t t = 0; t < 3; ++t)
+    ipca.build_step(provider, distributed ? static_cast<int>(t) : 0, t,
+                    tasks);
+  ipca.build_outputs(tasks, 3);
+  shut_down(tc);
+  return graph_listing(tasks);
+}
+
+TEST(InSituIpcaPins, StepGraphsMatchRecording) {
+  // Recorded constants of both update kinds: keys, dependency order
+  // (previous state first), costs to the bit, output sizes and which
+  // tasks carry a callable.
+  EXPECT_EQ(pinned_graph(false), R"(ipca/slab/s0/t0 <- deisa-temp|0,0,0 deisa-temp|0,0,1 deisa-temp|0,1,0 deisa-temp|0,1,1 | 0x1.9c511dc3a41dfp-25 | 192 | fn
+ipca/state/t0 <- ipca/slab/s0/t0 | 0x1.5be4711d12794p-19 | 320 | fn
+ipca/slab/s0/t1 <- deisa-temp|1,0,0 deisa-temp|1,0,1 deisa-temp|1,1,0 deisa-temp|1,1,1 | 0x1.9c511dc3a41dfp-25 | 192 | fn
+ipca/state/t1 <- ipca/state/t0 ipca/slab/s0/t1 | 0x1.5be4711d12794p-19 | 320 | fn
+ipca/slab/s0/t2 <- deisa-temp|2,0,0 deisa-temp|2,0,1 deisa-temp|2,1,0 deisa-temp|2,1,1 | 0x1.9c511dc3a41dfp-25 | 192 | fn
+ipca/state/t2 <- ipca/state/t1 ipca/slab/s0/t2 | 0x1.5be4711d12794p-19 | 320 | fn
+ipca/explained_variance <- ipca/state/t2 | 0x0p+0 | 16 | fn
+ipca/singular_values <- ipca/state/t2 | 0x0p+0 | 16 | fn
+)");
+  EXPECT_EQ(pinned_graph(true), R"(ipca/sketch/s0/t0/c0 <- deisa-temp|0,0,0 | 0x1.21e908ed8f651p-20 | 1152 | -
+ipca/sketch/s0/t0/c1 <- deisa-temp|0,0,1 | 0x1.21e908ed8f651p-20 | 1152 | -
+ipca/sketch/s0/t0/c2 <- deisa-temp|0,1,0 | 0x1.21e908ed8f651p-20 | 1152 | -
+ipca/sketch/s0/t0/c3 <- deisa-temp|0,1,1 | 0x1.21e908ed8f651p-20 | 1152 | -
+ipca/state/t0 <- ipca/sketch/s0/t0/c0 ipca/sketch/s0/t0/c1 ipca/sketch/s0/t0/c2 ipca/sketch/s0/t0/c3 | 0x1.21e908ed8f651p-19 | 8192 | -
+ipca/sketch/s1/t1/c0 <- deisa-temp|1,0,0 | 0x1.21e908ed8f651p-20 | 1152 | -
+ipca/sketch/s1/t1/c1 <- deisa-temp|1,0,1 | 0x1.21e908ed8f651p-20 | 1152 | -
+ipca/sketch/s1/t1/c2 <- deisa-temp|1,1,0 | 0x1.21e908ed8f651p-20 | 1152 | -
+ipca/sketch/s1/t1/c3 <- deisa-temp|1,1,1 | 0x1.21e908ed8f651p-20 | 1152 | -
+ipca/state/t1 <- ipca/state/t0 ipca/sketch/s1/t1/c0 ipca/sketch/s1/t1/c1 ipca/sketch/s1/t1/c2 ipca/sketch/s1/t1/c3 | 0x1.21e908ed8f651p-19 | 8192 | -
+ipca/sketch/s2/t2/c0 <- deisa-temp|2,0,0 | 0x1.21e908ed8f651p-20 | 1152 | -
+ipca/sketch/s2/t2/c1 <- deisa-temp|2,0,1 | 0x1.21e908ed8f651p-20 | 1152 | -
+ipca/sketch/s2/t2/c2 <- deisa-temp|2,1,0 | 0x1.21e908ed8f651p-20 | 1152 | -
+ipca/sketch/s2/t2/c3 <- deisa-temp|2,1,1 | 0x1.21e908ed8f651p-20 | 1152 | -
+ipca/state/t2 <- ipca/state/t1 ipca/sketch/s2/t2/c0 ipca/sketch/s2/t2/c1 ipca/sketch/s2/t2/c2 ipca/sketch/s2/t2/c3 | 0x1.21e908ed8f651p-19 | 8192 | -
+ipca/explained_variance <- ipca/state/t2 | 0x0p+0 | 16 | fn
+ipca/singular_values <- ipca/state/t2 | 0x0p+0 | 16 | fn
+)");
 }
 
 }  // namespace
